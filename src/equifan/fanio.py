@@ -82,6 +82,12 @@ def _one_int(parts, n, what):
     return vals[0]
 
 
+def _one_hash(parts, n, what):
+    if len(parts) != 1:
+        raise ParseError(f"{what}: expected one hash", n)
+    return parts[0]
+
+
 # ---------------------------------------------------------------------------
 # fan files
 
@@ -312,9 +318,9 @@ def parse_certificate(text: str) -> CertificateData:
         if kind not in ("barycentric", "barycentric-direct", "centered"):
             raise ParseError(f"unknown stage kind {kind!r}", n)
         n, parts = lines.expect_keyword("input-hash")
-        ih = parts[0]
+        ih = _one_hash(parts, n, "input-hash")
         n, parts = lines.expect_keyword("output-hash")
-        oh = parts[0]
+        oh = _one_hash(parts, n, "output-hash")
         n, parts = lines.expect_keyword("steps")
         nsteps = _one_int(parts, n, "step count")
         steps = []

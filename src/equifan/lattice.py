@@ -260,11 +260,14 @@ def smith_normal_form(m):
     D = tuple(tuple(r) for r in a)
     U = tuple(tuple(r) for r in u)
     V = tuple(tuple(r) for r in v)
-    assert mat_mul(mat_mul(U, M), V) == D, "SNF contract violated"
-    assert is_unimodular(U) and is_unimodular(V), "SNF transform not unimodular"
+    if mat_mul(mat_mul(U, M), V) != D:
+        raise RuntimeError("SNF contract violated: U*M*V != D")
+    if not (is_unimodular(U) and is_unimodular(V)):
+        raise RuntimeError("SNF contract violated: U or V is not unimodular")
     diag = [D[i][i] for i in range(min(nrows, ncols))]
     for x, y in zip(diag, diag[1:]):
-        assert y % x == 0 if x != 0 else y == 0, "SNF divisibility violated"
+        if not (y % x == 0 if x != 0 else y == 0):
+            raise RuntimeError("SNF contract violated: diagonal is not a divisor chain")
     return D, U, V
 
 
@@ -301,6 +304,32 @@ def is_smooth_cone(gens) -> bool:
     return cone_index(gens) == 1
 
 
+def _simplicial_snf(gens):
+    """(divisors d_j, rows of U) of the SNF U*G*V = D of independent gens."""
+    k = len(gens)
+    n = len(gens[0]) if gens else 0
+    if k > n:
+        raise ValueError("not simplicial")
+    D, U, _ = smith_normal_form(gens)
+    divs = [D[i][i] for i in range(k)] if k <= min(len(D), n) else []
+    if len(divs) < k or any(d == 0 for d in divs):
+        raise ValueError("not simplicial")
+    return divs, U
+
+
+def integrality_congruences(gens):
+    """The SNF integrality test of a simplicial cone: rows (u, d) with d > 1.
+
+    A function linear on the cone with integer values v at the generators
+    is integral at every lattice point of the cone exactly when d divides
+    u . v for every row.  With U*G*V = D the parallelepiped points are the
+    reductions of sum_j (t_j / d_j) * (U*G)_j, whose values are
+    sum_j t_j * (U*v)_j / d_j.
+    """
+    divs, U = _simplicial_snf(tuple(tuple(g) for g in gens))
+    return tuple((U[j], d) for j, d in enumerate(divs) if d > 1)
+
+
 def parallelepiped_points(gens):
     """Nonzero lattice points in the half-open fundamental parallelepiped.
 
@@ -314,12 +343,7 @@ def parallelepiped_points(gens):
     gens = tuple(tuple(g) for g in gens)
     k = len(gens)
     n = len(gens[0]) if gens else 0
-    if k > n:
-        raise ValueError("not simplicial")
-    D, U, V = smith_normal_form(gens)
-    divs = [D[i][i] for i in range(k)] if k <= min(len(D), n) else []
-    if len(divs) < k or any(d == 0 for d in divs):
-        raise ValueError("not simplicial")
+    divs, U = _simplicial_snf(gens)
     points = []
     for t in product(*[range(d) for d in divs]):
         if all(ti == 0 for ti in t):
@@ -331,9 +355,13 @@ def parallelepiped_points(gens):
         w = []
         for j in range(n):
             c = sum(coords[i] * gens[i][j] for i in range(k))
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise RuntimeError(
+                    f"parallelepiped contract violated: {coords} gives a non-lattice point"
+                )
             w.append(int(c))
         points.append((tuple(w), coords))
     points.sort(key=lambda pc: pc[1])
-    assert len(points) == cone_index(gens) - 1
+    if len(points) != cone_index(gens) - 1:
+        raise RuntimeError("parallelepiped contract violated: point count is not index - 1")
     return points

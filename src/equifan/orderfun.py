@@ -15,6 +15,12 @@ wall F between pieces F+r1 and F+r2 there is a unique relation
 The function is convex across the wall iff D >= 0 and bends strictly
 iff D > 0.  (A centered subdivision's function dips the new ray below
 the linear extension of the host values, which makes D positive.)
+
+The (scale, dip) search for a centered subdivision does not test
+candidates one by one.  Every ray value is affine in (scale, dip), so
+integrality (one SNF congruence per elementary divisor > 1) and strict
+convexity (one bend form per wall) are solved once per search on a
+single subdivision; only the winner is then verified in full.
 """
 
 from __future__ import annotations
@@ -23,9 +29,15 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .complexes import Complex, cone_contains, is_simplicial, is_subdivision
-from .lattice import parallelepiped_points, primitive, solve_in_basis
+from .lattice import (
+    integrality_congruences,
+    parallelepiped_points,
+    primitive,
+    solve_in_basis,
+)
 from .subdivide import star_subdivide
 
 COMPOSITION_CAP = 2**20
@@ -108,20 +120,21 @@ class AxiomReport:
         return self.ok
 
 
+def _host_pieces(base: Complex, sub: Complex, sigma):
+    """Maximal cones of the subdivision that fill the base cone sigma."""
+    d = base.dim(sigma)
+    return [
+        c
+        for c in sub.maximal_cones
+        if sub.dim(c) == d
+        and all(base.contains_point(sigma, g) for g in sub.generators(c))
+    ]
+
+
 def _pieces_by_base_cone(ord_fn: OrderFunction):
     """Maximal cones of the subdivision grouped by their base host cone."""
     base, sub = ord_fn.base, ord_fn.subdivision
-    groups = []
-    for sigma in base.maximal_cones:
-        d = base.dim(sigma)
-        pieces = [
-            c
-            for c in sub.maximal_cones
-            if sub.dim(c) == d
-            and all(base.contains_point(sigma, g) for g in sub.generators(c))
-        ]
-        groups.append((sigma, pieces))
-    return groups
+    return [(sigma, _host_pieces(base, sub, sigma)) for sigma in base.maximal_cones]
 
 
 def _interior_walls(sub: Complex, pieces):
@@ -139,20 +152,25 @@ def _interior_walls(sub: Complex, pieces):
     return walls
 
 
-def _bend(ord_fn: OrderFunction, wall):
-    """Exact bend quantity D across a wall; D >= 0 means convex there."""
+def _bend_form(sub: Complex, wall) -> dict:
+    """The bend D across a wall as a linear form {ray id: coefficient}."""
     f, c1, r1, c2, r2 = wall
-    sub = ord_fn.subdivision
     basis_ids = sorted(c1)
     coeffs = solve_in_basis(sub.generators(c1), sub.rays[r2])
-    assert coeffs is not None, "wall pieces must span the same space"
+    if coeffs is None:
+        raise ValueError(f"wall {sorted(f)}: pieces do not span the same space")
     alpha = coeffs[basis_ids.index(r1)]
-    assert alpha < 0, "wall pieces must lie on opposite sides"
-    d = (-alpha) * ord_fn.ray_values[r1] + ord_fn.ray_values[r2]
-    for a, i in zip(coeffs, basis_ids):
-        if i != r1:
-            d -= a * ord_fn.ray_values[i]
-    return d
+    if not alpha < 0:
+        raise ValueError(f"wall {sorted(f)}: pieces do not lie on opposite sides")
+    form = {i: -a for a, i in zip(coeffs, basis_ids)}  # -alpha > 0 at r1
+    form[r2] = 1
+    return form
+
+
+def _bend(ord_fn: OrderFunction, wall):
+    """Exact bend quantity D across a wall; D >= 0 means convex there."""
+    form = _bend_form(ord_fn.subdivision, wall)
+    return sum(a * ord_fn.ray_values[i] for i, a in form.items())
 
 
 def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -> AxiomReport:
@@ -257,6 +275,43 @@ def linearity_domains(ord_fn: OrderFunction) -> Complex:
     return Complex.from_maximal_cones(sub.ambient_rank, sub.rays, merged)
 
 
+def _centered_subdivision(cx: Complex, centers_with_hosts) -> Complex:
+    sub = cx
+    for center, _ in centers_with_hosts:
+        sub = star_subdivide(sub, center)
+    return sub
+
+
+def _centered_value_forms(cx: Complex, sub: Complex, centers_with_hosts):
+    """The value rule of a centered subdivision as forms in (scale, dip).
+
+    Ray i is valued scale * q_i - dip * e_i: an old ray has (q, e) = (1, 0);
+    a new center ray has q = its coordinate sum in its minimal host and e = 1.
+    """
+    forms = [(1, 0)] * len(cx.rays) + [None] * (len(sub.rays) - len(cx.rays))
+    for center, host in centers_with_hosts:
+        rid = sub.rays.index(center)
+        if rid < len(cx.rays):
+            continue  # center was already a ray; nothing new to value
+        forms[rid] = (sum(solve_in_basis(cx.generators(host), center)), 1)
+    return forms
+
+
+def _place_values(cx: Complex, sub: Complex, forms, scale: int, dip: int):
+    """The order function with the given forms at (scale, dip), or None
+    when some new ray value fails to be a positive integer."""
+    values = {}
+    for rid, (q, e) in enumerate(forms):
+        if not e:
+            values[rid] = scale
+            continue
+        val = scale * q - dip
+        if val.denominator != 1 or val <= 0:
+            return None
+        values[rid] = int(val)
+    return OrderFunction(cx, sub, values)
+
+
 def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: int):
     """Order function for the simultaneous centered subdivision.
 
@@ -264,28 +319,118 @@ def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: in
     scale * (coordinate sum in its minimal host) - dip.  Returns None
     when some value fails to be a positive integer.
     """
-    sub = cx
-    for center, _ in centers_with_hosts:
-        sub = star_subdivide(sub, center)
-    values = {i: scale for i in range(len(cx.rays))}
-    for center, host in centers_with_hosts:
-        rid = sub.rays.index(center)
-        if rid < len(cx.rays):
-            continue  # center was already a ray; nothing new to value
-        coeffs = solve_in_basis(cx.generators(host), center)
-        val = scale * sum(coeffs) - dip
-        if val.denominator != 1 or val <= 0:
-            return None
-        values[rid] = int(val)
-    return OrderFunction(cx, sub, values)
+    sub = _centered_subdivision(cx, centers_with_hosts)
+    forms = _centered_value_forms(cx, sub, centers_with_hosts)
+    return _place_values(cx, sub, forms, scale, dip)
+
+
+@lru_cache(maxsize=8192)
+def _constant_scale_modulus(gens) -> int:
+    """Least m such that the constant value `scale` on every generator of
+    the cone is integral exactly when m divides scale."""
+    m = 1
+    for u, d in integrality_congruences(gens):
+        m = math.lcm(m, d // math.gcd(d, sum(u)))
+    return m
+
+
+def _crt(r1: int, m1: int, r2: int, m2: int):
+    """Common solutions of x = r1 (mod m1) and x = r2 (mod m2), or None."""
+    g = math.gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
+    m = m1 // g * m2
+    return (r1 + m1 * t) % m, m
+
+
+def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: int):
+    """Lexicographically first strict (scale, dip), solved from exact forms.
+
+    Scales run over multiples of L, the common denominator of the center
+    coordinate sums, so scale = L * k makes every value k * a_i - dip * e_i
+    with integer a_i = L * q_i.  A linear form in the values is then a pair
+    (k-coefficient, dip-coefficient):
+
+    - integrality on a piece gives d | k * a - dip * b per SNF row; a row
+      with b = 0 mod d (every piece without a new ray, whose values all
+      equal scale) only restricts the scale to a multiple of a fixed step;
+      the others fix dip modulo d / gcd(b, d), combined per scale by CRT;
+    - each wall bend k * alpha - dip * beta > 0 bounds dip / k from one
+      side, as does 1 <= dip < scale * min(q) (positive values).
+    """
+    L = math.lcm(*[q.denominator for q in coord_sums])
+    lin = [(int(L * q), e) for q, e in forms]
+
+    step = L  # every admissible scale is a multiple of step
+    rows = set()  # (a, b, d) with b != 0 mod d: d | k * a - dip * b
+    for c in sub.maximal_cones:
+        if not c:
+            continue
+        ids = sorted(c)
+        if all(i < len(cx.rays) for i in ids):
+            step = math.lcm(step, _constant_scale_modulus(sub.generators(c)))
+            continue
+        for u, d in integrality_congruences(sub.generators(c)):
+            a = sum(x * lin[i][0] for x, i in zip(u, ids)) % d
+            b = sum(x * lin[i][1] for x, i in zip(u, ids)) % d
+            g = math.gcd(b, d)  # solvable in dip iff g | k * a
+            step = math.lcm(step, L * (g // math.gcd(g, a)))
+            if b:
+                rows.add((a, b, d))
+    # per scale, row (a, g, inv, mod) fixes dip = (k * a / g) * inv (mod mod)
+    dip_rows = []
+    for a, b, d in sorted(rows):
+        g = math.gcd(b, d)
+        dip_rows.append((a, g, pow(b // g, -1, d // g), d // g))
+
+    # open bounds lo < dip / k < hi
+    lo, hi = Fraction(0), L * min(coord_sums)
+    new_rays = sub.rays[len(cx.rays):]
+    for sigma in cx.maximal_cones:
+        if not any(cx.contains_point(sigma, w) for w in new_rays):
+            continue  # an untouched cone is a single piece without walls
+        for wall in _interior_walls(sub, _host_pieces(cx, sub, sigma)):
+            form = _bend_form(sub, wall).items()
+            alpha = sum((x * lin[i][0] for i, x in form), Fraction(0))
+            beta = sum((x * lin[i][1] for i, x in form), Fraction(0))
+            if beta > 0:
+                hi = min(hi, alpha / beta)
+            elif beta < 0:
+                lo = max(lo, alpha / beta)
+            elif alpha <= 0:
+                hi = lo  # no dip bends this wall: leave no room for dip / k
+    if lo < hi:
+        for scale in range(step, scale_cap + 1, step):
+            k = scale // L
+            dip_lo = math.floor(k * lo) + 1
+            dip_hi = math.ceil(k * hi) - 1
+            if dip_lo > dip_hi:
+                continue
+            r, m = 0, 1
+            for a, g, inv, mod in dip_rows:
+                r_m = _crt(r, m, k * a // g * inv % mod, mod)
+                if r_m is None:
+                    break
+                r, m = r_m
+            else:
+                dip = dip_lo + (r - dip_lo) % m
+                if dip <= dip_hi:
+                    return scale, dip
+    raise ValueError(
+        f"scale insufficient: no strict (scale, dip) with scale <= scale_cap={scale_cap}"
+    )
 
 
 def search_centered_order_function(cx: Complex, centers_with_hosts, scale_cap: int = COMPOSITION_CAP):
     """Smallest verified (scale, dip) for a simultaneous centered subdivision.
 
-    Scans scales in increasing order and, for each, dips in increasing
-    order; the first candidate passing the axiom check with strict bends
-    wins, which keeps certificates small and reproducible.
+    The winner is the first candidate of a scan over scales in increasing
+    order and, for each, dips in increasing order that passes the axiom
+    check with strict bends, which keeps certificates small and
+    reproducible.  The scan is not run candidate by candidate: the
+    subdivision is built once, the axioms are solved once as exact forms
+    in (scale, dip), and only the winner is verified in full.
     """
     if not centers_with_hosts:
         trivial = centered_order_function(cx, [], 1, 1)
@@ -294,18 +439,17 @@ def search_centered_order_function(cx: Complex, centers_with_hosts, scale_cap: i
         sum(solve_in_basis(cx.generators(host), center))
         for center, host in centers_with_hosts
     ]
-    for scale in range(1, scale_cap + 1):
-        qs = [scale * q for q in coord_sums]
-        if any(q.denominator != 1 for q in qs):
-            continue
-        for dip in range(1, int(min(qs))):
-            cand = centered_order_function(cx, centers_with_hosts, scale, dip)
-            if cand is None:
-                continue
-            rep = verify_order_axioms(cand, check_subdivision=False)
-            if rep.ok and rep.strict and rep.positive:
-                return cand, scale, dip
-    raise ValueError("scale insufficient")
+    sub = _centered_subdivision(cx, centers_with_hosts)
+    forms = _centered_value_forms(cx, sub, centers_with_hosts)
+    scale, dip = _solve_scale_dip(cx, sub, forms, coord_sums, scale_cap)
+    winner = _place_values(cx, sub, forms, scale, dip)
+    rep = verify_order_axioms(winner, check_subdivision=False)
+    if not (rep.ok and rep.strict and rep.positive):
+        raise RuntimeError(
+            f"centered solve chose (scale={scale}, dip={dip}), which fails verification: "
+            + "; ".join(rep.violations)
+        )
+    return winner, scale, dip
 
 
 def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:

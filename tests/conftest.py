@@ -220,6 +220,45 @@ def box_parallelepiped_points(gens):
     return found
 
 
+class ReferenceBudgetExceeded(Exception):
+    """The reference scan was stopped after its candidate budget."""
+
+
+def reference_search_centered(cx, centers_with_hosts, scale_cap=2**20, max_candidates=None):
+    """Brute-force oracle for search_centered_order_function.
+
+    Builds and fully verifies every candidate: scales in increasing order
+    and, for each, dips in increasing order; the first candidate passing
+    the axiom check with strict bends wins.  With max_candidates set, a
+    scan that would verify more candidates raises ReferenceBudgetExceeded.
+    """
+    from equifan.orderfun import centered_order_function, verify_order_axioms
+
+    tried = 0
+
+    if not centers_with_hosts:
+        return centered_order_function(cx, [], 1, 1), 1, 1
+    coord_sums = [
+        sum(solve_in_basis(cx.generators(host), center))
+        for center, host in centers_with_hosts
+    ]
+    for scale in range(1, scale_cap + 1):
+        qs = [scale * q for q in coord_sums]
+        if any(q.denominator != 1 for q in qs):
+            continue
+        for dip in range(1, int(min(qs))):
+            tried += 1
+            if max_candidates is not None and tried > max_candidates:
+                raise ReferenceBudgetExceeded(f"no winner among {max_candidates} candidates")
+            cand = centered_order_function(cx, centers_with_hosts, scale, dip)
+            if cand is None:
+                continue
+            rep = verify_order_axioms(cand, check_subdivision=False)
+            if rep.ok and rep.strict and rep.positive:
+                return cand, scale, dip
+    raise ValueError("scale insufficient")
+
+
 def subset_faces_oracle(cx, cone):
     """Faces of a simplicial cone are exactly the subsets of its rays."""
     cone = sorted(cone)

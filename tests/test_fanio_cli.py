@@ -143,6 +143,24 @@ def run_cli(*args):
     return main(list(args))
 
 
+@pytest.mark.parametrize("keyword", ["input-hash", "output-hash"])
+def test_truncated_hash_line_is_a_parse_error(keyword, tmp_path, capsys):
+    sing = singular_cone_2d(2)
+    fan = fan_from_complex(sing)
+    lines = write_certificate(resolve_equivariant(sing, mode="plain"), fan).splitlines()
+    idx = lines.index(next(l for l in lines if l.startswith(keyword + " ")))
+    lines[idx] = keyword
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError, match=rf"line {idx + 1}: {keyword}: expected one hash"):
+        parse_certificate(text)
+    cert_path = tmp_path / "out.cert"
+    fan_path = tmp_path / "in.fan"
+    cert_path.write_text(text)
+    fan_path.write_text(write_fan(fan))
+    assert run_cli("verify", str(cert_path), str(fan_path)) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         fan = fan_from_complex(orthant(2), [SWAP2])

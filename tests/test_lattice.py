@@ -1,18 +1,23 @@
 """Exact integer arithmetic: primitivization, SNF, indices, parallelepipeds."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from equifan.lattice import (
     cone_index,
     det,
+    integrality_congruences,
     is_smooth_cone,
     is_unimodular,
     mat_mul,
     parallelepiped_points,
     primitive,
+    rank,
     smith_normal_form,
 )
 
@@ -172,3 +177,45 @@ def test_det_matches_snf_volume():
         for x in diag_of(D):
             prod *= x
         assert abs(det(M)) == abs(prod)
+
+
+@st.composite
+def small_simplicial_cones(draw):
+    """Generators of a simplicial cone of rank 2-4 in an ambient lattice of
+    rank up to 4, with a bounding box small enough for the box oracle."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=k, max_value=4))
+    coord = st.integers(min_value=-2, max_value=2)
+    gens = draw(st.lists(st.tuples(*[coord] * n), min_size=k, max_size=k))
+    assume(rank(gens) == k)
+    sides = [sum(abs(g[j]) for g in gens) + 1 for j in range(n)]
+    assume(math.prod(sides) <= 3000)
+    return [tuple(g) for g in gens]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    small_simplicial_cones(),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
+    st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4), max_size=6),
+)
+def test_integrality_congruences_match_box_oracle(gens, w, value_rows):
+    points = box_parallelepiped_points(gens)
+    rows = integrality_congruences(gens)
+    assert math.prod(d for _, d in rows) == cone_index(gens)
+    # values of a global integral linear form are integral everywhere
+    value_rows = value_rows + [[sum(a * b for a, b in zip(w, g)) for g in gens]]
+    for values in value_rows:
+        v = values[: len(gens)]
+        by_snf = all(sum(a * b for a, b in zip(u, v)) % d == 0 for u, d in rows)
+        by_box = all(
+            sum(c * x for c, x in zip(coords, v)).denominator == 1 for _, coords in points
+        )
+        assert by_snf == by_box
+    assert by_snf

@@ -314,3 +314,52 @@ class TestCertificateContents:
         cert = resolve_equivariant(orthant2, mode="plain")
         assert set(cert.flags) == set(FLAG_NAMES)
         assert cert.ok
+
+
+# certificates of the 2D cone (1,0),(1,8) in plain mode and of the orthant-3
+# barycentric cascade, printed as JSON
+CERTIFICATE_SCRIPT = """
+import json, sys
+from equifan.complexes import Complex
+from equifan.fanio import fan_from_complex, write_certificate
+from equifan.resolve import resolve_equivariant
+
+cases = [
+    (Complex.from_maximal_cones(2, [(1, 0), (1, 8)], [[0, 1]]), "plain"),
+    (Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]]), "canonical"),
+]
+texts = [
+    write_certificate(resolve_equivariant(cx, mode=mode), fan_from_complex(cx))
+    for cx, mode in cases
+]
+print(json.dumps({"optimize": sys.flags.optimize, "certificates": texts}))
+"""
+
+
+def test_certificates_unchanged_without_asserts():
+    """Contracts checked by `assert` vanish under -O; the pipeline must not
+    depend on one, and the certificates must stay byte-identical."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import equifan
+
+    src = str(Path(equifan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", CERTIFICATE_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    normal, optimized = runs
+    assert (normal["optimize"], optimized["optimize"]) == (0, 1)
+    assert optimized["certificates"] == normal["certificates"]
