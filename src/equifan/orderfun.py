@@ -29,7 +29,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .complexes import Complex, cone_contains, is_simplicial, is_subdivision
 from .lattice import (
@@ -324,26 +323,6 @@ def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: in
     return _place_values(cx, sub, forms, scale, dip)
 
 
-@lru_cache(maxsize=8192)
-def _constant_scale_modulus(gens) -> int:
-    """Least m such that the constant value `scale` on every generator of
-    the cone is integral exactly when m divides scale."""
-    m = 1
-    for u, d in integrality_congruences(gens):
-        m = math.lcm(m, d // math.gcd(d, sum(u)))
-    return m
-
-
-def _crt(r1: int, m1: int, r2: int, m2: int):
-    """Common solutions of x = r1 (mod m1) and x = r2 (mod m2), or None."""
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g:
-        return None
-    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
-    m = m1 // g * m2
-    return (r1 + m1 * t) % m, m
-
-
 def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: int):
     """Lexicographically first strict (scale, dip), solved from exact forms.
 
@@ -352,10 +331,10 @@ def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: in
     with integer a_i = L * q_i.  A linear form in the values is then a pair
     (k-coefficient, dip-coefficient):
 
-    - integrality on a piece gives d | k * a - dip * b per SNF row; a row
-      with b = 0 mod d (every piece without a new ray, whose values all
-      equal scale) only restricts the scale to a multiple of a fixed step;
-      the others fix dip modulo d / gcd(b, d), combined per scale by CRT;
+    - integrality on a piece gives d | k * a - dip * b per SNF row, which
+      is solvable in dip only when gcd(b, d) | k * a; that restricts the
+      scale to a multiple of a fixed step (for a row with b = 0 mod d, as
+      on every piece without a new ray, it is the whole condition);
     - each wall bend k * alpha - dip * beta > 0 bounds dip / k from one
       side, as does 1 <= dip < scale * min(q) (positive values).
     """
@@ -368,9 +347,6 @@ def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: in
         if not c:
             continue
         ids = sorted(c)
-        if all(i < len(cx.rays) for i in ids):
-            step = math.lcm(step, _constant_scale_modulus(sub.generators(c)))
-            continue
         for u, d in integrality_congruences(sub.generators(c)):
             a = sum(x * lin[i][0] for x, i in zip(u, ids)) % d
             b = sum(x * lin[i][1] for x, i in zip(u, ids)) % d
@@ -378,11 +354,7 @@ def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: in
             step = math.lcm(step, L * (g // math.gcd(g, a)))
             if b:
                 rows.add((a, b, d))
-    # per scale, row (a, g, inv, mod) fixes dip = (k * a / g) * inv (mod mod)
-    dip_rows = []
-    for a, b, d in sorted(rows):
-        g = math.gcd(b, d)
-        dip_rows.append((a, g, pow(b // g, -1, d // g), d // g))
+    rows = sorted(rows)
 
     # open bounds lo < dip / k < hi
     lo, hi = Fraction(0), L * min(coord_sums)
@@ -403,19 +375,8 @@ def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: in
     if lo < hi:
         for scale in range(step, scale_cap + 1, step):
             k = scale // L
-            dip_lo = math.floor(k * lo) + 1
-            dip_hi = math.ceil(k * hi) - 1
-            if dip_lo > dip_hi:
-                continue
-            r, m = 0, 1
-            for a, g, inv, mod in dip_rows:
-                r_m = _crt(r, m, k * a // g * inv % mod, mod)
-                if r_m is None:
-                    break
-                r, m = r_m
-            else:
-                dip = dip_lo + (r - dip_lo) % m
-                if dip <= dip_hi:
+            for dip in range(math.floor(k * lo) + 1, math.ceil(k * hi)):
+                if all((k * a - dip * b) % d == 0 for a, b, d in rows):
                     return scale, dip
     raise ValueError(
         f"scale insufficient: no strict (scale, dip) with scale <= scale_cap={scale_cap}"

@@ -93,7 +93,7 @@ def singular_simplicial_cones(draw):
 
 # the reference verifies every candidate (about 1-6 ms each), and a drawn
 # cone can need a scan of tens of thousands; such draws are rejected
-REFERENCE_BUDGET = 400
+REFERENCE_BUDGET = 100
 
 
 @settings(

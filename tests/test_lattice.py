@@ -194,7 +194,7 @@ def small_simplicial_cones(draw):
 
 
 @settings(
-    max_examples=60,
+    max_examples=30,
     deadline=None,
     derandomize=True,
     database=None,
