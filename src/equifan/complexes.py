@@ -388,8 +388,11 @@ def is_subdivision(fine: Complex, coarse: Complex) -> SubdivisionReport:
 
     Every cone of `fine` must sit inside a cone of `coarse`, and inside
     each maximal cone of `coarse` the equal-dimension pieces of `fine`
-    must tile it: every facet of a piece either lies in a facet of the
-    host or is shared by exactly two pieces.
+    must tile it: every facet of a piece that lies in a facet of the host
+    belongs to one piece and every other facet to exactly two, and the
+    generator sum of the first piece, a point of its relative interior,
+    lies in no other piece.  The last two conditions reject a multiple
+    cover, whose pieces pair up across walls as well as a tiling's do.
     """
     if fine.ambient_rank != coarse.ambient_rank:
         raise ValueError("ambient rank mismatch")
@@ -414,20 +417,27 @@ def is_subdivision(fine: Complex, coarse: Complex) -> SubdivisionReport:
             witnesses.append(f"cone {sorted(sigma)} is not covered")
             return SubdivisionReport(False, witnesses)
         sigma_dd = coarse.dual(sigma)
-        facet_count: dict[frozenset, int] = {}
+        facet_count: dict[frozenset, list] = {}  # facet -> [count, on the boundary]
         for p in pieces:
             for f in fine.facets(p):
                 fgens = fine.generators(f)
                 on_boundary = any(
                     all(_dot(u, g) == 0 for g in fgens) for u in sigma_dd.inequalities
                 )
-                if on_boundary:
-                    continue
-                facet_count[f] = facet_count.get(f, 0) + 1
-        for f, cnt in sorted(facet_count.items(), key=lambda kv: sorted(kv[0])):
-            if cnt != 2:
+                facet_count.setdefault(f, [0, on_boundary])[0] += 1
+        for f, (cnt, on_boundary) in sorted(facet_count.items(), key=lambda kv: sorted(kv[0])):
+            where, expected = ("boundary", 1) if on_boundary else ("interior", 2)
+            if cnt != expected:
                 witnesses.append(
-                    f"interior facet {sorted(f)} of host {sorted(sigma)} met {cnt} time(s), expected 2"
+                    f"{where} facet {sorted(f)} of host {sorted(sigma)} met {cnt} time(s), "
+                    f"expected {expected}"
+                )
+        point = tuple(map(sum, zip(*fine.generators(pieces[0]))))
+        for q in pieces[1:]:
+            if fine.contains_point(q, point):
+                witnesses.append(
+                    f"interior point {point} of piece {sorted(pieces[0])} also lies in "
+                    f"piece {sorted(q)} of host {sorted(sigma)}"
                 )
         if witnesses:
             return SubdivisionReport(False, witnesses)

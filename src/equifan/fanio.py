@@ -6,6 +6,12 @@ is hashed through its canonical serialization.  Certificates embed
 enough redundancy (centers, hosts, scales, per-stage values, hashes,
 flags, measure trace) that replay verification re-derives everything
 and any single-field tampering is caught with a named violation.
+
+Verification rebuilds each step's order function from its recorded
+(centers, scale, dip) and hands the stage to `resolve.Replay`, the same
+fold that produced the certificate.  Each subdivision is built once, by
+the step that makes it, and the replay yields the stage records, the
+composite and the measure trace that are compared with the file.
 """
 
 from __future__ import annotations
@@ -47,9 +53,6 @@ class _Lines:
                 self.items.append((n, stripped))
         self.pos = 0
 
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else (None, None)
-
     def next(self, what="line"):
         if self.pos >= len(self.items):
             raise ParseError(f"unexpected end of file, expected {what}")
@@ -88,6 +91,19 @@ def _one_hash(parts, n, what):
     return parts[0]
 
 
+def _rays(lines, keyword, rank):
+    """A `keyword N` line and N lines of `rank` integers each."""
+    n, parts = lines.expect_keyword(keyword)
+    rays = []
+    for _ in range(_one_int(parts, n, f"{keyword} count")):
+        n, line = lines.next(f"{keyword} line")
+        row = _ints(line.split(), n, "ray")
+        if len(row) != rank:
+            raise ParseError(f"ray has {len(row)} entries, expected {rank}", n)
+        rays.append(tuple(row))
+    return tuple(rays)
+
+
 # ---------------------------------------------------------------------------
 # fan files
 
@@ -99,15 +115,7 @@ def parse_fan(text: str) -> FanFile:
     if rank < 1:
         raise ParseError("rank must be positive", n)
 
-    n, parts = lines.expect_keyword("rays")
-    nrays = _one_int(parts, n, "ray count")
-    rays = []
-    for _ in range(nrays):
-        n, line = lines.next("ray line")
-        row = _ints(line.split(), n, "ray")
-        if len(row) != rank:
-            raise ParseError(f"ray has {len(row)} entries, expected {rank}", n)
-        rays.append(tuple(row))
+    rays = _rays(lines, "rays", rank)
 
     n, parts = lines.expect_keyword("cones")
     ncones = _one_int(parts, n, "cone count")
@@ -116,7 +124,7 @@ def parse_fan(text: str) -> FanFile:
         n, line = lines.next("cone line")
         idxs = _ints(line.split(), n, "cone")
         for i in idxs:
-            if not (0 <= i < nrays):
+            if not (0 <= i < len(rays)):
                 raise ParseError(f"ray index {i} out of range", n)
         if len(set(idxs)) != len(idxs):
             raise ParseError("repeated ray index in cone", n)
@@ -138,7 +146,7 @@ def parse_fan(text: str) -> FanFile:
     if not lines.done():
         n, line = lines.next()
         raise ParseError(f"unexpected trailing content {line!r}", n)
-    return FanFile(rank, tuple(rays), tuple(cones), tuple(generators))
+    return FanFile(rank, rays, tuple(cones), tuple(generators))
 
 
 def write_fan(fan: FanFile) -> str:
@@ -229,23 +237,25 @@ def write_certificate(cert, input_fan: FanFile) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass
-class CertStep:
-    centers: tuple
+@dataclass(frozen=True)
+class BatchStep:
+    """One simultaneous centered subdivision with its order-function data."""
+
+    centers: tuple  # ((vector, host cone ray ids), ...) in application order
     scale: int
     dip: int
-    multiplier: int
+    multiplier: int  # composition multiplier folding this step into the stage
 
 
-@dataclass
-class CertStage:
-    kind: str
+@dataclass(frozen=True)
+class StageRecord:
+    kind: str  # "barycentric" | "barycentric-direct" | "centered"
+    steps: tuple
+    multiplier: int  # composition multiplier folding this stage into the total
+    values: tuple[int, ...]  # stage order-function values on subdivision rays
+    new_rays: tuple  # ((ray id, generator), ...)
     input_hash: str
     output_hash: str
-    steps: tuple
-    new_rays: tuple
-    multiplier: int
-    values: tuple
 
 
 @dataclass
@@ -260,6 +270,24 @@ class CertificateData:
     final_rays: tuple
     final_cones: tuple
     composite: tuple
+
+
+def _ray_values(lines, keyword, what):
+    """A `keyword N` line and N lines 'ray_id value', one per ray id 0..N-1."""
+    n, parts = lines.expect_keyword(keyword)
+    count = _one_int(parts, n, f"{keyword} count")
+    if count > len(lines.items) - lines.pos:
+        raise ParseError(f"{keyword} count {count} exceeds the lines left", n)
+    values = [None] * count
+    for _ in range(count):
+        n, line = lines.next(what)
+        pair = _ints(line.split(), n, what)
+        if len(pair) != 2 or not (0 <= pair[0] < count):
+            raise ParseError(f"{keyword} line must be 'ray_id value'", n)
+        values[pair[0]] = pair[1]
+    if None in values:
+        raise ParseError(f"missing {what}", n)
+    return tuple(values)
 
 
 def parse_certificate(text: str) -> CertificateData:
@@ -326,18 +354,9 @@ def parse_certificate(text: str) -> CertificateData:
         steps = []
         for _ in range(nsteps):
             n, parts = lines.expect_keyword("step")
-            if (
-                len(parts) != 8
-                or parts[0] != "centers"
-                or parts[2] != "scale"
-                or parts[4] != "dip"
-                or parts[6] != "mult"
-            ):
+            if len(parts) != 8 or parts[::2] != ["centers", "scale", "dip", "mult"]:
                 raise ParseError("step line must be: step centers N scale S dip D mult M", n)
-            ncenters = _one_int([parts[1]], n, "center count")
-            scale = _one_int([parts[3]], n, "scale")
-            dip = _one_int([parts[5]], n, "dip")
-            mult = _one_int([parts[7]], n, "mult")
+            ncenters, scale, dip, mult = _ints(parts[1::2], n, "step")
             centers = []
             for _ in range(ncenters):
                 n, line = lines.next("center line")
@@ -352,7 +371,7 @@ def parse_certificate(text: str) -> CertificateData:
                 if len(center) != rank:
                     raise ParseError(f"center has {len(center)} entries, expected {rank}", n)
                 centers.append((center, host))
-            steps.append(CertStep(tuple(centers), scale, dip, mult))
+            steps.append(BatchStep(tuple(centers), scale, dip, mult))
         n, parts = lines.expect_keyword("new-rays")
         nnew = _one_int(parts, n, "new ray count")
         new_rays = []
@@ -368,28 +387,10 @@ def parse_certificate(text: str) -> CertificateData:
             new_rays.append((rid, gen))
         n, parts = lines.expect_keyword("multiplier")
         mult = _one_int(parts, n, "multiplier")
-        n, parts = lines.expect_keyword("values")
-        nvals = _one_int(parts, n, "value count")
-        values = [None] * nvals
-        for _ in range(nvals):
-            n, line = lines.next("value line")
-            pair = _ints(line.split(), n, "value")
-            if len(pair) != 2 or not (0 <= pair[0] < nvals):
-                raise ParseError("value line must be 'ray_id value'", n)
-            values[pair[0]] = pair[1]
-        if any(v is None for v in values):
-            raise ParseError("missing ray value", n)
-        stages.append(CertStage(kind, ih, oh, tuple(steps), tuple(new_rays), mult, tuple(values)))
+        values = _ray_values(lines, "values", "ray value")
+        stages.append(StageRecord(kind, tuple(steps), mult, values, tuple(new_rays), ih, oh))
 
-    n, parts = lines.expect_keyword("final-rays")
-    nrays = _one_int(parts, n, "final ray count")
-    final_rays = []
-    for _ in range(nrays):
-        n, line = lines.next("final ray")
-        row = _ints(line.split(), n, "final ray")
-        if len(row) != rank:
-            raise ParseError(f"ray has {len(row)} entries, expected {rank}", n)
-        final_rays.append(tuple(row))
+    final_rays = _rays(lines, "final-rays", rank)
     n, parts = lines.expect_keyword("final-cones")
     ncones = _one_int(parts, n, "final cone count")
     final_cones = []
@@ -397,20 +398,10 @@ def parse_certificate(text: str) -> CertificateData:
         n, line = lines.next("final cone")
         idxs = _ints(line.split(), n, "final cone")
         for i in idxs:
-            if not (0 <= i < nrays):
+            if not (0 <= i < len(final_rays)):
                 raise ParseError(f"ray index {i} out of range", n)
         final_cones.append(tuple(sorted(idxs)))
-    n, parts = lines.expect_keyword("composite")
-    nvals = _one_int(parts, n, "composite count")
-    composite = [None] * nvals
-    for _ in range(nvals):
-        n, line = lines.next("composite value")
-        pair = _ints(line.split(), n, "composite value")
-        if len(pair) != 2 or not (0 <= pair[0] < nvals):
-            raise ParseError("composite line must be 'ray_id value'", n)
-        composite[pair[0]] = pair[1]
-    if any(v is None for v in composite):
-        raise ParseError("missing composite value", n)
+    composite = _ray_values(lines, "composite", "composite value")
     n, _ = lines.expect_keyword("end")
     if not lines.done():
         n, line = lines.next()
@@ -423,9 +414,9 @@ def parse_certificate(text: str) -> CertificateData:
         flags=flags,
         trace=tuple(trace),
         stages=tuple(stages),
-        final_rays=tuple(final_rays),
+        final_rays=final_rays,
         final_cones=tuple(final_cones),
-        composite=tuple(composite),
+        composite=composite,
     )
 
 
@@ -439,18 +430,16 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     Returns the list of named violations (empty means the certificate is
     sound for this input).
     """
-    from fractions import Fraction
-
-    from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
+    from .groups import GROUP_CAP_DEFAULT, generate_group, verify_action
     from .lattice import primitive
-    from .orderfun import (
-        OrderFunction,
-        centered_order_function,
-        evaluate,
-        verify_order_axioms,
+    from .orderfun import centered_order_function, verify_order_axioms
+    from .resolve import (
+        FLAG_NAMES,
+        Replay,
+        certificate_flags,
+        direct_barycentric_order_function,
     )
-    from .resolve import FLAG_NAMES, certificate_flags
-    from .subdivide import barycentric_subdivision, star_subdivide
+    from .subdivide import barycentric_subdivision
 
     violations: list[str] = []
     if fan_hash(fan) != cert.input_sha256:
@@ -460,10 +449,7 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     cx0 = fan.to_complex()
     try:
         cap = group_cap if group_cap is not None else GROUP_CAP_DEFAULT
-        if fan.group_generators:
-            elements = generate_group(fan.group_generators, cap=cap)
-        else:
-            elements = trivial_group(fan.ambient_rank)
+        elements = generate_group(fan.group_generators, cap=cap, rank=fan.ambient_rank)
     except ValueError as e:
         return [f"group generation failed: {e}"]
     if len(elements) != cert.group_order:
@@ -486,98 +472,59 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     if violations:
         return violations
 
-    cur = cx0
-    composite_ord = None
+    replay = Replay(cx0)
     for k, stage in enumerate(cert.stages, start=1):
-        if complex_hash(cur) != stage.input_hash:
-            violations.append(f"stage {k}: input hash mismatch")
-            return violations
+        if replay.cur_hash != stage.input_hash:
+            return [f"stage {k}: input hash mismatch"]
         # leading multipliers are unused in the folds and fixed at 1
         if k == 1 and stage.multiplier != 1:
-            violations.append("stage 1: leading stage multiplier must be 1")
-            return violations
+            return ["stage 1: leading stage multiplier must be 1"]
         if stage.steps and stage.steps[0].multiplier != 1:
-            violations.append(f"stage {k}: leading step multiplier must be 1")
-            return violations
-        stage_base = cur
-        # replay the subdivision steps
+            return [f"stage {k}: leading step multiplier must be 1"]
+        # rebuild the step order functions from the recorded parameters
         step_ords = []
-        for step in stage.steps:
-            batch_base = cur
-            for center, host in step.centers:
-                try:
-                    if primitive(center) != tuple(center):
-                        violations.append(f"stage {k}: center {center} is not primitive")
-                        return violations
-                    actual_host = tuple(sorted(batch_base.minimal_cone_containing(center)))
-                except ValueError as e:
-                    violations.append(f"stage {k}: center {center} invalid: {e}")
-                    return violations
-                if actual_host != tuple(host):
-                    violations.append(
-                        f"stage {k}: center {center} host mismatch "
-                        f"(recorded {list(host)}, actual {list(actual_host)})"
-                    )
-                    return violations
-                cur = star_subdivide(cur, center)
-            if stage.kind != "barycentric-direct":
-                try:
-                    ord_step = centered_order_function(
-                        batch_base,
-                        [(c, frozenset(h)) for c, h in step.centers],
-                        step.scale,
-                        step.dip,
-                    )
-                except ValueError as e:
-                    violations.append(f"stage {k}: step replay failed: {e}")
-                    return violations
-                if ord_step is None:
-                    violations.append(f"stage {k}: recorded scale/dip give no valid order function")
-                    return violations
-                step_ords.append((ord_step, step.multiplier))
         if stage.kind == "barycentric-direct":
-            from .resolve import direct_barycentric_order_function
-
-            cur = barycentric_subdivision(stage_base)
-            ord_stage, scale, dip = direct_barycentric_order_function(stage_base, cur)
-            st = stage.steps[0]
-            if (scale, dip) != (st.scale, st.dip):
+            if len(stage.steps) != 1 or stage.steps[0].centers:
+                return [f"stage {k}: a direct barycentric stage has one step and no centers"]
+            bcx = barycentric_subdivision(replay.cur)
+            ord_stage, scale, dip = direct_barycentric_order_function(replay.cur, bcx)
+            step_ords.append(ord_stage)
+            if (scale, dip) != (stage.steps[0].scale, stage.steps[0].dip):
                 violations.append(f"stage {k}: direct construction scale/dip mismatch")
         else:
-            ord_stage = None
-            for ord_step, mult in step_ords:
-                if ord_stage is None:
-                    ord_stage = ord_step
-                else:
-                    evals = [
-                        evaluate(ord_stage, g) for g in ord_step.subdivision.rays
-                    ]
-                    vals = {}
-                    for i, e in enumerate(evals):
-                        total = mult * e + ord_step.ray_values[i]
-                        if Fraction(total).denominator != 1:
-                            violations.append(
-                                f"stage {k}: step composition is not integral"
-                            )
-                            return violations
-                        vals[i] = int(total)
-                    ord_stage = OrderFunction(ord_stage.base, ord_step.subdivision, vals)
-            if ord_stage is None:
-                ord_stage = OrderFunction(
-                    stage_base, stage_base, {i: 1 for i in range(len(stage_base.rays))}
-                )
-        if complex_hash(cur) != stage.output_hash:
-            violations.append(f"stage {k}: output hash mismatch")
-            return violations
-        actual_new = tuple(
-            (i, cur.rays[i]) for i in range(len(stage_base.rays), len(cur.rays))
-        )
-        if actual_new != stage.new_rays:
-            violations.append(f"stage {k}: new ray table mismatch")
-            return violations
-        if ord_stage.ray_values != stage.values:
-            violations.append(f"stage {k}: order function values mismatch")
-            return violations
+            batch_base = replay.cur
+            for step in stage.steps:
+                for center, host in step.centers:
+                    try:
+                        if primitive(center) != tuple(center):
+                            return [f"stage {k}: center {center} is not primitive"]
+                        actual_host = tuple(sorted(batch_base.minimal_cone_containing(center)))
+                    except ValueError as e:
+                        return [f"stage {k}: center {center} invalid: {e}"]
+                    if actual_host != tuple(host):
+                        return [
+                            f"stage {k}: center {center} host mismatch "
+                            f"(recorded {list(host)}, actual {list(actual_host)})"
+                        ]
+                try:
+                    ord_step = centered_order_function(batch_base, step.centers, step.scale, step.dip)
+                except ValueError as e:
+                    return [f"stage {k}: step replay failed: {e}"]
+                if ord_step is None:
+                    return [f"stage {k}: recorded scale/dip give no valid order function"]
+                step_ords.append(ord_step)
+                batch_base = ord_step.subdivision
+        try:
+            record, ord_stage = replay.stage(stage.kind, stage.steps, step_ords, stage.multiplier)
+        except ValueError as e:
+            return [f"stage {k}: {e}"]
+        for field, name in (
+            ("output_hash", "output hash"),
+            ("new_rays", "new ray table"),
+            ("values", "order function values"),
+        ):
+            if getattr(record, field) != getattr(stage, field):
+                return violations + [f"stage {k}: {name} mismatch"]
         rep = verify_order_axioms(ord_stage, check_subdivision=True)
         if not rep.integral:
             violations.append(f"stage {k}: order function violates integrality")
@@ -589,34 +536,19 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
             violations.append(f"stage {k}: order function violates positivity")
         if violations:
             return violations
-        # fold into the running composite
-        if composite_ord is None:
-            composite_ord = ord_stage
-        else:
-            evals = [evaluate(composite_ord, g) for g in cur.rays]
-            vals = {}
-            for i, e in enumerate(evals):
-                total = stage.multiplier * e + ord_stage.ray_values[i]
-                if Fraction(total).denominator != 1:
-                    violations.append(f"stage {k}: composite re-derivation is not integral")
-                    return violations
-                vals[i] = int(total)
-            composite_ord = OrderFunction(cx0, cur, vals)
-
-    if composite_ord is None:
-        composite_ord = OrderFunction(cx0, cx0, {i: 1 for i in range(len(cx0.rays))})
+        if replay.composite is None:
+            return [f"stage {k}: composite re-derivation is not integral"]
 
     # final complex must match the replayed one exactly
+    cur, composite_ord = replay.cur, replay.final_composite()
     if tuple(cur.rays) != cert.final_rays or sorted(
         tuple(sorted(c)) for c in cur.maximal_cones
     ) != sorted(cert.final_cones):
-        violations.append("final complex mismatch")
-        return violations
+        return ["final complex mismatch"]
     if composite_ord.ray_values != cert.composite:
-        violations.append("composite order function mismatch")
-        return violations
+        return ["composite order function mismatch"]
 
-    # re-derive the flags and the measure trace
+    # re-derive the flags; the measure trace came with the replay
     flags = certificate_flags(cx0, elements, cur, composite_ord)
     for name in FLAG_NAMES:
         if name not in cert.flags:
@@ -626,40 +558,6 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     for name, value in flags.items():
         if not value:
             violations.append(f"final verification failed: {name}")
-
-    expected_trace = _replay_trace(cert, cx0)
-    if expected_trace != cert.trace:
+    if tuple(replay.trace) != cert.trace:
         violations.append("measure trace mismatch")
     return violations
-
-
-def _replay_trace(cert: CertificateData, cx0: Complex):
-    from .complexes import is_simplicial
-    from .resolve import max_index, total_index
-    from .subdivide import star_subdivide
-
-    rows = []
-
-    def row(label, c):
-        if is_simplicial(c):
-            rows.append((label, max_index(c), total_index(c)))
-        else:
-            rows.append((label, None, None))
-
-    row("input", cx0)
-    cur = cx0
-    centered_round = 0
-    for stage in cert.stages:
-        for step in stage.steps:
-            for center, _ in step.centers:
-                cur = star_subdivide(cur, center)
-        if stage.kind == "barycentric-direct":
-            from .subdivide import barycentric_subdivision
-
-            cur = barycentric_subdivision(cur)
-        if stage.kind.startswith("barycentric"):
-            row("stage1", cur)
-        else:
-            centered_round += 1
-            row(f"round{centered_round}", cur)
-    return tuple(rows)

@@ -221,6 +221,14 @@ def orbit_of_point(point, elements):
     return tuple(sorted({mat_vec(m, tuple(point)) for m in elements}))
 
 
+def check_simultaneous(cx: Complex, centers):
+    """Raise ValueError when two of the centers lie in one maximal cone."""
+    for i, a in enumerate(centers):
+        for b in centers[i + 1:]:
+            if any(cx.contains_point(c, a) and cx.contains_point(c, b) for c in cx.maximal_cones):
+                raise ValueError("orbit not simultaneous-safe")
+
+
 def simultaneous_star_subdivide(cx: Complex, centers) -> Complex:
     """Star subdivide at several centers, no two of which share a cone.
 
@@ -228,13 +236,7 @@ def simultaneous_star_subdivide(cx: Complex, centers) -> Complex:
     implementation still fixes a deterministic order.
     """
     centers = tuple(sorted({tuple(int(v) for v in c) for c in centers}))
-    for i, a in enumerate(centers):
-        for b in centers[i + 1:]:
-            if any(
-                cx.contains_point(c, a) and cx.contains_point(c, b)
-                for c in cx.maximal_cones
-            ):
-                raise ValueError("orbit not simultaneous-safe")
+    check_simultaneous(cx, centers)
     out = cx
     for c in centers:
         out = star_subdivide(out, c)
@@ -332,8 +334,9 @@ def invariant_order_function(
             values[i] = v
     ord_fn = OrderFunction(base, subdivision, values)
     for perm in action.ray_permutations:
-        assert all(
-            ord_fn.ray_values[perm[i]] == ord_fn.ray_values[i]
+        if any(
+            ord_fn.ray_values[perm[i]] != ord_fn.ray_values[i]
             for i in range(len(subdivision.rays))
-        )
+        ):
+            raise RuntimeError("invariant extension: the values are not constant on a ray orbit")
     return ord_fn

@@ -455,21 +455,38 @@ def compose_order_functions(outer: OrderFunction, inner: OrderFunction) -> Order
 
 
 def compose_with_multiplier(outer: OrderFunction, inner: OrderFunction):
+    """compose_order_functions, also returning the multiplier M."""
     if outer.subdivision != inner.base:
         raise ValueError("composition mismatch: outer subdivision is not the inner base")
     for name, f in (("outer", outer), ("inner", inner)):
         rep = verify_order_axioms(f, check_subdivision=False)
         if not (rep.ok and rep.strict and rep.positive):
             raise ValueError(f"{name} order function is not verified strict")
+    return fold(outer, inner)
+
+
+def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
+    """The order function m * outer + inner on inner's subdivision, and m.
+
+    Its values are integers exactly when m is a multiple of d, the common
+    denominator of outer at inner's rays; for any other given m the
+    function is None.  Without m, m is the first of d, 2d, 4d, ... whose
+    fold passes the axiom check with strict bends (outer and inner are
+    taken as verified).
+    """
     sub = inner.subdivision
     evals = [evaluate(outer, g) for g in sub.rays]
-    d = math.lcm(*[e.denominator for e in evals]) if evals else 1
+    d = math.lcm(*[e.denominator for e in evals])
+
+    def at(m):
+        values = [int(m * e) + v for e, v in zip(evals, inner.ray_values)]
+        return OrderFunction(outer.base, sub, values)
+
+    if m is not None:
+        return (at(m) if m % d == 0 else None), m
     m = d
     while m <= COMPOSITION_CAP:
-        values = {
-            i: int(m * evals[i]) + inner.ray_values[i] for i in range(len(sub.rays))
-        }
-        cand = OrderFunction(outer.base, sub, values)
+        cand = at(m)
         rep = verify_order_axioms(cand, check_subdivision=False)
         if rep.ok and rep.strict and rep.positive:
             return cand, m

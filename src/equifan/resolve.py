@@ -17,12 +17,21 @@ before a certificate is issued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .complexes import Complex, is_simplicial, is_smooth, is_subdivision, same_complex
+from .complexes import (
+    Complex,
+    is_simplicial,
+    is_smooth,
+    is_subdivision,
+    same_complex,
+    validate_complex,
+)
+from .fanio import BatchStep, StageRecord, complex_hash
 from .groups import (
     check_G_strict,
+    check_simultaneous,
     group_action,
     trivial_group,
     verify_action,
@@ -38,17 +47,13 @@ from .lattice import (
 )
 from .orderfun import (
     OrderFunction,
-    compose_with_multiplier,
+    _host_pieces,
+    fold,
     linearity_domains,
     search_centered_order_function,
     verify_order_axioms,
 )
-from .subdivide import (
-    _barycentric_cascade,
-    barycentric_edge_bijection,
-    barycentric_subdivision,
-    star_subdivide,
-)
+from .subdivide import _barycentric_cascade, barycentric_subdivision
 
 ROUND_CAP = 10_000
 
@@ -84,39 +89,25 @@ def initial_frames_plain(cx: Complex) -> dict:
     return {c: tuple(sorted(c)) for c in cx.maximal_cones}
 
 
+def _barycentric_sources(cx: Complex, bcx: Complex) -> list:
+    """The cone of cx whose relative interior holds each ray of the
+    barycentric subdivision bcx, as built by the cascade."""
+    pairs = [(r, (i,)) for i, r in enumerate(cx.rays)]
+    pairs += [pair for batch in _barycentric_cascade(cx) for pair in batch]
+    if tuple(r for r, _ in pairs) != bcx.rays:
+        raise ValueError("not the barycentric subdivision of the base complex")
+    return [source for _, source in pairs]
+
+
 def initial_frames_barycentric(cx: Complex, bcx: Complex) -> dict:
     """Frames on the barycentric subdivision, ordered by source-cone dimension."""
-    bij = barycentric_edge_bijection(cx, bcx)
-    dim_of = {rid: cx.dim(host) for rid, host in bij.items()}
+    dim_of = [cx.dim(source) for source in _barycentric_sources(cx, bcx)]
     frames = {}
     for mc in bcx.maximal_cones:
-        dims = sorted(dim_of[i] for i in mc)
-        if len(set(dims)) != len(dims):
+        if len({dim_of[i] for i in mc}) != len(mc):
             raise ValueError("barycentric cone with repeated source dimensions")
         frames[mc] = tuple(sorted(mc, key=lambda i: dim_of[i]))
     return frames
-
-
-def frames_coherent(frames: dict) -> bool:
-    """Shared rays of two framed cones appear in the same relative order.
-
-    Holds for the initial frames (dimension labels are intrinsic per
-    ray).  Slot inheritance cannot keep it between siblings of one star
-    in rank >= 3 — the new ray takes the dropped slot, which differs per
-    sibling — so later rounds only guarantee the per-host frames and
-    their equivariance, which is all the selection needs.
-    """
-    items = sorted(frames.items(), key=lambda kv: sorted(kv[0]))
-    for i, (c1, f1) in enumerate(items):
-        for c2, f2 in items[i + 1:]:
-            shared = c1 & c2
-            if len(shared) < 2:
-                continue
-            o1 = [r for r in f1 if r in shared]
-            o2 = [r for r in f2 if r in shared]
-            if o1 != o2:
-                return False
-    return True
 
 
 def frames_equivariant(frames: dict, action) -> bool:
@@ -129,29 +120,32 @@ def frames_equivariant(frames: dict, action) -> bool:
     return True
 
 
-def _star_with_frames(cx: Complex, frames: dict, center):
-    """Star subdivide and inherit frames: the center takes the replaced slot."""
-    out = star_subdivide(cx, center)
-    if out is cx:
-        return out, frames
-    wid = len(cx.rays)
+def _inherit_frames(cx: Complex, frames: dict, sub: Complex) -> dict:
+    """Frames on a simultaneous centered subdivision of cx.
+
+    A piece keeps its frame when untouched; a piece of the star of a
+    center takes its parent's frame with the center in the slot of the
+    parent ray it replaced.  No two centers share a cone, so a piece holds
+    at most one new ray.
+    """
     new_frames = {}
-    for mc in out.maximal_cones:
-        if wid not in mc:
+    for mc in sub.maximal_cones:
+        new = [i for i in mc if i >= len(cx.rays)]
+        if not new:
             new_frames[mc] = frames[mc]
             continue
+        wid = new[0]
         base = mc - {wid}
-        parent = None
-        for h, fr in frames.items():
-            if len(h) == len(base) + 1 and base < h and cx.contains_point(h, center):
-                parent = (h, fr)
-                break
-        assert parent is not None, "no framed parent for subdivision piece"
-        h, fr = parent
-        dropped = next(iter(h - base))
-        slot = fr.index(dropped)
+        parents = [
+            h for h in frames
+            if len(h) == len(mc) and base < h and cx.contains_point(h, sub.rays[wid])
+        ]
+        if not parents:
+            raise RuntimeError(f"no framed parent for subdivision piece {sorted(mc)}")
+        fr = frames[parents[0]]
+        slot = fr.index(next(iter(parents[0] - base)))
         new_frames[mc] = fr[:slot] + (wid,) + fr[slot + 1:]
-    return out, new_frames
+    return new_frames
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +156,9 @@ def select_centers(cx: Complex, frames: dict, elements=None):
     """Lexicographically minimal parallelepiped points over non-smooth cones.
 
     Returns (coordinate tuple, ((point, host maximal cone), ...)); every
-    witness realizing the minimal canonical coordinate tuple is returned,
-    and the set is stable under the group action.
+    witness realizing the minimal canonical coordinate tuple is returned.
+    With `elements` (matrices acting on cx) the selected points must be
+    stable under them.
     """
     if not is_simplicial(cx):
         raise ValueError("not simplicial")
@@ -184,38 +179,15 @@ def select_centers(cx: Complex, frames: dict, elements=None):
                 chosen.append((point, mc))
     chosen = tuple(sorted(set(chosen), key=lambda pc: (pc[0], sorted(pc[1]))))
     if elements is not None:
-        action = group_action(cx, elements)
         pts = {p for p, _ in chosen}
-        for m in action.elements:
-            assert {tuple(mat_vec(m, p)) for p in pts} == pts, (
-                "selected centers are not stable under the group"
-            )
+        for m in elements:
+            if {tuple(mat_vec(m, p)) for p in pts} != pts:
+                raise RuntimeError("selected centers are not stable under the group")
     return best, chosen
 
 
 # ---------------------------------------------------------------------------
 # certificate data
-
-
-@dataclass(frozen=True)
-class BatchStep:
-    """One simultaneous centered subdivision with its order-function data."""
-
-    centers: tuple  # ((vector, host cone ray ids), ...) in application order
-    scale: int
-    dip: int
-    multiplier: int  # composition multiplier folding this step into the stage
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    kind: str  # "barycentric" | "barycentric-direct" | "centered"
-    steps: tuple
-    multiplier: int  # composition multiplier folding this stage into the total
-    values: tuple[int, ...]  # stage order-function values on subdivision rays
-    new_rays: tuple  # ((ray id, generator), ...)
-    input_hash: str
-    output_hash: str
 
 
 @dataclass
@@ -313,11 +285,10 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
     L * base(ray) - a * (2^dim - 1) with (L, a) searched until the axiom
     check passes with strict bends.
     """
-    bij = barycentric_edge_bijection(cx, bcx)
     y = _consistent_base_values(cx)
     base_val = {}
     dim_of = {}
-    for rid, host in bij.items():
+    for rid, host in enumerate(_barycentric_sources(cx, bcx)):
         # the base function is linear on the host, so its value at the
         # barycenter is the edge-value sum divided by the primitivization
         # factor of the generator sum
@@ -348,13 +319,90 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
 
 
 # ---------------------------------------------------------------------------
+# the stage replay, shared by resolve and verify
+
+
+def _trace_row(label: str, cx: Complex):
+    """One row of the measure trace: (label, max index, total index), or
+    (label, None, None) for a non-simplicial complex."""
+    if is_simplicial(cx):
+        return (label, max_index(cx), total_index(cx))
+    return (label, None, None)
+
+
+class Replay:
+    """A certificate's chain of stages, folded one stage at a time.
+
+    `resolve_equivariant` feeds it the order functions its searches built,
+    `fanio.verify_certificate` the ones it rebuilt from the recorded
+    parameters; both get the stage records, the composite and the measure
+    trace from this one fold.
+    """
+
+    def __init__(self, cx: Complex):
+        self.cur = cx  # the subdivision reached so far
+        self.cur_hash = complex_hash(cx)
+        self.composite = None
+        self.stages = []
+        self.trace = [_trace_row("input", cx)]
+        self.rounds = 0
+
+    def stage(self, kind: str, steps, step_ords, multiplier=None):
+        """Fold the step functions of a stage (each on the previous one's
+        subdivision, the first on `cur`) into the stage function, fold
+        that into the composite, and record the stage.
+
+        A multiplier of None is chosen by `orderfun.fold`; a given one is
+        used, except the unused leading ones, recorded as 1.  A given step
+        multiplier that folds to non-integers raises ValueError; a given
+        stage multiplier that does leaves `composite` None.  Returns
+        (record, stage function).
+        """
+        base = self.cur
+        stage_ord = None
+        recorded = []
+        for step, ord_k in zip(steps, step_ords):
+            if stage_ord is None:
+                stage_ord, mult = ord_k, 1
+            else:
+                stage_ord, mult = fold(stage_ord, ord_k, step.multiplier)
+                if stage_ord is None:
+                    raise ValueError("step composition is not integral")
+            recorded.append(replace(step, multiplier=mult))
+        if stage_ord is None:
+            stage_ord = OrderFunction(base, base, [1] * len(base.rays))
+        sub = stage_ord.subdivision
+        if not self.stages:
+            self.composite, multiplier = stage_ord, 1
+        else:
+            self.composite, multiplier = fold(self.composite, stage_ord, multiplier)
+        record = StageRecord(
+            kind=kind,
+            steps=tuple(recorded),
+            multiplier=multiplier,
+            values=stage_ord.ray_values,
+            new_rays=tuple((i, sub.rays[i]) for i in range(len(base.rays), len(sub.rays))),
+            input_hash=self.cur_hash,
+            output_hash=complex_hash(sub),
+        )
+        self.stages.append(record)
+        self.cur, self.cur_hash = sub, record.output_hash
+        if kind == "centered":
+            self.rounds += 1
+            self.trace.append(_trace_row(f"round{self.rounds}", sub))
+        else:
+            self.trace.append(_trace_row("stage1", sub))
+        return record, stage_ord
+
+    def final_composite(self) -> OrderFunction:
+        """The composite, or the constant 1 on the input when no stage ran."""
+        if self.stages:
+            return self.composite
+        return OrderFunction(self.cur, self.cur, [1] * len(self.cur.rays))
+
+
+# ---------------------------------------------------------------------------
 # the pipeline
-
-
-def _complex_hash(cx: Complex) -> str:
-    from .fanio import complex_hash
-
-    return complex_hash(cx)
 
 
 def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> ResolutionCertificate:
@@ -363,158 +411,71 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
     Canonical mode starts with the barycentric subdivision and then
     repeatedly takes simultaneous centered subdivisions at the selected
     lattice points; plain mode (trivial group, simplicial input only)
-    runs just the loop with the input generator order as frame.
+    runs just the loop with the input generator order as frame.  An input
+    that is not a valid complex raises ValueError naming its first
+    violation.
     """
     if elements is None:
         elements = trivial_group(cx.ambient_rank)
     elements = tuple(tuple(tuple(int(v) for v in row) for row in m) for m in elements)
     if mode not in ("canonical", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
+    report = validate_complex(cx)
+    if not report.ok:
+        raise ValueError(f"invalid input complex: {report.violations[0]}")
     group_action(cx, elements)  # raises when the action is invalid
 
-    stages = []
-    trace = []
-
-    def trace_row(label, c):
-        if is_simplicial(c):
-            trace.append((label, max_index(c), total_index(c)))
-        else:
-            trace.append((label, None, None))
-
-    trace_row("input", cx)
-
+    replay = Replay(cx)
     if mode == "plain":
         if len(elements) != 1:
             raise ValueError("plain mode requires the trivial group")
         if not is_simplicial(cx):
             raise ValueError("not simplicial")
-        cur = cx
         frames = initial_frames_plain(cx)
-        composite = None
     else:
         if is_simplicial(cx):
-            bcx, batches = _barycentric_cascade(cx)
-            stage_ord = None
-            steps = []
-            for centers, base, after in batches:
-                ord_k, scale, dip = search_centered_order_function(base, centers)
-                assert ord_k.subdivision == after
-                if stage_ord is None:
-                    stage_ord, mult = ord_k, 1
-                else:
-                    stage_ord, mult = compose_with_multiplier(stage_ord, ord_k)
-                steps.append(
-                    BatchStep(
-                        tuple((c, tuple(sorted(h))) for c, h in centers),
-                        scale,
-                        dip,
-                        mult,
-                    )
-                )
-            if stage_ord is None:
-                stage_ord = OrderFunction(cx, cx, {i: 1 for i in range(len(cx.rays))})
-            kind = "barycentric"
+            steps, ords = [], []
+            cur = cx
+            for batch in _barycentric_cascade(cx):
+                ord_k, scale, dip = search_centered_order_function(cur, batch)
+                steps.append(BatchStep(tuple(batch), scale, dip, None))
+                ords.append(ord_k)
+                cur = ord_k.subdivision
+            replay.stage("barycentric", steps, ords)
         else:
             bcx = barycentric_subdivision(cx)
-            stage_ord, scale, dip = direct_barycentric_order_function(cx, bcx)
-            steps = [BatchStep((), scale, dip, 1)]
-            kind = "barycentric-direct"
-        stages.append(
-            StageRecord(
-                kind=kind,
-                steps=tuple(steps),
-                multiplier=1,
-                values=stage_ord.ray_values,
-                new_rays=tuple(
-                    (i, bcx.rays[i]) for i in range(len(cx.rays), len(bcx.rays))
-                ),
-                input_hash=_complex_hash(cx),
-                output_hash=_complex_hash(bcx),
-            )
-        )
-        cur = bcx
-        frames = initial_frames_barycentric(cx, bcx)
-        composite = stage_ord
-        trace_row("stage1", cur)
+            ord_b, scale, dip = direct_barycentric_order_function(cx, bcx)
+            replay.stage("barycentric-direct", [BatchStep((), scale, dip, 1)], [ord_b])
+        frames = initial_frames_barycentric(cx, replay.cur)
 
-    rounds = 0
-    while not is_smooth(cur):
-        rounds += 1
-        if rounds > ROUND_CAP:
+    while not is_smooth(replay.cur):
+        if replay.rounds >= ROUND_CAP:
             raise RuntimeError("resolution did not terminate within the round cap")
+        cur = replay.cur
         _, selected = select_centers(cur, frames, elements)
         centers = sorted({primitive(p) for p, _ in selected})
-        centers_with_hosts = [(c, cur.minimal_cone_containing(c)) for c in centers]
-        # simultaneity guard: distinct centers must not share a cone
-        for i, a in enumerate(centers):
-            for b in centers[i + 1:]:
-                if any(
-                    cur.contains_point(mc, a) and cur.contains_point(mc, b)
-                    for mc in cur.maximal_cones
-                ):
-                    raise ValueError("orbit not simultaneous-safe")
-
-        hosts_idx = {
-            mc: cone_index(cur.generators(mc))
-            for mc in cur.maximal_cones
-            if any(cur.contains_point(mc, c) for c in centers)
-        }
+        centers_with_hosts = [(c, tuple(sorted(cur.minimal_cone_containing(c)))) for c in centers]
+        check_simultaneous(cur, centers)
         ord_k, scale, dip = search_centered_order_function(cur, centers_with_hosts)
         nxt = ord_k.subdivision
-        new_frames = frames
-        stepped = cur
-        for c in centers:
-            stepped, new_frames = _star_with_frames(stepped, new_frames, c)
-        assert stepped == nxt
-        for mc, frame in new_frames.items():
-            assert frozenset(frame) == mc, "frame inconsistency"
-        assert frames_equivariant(new_frames, group_action(nxt, elements)), (
-            "frame inconsistency"
-        )
+        frames = _inherit_frames(cur, frames, nxt)
+        if any(frozenset(frame) != mc for mc, frame in frames.items()):
+            raise RuntimeError("frame consistency: a frame does not list its cone's rays")
+        if not frames_equivariant(frames, group_action(nxt, elements)):
+            raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
 
         # the measure must drop on every subdivided cone's descendants
-        for mc, idx in hosts_idx.items():
-            descendants = [
-                d
-                for d in nxt.maximal_cones
-                if all(cur.contains_point(mc, g) for g in nxt.generators(d))
-                and nxt.dim(d) == cur.dim(mc)
-            ]
-            dmax = max(cone_index(nxt.generators(d)) for d in descendants)
-            assert dmax < idx, "termination measure failed to decrease"
+        for mc in cur.maximal_cones:
+            if any(cur.contains_point(mc, c) for c in centers):
+                idx = cone_index(cur.generators(mc))
+                pieces = _host_pieces(cur, nxt, mc)
+                if max((cone_index(nxt.generators(d)) for d in pieces), default=idx) >= idx:
+                    raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")
 
-        if composite is None:
-            composite, mult = ord_k, 1
-        else:
-            composite, mult = compose_with_multiplier(composite, ord_k)
-        stages.append(
-            StageRecord(
-                kind="centered",
-                steps=(
-                    BatchStep(
-                        tuple((c, tuple(sorted(h))) for c, h in centers_with_hosts),
-                        scale,
-                        dip,
-                        1,
-                    ),
-                ),
-                multiplier=mult,
-                values=ord_k.ray_values,
-                new_rays=tuple(
-                    (i, nxt.rays[i]) for i in range(len(cur.rays), len(nxt.rays))
-                ),
-                input_hash=_complex_hash(cur),
-                output_hash=_complex_hash(nxt),
-            )
-        )
-        cur = nxt
-        frames = new_frames
-        trace_row(f"round{rounds}", cur)
+        replay.stage("centered", [BatchStep(tuple(centers_with_hosts), scale, dip, 1)], [ord_k])
 
-    if composite is None:
-        composite = OrderFunction(cx, cx, {i: 1 for i in range(len(cx.rays))})
-
-    flags = certificate_flags(cx, elements, cur, composite)
+    composite = replay.final_composite()
+    flags = certificate_flags(cx, elements, replay.cur, composite)
     if not all(flags.values()):
         bad = [k for k, v in flags.items() if not v]
         raise RuntimeError(f"resolution verification failed: {bad}")
@@ -522,9 +483,9 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
         mode=mode,
         input_complex=cx,
         group=elements,
-        stages=tuple(stages),
+        stages=tuple(replay.stages),
         composite=composite,
-        final=cur,
+        final=replay.cur,
         flags=flags,
-        trace=tuple(trace),
+        trace=tuple(replay.trace),
     )

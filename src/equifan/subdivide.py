@@ -62,36 +62,38 @@ def barycentric_subdivision(cx: Complex) -> Complex:
     (ascending sorted ray ids of the host cone) for determinism, though
     it does not affect the result.
     """
-    return _barycentric_cascade(cx)[0]
+    out = cx
+    for batch in _barycentric_cascade(cx):
+        for b, _ in batch:
+            out = star_subdivide(out, b)
+    return out
 
 
 def _barycentric_cascade(cx: Complex):
-    """Run the cascade; also return the per-dimension batches of centers.
+    """The cascade's centers: one batch per dimension level, highest first.
 
-    One batch holds all effective barycenters of one dimension level of
-    the original complex, as (center, minimal host in the batch's base
-    complex) pairs; the group of a symmetric complex permutes each batch,
-    which downstream order-function construction relies on.
+    A batch holds (barycenter, source cone as sorted ray ids) for each cone
+    of the level whose barycenter is not a ray; in order, the centers are
+    the new rays.  The higher levels leave the source cone whole, so it is
+    the minimal host of its barycenter in the batch's base.  The group of
+    a symmetric complex permutes each batch, which the order functions
+    rely on.
     """
     by_dim: dict[int, list] = {}
     for c in cx.cones:
         d = cx.dim(c)
         if d >= 1:
             by_dim.setdefault(d, []).append(c)
-    result = cx
     batches = []
     for d in sorted(by_dim, reverse=True):
-        base = result
-        centers = []
+        batch = []
         for orig in sorted(by_dim[d], key=sorted):
             b = barycenter(cx.generators(orig))
-            before = result
-            result = star_subdivide(result, b)
-            if result is not before:
-                centers.append((b, base.minimal_cone_containing(b)))
-        if centers:
-            batches.append((centers, base, result))
-    return result, batches
+            if b not in cx.rays:
+                batch.append((b, tuple(sorted(orig))))
+        if batch:
+            batches.append(batch)
+    return batches
 
 
 def barycentric_subdivision_inductive(cx: Complex) -> Complex:

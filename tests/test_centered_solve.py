@@ -8,7 +8,7 @@ from equifan.complexes import Complex
 from equifan.lattice import cone_index, parallelepiped_points, primitive, rank
 from equifan.orderfun import search_centered_order_function
 from equifan.resolve import initial_frames_plain, resolve_equivariant, select_centers
-from equifan.subdivide import _barycentric_cascade
+from equifan.subdivide import _barycentric_cascade, barycentric_subdivision
 
 from conftest import (
     ReferenceBudgetExceeded,
@@ -56,10 +56,13 @@ def test_ladder_rounds_match_reference(r):
     ids=["orthant-3", "cone-124"],
 )
 def test_barycentric_batches_match_reference(cx):
-    full, batches = _barycentric_cascade(cx)
+    batches = _barycentric_cascade(cx)
     assert batches
-    for centers, base, after in batches:
-        assert assert_same_winner(base, centers).subdivision == after
+    base = cx
+    for centers in batches:
+        assert [(c, tuple(sorted(base.minimal_cone_containing(c)))) for c, _ in centers] == centers
+        base = assert_same_winner(base, centers).subdivision
+    assert base == barycentric_subdivision(cx)
 
 
 # 3D cones where pieces carrying the new ray restrict the scale alone

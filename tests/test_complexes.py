@@ -135,6 +135,17 @@ class TestSubdivision:
         assert not report
         assert report.witnesses
 
+    def test_double_cover_rejected(self, orthant2):
+        # two subdivisions of the orthant laid over each other: every
+        # interior wall still meets exactly two pieces
+        fine = Complex.from_maximal_cones(
+            2, [(1, 0), (0, 1), (1, 1), (1, 2)], [[0, 2], [2, 1], [0, 3], [3, 1]]
+        )
+        report = is_subdivision(fine, orthant2)
+        assert not report
+        assert any(w.startswith("boundary facet [0]") for w in report.witnesses)
+        assert any(w.startswith("interior point") for w in report.witnesses)
+
     def test_rank_mismatch(self, orthant2, orthant3):
         with pytest.raises(ValueError, match="rank"):
             is_subdivision(orthant3, orthant2)

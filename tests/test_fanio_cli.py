@@ -1,9 +1,16 @@
 """File formats, hashing, replay verification, and the command line."""
 
+import functools
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import equifan
 
 from equifan.cli import main
 from equifan.complexes import Complex
@@ -161,6 +168,66 @@ def test_truncated_hash_line_is_a_parse_error(keyword, tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@functools.cache
+def fuzz_bases():
+    """Two small certificates (plain, and canonical with a group) as lines."""
+    bases = []
+    for cx, gens, mode in ((singular_cone_2d(3), (), "plain"), (orthant(2), (SWAP2,), "canonical")):
+        fan = fan_from_complex(cx, gens)
+        cert = resolve_equivariant(cx, generate_group(gens) if gens else None, mode=mode)
+        bases.append((write_certificate(cert, fan).splitlines(), fan))
+    return bases
+
+
+def _is_int(token):
+    return token.lstrip("-").isdigit()
+
+
+def _same_token(a, b):
+    return int(a) == int(b) if _is_int(a) and _is_int(b) else a == b
+
+
+@st.composite
+def single_line_mutations(draw):
+    """A certificate with one line deleted, duplicated, cut short or changed in one token."""
+    lines, fan = fuzz_bases()[draw(st.integers(0, 1))]
+    i = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    op = draw(st.sampled_from(["replace", "nudge", "delete", "duplicate", "cut"]))
+    if op == "nudge":  # a small change to one integer keeps most lines parseable
+        j = draw(st.sampled_from([k for k, t in enumerate(tokens) if _is_int(t)] or [0]))
+        delta = draw(st.integers(-3, 3).filter(bool))
+        tokens[j] = str(int(tokens[j]) + delta) if _is_int(tokens[j]) else "x"
+        mutated = lines[:i] + [" ".join(tokens)] + lines[i + 1:]
+    elif op == "delete":
+        mutated = lines[:i] + lines[i + 1:]
+    elif op == "duplicate":
+        mutated = lines[: i + 1] + lines[i:]
+    elif op == "cut":
+        mutated = lines[:i] + [" ".join(tokens[:-1])] + lines[i + 1:]
+    else:
+        j = draw(st.integers(0, len(tokens) - 1))
+        token = draw(
+            st.integers(-3, 40).map(str) | st.sampled_from(["x", "na", "true", "false", "host"])
+        )
+        if _same_token(token, tokens[j]):
+            token = str(int(token) + 1) if _is_int(token) else token + "x"
+        tokens[j] = token
+        mutated = lines[:i] + [" ".join(tokens)] + lines[i + 1:]
+    return "\n".join(mutated) + "\n", fan
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(single_line_mutations())
+def test_single_line_mutations_are_rejected(mutation):
+    text, fan = mutation
+    try:
+        data = parse_certificate(text)
+    except ParseError:
+        return
+    assert verify_certificate(data, fan)
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         fan = fan_from_complex(orthant(2), [SWAP2])
@@ -213,6 +280,25 @@ class TestCli:
         src.write_text(write_fan(fan_from_complex(orthant(2), [SWAP2])))
         assert run_cli("resolve", str(src), "-o", str(cert_path)) == 0
         assert run_cli("verify", str(cert_path), str(src)) == 0
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+    def test_resolve_invalid_input_exits_1(self, tmp_path, flags):
+        # overlapping cones: the input is not a complex
+        src = tmp_path / "overlap.fan"
+        src.write_text("rank 2\nrays 4\n1 0\n1 3\n1 1\n0 1\ncones 2\n0 1\n2 3\n")
+        srcdir = str(Path(equifan.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([srcdir, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "equifan.cli", "resolve", str(src),
+             "-o", str(tmp_path / "out.cert")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error: invalid input complex: cones [0, 1] and [2, 3]" in proc.stderr
 
     def test_orbits(self, tmp_path, capsys):
         src = tmp_path / "in.fan"

@@ -220,9 +220,10 @@ class TestCompose:
     def test_barycentric_of_orthant3_as_iterated_stars(self, orthant3):
         from equifan.subdivide import _barycentric_cascade
 
-        full, batches = _barycentric_cascade(orthant3)
+        full = barycentric_subdivision(orthant3)
         comp = None
-        for centers, base, after in batches:
+        for centers in _barycentric_cascade(orthant3):
+            base = orthant3 if comp is None else comp.subdivision
             f, scale, dip = search_centered_order_function(base, centers)
             comp = f if comp is None else compose_order_functions(comp, f)
         rep = verify_order_axioms(comp)

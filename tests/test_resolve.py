@@ -12,7 +12,6 @@ from equifan.resolve import (
     canonical_coordinates,
     initial_frames_barycentric,
     initial_frames_plain,
-    frames_coherent,
     max_index,
     resolve_equivariant,
     select_centers,
@@ -39,6 +38,28 @@ class TestCanonicalCoordinates:
     def test_outside_host(self):
         with pytest.raises(ValueError, match="outside host"):
             canonical_coordinates((-1, 0), [(1, 0), (1, 1)])
+
+
+def frames_coherent(frames: dict) -> bool:
+    """Shared rays of two framed cones appear in the same relative order.
+
+    Holds for the initial frames (dimension labels are intrinsic per
+    ray).  Slot inheritance cannot keep it between siblings of one star
+    in rank >= 3 — the new ray takes the dropped slot, which differs per
+    sibling — so later rounds only guarantee the per-host frames and
+    their equivariance, which is all the selection needs.
+    """
+    items = sorted(frames.items(), key=lambda kv: sorted(kv[0]))
+    for i, (c1, f1) in enumerate(items):
+        for c2, f2 in items[i + 1:]:
+            shared = c1 & c2
+            if len(shared) < 2:
+                continue
+            o1 = [r for r in f1 if r in shared]
+            o2 = [r for r in f2 if r in shared]
+            if o1 != o2:
+                return False
+    return True
 
 
 class TestFrames:
@@ -143,6 +164,15 @@ class TestResolvePlain:
     def test_non_simplicial_rejected(self):
         with pytest.raises(ValueError, match="not simplicial"):
             resolve_equivariant(square_cone(), mode="plain")
+
+    def test_invalid_input_rejected(self):
+        # overlapping cones: the input is not a complex
+        cx = Complex.from_maximal_cones(2, [(1, 0), (1, 3), (1, 1), (0, 1)], [[0, 1], [2, 3]])
+        with pytest.raises(
+            ValueError,
+            match=r"^invalid input complex: cones \[0, 1\] and \[2, 3\] do not intersect",
+        ):
+            resolve_equivariant(cx, mode="plain")
 
     def test_already_smooth(self, orthant2):
         cert = resolve_equivariant(orthant2, mode="plain")
@@ -316,21 +346,31 @@ class TestCertificateContents:
         assert cert.ok
 
 
-# certificates of the 2D cone (1,0),(1,8) in plain mode and of the orthant-3
-# barycentric cascade, printed as JSON
+# certificates of the 2D cone (1,0),(1,8) in plain mode, of the orthant-3
+# barycentric cascade, and of two swap-related index-4 cones under the swap
+# (a canonical run through the loop with a group), printed as JSON
 CERTIFICATE_SCRIPT = """
 import json, sys
 from equifan.complexes import Complex
 from equifan.fanio import fan_from_complex, write_certificate
+from equifan.groups import generate_group
 from equifan.resolve import resolve_equivariant
 
 cases = [
-    (Complex.from_maximal_cones(2, [(1, 0), (1, 8)], [[0, 1]]), "plain"),
-    (Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]]), "canonical"),
+    (Complex.from_maximal_cones(2, [(1, 0), (1, 8)], [[0, 1]]), (), "plain"),
+    (Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]]), (), "canonical"),
+    (
+        Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]]),
+        (((0, 1), (1, 0)),),
+        "canonical",
+    ),
 ]
 texts = [
-    write_certificate(resolve_equivariant(cx, mode=mode), fan_from_complex(cx))
-    for cx, mode in cases
+    write_certificate(
+        resolve_equivariant(cx, generate_group(gens) if gens else None, mode=mode),
+        fan_from_complex(cx, gens),
+    )
+    for cx, gens, mode in cases
 ]
 print(json.dumps({"optimize": sys.flags.optimize, "certificates": texts}))
 """
