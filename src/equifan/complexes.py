@@ -9,11 +9,16 @@ table, so subdivisions and group actions are pure index manipulations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from .lattice import Vec, primitive, rank, rational_nullspace
 
 ConeIds = frozenset
+
+# cone duals kept per process, keyed by (generator tuple, ambient rank):
+# a cone that a subdivision leaves untouched keeps its dual
+DUAL_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,16 @@ def _dot(u, v):
 
 
 def cone_dual(gens, ambient_rank: int) -> DualDescription:
-    """Dual description of the cone spanned by gens (no pointedness check)."""
-    gens = tuple(tuple(g) for g in gens)
+    """Dual description of the cone spanned by gens (no pointedness check).
+
+    Memoised by the generator tuple and the rank: the dual is a pure
+    function of them, so every complex holding the cone shares it.
+    """
+    return _cone_dual(tuple(tuple(g) for g in gens), int(ambient_rank))
+
+
+@lru_cache(maxsize=DUAL_CACHE_SIZE)
+def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
     if not gens:
         eqs = tuple(
             tuple(1 if i == j else 0 for j in range(ambient_rank))
@@ -104,7 +117,6 @@ class Complex:
             for i in c:
                 if not (0 <= i < len(self.rays)):
                     raise ValueError(f"cone references unknown ray id {i}")
-        self._dual_cache: dict[ConeIds, DualDescription] = {}
         self._faces_cache: dict[ConeIds, frozenset[ConeIds]] = {}
         self._dim_cache: dict[ConeIds, int] = {}
         self._maximal: tuple[ConeIds, ...] | None = None
@@ -141,10 +153,7 @@ class Complex:
         return self._dim_cache[cone]
 
     def dual(self, cone) -> DualDescription:
-        cone = frozenset(cone)
-        if cone not in self._dual_cache:
-            self._dual_cache[cone] = cone_dual(self.generators(cone), self.ambient_rank)
-        return self._dual_cache[cone]
+        return cone_dual(self.generators(cone), self.ambient_rank)
 
     def contains_point(self, cone, x) -> bool:
         return self.dual(cone).contains(x)
@@ -211,9 +220,21 @@ class Complex:
 def _raw_faces(gens, ambient_rank):
     """Face lattice of a cone as frozensets of generator indices.
 
-    Recursively peels facets off via the dual description; each face of a
-    finitely generated cone is spanned by the generators lying on it.
+    Every set of independent generators spans a face of their cone, so a
+    simplicial cone's lattice is the power set; other cones are peeled.
     """
+    k = len(gens)
+    if ambient_rank - len(cone_dual(gens, ambient_rank).equations) == k:
+        return frozenset(
+            frozenset(s) for j in range(k + 1) for s in combinations(range(k), j)
+        )
+    return _peeled_faces(gens, ambient_rank)
+
+
+def _peeled_faces(gens, ambient_rank):
+    """Face lattice by recursively peeling facets off via the dual
+    description; each face of a finitely generated cone is spanned by the
+    generators lying on it."""
     memo: dict[frozenset, None] = {}
 
     def walk(idxs: frozenset):

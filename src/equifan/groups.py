@@ -189,7 +189,12 @@ def check_fixed_cone_identity(cx: Complex, elements) -> CheckReport:
 
 def check_G_strict(cx: Complex, elements) -> CheckReport:
     """No cone may have two distinct edges in one ray orbit."""
-    action = group_action(cx, elements)
+    return _strictness(group_action(cx, elements))
+
+
+def _strictness(action: "GroupAction") -> CheckReport:
+    """check_G_strict on an action already verified."""
+    cx = action.complex
     report = CheckReport()
     orbit_of = {}
     for orbit in action.ray_orbits():

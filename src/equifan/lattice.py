@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
+
+# Smith normal forms kept per process, keyed by the integer matrix
+SNF_CACHE_SIZE = 4096
 
 
 def primitive(v) -> Vec:
@@ -197,10 +201,14 @@ def smith_normal_form(m):
     """Smith normal form of an integer matrix.
 
     Returns (D, U, V) with U*M*V = D, D diagonal with d_i | d_{i+1} and
-    U, V unimodular.  The contract is re-checked by exact multiplication
-    before returning.
+    U, V unimodular.  The contract is checked by exact multiplication on
+    every computation, before the result is memoised by the matrix.
     """
-    M = tuple(tuple(int(c) for c in row) for row in m)
+    return _smith_normal_form(tuple(tuple(int(c) for c in row) for row in m))
+
+
+@lru_cache(maxsize=SNF_CACHE_SIZE)
+def _smith_normal_form(M: Mat):
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     a = [list(r) for r in M]

@@ -226,6 +226,11 @@ def linearity_domains(ord_fn: OrderFunction) -> Complex:
     report = verify_order_axioms(ord_fn)
     if not report.ok:
         raise ValueError("order function axioms fail: " + "; ".join(report.violations))
+    return _merged_domains(ord_fn)
+
+
+def _merged_domains(ord_fn: OrderFunction) -> Complex:
+    """linearity_domains of a function whose axioms are already verified."""
     sub = ord_fn.subdivision
 
     parent: dict[frozenset, frozenset] = {}
@@ -491,4 +496,6 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
         if rep.ok and rep.strict and rep.positive:
             return cand, m
         m *= 2
-    raise ValueError("composition cap exceeded")
+    raise ValueError(
+        f"composition cap exceeded: no strict multiplier m <= composition_cap={COMPOSITION_CAP}"
+    )

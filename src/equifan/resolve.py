@@ -30,7 +30,8 @@ from .complexes import (
 )
 from .fanio import BatchStep, StageRecord, complex_hash
 from .groups import (
-    check_G_strict,
+    GroupAction,
+    _strictness,
     check_simultaneous,
     group_action,
     trivial_group,
@@ -48,14 +49,20 @@ from .lattice import (
 from .orderfun import (
     OrderFunction,
     _host_pieces,
+    _merged_domains,
     fold,
-    linearity_domains,
     search_centered_order_function,
     verify_order_axioms,
 )
 from .subdivide import _barycentric_cascade, barycentric_subdivision
 
 ROUND_CAP = 10_000
+# brute-force bounds of the direct barycentric construction: base-value
+# coefficients in [-BASE_VALUE_CAP, BASE_VALUE_CAP], dips a < DIP_CAP and
+# SCALE_STEPS scales L per dip
+BASE_VALUE_CAP = 5
+DIP_CAP = 64
+SCALE_STEPS = 64
 
 
 def total_index(cx: Complex) -> int:
@@ -221,20 +228,31 @@ FLAG_NAMES = (
 
 
 def certificate_flags(input_cx, elements, final, composite) -> dict:
-    """Re-derive every certificate flag from scratch (nothing trusted)."""
+    """Re-derive every certificate flag from scratch (nothing trusted).
+
+    Each fact is decided once: the subdivision of the input (which the
+    composite's axiom check needs too when it lives on final over
+    input_cx), the action (strictness reads its orbits) and the axioms
+    (the linearity domains are merged from the checked function).
+    """
     flags = {}
     action_rep = verify_action(final, elements)
     flags["smooth"] = is_smooth(final)
     flags["simplicial"] = is_simplicial(final)
-    flags["subdivision_of_input"] = bool(is_subdivision(final, input_cx))
+    sub_rep = is_subdivision(final, input_cx)
+    flags["subdivision_of_input"] = bool(sub_rep)
     flags["equivariant"] = flags["subdivision_of_input"] and action_rep.ok
-    flags["g_strict"] = action_rep.ok and check_G_strict(final, elements).ok
-    rep = verify_order_axioms(composite)
+    flags["g_strict"] = action_rep.ok and _strictness(GroupAction(
+        final, elements, action_rep.ray_permutations, action_rep.cone_permutations)).ok
+    on_final = composite.base == input_cx and composite.subdivision == final
+    if on_final and not sub_rep:
+        raise ValueError(f"subdivision invariant violated: {sub_rep}")
+    rep = verify_order_axioms(composite, check_subdivision=not on_final)
     flags["ord_positive"] = rep.positive
     flags["ord_integral"] = rep.integral
     flags["ord_strictly_convex"] = rep.convex and rep.strict
     flags["ord_linearity_matches_final"] = rep.ok and same_complex(
-        linearity_domains(composite), final
+        _merged_domains(composite), final
     )
     inv = action_rep.ok
     for perm in action_rep.ray_permutations:
@@ -269,12 +287,15 @@ def _consistent_base_values(cx: Complex):
     basis = rational_nullspace(constraints, n=nrays)
     from itertools import product as iproduct
 
-    for bound in range(1, 6):
+    for bound in range(1, BASE_VALUE_CAP + 1):
         for combo in iproduct(range(-bound, bound + 1), repeat=len(basis)):
             y = [sum(c * b[i] for c, b in zip(combo, basis)) for i in range(nrays)]
             if all(v > 0 for v in y):
                 return tuple(y)
-    raise ValueError("no positive per-cone-linear base values exist for this complex")
+    raise ValueError(
+        "no positive per-cone-linear base values with basis coefficients "
+        f"bounded by base_value_cap={BASE_VALUE_CAP}"
+    )
 
 
 def direct_barycentric_order_function(cx: Complex, bcx: Complex):
@@ -299,13 +320,13 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
         dim_of[rid] = cx.dim(host)
     denom = math.lcm(*[Fraction(v).denominator for v in base_val.values()])
     m = max(dim_of.values())
-    for a in range(1, 64):
+    for a in range(1, DIP_CAP):
         alpha = {d: a * (2**d - 1) for d in range(1, m + 1)}
         lmin = max(
             (alpha[dim_of[r]] + 1) / Fraction(base_val[r]) for r in base_val
         )
         lstart = denom * math.ceil(Fraction(lmin) / denom)
-        for l in range(lstart, lstart + 64 * denom, denom):
+        for l in range(lstart, lstart + SCALE_STEPS * denom, denom):
             values = {
                 rid: int(l * base_val[rid]) - alpha[dim_of[rid]] for rid in base_val
             }
@@ -315,7 +336,10 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
             rep = verify_order_axioms(cand, check_subdivision=False)
             if rep.ok and rep.strict and rep.positive:
                 return cand, l, a
-    raise ValueError("scale insufficient")
+    raise ValueError(
+        f"scale insufficient: no strict (L, a) with a < dip_cap={DIP_CAP} "
+        f"within scale_steps={SCALE_STEPS} scales L per a"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +448,8 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
     if not report.ok:
         raise ValueError(f"invalid input complex: {report.violations[0]}")
     group_action(cx, elements)  # raises when the action is invalid
+    # the identity alone carries every frame onto itself
+    trivial = elements == trivial_group(cx.ambient_rank)
 
     replay = Replay(cx)
     if mode == "plain":
@@ -461,7 +487,7 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
         frames = _inherit_frames(cur, frames, nxt)
         if any(frozenset(frame) != mc for mc, frame in frames.items()):
             raise RuntimeError("frame consistency: a frame does not list its cone's rays")
-        if not frames_equivariant(frames, group_action(nxt, elements)):
+        if not trivial and not frames_equivariant(frames, group_action(nxt, elements)):
             raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
 
         # the measure must drop on every subdivided cone's descendants

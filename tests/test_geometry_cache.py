@@ -1,0 +1,122 @@
+"""Cone geometry memoised by generator matrix: duals, face lattices, SNFs.
+
+The caches hold pure functions of the matrix only, so a memoised answer
+must equal a fresh computation, and a resolve must write the same bytes
+whether the caches start warm or cold.
+"""
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from equifan import complexes, lattice
+from equifan.complexes import Complex, DualDescription, _peeled_faces, _raw_faces, cone_dual
+from equifan.fanio import fan_from_complex, parse_certificate, verify_certificate, write_certificate
+from equifan.groups import generate_group
+from equifan.lattice import rank, smith_normal_form
+from equifan.resolve import resolve_equivariant
+
+from conftest import SWAP2, singular_cone_2d, square_cone
+
+CACHE_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+
+
+@st.composite
+def cones(draw):
+    """Nonzero generators in an ambient lattice of rank 2-4: as many as the
+    rank or fewer (mostly simplicial) or more (never simplicial)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=n + 2))
+    coord = st.integers(min_value=-3, max_value=3)
+    gen = st.tuples(*[coord] * n).filter(any)
+    return tuple(draw(st.lists(gen, min_size=k, max_size=k))), n
+
+
+@st.composite
+def simplicial_cones(draw):
+    """Independent generators, 1 to n of them, in an ambient rank n of 2-4."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=n))
+    coord = st.integers(min_value=-3, max_value=3)
+    gens = tuple(draw(st.lists(st.tuples(*[coord] * n), min_size=k, max_size=k)))
+    assume(rank(gens) == k)
+    return gens, n
+
+
+@CACHE_SETTINGS
+@given(cones())
+def test_memoised_dual_equals_fresh(cone):
+    gens, n = cone
+    cached = cone_dual(gens, n)
+    assert cached == complexes._cone_dual.__wrapped__(gens, n)
+    assert cone_dual([list(g) for g in gens], n) is cached  # keyed by value
+    assert isinstance(cached, DualDescription)
+    assert isinstance(cached.equations, tuple) and isinstance(cached.inequalities, tuple)
+
+
+@CACHE_SETTINGS
+@given(cones())
+def test_memoised_snf_equals_fresh(cone):
+    gens, _ = cone
+    cached = smith_normal_form(gens)
+    assert cached == lattice._smith_normal_form.__wrapped__(gens)
+    assert all(isinstance(m, tuple) and all(isinstance(r, tuple) for r in m) for m in cached)
+
+
+@CACHE_SETTINGS
+@given(simplicial_cones())
+def test_simplicial_faces_are_the_power_set_of_peeling(cone):
+    gens, n = cone
+    faces = _raw_faces(gens, n)
+    assert faces == _peeled_faces(gens, n)
+    assert len(faces) == 2 ** len(gens)
+
+
+def test_snf_contract_failure_is_not_cached(monkeypatch):
+    lattice._smith_normal_form.cache_clear()
+    monkeypatch.setattr(lattice, "is_unimodular", lambda m: False)
+    with pytest.raises(RuntimeError, match="SNF contract violated"):
+        smith_normal_form(((1, 0), (1, 2)))
+    assert lattice._smith_normal_form.cache_info().currsize == 0
+
+
+def _clear():
+    complexes._cone_dual.cache_clear()
+    lattice._smith_normal_form.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "cx, gens, mode",
+    [
+        (singular_cone_2d(5), (), "plain"),
+        (Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (1, 1, 3)], [[0, 1, 2]]), (), "canonical"),
+        (square_cone(), [((0, 1, 0), (1, 0, 0), (0, 0, 1))], "canonical"),
+        (Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]]),
+         [SWAP2], "canonical"),
+    ],
+)
+def test_same_certificate_bytes_warm_and_cold(cx, gens, mode):
+    fan = fan_from_complex(cx, gens)
+    elements = generate_group(gens, rank=cx.ambient_rank)
+
+    def run():
+        text = write_certificate(resolve_equivariant(cx, elements, mode=mode), fan)
+        assert verify_certificate(parse_certificate(text), fan) == []
+        return text
+
+    _clear()
+    cold = run()
+    duals, snfs = complexes._cone_dual.cache_info(), lattice._smith_normal_form.cache_info()
+    warm = run()
+    assert warm == cold
+    # the warm run computed no geometry: every dual and SNF was a hit
+    assert complexes._cone_dual.cache_info().misses == duals.misses
+    assert lattice._smith_normal_form.cache_info().misses == snfs.misses
+    _clear()
+    assert run() == cold

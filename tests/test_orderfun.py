@@ -217,6 +217,15 @@ class TestCompose:
         assert same_complex(linearity_domains(comp), inner.subdivision)
         assert mult >= 1
 
+    def test_composition_cap_names_itself(self, orthant2, starred, monkeypatch):
+        import equifan.orderfun as orderfun
+
+        outer = star_order_function(orthant2, (1, 1), 2)
+        inner = star_order_function(starred, (2, 1), 2)
+        monkeypatch.setattr(orderfun, "COMPOSITION_CAP", 0)
+        with pytest.raises(ValueError, match=r"^composition cap exceeded: .*composition_cap=0$"):
+            compose_with_multiplier(outer, inner)
+
     def test_barycentric_of_orthant3_as_iterated_stars(self, orthant3):
         from equifan.subdivide import _barycentric_cascade
 

@@ -221,6 +221,22 @@ class TestResolveCanonical:
         assert cert.stages[0].kind == "barycentric-direct"
         assert len(cert.final.maximal_cones) == 8
 
+    @pytest.mark.parametrize(
+        "cap, match",
+        [
+            ("BASE_VALUE_CAP", r"^no positive per-cone-linear base values .*base_value_cap=0$"),
+            ("DIP_CAP", r"^scale insufficient: .*dip_cap=0 "),
+            ("SCALE_STEPS", r"^scale insufficient: .*scale_steps=0 "),
+        ],
+    )
+    def test_direct_barycentric_caps_name_themselves(self, cap, match, monkeypatch):
+        import equifan.resolve as resolve
+
+        sq = square_cone()
+        monkeypatch.setattr(resolve, cap, 0)
+        with pytest.raises(ValueError, match=match):
+            resolve.direct_barycentric_order_function(sq, barycentric_subdivision(sq))
+
     def test_singular_3d_with_cycle(self):
         cx = Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
                                         [[0, 1, 3], [1, 2, 3], [0, 2, 3]])
