@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .complexes import is_simplicial, validate_complex
+from .complexes import is_simplicial, require_valid, validate_complex
 from .fanio import (
     FanFile,
     ParseError,
@@ -78,7 +78,7 @@ def cmd_validate(args) -> int:
 
 def cmd_barycentric(args) -> int:
     fan = _load_fan(args.fan)
-    cx = fan.to_complex()
+    cx = require_valid(fan.to_complex())
     out = barycentric_subdivision(cx)
     gens = fan.group_generators if fan.group_generators else ()
     if gens and not verify_action(out, generate_group(gens, cap=_group_cap())).ok:
@@ -89,7 +89,7 @@ def cmd_barycentric(args) -> int:
 
 def cmd_star(args) -> int:
     fan = _load_fan(args.fan)
-    cx = fan.to_complex()
+    cx = require_valid(fan.to_complex())
     center = tuple(int(p) for p in args.center.split(","))
     if len(center) != cx.ambient_rank:
         raise ValueError(f"center has {len(center)} entries, expected {cx.ambient_rank}")

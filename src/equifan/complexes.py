@@ -97,10 +97,8 @@ def dual_description(gens, ambient_rank: int) -> DualDescription:
     return dd
 
 
-def cone_contains(gens, x, ambient_rank: int, dual: DualDescription | None = None) -> bool:
-    if dual is None:
-        dual = cone_dual(gens, ambient_rank)
-    return dual.contains(x)
+def cone_contains(gens, x, ambient_rank: int) -> bool:
+    return cone_dual(gens, ambient_rank).contains(x)
 
 
 class Complex:
@@ -185,19 +183,21 @@ class Complex:
         return tuple(sorted((f for f in self.faces(cone) if self.dim(f) == d - 1),
                             key=sorted))
 
-    def support_contains(self, x) -> bool:
-        return any(self.contains_point(c, x) for c in self.maximal_cones)
-
     def minimal_cone_containing(self, x) -> ConeIds:
-        """The unique cone whose relative interior contains x."""
-        best = None
-        for c in sorted(self.cones, key=lambda c: (self.dim(c), sorted(c))):
-            if self.contains_point(c, x):
-                best = c
-                break
-        if best is None:
-            raise ValueError("center not in support")
-        return best
+        """The carrier of x: the cone whose relative interior contains x.
+
+        The first maximal cone whose dual holds x, cut down to the face where
+        the facet inequalities vanishing at x vanish.  On a valid complex x
+        lies in a cone exactly when its carrier is a face of it.
+        """
+        for sigma in self.maximal_cones:
+            dd = self.dual(sigma)
+            if dd.contains(x):
+                tight = [u for u in dd.inequalities if _dot(u, x) == 0]
+                return frozenset(
+                    i for i in sigma if all(_dot(u, self.rays[i]) == 0 for u in tight)
+                )
+        raise ValueError("center not in support")
 
     # -- equality ------------------------------------------------------
 
@@ -353,6 +353,14 @@ def validate_complex(cx: Complex) -> ValidationReport:
     return report
 
 
+def require_valid(cx: Complex) -> Complex:
+    """cx itself; ValueError naming the first violation when it is invalid."""
+    report = validate_complex(cx)
+    if not report.ok:
+        raise ValueError(f"invalid input complex: {report.violations[0]}")
+    return cx
+
+
 def _intersect_cones(cx: Complex, c1, c2) -> frozenset[Vec]:
     """Extreme rays (as primitive generators) of the exact intersection."""
     d1, d2 = cx.dual(c1), cx.dual(c2)
@@ -404,6 +412,13 @@ class SubdivisionReport:
         return "subdivision" if self.ok else "; ".join(self.witnesses)
 
 
+def rays_in_cone(fine: Complex, coarse: Complex, sigma) -> frozenset[int]:
+    """Ray ids of `fine` lying in the cone sigma of `coarse` (geometric, so
+    sound on any input); a cone of `fine` lies in sigma iff its ids do."""
+    dual = coarse.dual(sigma)
+    return frozenset(i for i, r in enumerate(fine.rays) if dual.contains(r))
+
+
 def is_subdivision(fine: Complex, coarse: Complex) -> SubdivisionReport:
     """Decide whether `fine` subdivides `coarse` (same support, refined cones).
 
@@ -418,14 +433,10 @@ def is_subdivision(fine: Complex, coarse: Complex) -> SubdivisionReport:
     if fine.ambient_rank != coarse.ambient_rank:
         raise ValueError("ambient rank mismatch")
     witnesses = []
+    inside = {s: rays_in_cone(fine, coarse, s) for s in coarse.maximal_cones}
     contained = {}
     for c in fine.maximal_cones:
-        gens = fine.generators(c)
-        hosts = [
-            s
-            for s in coarse.maximal_cones
-            if all(coarse.contains_point(s, g) for g in gens)
-        ]
+        hosts = [s for s in coarse.maximal_cones if c <= inside[s]]
         if not hosts:
             witnesses.append(f"cone {sorted(c)} of the fine complex is not contained in any cone")
             return SubdivisionReport(False, witnesses)

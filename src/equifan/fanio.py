@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .complexes import Complex
+from .complexes import Complex, require_valid
 
 
 class ParseError(Exception):
@@ -85,6 +85,14 @@ def _one_int(parts, n, what):
     return vals[0]
 
 
+def _count(parts, n, what):
+    """A count: one integer, which must not be negative."""
+    count = _one_int(parts, n, what)
+    if count < 0:
+        raise ParseError(f"{what} must not be negative, found {count}", n)
+    return count
+
+
 def _one_hash(parts, n, what):
     if len(parts) != 1:
         raise ParseError(f"{what}: expected one hash", n)
@@ -95,13 +103,29 @@ def _rays(lines, keyword, rank):
     """A `keyword N` line and N lines of `rank` integers each."""
     n, parts = lines.expect_keyword(keyword)
     rays = []
-    for _ in range(_one_int(parts, n, f"{keyword} count")):
+    for _ in range(_count(parts, n, f"{keyword} count")):
         n, line = lines.next(f"{keyword} line")
         row = _ints(line.split(), n, "ray")
         if len(row) != rank:
             raise ParseError(f"ray has {len(row)} entries, expected {rank}", n)
         rays.append(tuple(row))
     return tuple(rays)
+
+
+def _cones(lines, keyword, nrays):
+    """A `keyword N` line and N lines of distinct ray ids below nrays each."""
+    n, parts = lines.expect_keyword(keyword)
+    cones = []
+    for _ in range(_count(parts, n, f"{keyword} count")):
+        n, line = lines.next(f"{keyword} line")
+        idxs = _ints(line.split(), n, "cone")
+        for i in idxs:
+            if not (0 <= i < nrays):
+                raise ParseError(f"ray index {i} out of range", n)
+        if len(set(idxs)) != len(idxs):
+            raise ParseError("repeated ray index in cone", n)
+        cones.append(tuple(sorted(idxs)))
+    return tuple(cones)
 
 
 # ---------------------------------------------------------------------------
@@ -116,24 +140,12 @@ def parse_fan(text: str) -> FanFile:
         raise ParseError("rank must be positive", n)
 
     rays = _rays(lines, "rays", rank)
-
-    n, parts = lines.expect_keyword("cones")
-    ncones = _one_int(parts, n, "cone count")
-    cones = []
-    for _ in range(ncones):
-        n, line = lines.next("cone line")
-        idxs = _ints(line.split(), n, "cone")
-        for i in idxs:
-            if not (0 <= i < len(rays)):
-                raise ParseError(f"ray index {i} out of range", n)
-        if len(set(idxs)) != len(idxs):
-            raise ParseError("repeated ray index in cone", n)
-        cones.append(tuple(sorted(idxs)))
+    cones = _cones(lines, "cones", len(rays))
 
     generators = []
     if not lines.done():
         n, parts = lines.expect_keyword("generators")
-        ngen = _one_int(parts, n, "generator count")
+        ngen = _count(parts, n, "generator count")
         for _ in range(ngen):
             mat = []
             for _ in range(rank):
@@ -146,7 +158,7 @@ def parse_fan(text: str) -> FanFile:
     if not lines.done():
         n, line = lines.next()
         raise ParseError(f"unexpected trailing content {line!r}", n)
-    return FanFile(rank, rays, tuple(cones), tuple(generators))
+    return FanFile(rank, rays, cones, tuple(generators))
 
 
 def write_fan(fan: FanFile) -> str:
@@ -275,7 +287,7 @@ class CertificateData:
 def _ray_values(lines, keyword, what):
     """A `keyword N` line and N lines 'ray_id value', one per ray id 0..N-1."""
     n, parts = lines.expect_keyword(keyword)
-    count = _one_int(parts, n, f"{keyword} count")
+    count = _count(parts, n, f"{keyword} count")
     if count > len(lines.items) - lines.pos:
         raise ParseError(f"{keyword} count {count} exceeds the lines left", n)
     values = [None] * count
@@ -313,17 +325,19 @@ def parse_certificate(text: str) -> CertificateData:
     rank = _one_int(parts, n, "rank")
 
     n, parts = lines.expect_keyword("flags")
-    nflags = _one_int(parts, n, "flag count")
+    nflags = _count(parts, n, "flag count")
     flags = {}
     for _ in range(nflags):
         n, line = lines.next("flag line")
         name, _, val = line.partition(" ")
         if val not in ("true", "false"):
             raise ParseError(f"flag value must be true/false, found {val!r}", n)
+        if name in flags:
+            raise ParseError(f"repeated flag {name!r}", n)
         flags[name] = val == "true"
 
     n, parts = lines.expect_keyword("trace")
-    nrows = _one_int(parts, n, "trace count")
+    nrows = _count(parts, n, "trace count")
     trace = []
     for _ in range(nrows):
         n, line = lines.next("trace row")
@@ -336,7 +350,7 @@ def parse_certificate(text: str) -> CertificateData:
         trace.append((label, mx, tot))
 
     n, parts = lines.expect_keyword("stages")
-    nstages = _one_int(parts, n, "stage count")
+    nstages = _count(parts, n, "stage count")
     stages = []
     for k in range(1, nstages + 1):
         n, parts = lines.expect_keyword("stage")
@@ -350,13 +364,14 @@ def parse_certificate(text: str) -> CertificateData:
         n, parts = lines.expect_keyword("output-hash")
         oh = _one_hash(parts, n, "output-hash")
         n, parts = lines.expect_keyword("steps")
-        nsteps = _one_int(parts, n, "step count")
+        nsteps = _count(parts, n, "step count")
         steps = []
         for _ in range(nsteps):
             n, parts = lines.expect_keyword("step")
             if len(parts) != 8 or parts[::2] != ["centers", "scale", "dip", "mult"]:
                 raise ParseError("step line must be: step centers N scale S dip D mult M", n)
-            ncenters, scale, dip, mult = _ints(parts[1::2], n, "step")
+            ncenters = _count(parts[1:2], n, "step center count")
+            scale, dip, mult = _ints(parts[3::2], n, "step")
             centers = []
             for _ in range(ncenters):
                 n, line = lines.next("center line")
@@ -373,7 +388,7 @@ def parse_certificate(text: str) -> CertificateData:
                 centers.append((center, host))
             steps.append(BatchStep(tuple(centers), scale, dip, mult))
         n, parts = lines.expect_keyword("new-rays")
-        nnew = _one_int(parts, n, "new ray count")
+        nnew = _count(parts, n, "new ray count")
         new_rays = []
         for _ in range(nnew):
             n, line = lines.next("new ray line")
@@ -391,16 +406,7 @@ def parse_certificate(text: str) -> CertificateData:
         stages.append(StageRecord(kind, tuple(steps), mult, values, tuple(new_rays), ih, oh))
 
     final_rays = _rays(lines, "final-rays", rank)
-    n, parts = lines.expect_keyword("final-cones")
-    ncones = _one_int(parts, n, "final cone count")
-    final_cones = []
-    for _ in range(ncones):
-        n, line = lines.next("final cone")
-        idxs = _ints(line.split(), n, "final cone")
-        for i in idxs:
-            if not (0 <= i < len(final_rays)):
-                raise ParseError(f"ray index {i} out of range", n)
-        final_cones.append(tuple(sorted(idxs)))
+    final_cones = _cones(lines, "final-cones", len(final_rays))
     composite = _ray_values(lines, "composite", "composite value")
     n, _ = lines.expect_keyword("end")
     if not lines.done():
@@ -415,7 +421,7 @@ def parse_certificate(text: str) -> CertificateData:
         trace=tuple(trace),
         stages=tuple(stages),
         final_rays=final_rays,
-        final_cones=tuple(final_cones),
+        final_cones=final_cones,
         composite=composite,
     )
 
@@ -428,7 +434,7 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     """Replay every recorded step and re-derive every field; trust nothing.
 
     Returns the list of named violations (empty means the certificate is
-    sound for this input).
+    sound for this input).  An input that is not a valid complex is one.
     """
     from .groups import GROUP_CAP_DEFAULT, generate_group, verify_action
     from .lattice import primitive
@@ -446,7 +452,10 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         return ["certificate/input mismatch: input hash differs"]
     if fan.ambient_rank != cert.rank:
         return ["certificate/input mismatch: rank differs"]
-    cx0 = fan.to_complex()
+    try:
+        cx0 = require_valid(fan.to_complex())
+    except ValueError as e:
+        return [str(e)]
     try:
         cap = group_cap if group_cap is not None else GROUP_CAP_DEFAULT
         elements = generate_group(fan.group_generators, cap=cap, rank=fan.ambient_rank)
@@ -555,6 +564,9 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
             violations.append(f"flag missing: {name}")
         elif cert.flags[name] != flags[name]:
             violations.append(f"flag mismatch: {name}")
+    for name in cert.flags:
+        if name not in FLAG_NAMES:
+            violations.append(f"unknown flag: {name}")
     for name, value in flags.items():
         if not value:
             violations.append(f"final verification failed: {name}")

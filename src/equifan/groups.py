@@ -226,11 +226,15 @@ def orbit_of_point(point, elements):
     return tuple(sorted({mat_vec(m, tuple(point)) for m in elements}))
 
 
-def check_simultaneous(cx: Complex, centers):
-    """Raise ValueError when two of the centers lie in one maximal cone."""
-    for i, a in enumerate(centers):
-        for b in centers[i + 1:]:
-            if any(cx.contains_point(c, a) and cx.contains_point(c, b) for c in cx.maximal_cones):
+def check_simultaneous(cx: Complex, carriers):
+    """Raise ValueError when two centers lie in one maximal cone.
+
+    Centers are given by their carriers; on a valid complex centers a and b
+    share a maximal cone sigma exactly when tau_a | tau_b <= sigma.
+    """
+    for i, a in enumerate(carriers):
+        for b in carriers[i + 1:]:
+            if any(a | b <= c for c in cx.maximal_cones):
                 raise ValueError("orbit not simultaneous-safe")
 
 
@@ -241,7 +245,7 @@ def simultaneous_star_subdivide(cx: Complex, centers) -> Complex:
     implementation still fixes a deterministic order.
     """
     centers = tuple(sorted({tuple(int(v) for v in c) for c in centers}))
-    check_simultaneous(cx, centers)
+    check_simultaneous(cx, [cx.minimal_cone_containing(c) for c in centers])
     out = cx
     for c in centers:
         out = star_subdivide(out, c)

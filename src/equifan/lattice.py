@@ -84,12 +84,14 @@ def is_unimodular(m) -> bool:
 # ---------------------------------------------------------------------------
 # rational Gaussian elimination helpers
 
-def rank(vectors) -> int:
-    """Rank over Q of a list of integer (or rational) vectors."""
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    r = 0
-    ncols = len(rows[0]) if rows else 0
+def _eliminate(rows, ncols):
+    """Gauss-Jordan elimination of Fraction rows in place, over the first
+    ncols columns; returns the pivot columns, pivot j sitting in row j."""
+    pivots = []
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
@@ -98,10 +100,14 @@ def rank(vectors) -> int:
             if i != r and rows[i][col] != 0:
                 f = rows[i][col] / rows[r][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(col)
+    return pivots
+
+
+def rank(vectors) -> int:
+    """Rank over Q of a list of integer (or rational) vectors."""
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0))
 
 
 def solve_in_basis(gens, x):
@@ -111,30 +117,15 @@ def solve_in_basis(gens, x):
     the linear span of gens.  gens must be linearly independent.
     """
     k = len(gens)
-    n = len(x)
     # augmented system: columns are the generators, rhs is x
-    rows = [[Fraction(gens[i][j]) for i in range(k)] + [Fraction(x[j])] for j in range(n)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("not simplicial")  # dependent generators
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
+    rows = [[Fraction(g[j]) for g in gens] + [Fraction(xj)] for j, xj in enumerate(x)]
+    pivots = _eliminate(rows, k)
+    if len(pivots) < k:
+        raise ValueError("not simplicial")  # dependent generators
     # inconsistent rows mean x is outside the span
-    for i in range(r, n):
-        if rows[i][k] != 0:
-            return None
-    coeffs = [Fraction(0)] * k
-    for row, col in pivots:
-        coeffs[col] = rows[row][k] / rows[row][col]
-    return tuple(coeffs)
+    if any(row[k] != 0 for row in rows[k:]):
+        return None
+    return tuple(rows[j][k] / rows[j][j] for j in range(k))
 
 
 def rational_nullspace(vectors, n=None):
@@ -143,25 +134,12 @@ def rational_nullspace(vectors, n=None):
         raise ValueError("ambient dimension required for empty input")
     ncols = n if n is not None else len(vectors[0])
     rows = [[Fraction(c) for c in v] for v in vectors]
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
+    pivots = _eliminate(rows, ncols)
     basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for col, row in pivots.items():
+        for row, col in enumerate(pivots):
             vec[col] = -rows[row][fc] / rows[row][col]
         denom = math.lcm(*[f.denominator for f in vec])
         ints = [int(f * denom) for f in vec]

@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import Complex, cone_contains, is_simplicial, is_subdivision
+from .complexes import Complex, cone_contains, is_simplicial, is_subdivision, rays_in_cone
 from .lattice import (
     integrality_congruences,
     parallelepiped_points,
@@ -79,18 +79,14 @@ class OrderFunction:
 
 
 def evaluate(ord_fn: OrderFunction, x):
-    """Value at a rational point of the support (exact)."""
+    """Value at a rational point of the support (exact): one solve in the
+    first maximal cone whose dual holds x."""
     x = tuple(Fraction(c) for c in x)
     sub = ord_fn.subdivision
     for c in sub.maximal_cones:
-        gens = sub.generators(c)
-        if not gens:
-            continue
-        coeffs = solve_in_basis(gens, x)
-        if coeffs is None or any(a < 0 for a in coeffs):
-            continue
-        ids = sorted(c)
-        return sum(a * ord_fn.ray_values[i] for a, i in zip(coeffs, ids))
+        if c and sub.contains_point(c, x):
+            coeffs = solve_in_basis(sub.generators(c), x)
+            return sum(a * ord_fn.ray_values[i] for a, i in zip(coeffs, sorted(c)))
     raise ValueError("point not in support")
 
 
@@ -122,12 +118,8 @@ class AxiomReport:
 def _host_pieces(base: Complex, sub: Complex, sigma):
     """Maximal cones of the subdivision that fill the base cone sigma."""
     d = base.dim(sigma)
-    return [
-        c
-        for c in sub.maximal_cones
-        if sub.dim(c) == d
-        and all(base.contains_point(sigma, g) for g in sub.generators(c))
-    ]
+    inside = rays_in_cone(sub, base, sigma)
+    return [c for c in sub.maximal_cones if sub.dim(c) == d and c <= inside]
 
 
 def _pieces_by_base_cone(ord_fn: OrderFunction):
@@ -363,9 +355,8 @@ def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: in
 
     # open bounds lo < dip / k < hi
     lo, hi = Fraction(0), L * min(coord_sums)
-    new_rays = sub.rays[len(cx.rays):]
     for sigma in cx.maximal_cones:
-        if not any(cx.contains_point(sigma, w) for w in new_rays):
+        if sigma in sub.cones:
             continue  # an untouched cone is a single piece without walls
         for wall in _interior_walls(sub, _host_pieces(cx, sub, sigma)):
             form = _bend_form(sub, wall).items()
@@ -433,12 +424,10 @@ def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
     if p != c:
         warnings.warn(f"star center {c} normalized to primitive {p}")
     center = p
-    if not cx.support_contains(center):
-        raise ValueError("center not in support")
     if center in cx.rays:
         ord_fn = OrderFunction(cx, cx, {i: scale for i in range(len(cx.rays))})
     else:
-        host = cx.minimal_cone_containing(center)
+        host = cx.minimal_cone_containing(center)  # raises outside the support
         ord_fn = centered_order_function(cx, [(center, host)], scale, 1)
         if ord_fn is None:
             raise ValueError("scale insufficient")

@@ -25,8 +25,8 @@ from .complexes import (
     is_simplicial,
     is_smooth,
     is_subdivision,
+    require_valid,
     same_complex,
-    validate_complex,
 )
 from .fanio import BatchStep, StageRecord, complex_hash
 from .groups import (
@@ -127,13 +127,14 @@ def frames_equivariant(frames: dict, action) -> bool:
     return True
 
 
-def _inherit_frames(cx: Complex, frames: dict, sub: Complex) -> dict:
+def _inherit_frames(cx: Complex, frames: dict, sub: Complex, hosts: dict) -> dict:
     """Frames on a simultaneous centered subdivision of cx.
 
     A piece keeps its frame when untouched; a piece of the star of a
     center takes its parent's frame with the center in the slot of the
     parent ray it replaced.  No two centers share a cone, so a piece holds
-    at most one new ray.
+    at most one new ray.  `hosts` maps each center to its carrier in cx,
+    which lies in exactly the parents that contain the center.
     """
     new_frames = {}
     for mc in sub.maximal_cones:
@@ -143,10 +144,8 @@ def _inherit_frames(cx: Complex, frames: dict, sub: Complex) -> dict:
             continue
         wid = new[0]
         base = mc - {wid}
-        parents = [
-            h for h in frames
-            if len(h) == len(mc) and base < h and cx.contains_point(h, sub.rays[wid])
-        ]
+        tau = frozenset(hosts[sub.rays[wid]])
+        parents = [h for h in frames if len(h) == len(mc) and base < h and tau <= h]
         if not parents:
             raise RuntimeError(f"no framed parent for subdivision piece {sorted(mc)}")
         fr = frames[parents[0]]
@@ -444,9 +443,7 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
     elements = tuple(tuple(tuple(int(v) for v in row) for row in m) for m in elements)
     if mode not in ("canonical", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
-    report = validate_complex(cx)
-    if not report.ok:
-        raise ValueError(f"invalid input complex: {report.violations[0]}")
+    require_valid(cx)
     group_action(cx, elements)  # raises when the action is invalid
     # the identity alone carries every frame onto itself
     trivial = elements == trivial_group(cx.ambient_rank)
@@ -480,11 +477,12 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
         cur = replay.cur
         _, selected = select_centers(cur, frames, elements)
         centers = sorted({primitive(p) for p, _ in selected})
-        centers_with_hosts = [(c, tuple(sorted(cur.minimal_cone_containing(c)))) for c in centers]
-        check_simultaneous(cur, centers)
+        carriers = [cur.minimal_cone_containing(c) for c in centers]
+        centers_with_hosts = [(c, tuple(sorted(t))) for c, t in zip(centers, carriers)]
+        check_simultaneous(cur, carriers)
         ord_k, scale, dip = search_centered_order_function(cur, centers_with_hosts)
         nxt = ord_k.subdivision
-        frames = _inherit_frames(cur, frames, nxt)
+        frames = _inherit_frames(cur, frames, nxt, dict(centers_with_hosts))
         if any(frozenset(frame) != mc for mc, frame in frames.items()):
             raise RuntimeError("frame consistency: a frame does not list its cone's rays")
         if not trivial and not frames_equivariant(frames, group_action(nxt, elements)):
@@ -492,7 +490,7 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
 
         # the measure must drop on every subdivided cone's descendants
         for mc in cur.maximal_cones:
-            if any(cur.contains_point(mc, c) for c in centers):
+            if any(tau <= mc for tau in carriers):
                 idx = cone_index(cur.generators(mc))
                 pieces = _host_pieces(cur, nxt, mc)
                 if max((cone_index(nxt.generators(d)) for d in pieces), default=idx) >= idx:

@@ -32,25 +32,26 @@ def star_subdivide(cx: Complex, center) -> Complex:
     are untouched.  If the center already is a ray of the complex the
     complex is returned unchanged.  New rays get fresh ids appended; old
     ids never change.
+
+    The center is located once, by its carrier tau; the rest is face
+    lattice algebra, valid on a valid complex: a cone contains the center
+    exactly when it contains tau.
     """
     c = tuple(int(v) for v in center)
     p = primitive(c)
     if p != c:
         warnings.warn(f"star center {c} normalized to primitive {p}")
     center = p
-    if not cx.support_contains(center):
-        raise ValueError("center not in support")
+    tau = cx.minimal_cone_containing(center)  # raises outside the support
     if center in cx.rays:
         return cx
 
     new_id = len(cx.rays)
     rays = cx.rays + (center,)
-    cones = {c0 for c0 in cx.cones if not cx.contains_point(c0, center)}
-    affected = [s for s in cx.maximal_cones if cx.contains_point(s, center)]
-    for sigma in affected:
-        for f in cx.faces(sigma):
-            if not cx.contains_point(f, center):
-                cones.add(f | {new_id})
+    cones = {c0 for c0 in cx.cones if not tau <= c0}
+    for sigma in cx.maximal_cones:
+        if tau <= sigma:
+            cones.update(f | {new_id} for f in cx.faces(sigma) if not tau <= f)
     return Complex(cx.ambient_rank, rays, cones)
 
 

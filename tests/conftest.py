@@ -277,6 +277,54 @@ def interior_point(cx, cone, weights=None):
     )
 
 
+# ---------------------------------------------------------------------------
+# geometric references for the carrier rule: every containment decided by
+# a cone's dual or by trial solves, as before the carrier was the one
+# point location
+
+
+def reference_minimal_cone_containing(cx, x):
+    """The first cone, by (dimension, sorted ray ids), whose dual holds x."""
+    for c in sorted(cx.cones, key=lambda c: (cx.dim(c), sorted(c))):
+        if cx.contains_point(c, x):
+            return c
+    raise ValueError("center not in support")
+
+
+def reference_star_subdivide(cx, center):
+    """star_subdivide testing the center against every cone's dual."""
+    from equifan.lattice import primitive
+
+    center = primitive(center)
+    if not any(cx.contains_point(c, center) for c in cx.maximal_cones):
+        raise ValueError("center not in support")
+    if center in cx.rays:
+        return cx
+    new_id = len(cx.rays)
+    cones = {c for c in cx.cones if not cx.contains_point(c, center)}
+    for sigma in cx.maximal_cones:
+        if cx.contains_point(sigma, center):
+            for f in cx.faces(sigma):
+                if not cx.contains_point(f, center):
+                    cones.add(f | {new_id})
+    return Complex(cx.ambient_rank, cx.rays + (center,), cones)
+
+
+def reference_evaluate(ord_fn, x):
+    """(piece, value): the first maximal cone whose trial solve gives
+    non-negative coefficients, and the value there."""
+    x = tuple(Fraction(c) for c in x)
+    sub = ord_fn.subdivision
+    for c in sub.maximal_cones:
+        if not c:
+            continue
+        coeffs = solve_in_basis(sub.generators(c), x)
+        if coeffs is None or any(a < 0 for a in coeffs):
+            continue
+        return c, sum(a * ord_fn.ray_values[i] for a, i in zip(coeffs, sorted(c)))
+    raise ValueError("point not in support")
+
+
 @pytest.fixture
 def orthant2():
     return orthant(2)

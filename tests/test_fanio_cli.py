@@ -60,6 +60,19 @@ class TestFanFormat:
         with pytest.raises(ParseError, match="expected"):
             parse_fan("rays 2\n1 0\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("rank 2\nrays -1\ncones 0\n", 2),
+            ("rank 2\nrays 1\n1 0\ncones -1\n", 4),
+            ("rank 2\nrays 1\n1 0\ncones 1\n0\ngenerators -1\n", 6),
+        ],
+        ids=["rays", "cones", "generators"],
+    )
+    def test_negative_counts_are_parse_errors(self, text, line):
+        with pytest.raises(ParseError, match=rf"line {line}: .* count must not be negative, found -1"):
+            parse_fan(text)
+
     def test_hash_is_semantic(self):
         a = "rank 2\nrays 2\n1 0\n0 1\ncones 1\n0 1\n"
         b = "# comment\nrank 2\nrays 2\n1 0\n0 1\n\ncones 1\n1 0\n"
@@ -144,6 +157,64 @@ class TestCertificateFormat:
         violations = verify_certificate(data, fan)
         assert violations
         assert any("composite" in v for v in violations)
+
+
+def plain_certificate_lines():
+    """The plain certificate of singular_cone_2d(2) as lines, with its fan."""
+    sing = singular_cone_2d(2)
+    fan = fan_from_complex(sing)
+    return write_certificate(resolve_equivariant(sing, mode="plain"), fan).splitlines(), fan
+
+
+def with_extra_flag(lines, flag_line):
+    """The certificate lines with one more flag line and the count raised."""
+    i = next(k for k, l in enumerate(lines) if l.startswith("flags "))
+    count = int(lines[i].split()[1])
+    return lines[:i] + [f"flags {count + 1}", lines[i + 1], flag_line] + lines[i + 2:], i
+
+
+def test_repeated_flag_is_a_parse_error():
+    lines, _ = plain_certificate_lines()
+    mutated, i = with_extra_flag(lines, "smooth true")
+    assert mutated[i + 1] == "smooth true"
+    with pytest.raises(ParseError, match=rf"line {i + 3}: repeated flag 'smooth'"):
+        parse_certificate("\n".join(mutated) + "\n")
+
+
+def test_unknown_flag_is_a_named_violation():
+    lines, fan = plain_certificate_lines()
+    mutated, _ = with_extra_flag(lines, "bogus_flag false")
+    data = parse_certificate("\n".join(mutated) + "\n")
+    assert verify_certificate(data, fan) == ["unknown flag: bogus_flag"]
+
+
+@pytest.mark.parametrize(
+    "keyword",
+    ["flags", "trace", "stages", "steps", "step centers", "new-rays", "values",
+     "final-rays", "final-cones", "composite"],
+)
+def test_negative_certificate_counts_are_parse_errors(keyword):
+    lines, _ = plain_certificate_lines()
+    i = next(k for k, l in enumerate(lines) if l.startswith(keyword + " "))
+    parts = lines[i].split()
+    at = len(keyword.split())
+    parts[at] = "-1"
+    lines[i] = " ".join(parts)
+    with pytest.raises(ParseError, match=rf"line {i + 1}: .*count must not be negative, found -1"):
+        parse_certificate("\n".join(lines) + "\n")
+
+
+OVERLAP_FAN = "rank 2\nrays 4\n1 0\n1 2\n1 1\n0 1\ncones 2\n0 1\n2 3\n"
+OVERLAP_VIOLATION = "invalid input complex: cones [0, 1] and [2, 3] do not intersect in a common face"
+
+
+def test_verify_rejects_an_invalid_input():
+    """A certificate naming an overlapping fan by its hash is not verified."""
+    lines, _ = plain_certificate_lines()
+    bad = parse_fan(OVERLAP_FAN)
+    lines[1] = f"input-sha256 {fan_hash(bad)}"
+    data = parse_certificate("\n".join(lines) + "\n")
+    assert verify_certificate(data, bad) == [OVERLAP_VIOLATION]
 
 
 def run_cli(*args):
@@ -299,6 +370,17 @@ class TestCli:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error: invalid input complex: cones [0, 1] and [2, 3]" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args", [["star", "--center", "2,3"], ["barycentric"]], ids=["star", "barycentric"]
+    )
+    def test_subdivision_of_invalid_input_exits_1(self, tmp_path, capsys, args):
+        src = tmp_path / "overlap.fan"
+        dst = tmp_path / "out.fan"
+        src.write_text(OVERLAP_FAN)
+        assert run_cli(args[0], str(src), *args[1:], "-o", str(dst)) == 1
+        assert capsys.readouterr().err == f"error: {OVERLAP_VIOLATION}\n"
+        assert not dst.exists()
 
     def test_orbits(self, tmp_path, capsys):
         src = tmp_path / "in.fan"

@@ -18,7 +18,9 @@ from equifan.lattice import (
     parallelepiped_points,
     primitive,
     rank,
+    rational_nullspace,
     smith_normal_form,
+    solve_in_basis,
 )
 
 from conftest import box_parallelepiped_points
@@ -219,3 +221,42 @@ def test_integrality_congruences_match_box_oracle(gens, w, value_rows):
         )
         assert by_snf == by_box
     assert by_snf
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=5),
+            st.tuples(*[st.integers(-4, 4)] * n),
+        )
+    )
+)
+def test_elimination_matches_sympy(case):
+    """rank, rational_nullspace and solve_in_basis share one elimination;
+    sympy is the independent oracle for all three."""
+    import sympy
+
+    vectors, x = case
+    n = len(x)
+    m = sympy.Matrix(vectors) if vectors else sympy.zeros(0, n)
+    r = m.rank()
+    assert rank(vectors) == r
+    basis = rational_nullspace(vectors, n=n)
+    assert len(basis) == n - r
+    if basis:
+        assert sympy.Matrix(basis).rank() == len(basis)
+    for u in basis:
+        assert primitive(u) == u
+        assert all(sum(a * b for a, b in zip(v, u)) == 0 for v in vectors)
+    if r < len(vectors):
+        with pytest.raises(ValueError, match="not simplicial"):
+            solve_in_basis(vectors, x)
+        return
+    coeffs = solve_in_basis(vectors, x)
+    in_span = sympy.Matrix(vectors + [x]).rank() == r
+    if not in_span:
+        assert coeffs is None
+    else:
+        assert all(isinstance(c, Fraction) for c in coeffs)
+        assert tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(n)) == x
