@@ -10,7 +10,6 @@ from .complexes import (
     DualDescription,
     SubdivisionReport,
     ValidationReport,
-    dual_description,
     is_simplicial,
     is_smooth,
     is_subdivision,
@@ -22,11 +21,8 @@ from .groups import (
     QuotientStructure,
     check_G_strict,
     check_fixed_cone_identity,
-    equivariant_star_subdivide,
     generate_group,
     group_action,
-    invariant_order_function,
-    is_equivariant_subdivision,
     quotient_structure,
     trivial_group,
     verify_action,
@@ -49,7 +45,6 @@ from .orderfun import (
 )
 from .resolve import (
     ResolutionCertificate,
-    canonical_coordinates,
     max_index,
     resolve_equivariant,
     select_centers,
@@ -79,18 +74,13 @@ __all__ = [
     "barycentric_edge_bijection",
     "barycentric_subdivision",
     "barycentric_subdivision_inductive",
-    "canonical_coordinates",
     "check_G_strict",
     "check_fixed_cone_identity",
     "compose_order_functions",
     "cone_index",
-    "dual_description",
-    "equivariant_star_subdivide",
     "evaluate",
     "generate_group",
     "group_action",
-    "invariant_order_function",
-    "is_equivariant_subdivision",
     "is_simplicial",
     "is_smooth",
     "is_smooth_cone",

@@ -31,7 +31,11 @@ from .subdivide import barycentric_subdivision, star_subdivide
 
 def _group_cap() -> int:
     raw = os.environ.get("EQUIFAN_GROUP_CAP")
-    return int(raw) if raw else GROUP_CAP_DEFAULT
+    if not raw:
+        return GROUP_CAP_DEFAULT
+    if not (raw.isdigit() and int(raw) > 0):
+        raise ValueError(f"EQUIFAN_GROUP_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _load_fan(path) -> FanFile:

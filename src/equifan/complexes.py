@@ -89,14 +89,6 @@ def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
     return DualDescription(equations, tuple(normals))
 
 
-def dual_description(gens, ambient_rank: int) -> DualDescription:
-    """Dual description of a pointed cone; raises on cones with lineality."""
-    dd = cone_dual(gens, ambient_rank)
-    if gens and rank(list(dd.equations) + list(dd.inequalities)) < ambient_rank:
-        raise ValueError("not pointed")
-    return dd
-
-
 def cone_contains(gens, x, ambient_rank: int) -> bool:
     return cone_dual(gens, ambient_rank).contains(x)
 

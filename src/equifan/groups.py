@@ -3,8 +3,8 @@
 A group is a finite set of unimodular integer matrices acting on the
 ambient lattice.  An action on a complex is verified by checking that
 every element permutes the ray generators and the cones; all later
-operations (orbits, strictness checks, quotients, invariant order
-functions) work through the induced ray permutations.
+operations (orbits, strictness checks, quotients) work through the
+induced ray permutations.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 from .complexes import Complex
 from .lattice import Mat, identity_matrix, is_unimodular, mat_mul, mat_vec
-from .orderfun import OrderFunction
-from .subdivide import star_subdivide
 
 GROUP_CAP_DEFAULT = 10_000
 
@@ -212,20 +210,6 @@ def _strictness(action: "GroupAction") -> CheckReport:
     return report
 
 
-def is_equivariant_subdivision(fine: Complex, coarse: Complex, elements) -> bool:
-    """True when `fine` subdivides `coarse` and the group permutes its cones."""
-    from .complexes import is_subdivision
-
-    if not is_subdivision(fine, coarse):
-        raise ValueError("not a subdivision")
-    return verify_action(fine, elements).ok
-
-
-def orbit_of_point(point, elements):
-    """Orbit of a lattice point under the matrices, sorted for determinism."""
-    return tuple(sorted({mat_vec(m, tuple(point)) for m in elements}))
-
-
 def check_simultaneous(cx: Complex, carriers):
     """Raise ValueError when two centers lie in one maximal cone.
 
@@ -236,26 +220,6 @@ def check_simultaneous(cx: Complex, carriers):
         for b in carriers[i + 1:]:
             if any(a | b <= c for c in cx.maximal_cones):
                 raise ValueError("orbit not simultaneous-safe")
-
-
-def simultaneous_star_subdivide(cx: Complex, centers) -> Complex:
-    """Star subdivide at several centers, no two of which share a cone.
-
-    The pairwise condition makes the outcome order-independent; the
-    implementation still fixes a deterministic order.
-    """
-    centers = tuple(sorted({tuple(int(v) for v in c) for c in centers}))
-    check_simultaneous(cx, [cx.minimal_cone_containing(c) for c in centers])
-    out = cx
-    for c in centers:
-        out = star_subdivide(out, c)
-    return out
-
-
-def equivariant_star_subdivide(cx: Complex, center, elements) -> Complex:
-    """Star subdivision at the whole orbit of the center, simultaneously."""
-    group_action(cx, elements)  # action must be valid
-    return simultaneous_star_subdivide(cx, orbit_of_point(center, elements))
 
 
 @dataclass
@@ -316,36 +280,3 @@ def quotient_structure(cx: Complex, elements) -> QuotientStructure:
     return QuotientStructure(
         ray_orbits, cone_orbits, ray_reps, cone_reps, face_relations, maximal
     )
-
-
-def invariant_order_function(
-    base: Complex, subdivision: Complex, elements, representative_values: dict
-) -> OrderFunction:
-    """Extend per-orbit ray values to a G-invariant order function.
-
-    Values are given on at least one representative per ray orbit of the
-    subdivision and propagated by the action; stabilizers fix rays, so
-    the extension is well-defined.
-    """
-    action = group_action(subdivision, elements)
-    if not is_equivariant_subdivision(subdivision, base, elements):
-        raise ValueError("not an equivariant subdivision")
-    values: dict[int, int] = {}
-    for orbit in action.ray_orbits():
-        given = [i for i in orbit if i in representative_values]
-        if not given:
-            raise ValueError(f"missing representative value for ray orbit {orbit}")
-        vals = {representative_values[i] for i in given}
-        if len(vals) > 1:
-            raise ValueError(f"inconsistent values {sorted(vals)} on ray orbit {orbit}")
-        v = vals.pop()
-        for i in orbit:
-            values[i] = v
-    ord_fn = OrderFunction(base, subdivision, values)
-    for perm in action.ray_permutations:
-        if any(
-            ord_fn.ray_values[perm[i]] != ord_fn.ray_values[i]
-            for i in range(len(subdivision.rays))
-        ):
-            raise RuntimeError("invariant extension: the values are not constant on a ray orbit")
-    return ord_fn

@@ -16,11 +16,13 @@ The function is convex across the wall iff D >= 0 and bends strictly
 iff D > 0.  (A centered subdivision's function dips the new ray below
 the linear extension of the host values, which makes D positive.)
 
-The (scale, dip) search for a centered subdivision does not test
-candidates one by one.  Every ray value is affine in (scale, dip), so
+No parameter is found by testing candidates one by one.  Every ray
+value of a centered subdivision is affine in (scale, dip), so
 integrality (one SNF congruence per elementary divisor > 1) and strict
 convexity (one bend form per wall) are solved once per search on a
-single subdivision; only the winner is then verified in full.
+single subdivision; only the winner is then verified in full.  The
+multiplier m of a fold m * outer + inner is read off the same bend
+forms, whose bends are affine in m.
 """
 
 from __future__ import annotations
@@ -122,9 +124,8 @@ def _host_pieces(base: Complex, sub: Complex, sigma):
     return [c for c in sub.maximal_cones if sub.dim(c) == d and c <= inside]
 
 
-def _pieces_by_base_cone(ord_fn: OrderFunction):
+def _pieces_by_base_cone(base: Complex, sub: Complex):
     """Maximal cones of the subdivision grouped by their base host cone."""
-    base, sub = ord_fn.base, ord_fn.subdivision
     return [(sigma, _host_pieces(base, sub, sigma)) for sigma in base.maximal_cones]
 
 
@@ -158,10 +159,19 @@ def _bend_form(sub: Complex, wall) -> dict:
     return form
 
 
-def _bend(ord_fn: OrderFunction, wall):
-    """Exact bend quantity D across a wall; D >= 0 means convex there."""
-    form = _bend_form(ord_fn.subdivision, wall)
-    return sum(a * ord_fn.ray_values[i] for i, a in form.items())
+def _wall_forms(base: Complex, sub: Complex):
+    """(base cone, wall, bend form) of every interior wall of the
+    subdivision inside a maximal cone of the base."""
+    return [
+        (sigma, wall, _bend_form(sub, wall))
+        for sigma, pieces in _pieces_by_base_cone(base, sub)
+        for wall in _interior_walls(sub, pieces)
+    ]
+
+
+def _apply(form: dict, values):
+    """A linear form {ray id: coefficient} at the given ray values."""
+    return sum(a * values[i] for i, a in form.items())
 
 
 def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -> AxiomReport:
@@ -195,17 +205,16 @@ def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -
                     f"integrality fails at lattice point {point}: value {val}"
                 )
 
-    for sigma, pieces in _pieces_by_base_cone(ord_fn):
-        for wall in _interior_walls(sub, pieces):
-            d = _bend(ord_fn, wall)
-            if d < 0:
-                report.convex = False
-                report.strict = False
-                report.violations.append(
-                    f"convexity fails across wall {sorted(wall[0])} in cone {sorted(sigma)}: bend {d}"
-                )
-            elif d == 0:
-                report.strict = False
+    for sigma, wall, form in _wall_forms(ord_fn.base, sub):
+        d = _apply(form, ord_fn.ray_values)
+        if d < 0:
+            report.convex = False
+            report.strict = False
+            report.violations.append(
+                f"convexity fails across wall {sorted(wall[0])} in cone {sorted(sigma)}: bend {d}"
+            )
+        elif d == 0:
+            report.strict = False
     return report
 
 
@@ -239,10 +248,10 @@ def _merged_domains(ord_fn: OrderFunction) -> Complex:
             parent[max(ra, rb, key=sorted)] = min(ra, rb, key=sorted)
 
     all_pieces = []
-    for sigma, pieces in _pieces_by_base_cone(ord_fn):
+    for sigma, pieces in _pieces_by_base_cone(ord_fn.base, sub):
         all_pieces.extend(pieces)
         for wall in _interior_walls(sub, pieces):
-            if _bend(ord_fn, wall) == 0:
+            if _apply(_bend_form(sub, wall), ord_fn.ray_values) == 0:
                 union(wall[1], wall[3])
 
     groups: dict[frozenset, list] = {}
@@ -251,6 +260,9 @@ def _merged_domains(ord_fn: OrderFunction) -> Complex:
 
     merged = []
     for comp in groups.values():
+        if len(comp) == 1:
+            merged.append(sorted(comp[0]))  # one simplicial piece: linear, every ray extreme
+            continue
         ray_ids = sorted(set().union(*comp))
         gens = {i: sub.rays[i] for i in ray_ids}
         extreme = []
@@ -279,18 +291,21 @@ def _centered_subdivision(cx: Complex, centers_with_hosts) -> Complex:
 
 
 def _centered_value_forms(cx: Complex, sub: Complex, centers_with_hosts):
-    """The value rule of a centered subdivision as forms in (scale, dip).
+    """The value rule of a centered subdivision as forms in (scale, dip),
+    and the coordinate sum of every center in its host.
 
     Ray i is valued scale * q_i - dip * e_i: an old ray has (q, e) = (1, 0);
     a new center ray has q = its coordinate sum in its minimal host and e = 1.
     """
     forms = [(1, 0)] * len(cx.rays) + [None] * (len(sub.rays) - len(cx.rays))
+    coord_sums = []
     for center, host in centers_with_hosts:
+        q = sum(solve_in_basis(cx.generators(host), center))
+        coord_sums.append(q)
         rid = sub.rays.index(center)
-        if rid < len(cx.rays):
-            continue  # center was already a ray; nothing new to value
-        forms[rid] = (sum(solve_in_basis(cx.generators(host), center)), 1)
-    return forms
+        if rid >= len(cx.rays):  # a center that was already a ray is not valued anew
+            forms[rid] = (q, 1)
+    return forms, coord_sums
 
 
 def _place_values(cx: Complex, sub: Complex, forms, scale: int, dip: int):
@@ -316,8 +331,26 @@ def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: in
     when some value fails to be a positive integer.
     """
     sub = _centered_subdivision(cx, centers_with_hosts)
-    forms = _centered_value_forms(cx, sub, centers_with_hosts)
+    forms, _ = _centered_value_forms(cx, sub, centers_with_hosts)
     return _place_values(cx, sub, forms, scale, dip)
+
+
+def _affine_conditions(sub: Complex, lin, walls):
+    """The order-function axioms for values affine in two integers (k, t).
+
+    Ray i is valued k * lin[i][0] - t * lin[i][1].  Returns (rows, bends):
+    integrality on every maximal cone is d | k * a - t * b for each SNF row
+    (a, b, d), with a and b reduced mod d, and the bend across each given
+    wall is k * alpha - t * beta for its (alpha, beta).
+    """
+    ks, ts = [k for k, _ in lin], [t for _, t in lin]
+    rows = []
+    for c in sub.maximal_cones:
+        for u, d in integrality_congruences(sub.generators(c)) if c else ():
+            row = dict(zip(sorted(c), u))
+            rows.append((_apply(row, ks) % d, _apply(row, ts) % d, d))
+    forms = [_bend_form(sub, wall) for wall in walls]
+    return rows, [(_apply(form, ks), _apply(form, ts)) for form in forms]
 
 
 def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: int):
@@ -325,49 +358,40 @@ def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: in
 
     Scales run over multiples of L, the common denominator of the center
     coordinate sums, so scale = L * k makes every value k * a_i - dip * e_i
-    with integer a_i = L * q_i.  A linear form in the values is then a pair
-    (k-coefficient, dip-coefficient):
+    with integer a_i = L * q_i, and `_affine_conditions` gives the axioms:
 
-    - integrality on a piece gives d | k * a - dip * b per SNF row, which
-      is solvable in dip only when gcd(b, d) | k * a; that restricts the
-      scale to a multiple of a fixed step (for a row with b = 0 mod d, as
-      on every piece without a new ray, it is the whole condition);
+    - an SNF row d | k * a - dip * b is solvable in dip only when
+      gcd(b, d) | k * a; that restricts the scale to a multiple of a fixed
+      step (for a row with b = 0 mod d, as on every piece without a new
+      ray, it is the whole condition);
     - each wall bend k * alpha - dip * beta > 0 bounds dip / k from one
       side, as does 1 <= dip < scale * min(q) (positive values).
     """
     L = math.lcm(*[q.denominator for q in coord_sums])
     lin = [(int(L * q), e) for q, e in forms]
+    walls = [
+        wall
+        for sigma in cx.maximal_cones
+        if sigma not in sub.cones  # an untouched cone is a single piece without walls
+        for wall in _interior_walls(sub, _host_pieces(cx, sub, sigma))
+    ]
+    rows, bends = _affine_conditions(sub, lin, walls)
 
     step = L  # every admissible scale is a multiple of step
-    rows = set()  # (a, b, d) with b != 0 mod d: d | k * a - dip * b
-    for c in sub.maximal_cones:
-        if not c:
-            continue
-        ids = sorted(c)
-        for u, d in integrality_congruences(sub.generators(c)):
-            a = sum(x * lin[i][0] for x, i in zip(u, ids)) % d
-            b = sum(x * lin[i][1] for x, i in zip(u, ids)) % d
-            g = math.gcd(b, d)  # solvable in dip iff g | k * a
-            step = math.lcm(step, L * (g // math.gcd(g, a)))
-            if b:
-                rows.add((a, b, d))
-    rows = sorted(rows)
+    for a, b, d in rows:
+        g = math.gcd(b, d)  # solvable in dip iff g | k * a
+        step = math.lcm(step, L * (g // math.gcd(g, a)))
+    rows = sorted({row for row in rows if row[1]})
 
     # open bounds lo < dip / k < hi
     lo, hi = Fraction(0), L * min(coord_sums)
-    for sigma in cx.maximal_cones:
-        if sigma in sub.cones:
-            continue  # an untouched cone is a single piece without walls
-        for wall in _interior_walls(sub, _host_pieces(cx, sub, sigma)):
-            form = _bend_form(sub, wall).items()
-            alpha = sum((x * lin[i][0] for i, x in form), Fraction(0))
-            beta = sum((x * lin[i][1] for i, x in form), Fraction(0))
-            if beta > 0:
-                hi = min(hi, alpha / beta)
-            elif beta < 0:
-                lo = max(lo, alpha / beta)
-            elif alpha <= 0:
-                hi = lo  # no dip bends this wall: leave no room for dip / k
+    for alpha, beta in bends:
+        if beta > 0:
+            hi = min(hi, alpha / beta)
+        elif beta < 0:
+            lo = max(lo, alpha / beta)
+        elif alpha <= 0:
+            hi = lo  # no dip bends this wall: leave no room for dip / k
     if lo < hi:
         for scale in range(step, scale_cap + 1, step):
             k = scale // L
@@ -392,12 +416,8 @@ def search_centered_order_function(cx: Complex, centers_with_hosts, scale_cap: i
     if not centers_with_hosts:
         trivial = centered_order_function(cx, [], 1, 1)
         return trivial, 1, 1
-    coord_sums = [
-        sum(solve_in_basis(cx.generators(host), center))
-        for center, host in centers_with_hosts
-    ]
     sub = _centered_subdivision(cx, centers_with_hosts)
-    forms = _centered_value_forms(cx, sub, centers_with_hosts)
+    forms, coord_sums = _centered_value_forms(cx, sub, centers_with_hosts)
     scale, dip = _solve_scale_dip(cx, sub, forms, coord_sums, scale_cap)
     winner = _place_values(cx, sub, forms, scale, dip)
     rep = verify_order_axioms(winner, check_subdivision=False)
@@ -438,12 +458,8 @@ def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
 
 
 def compose_order_functions(outer: OrderFunction, inner: OrderFunction) -> OrderFunction:
-    """Chain two order functions into one on the composite subdivision.
-
-    New values are M * outer(ray) + inner(ray) for the smallest verified
-    multiplier M in the doubling sequence d, 2d, 4d, ... where d clears
-    the denominators of the outer evaluations at the new rays.
-    """
+    """Chain two verified strict order functions into one on the composite
+    subdivision: the fold m * outer + inner, with m chosen by `fold`."""
     composite, _ = compose_with_multiplier(outer, inner)
     return composite
 
@@ -464,9 +480,12 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
 
     Its values are integers exactly when m is a multiple of d, the common
     denominator of outer at inner's rays; for any other given m the
-    function is None.  Without m, m is the first of d, 2d, 4d, ... whose
-    fold passes the axiom check with strict bends (outer and inner are
-    taken as verified).
+    function is None.  Without m, outer and inner must be verified
+    integral, positive and strictly convex; then the fold is integral and
+    positive for every such m, and its bend across each wall is
+    m * B_outer + B_inner, the wall's bend form at outer's and at inner's
+    values.  m is the first of d, 2d, 4d, ... that makes every bend
+    positive, so nothing is verified again.
     """
     sub = inner.subdivision
     evals = [evaluate(outer, g) for g in sub.rays]
@@ -478,12 +497,14 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
 
     if m is not None:
         return (at(m) if m % d == 0 else None), m
+    bends = [
+        (_apply(form, evals), _apply(form, inner.ray_values))
+        for _, _, form in _wall_forms(outer.base, sub)
+    ]
     m = d
     while m <= COMPOSITION_CAP:
-        cand = at(m)
-        rep = verify_order_axioms(cand, check_subdivision=False)
-        if rep.ok and rep.strict and rep.positive:
-            return cand, m
+        if all(m * b_outer + b_inner > 0 for b_outer, b_inner in bends):
+            return at(m), m
         m *= 2
     raise ValueError(
         f"composition cap exceeded: no strict multiplier m <= composition_cap={COMPOSITION_CAP}"

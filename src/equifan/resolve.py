@@ -38,18 +38,21 @@ from .groups import (
     verify_action,
 )
 from .lattice import (
+    _eliminate,
     cone_index,
     mat_vec,
     parallelepiped_points,
     primitive,
     rational_nullspace,
-    solve_in_basis,
     transpose,
 )
 from .orderfun import (
     OrderFunction,
+    _affine_conditions,
     _host_pieces,
+    _interior_walls,
     _merged_domains,
+    _pieces_by_base_cone,
     fold,
     search_centered_order_function,
     verify_order_axioms,
@@ -57,12 +60,6 @@ from .orderfun import (
 from .subdivide import _barycentric_cascade, barycentric_subdivision
 
 ROUND_CAP = 10_000
-# brute-force bounds of the direct barycentric construction: base-value
-# coefficients in [-BASE_VALUE_CAP, BASE_VALUE_CAP], dips a < DIP_CAP and
-# SCALE_STEPS scales L per dip
-BASE_VALUE_CAP = 5
-DIP_CAP = 64
-SCALE_STEPS = 64
 
 
 def total_index(cx: Complex) -> int:
@@ -81,14 +78,6 @@ def max_index(cx: Complex) -> int:
 
 # ---------------------------------------------------------------------------
 # canonical frames
-
-
-def canonical_coordinates(w, ordered_gens):
-    """Coordinates of w in an ordered simplicial generator frame."""
-    coeffs = solve_in_basis(tuple(tuple(g) for g in ordered_gens), tuple(w))
-    if coeffs is None or any(c < 0 for c in coeffs):
-        raise ValueError("point outside host cone")
-    return coeffs
 
 
 def initial_frames_plain(cx: Complex) -> dict:
@@ -267,34 +256,91 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
 # direct barycentric order function (non-simplicial inputs)
 
 
+def _pivot(tab, basis, i, j):
+    """Make column j basic in row i of a simplex tableau."""
+    tab[i] = [x / tab[i][j] for x in tab[i]]
+    for k, row in enumerate(tab):
+        if k != i and row[j]:
+            tab[k] = [x - row[j] * y for x, y in zip(row, tab[i])]
+    basis[i] = j
+
+
+def _simplex(tab, basis, ncols: int, costed):
+    """Minimize the sum of the variables in `costed` over a feasible tableau
+    (columns, then the right-hand side) by Bland's rule, entering only
+    columns < ncols: the lowest column of negative reduced cost enters and
+    the lowest basic variable among the tied ratios leaves, so no basis
+    repeats.  Both sums minimized here are bounded below by 0."""
+    while True:
+        costed_rows = [row for b, row in zip(basis, tab) if b in costed]
+        j = next((j for j in range(ncols) if (j in costed) < sum(r[j] for r in costed_rows)), None)
+        if j is None:
+            return
+        _, _, i = min((row[-1] / row[j], basis[i], i) for i, row in enumerate(tab) if row[j] > 0)
+        _pivot(tab, basis, i, j)
+
+
+def _least_sum_point(relations, n: int):
+    """The rational y >= 1 with relations . y = 0 of least coordinate sum.
+
+    With y = 1 + z it is the least sum(z) over z >= 0 with
+    relations . z = -relations . 1, found by the two-phase simplex method
+    on Fractions.  All-ones is the unique such point whenever it is
+    feasible.
+    """
+    rows = [[Fraction(c) for c in r] for r in relations]
+    rows = rows[: len(_eliminate(rows, n))]  # independent rows
+    m = len(rows)
+    tab = []
+    for i, r in enumerate(rows):
+        sign = 1 if sum(r) <= 0 else -1  # keep the right-hand side >= 0
+        tab.append([sign * x for x in r] + [Fraction(int(i == k)) for k in range(m)] + [-sign * sum(r)])
+    basis = list(range(n, n + m))
+    _simplex(tab, basis, n + m, range(n, n + m))  # phase 1: drive the artificials to 0
+    if any(row[-1] for b, row in zip(basis, tab) if b >= n):
+        raise ValueError("no positive ray values are linear on every cone")
+    for i, b in enumerate(basis):
+        if b >= n:  # a degenerate artificial; independent rows leave a pivot
+            _pivot(tab, basis, i, next(j for j in range(n) if tab[i][j]))
+    _simplex(tab, basis, n, range(n))  # phase 2; the artificials stay at 0
+    y = [Fraction(1)] * n
+    for b, row in zip(basis, tab):
+        y[b] += row[-1]
+    return y
+
+
 def _consistent_base_values(cx: Complex):
-    """Positive integer ray values extending linearly over every cone."""
+    """Positive integer ray values extending linearly over every cone: the
+    least-sum rational point y >= 1 that does, scaled to integers."""
     nrays = len(cx.rays)
-    constraints = []
+    relations = []
     for c in cx.maximal_cones:
         ids = sorted(c)
-        gens = cx.generators(c)
         if len(ids) == cx.dim(c):
             continue
-        for z in rational_nullspace(transpose(gens), n=len(ids)):
+        for z in rational_nullspace(transpose(cx.generators(c)), n=len(ids)):
             row = [0] * nrays
             for zi, rid in zip(z, ids):
                 row[rid] = zi
-            constraints.append(tuple(row))
-    if not constraints:
-        return tuple(1 for _ in range(nrays))
-    basis = rational_nullspace(constraints, n=nrays)
-    from itertools import product as iproduct
+            relations.append(row)
+    y = _least_sum_point(relations, nrays)
+    scale = math.lcm(*[v.denominator for v in y])
+    return tuple(int(v * scale) for v in y)
 
-    for bound in range(1, BASE_VALUE_CAP + 1):
-        for combo in iproduct(range(-bound, bound + 1), repeat=len(basis)):
-            y = [sum(c * b[i] for c, b in zip(combo, basis)) for i in range(nrays)]
-            if all(v > 0 for v in y):
-                return tuple(y)
-    raise ValueError(
-        "no positive per-cone-linear base values with basis coefficients "
-        f"bounded by base_value_cap={BASE_VALUE_CAP}"
-    )
+
+def _congruence_class(rows, a: int):
+    """(r, m) such that the k with d | k * A - a * B for every row (A, B, d)
+    are exactly those with k = r mod m, or None when there is no such k."""
+    r, m = 0, 1
+    for A, B, d in rows:
+        # k = r + m * j: solve j * m * A = a * B - r * A (mod d)
+        g = math.gcd(m * A, d)
+        rhs = a * B - r * A
+        if rhs % g:
+            return None
+        j = rhs // g * pow(m * A // g, -1, d // g)
+        r, m = (r + m * j) % (m * d // g), m * d // g
+    return r, m
 
 
 def direct_barycentric_order_function(cx: Complex, bcx: Complex):
@@ -302,43 +348,46 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
 
     Used when the input has non-simplicial cones, where the cascade of
     centered order functions is not representable.  Values take the form
-    L * base(ray) - a * (2^dim - 1) with (L, a) searched until the axiom
-    check passes with strict bends.
+    L * base(ray) - a * (2^dim - 1), where base is linear on every cone of
+    cx.  Every wall of B(cx) lies in one such cone, so its bend is a times
+    a constant: strictness holds for every (L, a) or for none.  Positivity
+    bounds L from below for each a.  Integrality is a set of SNF
+    congruences in (L, a); for an admitted a the admitted L form one
+    residue class.  So the smallest a, and then the smallest L, are
+    solved, not searched, and only they are verified.
     """
     y = _consistent_base_values(cx)
-    base_val = {}
-    dim_of = {}
-    for rid, host in enumerate(_barycentric_sources(cx, bcx)):
-        # the base function is linear on the host, so its value at the
-        # barycenter is the edge-value sum divided by the primitivization
-        # factor of the generator sum
-        gens = cx.generators(host)
-        total = tuple(sum(col) for col in zip(*gens))
-        factor = math.gcd(*[abs(c) for c in total])
-        base_val[rid] = Fraction(sum(y[i] for i in host), factor)
-        dim_of[rid] = cx.dim(host)
-    denom = math.lcm(*[Fraction(v).denominator for v in base_val.values()])
-    m = max(dim_of.values())
-    for a in range(1, DIP_CAP):
-        alpha = {d: a * (2**d - 1) for d in range(1, m + 1)}
-        lmin = max(
-            (alpha[dim_of[r]] + 1) / Fraction(base_val[r]) for r in base_val
+    hosts = _barycentric_sources(cx, bcx)
+    # the base function is linear on the host, so its value at the
+    # barycenter is the edge-value sum divided by the primitivization
+    # factor of the generator sum
+    base_val = [
+        Fraction(sum(y[i] for i in h), math.gcd(*[sum(col) for col in zip(*cx.generators(h))]))
+        for h in hosts
+    ]
+    denom = math.lcm(*[v.denominator for v in base_val])
+    # with L = denom * k ray r is valued k * lin[r][0] - a * lin[r][1]
+    lin = [(int(denom * v), 2 ** cx.dim(h) - 1) for v, h in zip(base_val, hosts)]
+    walls = [w for _, pieces in _pieces_by_base_cone(cx, bcx) for w in _interior_walls(bcx, pieces)]
+    rows, bends = _affine_conditions(bcx, lin, walls)
+    if not all(alpha == 0 and beta < 0 for alpha, beta in bends):
+        raise ValueError("scale insufficient: a wall of the barycentric subdivision does not bend")
+    # the a admitting some k form a subgroup of Z that holds the lcm P of
+    # the moduli ((k, a) = (0, P) solves every row), so the least positive
+    # one divides P
+    period = math.lcm(*[d for _, _, d in rows])
+    a = next(a for a in range(1, period + 1) if period % a == 0 and _congruence_class(rows, a))
+    r, m = _congruence_class(rows, a)
+    kmin = math.ceil(max((a * c + 1) / v for v, (_, c) in zip(base_val, lin)) / denom)
+    k = kmin + (r - kmin) % m
+    winner = OrderFunction(cx, bcx, [k * ka - a * c for ka, c in lin])
+    rep = verify_order_axioms(winner, check_subdivision=False)
+    if not (rep.ok and rep.strict and rep.positive):
+        raise RuntimeError(
+            f"direct barycentric solve chose (L={denom * k}, a={a}), which fails "
+            "verification: " + "; ".join(rep.violations)
         )
-        lstart = denom * math.ceil(Fraction(lmin) / denom)
-        for l in range(lstart, lstart + SCALE_STEPS * denom, denom):
-            values = {
-                rid: int(l * base_val[rid]) - alpha[dim_of[rid]] for rid in base_val
-            }
-            if any(v <= 0 for v in values.values()):
-                continue
-            cand = OrderFunction(cx, bcx, values)
-            rep = verify_order_axioms(cand, check_subdivision=False)
-            if rep.ok and rep.strict and rep.positive:
-                return cand, l, a
-    raise ValueError(
-        f"scale insufficient: no strict (L, a) with a < dip_cap={DIP_CAP} "
-        f"within scale_steps={SCALE_STEPS} scales L per a"
-    )
+    return winner, denom * k, a
 
 
 # ---------------------------------------------------------------------------

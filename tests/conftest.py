@@ -1,5 +1,6 @@
 """Shared builders and independent oracles for the test suite."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -141,12 +142,7 @@ def random_action_pairs(rng, count, require_strict=False):
     With require_strict the stream yields only pairs whose action passes
     the strictness check; a barycentric step guarantees a steady supply.
     """
-    from equifan.groups import (
-        check_G_strict,
-        equivariant_star_subdivide,
-        generate_group,
-        verify_action,
-    )
+    from equifan.groups import check_G_strict, generate_group, verify_action
     from equifan.lattice import primitive
     from equifan.subdivide import barycentric_subdivision
 
@@ -183,7 +179,7 @@ def random_action_pairs(rng, count, require_strict=False):
                     )
                 )
                 try:
-                    cx = equivariant_star_subdivide(cx, pt, elements)
+                    cx = orbit_star_subdivide(cx, pt, elements)
                 except ValueError:
                     continue
         if not verify_action(cx, elements).ok:
@@ -192,6 +188,34 @@ def random_action_pairs(rng, count, require_strict=False):
             continue
         pairs.append((cx, elements))
     return pairs
+
+
+def point_orbit(point, elements):
+    """Orbit of a lattice point under the matrices, sorted."""
+    from equifan.lattice import mat_vec
+
+    return tuple(sorted({mat_vec(m, tuple(point)) for m in elements}))
+
+
+def simultaneous_star(cx, centers):
+    """Star subdivision at several centers, no two of which share a cone
+    (ValueError "orbit not simultaneous-safe" otherwise), in sorted order."""
+    from equifan.groups import check_simultaneous
+    from equifan.subdivide import star_subdivide
+
+    centers = sorted({tuple(int(v) for v in c) for c in centers})
+    check_simultaneous(cx, [cx.minimal_cone_containing(c) for c in centers])
+    for c in centers:
+        cx = star_subdivide(cx, c)
+    return cx
+
+
+def orbit_star_subdivide(cx, center, elements):
+    """Star subdivision at the whole orbit of a center, simultaneously."""
+    from equifan.groups import group_action
+
+    group_action(cx, elements)  # raises when the action is invalid
+    return simultaneous_star(cx, point_orbit(center, elements))
 
 
 def box_parallelepiped_points(gens):
@@ -257,6 +281,92 @@ def reference_search_centered(cx, centers_with_hosts, scale_cap=2**20, max_candi
             if rep.ok and rep.strict and rep.positive:
                 return cand, scale, dip
     raise ValueError("scale insufficient")
+
+
+def reference_fold(outer, inner, cap=2**20):
+    """Brute-force oracle for fold's multiplier: each of d, 2d, 4d, ... is
+    folded and fully verified until one passes with strict bends."""
+    from equifan.orderfun import OrderFunction, evaluate, verify_order_axioms
+
+    sub = inner.subdivision
+    evals = [evaluate(outer, g) for g in sub.rays]
+    m = math.lcm(*[e.denominator for e in evals])
+    while m <= cap:
+        values = [int(m * e) + v for e, v in zip(evals, inner.ray_values)]
+        cand = OrderFunction(outer.base, sub, values)
+        rep = verify_order_axioms(cand, check_subdivision=False)
+        if rep.ok and rep.strict and rep.positive:
+            return cand, m
+        m *= 2
+    raise ValueError("composition cap exceeded")
+
+
+def _cone_relations(cx):
+    """Linear relations among the rays of each non-simplicial maximal cone,
+    as rows over all ray ids."""
+    from equifan.lattice import rational_nullspace, transpose
+
+    rows = []
+    for c in cx.maximal_cones:
+        ids = sorted(c)
+        if len(ids) == cx.dim(c):
+            continue
+        for z in rational_nullspace(transpose(cx.generators(c)), n=len(ids)):
+            row = [0] * len(cx.rays)
+            for zi, rid in zip(z, ids):
+                row[rid] = zi
+            rows.append(tuple(row))
+    return rows
+
+
+def reference_base_values(cx, bound_cap=5):
+    """Brute-force oracle for the direct construction's base values: the
+    first positive vector of the space linear on every cone, trying basis
+    coefficients in [-b, b] for b = 1..bound_cap."""
+    from equifan.lattice import rational_nullspace
+
+    nrays = len(cx.rays)
+    relations = _cone_relations(cx)
+    if not relations:
+        return tuple(1 for _ in range(nrays))
+    basis = rational_nullspace(relations, n=nrays)
+    for bound in range(1, bound_cap + 1):
+        for combo in product(range(-bound, bound + 1), repeat=len(basis)):
+            y = [sum(c * b[i] for c, b in zip(combo, basis)) for i in range(nrays)]
+            if all(v > 0 for v in y):
+                return tuple(y)
+    raise ReferenceBudgetExceeded(f"no positive base values with coefficients <= {bound_cap}")
+
+
+def reference_direct_barycentric(cx, bcx, y, dip_cap=64, scale_steps=64, max_candidates=None):
+    """Brute-force oracle for direct_barycentric_order_function on base
+    values y: for a = 1, 2, ... < dip_cap, the scale_steps admissible scales
+    L from the least positive one are each built and fully verified; the
+    first to pass with strict bends wins.  A scan that would verify more
+    than max_candidates candidates raises ReferenceBudgetExceeded."""
+    from equifan.orderfun import OrderFunction, verify_order_axioms
+    from equifan.resolve import _barycentric_sources
+
+    base_val, dims = [], []
+    for host in _barycentric_sources(cx, bcx):
+        total = tuple(sum(col) for col in zip(*cx.generators(host)))
+        base_val.append(Fraction(sum(y[i] for i in host), math.gcd(*map(abs, total))))
+        dims.append(cx.dim(host))
+    denom = math.lcm(*[v.denominator for v in base_val])
+    tried = 0
+    for a in range(1, dip_cap):
+        lmin = max((a * (2**dim - 1) + 1) / v for v, dim in zip(base_val, dims))
+        lstart = denom * math.ceil(lmin / denom)
+        for scale in range(lstart, lstart + scale_steps * denom, denom):
+            tried += 1
+            if max_candidates is not None and tried > max_candidates:
+                raise ReferenceBudgetExceeded(f"no winner among {max_candidates} candidates")
+            values = [int(scale * v) - a * (2**dim - 1) for v, dim in zip(base_val, dims)]
+            cand = OrderFunction(cx, bcx, values)
+            rep = verify_order_axioms(cand, check_subdivision=False)
+            if rep.ok and rep.strict and rep.positive:
+                return cand, scale, a
+    raise ReferenceBudgetExceeded("no strict (L, a) in the reference window")
 
 
 def subset_faces_oracle(cx, cone):

@@ -7,7 +7,7 @@ import pytest
 
 from equifan.complexes import (
     Complex,
-    dual_description,
+    cone_dual,
     is_simplicial,
     is_smooth,
     is_subdivision,
@@ -34,16 +34,16 @@ def normalize_normals(normals):
 
 class TestDualDescription:
     def test_orthant(self):
-        dd = dual_description(((1, 0), (0, 1)), 2)
+        dd = cone_dual(((1, 0), (0, 1)), 2)
         assert dd.equations == ()
         assert normalize_normals(dd.inequalities) == {(1, 0), (0, 1)}
 
     def test_slanted(self):
-        dd = dual_description(((1, 0), (1, 2)), 2)
+        dd = cone_dual(((1, 0), (1, 2)), 2)
         assert normalize_normals(dd.inequalities) == {(0, 1), (2, -1)}
 
     def test_single_ray_rank3(self):
-        dd = dual_description(((1, 0, 0),), 3)
+        dd = cone_dual(((1, 0, 0),), 3)
         # span constraints y = 0, z = 0 plus the inequality x >= 0
         assert len(dd.equations) == 2
         eqs = {tuple(e) for e in dd.equations}
@@ -51,13 +51,13 @@ class TestDualDescription:
         assert normalize_normals(dd.inequalities) == {(1, 0, 0)}
 
     def test_not_pointed(self):
-        with pytest.raises(ValueError, match="not pointed"):
-            dual_description(((1, 0), (-1, 0)), 2)
-        with pytest.raises(ValueError, match="not pointed"):
-            dual_description(((1, 0), (-1, 1), (-1, -1)), 2)
+        # pointedness is a validation check, not a property of the dual
+        for rays in ([(1, 0), (-1, 0)], [(1, 0), (-1, 1), (-1, -1)]):
+            cx = Complex.from_maximal_cones(2, rays, [list(range(len(rays)))])
+            assert "is not pointed" in validate_complex(cx).violations[0]
 
     def test_membership(self):
-        dd = dual_description(((1, 0), (1, 2)), 2)
+        dd = cone_dual(((1, 0), (1, 2)), 2)
         assert dd.contains((1, 1))
         assert dd.contains((1, 0))
         assert not dd.contains((0, -1))

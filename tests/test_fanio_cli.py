@@ -413,3 +413,13 @@ class TestCli:
         monkeypatch.setenv("EQUIFAN_GROUP_CAP", "3")
         assert run_cli("orbits", str(src)) == 1
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_group_cap_env_names_itself(self, raw, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "in.fan"
+        src.write_text(write_fan(fan_from_complex(orthant(3), [CYC3])))
+        monkeypatch.setenv("EQUIFAN_GROUP_CAP", raw)
+        assert run_cli("orbits", str(src)) == 1
+        assert capsys.readouterr().err == (
+            f"error: EQUIFAN_GROUP_CAP must be a positive integer, got {raw!r}\n"
+        )

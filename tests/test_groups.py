@@ -5,22 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from equifan.complexes import Complex, same_complex
+from equifan.complexes import Complex, is_subdivision, same_complex
 from equifan.groups import (
     check_G_strict,
     check_fixed_cone_identity,
-    equivariant_star_subdivide,
     generate_group,
-    invariant_order_function,
-    is_equivariant_subdivision,
-    orbit_of_point,
+    group_action,
     quotient_structure,
-    simultaneous_star_subdivide,
     trivial_group,
     verify_action,
 )
 from equifan.lattice import mat_vec
-from equifan.orderfun import evaluate, verify_order_axioms
+from equifan.orderfun import OrderFunction, evaluate, verify_order_axioms
 from equifan.subdivide import barycentric_subdivision, star_subdivide
 
 from conftest import (
@@ -28,10 +24,18 @@ from conftest import (
     SWAP2,
     SWAP3_01,
     complete_2d_fan,
+    orbit_star_subdivide,
     orthant,
+    point_orbit,
     random_action_pairs,
+    simultaneous_star,
     singular_cone_2d,
 )
+
+
+def is_equivariant_subdivision(fine, coarse, elements):
+    """`fine` subdivides `coarse` and the group permutes its cones."""
+    return bool(is_subdivision(fine, coarse)) and verify_action(fine, elements).ok
 
 
 class TestGenerateGroup:
@@ -134,7 +138,7 @@ class TestEquivariantStar:
     def test_orbit_of_two(self, orthant2):
         g = generate_group([SWAP2])
         st = star_subdivide(orthant2, (1, 1))
-        out = equivariant_star_subdivide(st, (2, 1), g)
+        out = orbit_star_subdivide(st, (2, 1), g)
         assert (2, 1) in out.rays and (1, 2) in out.rays
         assert is_equivariant_subdivision(out, orthant2, g)
         # group maps the new cone set to itself
@@ -142,14 +146,14 @@ class TestEquivariantStar:
 
     def test_fixed_center(self, orthant2):
         g = generate_group([SWAP2])
-        out = equivariant_star_subdivide(orthant2, (1, 1), g)
+        out = orbit_star_subdivide(orthant2, (1, 1), g)
         assert len(out.maximal_cones) == 2
 
     def test_orbit_collision_rejected(self, orthant2):
         g = generate_group([SWAP2])
         # (2,1) and (1,2) both lie in the undivided orthant
         with pytest.raises(ValueError, match="orbit not simultaneous-safe"):
-            equivariant_star_subdivide(orthant2, (2, 1), g)
+            orbit_star_subdivide(orthant2, (2, 1), g)
 
     def test_orbit_sizes_divide_group_order(self, orthant3):
         from equifan.groups import group_action
@@ -199,43 +203,33 @@ class TestQuotient:
 
 
 class TestInvariantOrderFunction:
+    """Values constant on the ray orbits of an equivariant subdivision."""
+
     def test_swap_extension(self, orthant2):
         st = star_subdivide(orthant2, (1, 1))
         g = generate_group([SWAP2])
-        f = invariant_order_function(orthant2, st, g, {0: 2, 2: 3})
-        assert f.ray_values == (2, 2, 3)
+        assert group_action(st, g).ray_orbits() == ((0, 1), (2,))
+        f = OrderFunction(orthant2, st, (2, 2, 3))
+        rep = verify_order_axioms(f)
+        assert rep.ok and rep.strict and rep.positive
+        assert evaluate(f, (3, 1)) == evaluate(f, (1, 3))
 
     def test_trivial_group_identity_extension(self, orthant2):
-        f = invariant_order_function(orthant2, orthant2, trivial_group(2), {0: 5, 1: 7})
-        assert f.ray_values == (5, 7)
-
-    def test_missing_representative(self, orthant2):
-        st = star_subdivide(orthant2, (1, 1))
-        with pytest.raises(ValueError, match="missing representative"):
-            invariant_order_function(orthant2, st, generate_group([SWAP2]), {0: 2})
-
-    def test_inconsistent_values(self, orthant2):
-        st = star_subdivide(orthant2, (1, 1))
-        with pytest.raises(ValueError, match="inconsistent"):
-            invariant_order_function(
-                orthant2, st, generate_group([SWAP2]), {0: 2, 1: 3, 2: 3}
-            )
+        assert group_action(orthant2, trivial_group(2)).ray_orbits() == ((0,), (1,))
+        f = OrderFunction(orthant2, orthant2, (5, 7))
+        assert verify_order_axioms(f).ok
 
     def test_cycle_on_barycentric_verifies(self, orthant3):
         b = barycentric_subdivision(orthant3)
         g = generate_group([CYC3])
-        # representatives: one ray per orbit (e1; the edge and face barycenters)
-        from equifan.groups import group_action
-
+        # one value per orbit (e_i; the edge and face barycenters)
         action = group_action(b, g)
-        rep_values = {}
+        values = [0] * len(b.rays)
         for orbit in action.ray_orbits():
-            rid = orbit[0]
-            used = {i for c in b.cones for i in c}
-            assert rid in used
-            ones = sum(1 for v in b.rays[rid] if v != 0)
-            rep_values[rid] = {1: 4, 2: 7, 3: 9}[ones]
-        f = invariant_order_function(orthant3, b, g, rep_values)
+            for rid in orbit:
+                ones = sum(1 for v in b.rays[rid] if v != 0)
+                values[rid] = {1: 4, 2: 7, 3: 9}[ones]
+        f = OrderFunction(orthant3, b, values)
         rep = verify_order_axioms(f)
         assert rep.ok and rep.positive
         # invariance under evaluation at random support points
@@ -252,13 +246,13 @@ class TestInvariantOrderFunction:
 class TestSimultaneousStar:
     def test_disjoint_centers(self, orthant2):
         st = star_subdivide(orthant2, (1, 1))
-        out = simultaneous_star_subdivide(st, [(2, 1), (1, 2)])
+        out = simultaneous_star(st, [(2, 1), (1, 2)])
         assert (2, 1) in out.rays and (1, 2) in out.rays
 
     def test_shared_cone_rejected(self, orthant2):
         with pytest.raises(ValueError, match="orbit not simultaneous-safe"):
-            simultaneous_star_subdivide(orthant2, [(2, 1), (1, 2)])
+            simultaneous_star(orthant2, [(2, 1), (1, 2)])
 
     def test_orbit_helper(self):
         g = generate_group([SWAP2])
-        assert orbit_of_point((2, 1), g) == ((1, 2), (2, 1))
+        assert point_orbit((2, 1), g) == ((1, 2), (2, 1))

@@ -6,10 +6,9 @@ import pytest
 
 from equifan.complexes import Complex, is_smooth, is_subdivision, same_complex
 from equifan.groups import generate_group, trivial_group
-from equifan.lattice import cone_index, det, primitive
+from equifan.lattice import cone_index, det, primitive, solve_in_basis
 from equifan.orderfun import evaluate, linearity_domains, verify_order_axioms
 from equifan.resolve import (
-    canonical_coordinates,
     initial_frames_barycentric,
     initial_frames_plain,
     max_index,
@@ -23,21 +22,22 @@ from conftest import CYC3, SWAP2, orthant, singular_cone_2d, square_cone
 
 
 class TestCanonicalCoordinates:
+    """Coordinates of a point in an ordered simplicial frame."""
+
     def test_generator_position(self, orthant2):
-        assert canonical_coordinates((1, 0), [(1, 0), (1, 1)]) == (1, 0)
+        assert solve_in_basis(((1, 0), (1, 1)), (1, 0)) == (1, 0)
 
     def test_basis_expansion(self):
         # w = 1*e1 + 2*(1,1) in the frame [e1, (1,1)]
-        assert canonical_coordinates((3, 2), [(1, 0), (1, 1)]) == (1, 2)
+        assert solve_in_basis(((1, 0), (1, 1)), (3, 2)) == (1, 2)
 
     def test_parallelepiped_point(self):
-        coords = canonical_coordinates((1, 1), [(1, 0), (1, 2)])
+        coords = solve_in_basis(((1, 0), (1, 2)), (1, 1))
         assert coords == (Fraction(1, 2), Fraction(1, 2))
         assert all(0 <= c < 1 for c in coords)
 
     def test_outside_host(self):
-        with pytest.raises(ValueError, match="outside host"):
-            canonical_coordinates((-1, 0), [(1, 0), (1, 1)])
+        assert any(c < 0 for c in solve_in_basis(((1, 0), (1, 1)), (-1, 0)))
 
 
 def frames_coherent(frames: dict) -> bool:
@@ -221,22 +221,6 @@ class TestResolveCanonical:
         assert cert.stages[0].kind == "barycentric-direct"
         assert len(cert.final.maximal_cones) == 8
 
-    @pytest.mark.parametrize(
-        "cap, match",
-        [
-            ("BASE_VALUE_CAP", r"^no positive per-cone-linear base values .*base_value_cap=0$"),
-            ("DIP_CAP", r"^scale insufficient: .*dip_cap=0 "),
-            ("SCALE_STEPS", r"^scale insufficient: .*scale_steps=0 "),
-        ],
-    )
-    def test_direct_barycentric_caps_name_themselves(self, cap, match, monkeypatch):
-        import equifan.resolve as resolve
-
-        sq = square_cone()
-        monkeypatch.setattr(resolve, cap, 0)
-        with pytest.raises(ValueError, match=match):
-            resolve.direct_barycentric_order_function(sq, barycentric_subdivision(sq))
-
     def test_singular_3d_with_cycle(self):
         cx = Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
                                         [[0, 1, 3], [1, 2, 3], [0, 2, 3]])
@@ -363,8 +347,9 @@ class TestCertificateContents:
 
 
 # certificates of the 2D cone (1,0),(1,8) in plain mode, of the orthant-3
-# barycentric cascade, and of two swap-related index-4 cones under the swap
-# (a canonical run through the loop with a group), printed as JSON
+# barycentric cascade, of two swap-related index-4 cones under the swap
+# (a canonical run through the loop with a group) and of the square cone
+# (the direct barycentric stage), printed as JSON
 CERTIFICATE_SCRIPT = """
 import json, sys
 from equifan.complexes import Complex
@@ -378,6 +363,11 @@ cases = [
     (
         Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]]),
         (((0, 1), (1, 0)),),
+        "canonical",
+    ),
+    (
+        Complex.from_maximal_cones(3, [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)], [[0, 1, 2, 3]]),
+        (),
         "canonical",
     ),
 ]
