@@ -139,7 +139,7 @@ def cmd_verify(args) -> int:
 
 def cmd_orbits(args) -> int:
     fan = _load_fan(args.fan)
-    cx = fan.to_complex()
+    cx = require_valid(fan.to_complex())
     elements = _elements(fan)
     action = group_action(cx, elements)
     print(f"group order {len(elements)}")

@@ -179,7 +179,7 @@ def write_fan(fan: FanFile) -> str:
 
 
 def fan_from_complex(cx: Complex, group_generators=()) -> FanFile:
-    maximal = tuple(tuple(sorted(c)) for c in cx.maximal_cones)
+    maximal = tuple(tuple(sorted(c)) for c in cx.maximal_cones if c)  # no line for the zero cone
     return FanFile(cx.ambient_rank, cx.rays, maximal, tuple(group_generators))
 
 
@@ -238,7 +238,7 @@ def write_certificate(cert, input_fan: FanFile) -> str:
     out.append(f"final-rays {len(cert.final.rays)}")
     for r in cert.final.rays:
         out.append(" ".join(str(c) for c in r))
-    final_cones = sorted(tuple(sorted(c)) for c in cert.final.maximal_cones)
+    final_cones = sorted(fan_from_complex(cert.final).cones)
     out.append(f"final-cones {len(final_cones)}")
     for c in final_cones:
         out.append(" ".join(str(i) for i in c))
@@ -550,9 +550,8 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
 
     # final complex must match the replayed one exactly
     cur, composite_ord = replay.cur, replay.final_composite()
-    if tuple(cur.rays) != cert.final_rays or sorted(
-        tuple(sorted(c)) for c in cur.maximal_cones
-    ) != sorted(cert.final_cones):
+    final_cones = sorted(fan_from_complex(cur).cones)
+    if tuple(cur.rays) != cert.final_rays or final_cones != sorted(cert.final_cones):
         return ["final complex mismatch"]
     if composite_ord.ray_values != cert.composite:
         return ["composite order function mismatch"]

@@ -1,8 +1,8 @@
 """Exact integer lattice arithmetic.
 
-Everything here works over arbitrary-precision integers and exact
-rationals; there is no floating point anywhere.  Vectors are tuples of
-ints, matrices are tuples of row tuples.
+Everything here works over arbitrary-precision integers, eliminating
+with one fraction-free loop; there is no floating point anywhere.
+Vectors are tuples of ints, matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -48,28 +48,12 @@ def mat_mul(a, b) -> Mat:
 
 
 def det(m) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [list(r) for r in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a square integer matrix."""
+    rows = [list(r) for r in m]
+    pivots, sign = _eliminate(rows, len(rows))
+    if len(pivots) < len(rows):
+        return 0
+    return sign * rows[-1][-1] if rows else 1
 
 
 def is_unimodular(m) -> bool:
@@ -82,12 +66,17 @@ def is_unimodular(m) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rational Gaussian elimination helpers
+# fraction-free elimination
 
 def _eliminate(rows, ncols):
-    """Gauss-Jordan elimination of Fraction rows in place, over the first
-    ncols columns; returns the pivot columns, pivot j sitting in row j."""
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows in
+    place, over the first ncols columns: every other row is multiplied by
+    the pivot and divided exactly by the previous one, so at the end every
+    pivot entry is one integer D and rows / D is the reduced row echelon
+    form.  Returns the pivot columns (pivot j in row j) and the sign of
+    the row permutation."""
     pivots = []
+    sign = prev = 1
     for col in range(ncols):
         r = len(pivots)
         if r == len(rows):
@@ -96,36 +85,40 @@ def _eliminate(rows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        sign *= -1 if piv != r else 1
+        top, p = rows[r], rows[r][col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(col)
-    return pivots
+    return pivots, sign
 
 
 def rank(vectors) -> int:
-    """Rank over Q of a list of integer (or rational) vectors."""
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    return len(_eliminate(rows, len(rows[0]) if rows else 0))
+    """Rank over Q of a list of integer vectors."""
+    rows = [list(v) for v in vectors]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def solve_in_basis(gens, x):
     """Solve x = sum c_i * gens_i exactly.
 
-    Returns the tuple of Fraction coefficients, or None when x is not in
-    the linear span of gens.  gens must be linearly independent.
+    Returns the tuple of Fraction coefficients, or None when x (integer
+    or rational) is not in the span of gens, which must be independent.
     """
     k = len(gens)
-    # augmented system: columns are the generators, rhs is x
-    rows = [[Fraction(g[j]) for g in gens] + [Fraction(xj)] for j, xj in enumerate(x)]
-    pivots = _eliminate(rows, k)
+    den = math.lcm(*[c.denominator for c in x])
+    # augmented system: columns are the generators, rhs is den * x
+    rows = [[g[j] for g in gens] + [int(xj * den)] for j, xj in enumerate(x)]
+    pivots, _ = _eliminate(rows, k)
     if len(pivots) < k:
         raise ValueError("not simplicial")  # dependent generators
     # inconsistent rows mean x is outside the span
     if any(row[k] != 0 for row in rows[k:]):
         return None
-    return tuple(rows[j][k] / rows[j][j] for j in range(k))
+    return tuple(Fraction(rows[j][k], rows[j][j] * den) for j in range(k))
 
 
 def rational_nullspace(vectors, n=None):
@@ -133,17 +126,16 @@ def rational_nullspace(vectors, n=None):
     if not vectors and n is None:
         raise ValueError("ambient dimension required for empty input")
     ncols = n if n is not None else len(vectors[0])
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    pivots = _eliminate(rows, ncols)
+    rows = [list(v) for v in vectors]
+    pivots, _ = _eliminate(rows, ncols)
+    D = rows[0][pivots[0]] if pivots else 1
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = D
         for row, col in enumerate(pivots):
-            vec[col] = -rows[row][fc] / rows[row][col]
-        denom = math.lcm(*[f.denominator for f in vec])
-        ints = [int(f * denom) for f in vec]
-        basis.append(primitive(ints))
+            vec[col] = -rows[row][fc]
+        basis.append(primitive(c if D > 0 else -c for c in vec))
     return basis
 
 

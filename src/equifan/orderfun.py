@@ -16,13 +16,13 @@ The function is convex across the wall iff D >= 0 and bends strictly
 iff D > 0.  (A centered subdivision's function dips the new ray below
 the linear extension of the host values, which makes D positive.)
 
-No parameter is found by testing candidates one by one.  Every ray
-value of a centered subdivision is affine in (scale, dip), so
-integrality (one SNF congruence per elementary divisor > 1) and strict
-convexity (one bend form per wall) are solved once per search on a
-single subdivision; only the winner is then verified in full.  The
-multiplier m of a fold m * outer + inner is read off the same bend
-forms, whose bends are affine in m.
+Integrality is decided by SNF congruences, one per elementary divisor
+> 1 of each maximal cone, without listing lattice points.  Every ray
+value of a centered subdivision is affine in (scale, dip), so these
+congruences and one bend form per wall are built once per search on a
+single subdivision; the scan over scales and dips tests only them, and
+only the winner is verified in full.  The multiplier m of a fold
+m * outer + inner is read off the same bend forms, affine in m.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from fractions import Fraction
 from .complexes import Complex, cone_contains, is_simplicial, is_subdivision, rays_in_cone
 from .lattice import (
     integrality_congruences,
-    parallelepiped_points,
     primitive,
     solve_in_basis,
 )
@@ -177,10 +176,12 @@ def _apply(form: dict, values):
 def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -> AxiomReport:
     """Check integrality and per-base-cone convexity; report strictness.
 
-    Integrality is certified at every ray and at every lattice point of
-    every maximal cone's fundamental parallelepiped: a piecewise-linear
-    function with integer values there is integral on all lattice points
-    of the support.
+    Integrality is decided by the SNF rows (u, d) of every maximal cone
+    (`integrality_congruences`): a function linear on the cone with
+    integer values v at its generators is integral at every lattice point
+    of the cone exactly when d divides u . v for every row.  A failing
+    row names the fundamental-parallelepiped point with coordinates
+    u / d mod 1, whose value is not an integer.
     """
     report = AxiomReport()
     sub = ord_fn.subdivision
@@ -194,12 +195,12 @@ def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -
         report.violations.append("non-positive ray value")
 
     for c in sub.maximal_cones:
-        if not c:
-            continue
         gens = sub.generators(c)
-        for point, coords in parallelepiped_points(gens):
-            val = sum(a * ord_fn.ray_values[i] for a, i in zip(coords, sorted(c)))
+        for u, d in integrality_congruences(gens) if c else ():
+            t = [x % d for x in u]  # the parallelepiped point with coordinates t / d
+            val = Fraction(sum(a * ord_fn.ray_values[i] for a, i in zip(t, sorted(c))), d)
             if val.denominator != 1:
+                point = tuple(sum(a * g[j] for a, g in zip(t, gens)) // d for j in range(sub.ambient_rank))
                 report.integral = False
                 report.violations.append(
                     f"integrality fails at lattice point {point}: value {val}"
@@ -478,9 +479,11 @@ def compose_with_multiplier(outer: OrderFunction, inner: OrderFunction):
 def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
     """The order function m * outer + inner on inner's subdivision, and m.
 
-    Its values are integers exactly when m is a multiple of d, the common
-    denominator of outer at inner's rays; for any other given m the
-    function is None.  Without m, outer and inner must be verified
+    Outer's value at a ray of its own subdivision is the stored value; it
+    is evaluated only at inner's other rays.  The fold's values are
+    integers exactly when m is a multiple of d, the common denominator
+    of outer at inner's rays; for any other given m the function is
+    None.  Without m, outer and inner must be verified
     integral, positive and strictly convex; then the fold is integral and
     positive for every such m, and its bend across each wall is
     m * B_outer + B_inner, the wall's bend form at outer's and at inner's
@@ -488,7 +491,8 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
     positive, so nothing is verified again.
     """
     sub = inner.subdivision
-    evals = [evaluate(outer, g) for g in sub.rays]
+    stored = dict(zip(outer.subdivision.rays, outer.ray_values))
+    evals = [stored[g] if g in stored else evaluate(outer, g) for g in sub.rays]
     d = math.lcm(*[e.denominator for e in evals])
 
     def at(m):

@@ -288,8 +288,9 @@ def _least_sum_point(relations, n: int):
     on Fractions.  All-ones is the unique such point whenever it is
     feasible.
     """
-    rows = [[Fraction(c) for c in r] for r in relations]
-    rows = rows[: len(_eliminate(rows, n))]  # independent rows
+    rows = [list(r) for r in relations]
+    pivots, _ = _eliminate(rows, n)  # rows / D below: the independent rows, reduced
+    rows = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
     m = len(rows)
     tab = []
     for i, r in enumerate(rows):

@@ -244,6 +244,80 @@ def box_parallelepiped_points(gens):
     return found
 
 
+def reference_eliminate(rows, ncols):
+    """The former elimination: Gauss-Jordan on Fraction rows in place, over
+    the first ncols columns; returns the pivot columns, pivot j sitting in
+    row j.  Pivot rows keep their pivot entry (they are not scaled to 1)."""
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col] / rows[r][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def reference_rational_nullspace(vectors, n):
+    """The former rational_nullspace, on reference_eliminate."""
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    pivots = reference_eliminate(rows, n)
+    basis = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, col in enumerate(pivots):
+            vec[col] = -rows[row][fc] / rows[row][col]
+        denom = math.lcm(*[f.denominator for f in vec])
+        ints = [int(f * denom) for f in vec]
+        g = math.gcd(*ints)
+        basis.append(tuple(c // g for c in ints))
+    return basis
+
+
+def reference_solve_in_basis(gens, x):
+    """The former solve_in_basis, on reference_eliminate."""
+    k = len(gens)
+    rows = [[Fraction(g[j]) for g in gens] + [Fraction(xj)] for j, xj in enumerate(x)]
+    if len(reference_eliminate(rows, k)) < k:
+        raise ValueError("not simplicial")
+    if any(row[k] != 0 for row in rows[k:]):
+        return None
+    return tuple(rows[j][k] / rows[j][j] for j in range(k))
+
+
+def reference_det(m):
+    """The former det: Bareiss elimination of a square integer matrix."""
+    a = [list(r) for r in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 class ReferenceBudgetExceeded(Exception):
     """The reference scan was stopped after its candidate budget."""
 

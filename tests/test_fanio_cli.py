@@ -389,6 +389,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "group order 3" in out
 
+    def test_orbits_of_invalid_input_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "line.fan"
+        src.write_text("rank 2\nrays 2\n1 0\n-1 0\ncones 1\n0 1\n")
+        assert run_cli("orbits", str(src)) == 1
+        assert "is not pointed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["canonical", "plain"])
+    def test_empty_complex_round_trips(self, mode, tmp_path):
+        src = tmp_path / "empty.fan"
+        cert_path = tmp_path / "out.cert"
+        src.write_text("rank 2\nrays 0\ncones 0\n")
+        assert run_cli("resolve", str(src), "--mode", mode, "-o", str(cert_path)) == 0
+        assert "final-cones 0\ncomposite 0\n" in cert_path.read_text()
+        assert run_cli("verify", str(cert_path), str(src)) == 0
+
+    def test_barycentric_of_empty_complex_parses(self, tmp_path):
+        src = tmp_path / "empty.fan"
+        dst = tmp_path / "out.fan"
+        src.write_text("rank 2\nrays 0\ncones 0\n")
+        assert run_cli("barycentric", str(src), "-o", str(dst)) == 0
+        assert parse_fan(dst.read_text()) == parse_fan(src.read_text())
+
     def test_report(self, tmp_path, capsys):
         src = tmp_path / "in.fan"
         src.write_text(write_fan(fan_from_complex(singular_cone_2d(2))))

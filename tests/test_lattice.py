@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from equifan.lattice import (
+    _eliminate,
     cone_index,
     det,
     integrality_congruences,
@@ -23,7 +24,13 @@ from equifan.lattice import (
     solve_in_basis,
 )
 
-from conftest import box_parallelepiped_points
+from conftest import (
+    box_parallelepiped_points,
+    reference_det,
+    reference_eliminate,
+    reference_rational_nullspace,
+    reference_solve_in_basis,
+)
 
 
 def diag_of(D):
@@ -260,3 +267,58 @@ def test_elimination_matches_sympy(case):
     else:
         assert all(isinstance(c, Fraction) for c in coeffs)
         assert tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(n)) == x
+
+
+@st.composite
+def kernel_cases(draw):
+    """Integer rows (up to 6, of length 1-5) with rank-deficient draws and
+    zero columns, and a right-hand side with integer or Fraction entries."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-4, max_value=4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(entry), draw(entry)
+        rows.append([s * x + t * y for x, y in zip(a, b)])  # a dependent row
+    zero = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n))
+    rows = [[0 if j in zero else x for j, x in enumerate(r)] for r in rows]
+    rhs = st.one_of(entry, st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    x = draw(st.lists(rhs, min_size=n, max_size=n))
+    return rows, tuple(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_kernel_matches_references(case):
+    """The fraction-free elimination against the former Fraction one:
+    same pivots, rows / D equal to the reduced rows, the same nullspace
+    vectors in the same order and signs, the same solves, and a signed
+    det equal to sympy's and to the former Bareiss det."""
+    import sympy
+
+    rows, x = case
+    n = len(x)
+    ints = [list(r) for r in rows]
+    pivots, _ = _eliminate(ints, n)
+    fracs = [[Fraction(c) for c in r] for r in rows]
+    assert pivots == reference_eliminate(fracs, n)
+    D = ints[0][pivots[0]] if pivots else 1
+    for i, (mine, ref) in enumerate(zip(ints, fracs)):
+        if i < len(pivots):
+            assert mine[pivots[i]] == D
+            assert [Fraction(c, D) for c in mine] == [c / ref[pivots[i]] for c in ref]
+        else:
+            assert not any(mine) and not any(ref)
+    assert rank(rows) == len(pivots)
+    assert rational_nullspace(rows, n=n) == reference_rational_nullspace(rows, n)
+    try:
+        expected = reference_solve_in_basis(rows, x)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            solve_in_basis(rows, x)
+    else:
+        assert solve_in_basis(rows, x) == expected
+    k = min(len(rows), n)
+    square = [r[:k] for r in rows[:k]]
+    expected_det = sympy.Matrix(square).det() if k else 1
+    assert det(square) == reference_det(square) == expected_det

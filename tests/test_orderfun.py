@@ -1,12 +1,15 @@
 """Order functions: evaluation, axioms, bends, construction, composition."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from equifan.complexes import Complex, same_complex
-from equifan.lattice import parallelepiped_points, solve_in_basis
+from equifan.lattice import cone_index, parallelepiped_points, primitive, rank, solve_in_basis
 from equifan.orderfun import (
     OrderFunction,
     compose_order_functions,
@@ -268,3 +271,46 @@ class TestOrderFunctionType:
     def test_values_must_be_integers(self, orthant2):
         with pytest.raises(ValueError, match="not an integer"):
             OrderFunction(orthant2, orthant2, {0: 1, 1: Fraction(1, 2)})
+
+
+@st.composite
+def cones_with_values(draw):
+    """One singular simplicial cone of rank 2-3 in a lattice of rank up to
+    4, with index at most 30, and integer values at its generators.
+    Half the cones are e_0, e_0 + c_1 e_1, ..., whose quotient
+    Z/c_1 x ... is often not cyclic and has more than one SNF row."""
+    k = draw(st.integers(min_value=2, max_value=3))
+    n = draw(st.integers(min_value=k, max_value=4))
+    if draw(st.booleans()):
+        mult = st.integers(min_value=1, max_value=6)
+        cs = [1] + draw(st.lists(mult, min_size=k - 1, max_size=k - 1))
+        gens = [tuple(int(j == 0) + c * (j == i > 0) for j in range(n)) for i, c in enumerate(cs)]
+    else:
+        vec = st.tuples(*[st.integers(min_value=-4, max_value=4)] * n).filter(any)
+        gens = [primitive(v) for v in draw(st.lists(vec, min_size=k, max_size=k))]
+    if rank(gens) < k or not 2 <= cone_index(gens) <= 30:
+        reject()
+    values = draw(st.lists(st.integers(min_value=-12, max_value=12), min_size=k, max_size=k))
+    return Complex.from_maximal_cones(n, gens, [list(range(k))]), values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cones_with_values())
+def test_integrality_verdict_matches_enumeration(case):
+    """The SNF verdict equals the verdict of listing every parallelepiped
+    point, and each named point is one of them with a non-integral value."""
+    cx, values = case
+    rep = verify_order_axioms(OrderFunction(cx, cx, values), check_subdivision=False)
+    values_at = {
+        point: sum(a * v for a, v in zip(coords, values))
+        for point, coords in parallelepiped_points(cx.generators(cx.maximal_cones[0]))
+    }
+    assert rep.integral == all(v.denominator == 1 for v in values_at.values())
+    named = [v for v in rep.violations if v.startswith("integrality fails")]
+    assert bool(named) != rep.integral
+    pattern = r"integrality fails at lattice point \((.*)\): value (\S+)"
+    for text in named:
+        point, value = re.fullmatch(pattern, text).groups()
+        point = tuple(int(c) for c in point.rstrip(",").split(","))
+        assert values_at[point] == Fraction(value)
+        assert Fraction(value).denominator != 1
