@@ -24,7 +24,7 @@ from .fanio import (
     write_fan,
 )
 from .groups import GROUP_CAP_DEFAULT, generate_group, group_action, verify_action
-from .lattice import cone_index
+from .lattice import cone_index, primitive
 from .resolve import resolve_equivariant
 from .subdivide import barycentric_subdivision, star_subdivide
 
@@ -91,12 +91,23 @@ def cmd_barycentric(args) -> int:
     return 0
 
 
+def _center(text: str) -> tuple:
+    """The --center value: comma-separated integers."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, found {text!r}")
+
+
 def cmd_star(args) -> int:
     fan = _load_fan(args.fan)
     cx = require_valid(fan.to_complex())
-    center = tuple(int(p) for p in args.center.split(","))
+    center = args.center
     if len(center) != cx.ambient_rank:
         raise ValueError(f"center has {len(center)} entries, expected {cx.ambient_rank}")
+    if primitive(center) != center:
+        print(f"note: center {center} normalized to primitive {primitive(center)}", file=sys.stderr)
+        center = primitive(center)
     out = star_subdivide(cx, center)
     gens = fan.group_generators if fan.group_generators else ()
     if gens and not verify_action(out, generate_group(gens, cap=_group_cap())).ok:
@@ -202,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("star", help="write the subdivision centered at a ray")
     p.add_argument("fan")
-    p.add_argument("--center", required=True, help="comma-separated integers, e.g. 1,1")
+    p.add_argument("--center", required=True, type=_center, help="comma-separated integers, e.g. 1,1")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_star)
 

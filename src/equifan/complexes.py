@@ -110,6 +110,12 @@ class Complex:
         self._faces_cache: dict[ConeIds, frozenset[ConeIds]] = {}
         self._dim_cache: dict[ConeIds, int] = {}
         self._maximal: tuple[ConeIds, ...] | None = None
+        # (a complex this one subdivides, {each of its maximal cones that is
+        # not a maximal cone here: its pieces}), set by subdivide.star_subdivide
+        # and composed by orderfun._recorded_pieces
+        self._subdivides: tuple | None = None
+        # composed pieces maps by base complex, see orderfun._recorded_pieces
+        self._pieces: dict = {}
 
     # -- construction -------------------------------------------------
 
@@ -154,7 +160,7 @@ class Complex:
             self._maximal = tuple(
                 sorted(
                     (c for c in self.cones if not any(c < d for d in self.cones)),
-                    key=lambda c: (len(c), sorted(c)),
+                    key=_cone_order,
                 )
             )
         return self._maximal
@@ -207,6 +213,11 @@ class Complex:
             f"Complex(rank={self.ambient_rank}, rays={len(self.rays)}, "
             f"cones={len(self.cones)}, maximal={len(self.maximal_cones)})"
         )
+
+
+def _cone_order(cone):
+    """The order of `Complex.maximal_cones`: by size, then by sorted ray ids."""
+    return (len(cone), sorted(cone))
 
 
 def _raw_faces(gens, ambient_rank):
@@ -396,6 +407,8 @@ def _intersect_cones(cx: Complex, c1, c2) -> frozenset[Vec]:
 class SubdivisionReport:
     ok: bool
     witnesses: list[str] = field(default_factory=list)
+    # on success: (maximal cone of the coarse complex, its pieces), in order
+    pieces: list = field(default_factory=list)
 
     def __bool__(self):
         return self.ok
@@ -424,48 +437,92 @@ def is_subdivision(fine: Complex, coarse: Complex) -> SubdivisionReport:
     """
     if fine.ambient_rank != coarse.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    witnesses = []
     inside = {s: rays_in_cone(fine, coarse, s) for s in coarse.maximal_cones}
     contained = {}
     for c in fine.maximal_cones:
         hosts = [s for s in coarse.maximal_cones if c <= inside[s]]
         if not hosts:
-            witnesses.append(f"cone {sorted(c)} of the fine complex is not contained in any cone")
-            return SubdivisionReport(False, witnesses)
+            return SubdivisionReport(False, [f"cone {sorted(c)} of the fine complex is not contained in any cone"])
         contained[c] = hosts
 
+    found = []
     for sigma in coarse.maximal_cones:
         d = coarse.dim(sigma)
         pieces = [c for c, hs in contained.items() if sigma in hs and fine.dim(c) == d]
-        if not pieces:
-            witnesses.append(f"cone {sorted(sigma)} is not covered")
-            return SubdivisionReport(False, witnesses)
-        sigma_dd = coarse.dual(sigma)
-        facet_count: dict[frozenset, list] = {}  # facet -> [count, on the boundary]
-        for p in pieces:
-            for f in fine.facets(p):
-                fgens = fine.generators(f)
-                on_boundary = any(
-                    all(_dot(u, g) == 0 for g in fgens) for u in sigma_dd.inequalities
-                )
-                facet_count.setdefault(f, [0, on_boundary])[0] += 1
-        for f, (cnt, on_boundary) in sorted(facet_count.items(), key=lambda kv: sorted(kv[0])):
-            where, expected = ("boundary", 1) if on_boundary else ("interior", 2)
-            if cnt != expected:
-                witnesses.append(
-                    f"{where} facet {sorted(f)} of host {sorted(sigma)} met {cnt} time(s), "
-                    f"expected {expected}"
-                )
-        point = tuple(map(sum, zip(*fine.generators(pieces[0]))))
-        for q in pieces[1:]:
-            if fine.contains_point(q, point):
-                witnesses.append(
-                    f"interior point {point} of piece {sorted(pieces[0])} also lies in "
-                    f"piece {sorted(q)} of host {sorted(sigma)}"
-                )
+        witnesses = _tiling_witnesses(fine, coarse, sigma, pieces)
         if witnesses:
             return SubdivisionReport(False, witnesses)
-    return SubdivisionReport(True, [])
+        found.append((sigma, pieces))
+    return SubdivisionReport(True, [], found)
+
+
+def _tiling_witnesses(fine: Complex, coarse: Complex, sigma, pieces) -> list[str]:
+    """Why the given pieces, cones of `fine` inside sigma of its dimension,
+    fail to tile sigma (facet pairing and one interior point); [] if they do."""
+    if not pieces:
+        return [f"cone {sorted(sigma)} is not covered"]
+    witnesses = []
+    sigma_dd = coarse.dual(sigma)
+    facet_count: dict[frozenset, list] = {}  # facet -> [count, on the boundary]
+    for p in pieces:
+        for f in fine.facets(p):
+            fgens = fine.generators(f)
+            on_boundary = any(
+                all(_dot(u, g) == 0 for g in fgens) for u in sigma_dd.inequalities
+            )
+            facet_count.setdefault(f, [0, on_boundary])[0] += 1
+    for f, (cnt, on_boundary) in sorted(facet_count.items(), key=lambda kv: sorted(kv[0])):
+        where, expected = ("boundary", 1) if on_boundary else ("interior", 2)
+        if cnt != expected:
+            witnesses.append(
+                f"{where} facet {sorted(f)} of host {sorted(sigma)} met {cnt} time(s), "
+                f"expected {expected}"
+            )
+    point = tuple(map(sum, zip(*fine.generators(pieces[0]))))
+    for q in pieces[1:]:
+        if fine.contains_point(q, point):
+            witnesses.append(
+                f"interior point {point} of piece {sorted(pieces[0])} also lies in "
+                f"piece {sorted(q)} of host {sorted(sigma)}"
+            )
+    return witnesses
+
+
+def _local_subdivision_report(fine: Complex, coarse: Complex, pieces) -> SubdivisionReport:
+    """is_subdivision(fine, coarse) given which pieces fill which host.
+
+    `pieces` lists (maximal cone of coarse, its pieces) for every maximal
+    cone of coarse in order, and together the pieces must be the maximal
+    cones of fine, each once.  An untouched host, its own only piece with
+    the same generators, needs no test; every other host must hold its
+    pieces, of its dimension, and be tiled by them as in is_subdivision.
+    So the geometry costs only the touched hosts and their pieces.
+
+    Sound on a valid coarse complex: pieces in different hosts meet only
+    inside common faces of those hosts, so a piece lies in no host of its
+    dimension but its own, and the pieces listed for each host are the
+    ones is_subdivision would find there.
+    """
+    if fine.ambient_rank != coarse.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    listed = [p for _, ps in pieces for p in ps]
+    if [s for s, _ in pieces] != list(coarse.maximal_cones) or not (
+        len(listed) == len(fine.maximal_cones) and set(listed) == set(fine.maximal_cones)
+    ):
+        return SubdivisionReport(False, ["the pieces by host are not the maximal cones of the fine complex, each once"])
+    for sigma, ps in pieces:
+        if ps == [sigma] and fine.generators(sigma) == coarse.generators(sigma):
+            continue
+        d, dual = coarse.dim(sigma), coarse.dual(sigma)
+        for p in ps:
+            if fine.dim(p) != d or not all(dual.contains(fine.rays[i]) for i in p):
+                return SubdivisionReport(
+                    False, [f"cone {sorted(p)} of the fine complex is not a piece of host {sorted(sigma)}"]
+                )
+        witnesses = _tiling_witnesses(fine, coarse, sigma, ps)
+        if witnesses:
+            return SubdivisionReport(False, witnesses)
+    return SubdivisionReport(True, [], list(pieces))
 
 
 def is_simplicial(cx: Complex) -> bool:

@@ -23,16 +23,31 @@ congruences and one bend form per wall are built once per search on a
 single subdivision; the scan over scales and dips tests only them, and
 only the winner is verified in full.  The multiplier m of a fold
 m * outer + inner is read off the same bend forms, affine in m.
+
+Walls are found among the pieces of each base cone, which a subdivision
+built by stars reads off the stars' records (`_recorded_pieces`) instead
+of testing every ray against every cone.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 
-from .complexes import Complex, cone_contains, is_simplicial, is_subdivision, rays_in_cone
+from .complexes import (
+    Complex,
+    _cone_order,
+    _local_subdivision_report,
+    cone_contains,
+    is_simplicial,
+    is_subdivision,
+    rays_in_cone,
+)
 from .lattice import (
     integrality_congruences,
     primitive,
@@ -41,6 +56,9 @@ from .lattice import (
 from .subdivide import star_subdivide
 
 COMPOSITION_CAP = 2**20
+# wall solves kept per process, keyed by the two pieces' generators: a wall
+# that a subdivision leaves untouched keeps its bend form
+BEND_CACHE_SIZE = 4096
 
 
 class OrderFunction:
@@ -124,8 +142,75 @@ def _host_pieces(base: Complex, sub: Complex, sigma):
 
 
 def _pieces_by_base_cone(base: Complex, sub: Complex):
-    """Maximal cones of the subdivision grouped by their base host cone."""
-    return [(sigma, _host_pieces(base, sub, sigma)) for sigma in base.maximal_cones]
+    """Maximal cones of the subdivision grouped by their base host cone:
+    (sigma, its pieces in `sub.maximal_cones` order) for every maximal
+    cone sigma of the base, in order.  Read off the star records when sub
+    was starred from base, found geometrically otherwise."""
+    pieces = _recorded_pieces(base, sub)
+    if pieces is None:
+        pieces = [(sigma, _host_pieces(base, sub, sigma)) for sigma in base.maximal_cones]
+    return pieces
+
+
+def _remembered(base: Complex, sub: Complex):
+    entry = sub._pieces.get(id(base))
+    return entry[1] if entry is not None and entry[0]() is base else None
+
+
+def _recorded_pieces(base: Complex, sub: Complex):
+    """The pieces map of sub over base composed from subdivision records,
+    or None when sub was not starred from base.
+
+    Walks sub's records (`Complex._subdivides`) back to base, or to a
+    complex whose map over base is known, and follows each cone there
+    through the pieces every record made of it.  The map is memoised on
+    sub, and sub's record becomes one over base with the composed pieces,
+    which frees the complexes in between.
+    """
+    pieces = _remembered(base, sub)
+    path, node = [], sub
+    while pieces is None and node is not base:
+        if node._subdivides is None:
+            return None
+        path.append(node)
+        node = node._subdivides[0]
+        pieces = _remembered(base, node)
+    if pieces is None:
+        pieces = [(sigma, [sigma]) for sigma in base.maximal_cones]
+    if not path:
+        return pieces
+    made: dict = {}  # cone of `node` -> its pieces so far
+    owner: dict = {}  # piece -> the cone of `node` it lies in
+    for step in reversed(path):
+        for p, ps in step._subdivides[1].items():
+            q = owner.pop(p, p)
+            made.setdefault(q, {q}).discard(p)
+            made[q].update(ps)
+            owner.update(dict.fromkeys(ps, q))
+    pieces = [
+        (sigma, sorted(chain.from_iterable(made.get(q, (q,)) for q in qs), key=_cone_order)
+         if any(q in made for q in qs) else qs)
+        for sigma, qs in pieces
+    ]
+    sub._subdivides = (base, {sigma: ps for sigma, ps in pieces if ps != [sigma]})
+    sub._pieces[id(base)] = (weakref.ref(base), pieces)  # weakly: a map must not keep its base alive
+    return pieces
+
+
+def _checked_pieces(base: Complex, sub: Complex):
+    """_pieces_by_base_cone(base, sub) once sub is shown to subdivide base;
+    ValueError otherwise.  Starred from base, sub is checked locally
+    (`_local_subdivision_report`: the tiling test on the touched hosts
+    only); any other sub by is_subdivision, whose pieces are taken."""
+    pieces = _recorded_pieces(base, sub)
+    if pieces is None:
+        report = is_subdivision(sub, base)
+        pieces = report.pieces
+    else:
+        report = _local_subdivision_report(sub, base, pieces)
+    if not report:
+        raise ValueError(f"subdivision invariant violated: {report}")
+    return pieces
 
 
 def _interior_walls(sub: Complex, pieces):
@@ -147,7 +232,7 @@ def _bend_form(sub: Complex, wall) -> dict:
     """The bend D across a wall as a linear form {ray id: coefficient}."""
     f, c1, r1, c2, r2 = wall
     basis_ids = sorted(c1)
-    coeffs = solve_in_basis(sub.generators(c1), sub.rays[r2])
+    coeffs = _wall_relation(sub.generators(c1), sub.rays[r2])
     if coeffs is None:
         raise ValueError(f"wall {sorted(f)}: pieces do not span the same space")
     alpha = coeffs[basis_ids.index(r1)]
@@ -158,13 +243,20 @@ def _bend_form(sub: Complex, wall) -> dict:
     return form
 
 
-def _wall_forms(base: Complex, sub: Complex):
+@lru_cache(maxsize=BEND_CACHE_SIZE)
+def _wall_relation(gens: tuple, other: tuple):
+    """The coordinates of the other piece's ray in one piece's generators."""
+    return solve_in_basis(gens, other)
+
+
+def _wall_forms(sub: Complex, pieces):
     """(base cone, wall, bend form) of every interior wall of the
-    subdivision inside a maximal cone of the base."""
+    subdivision inside a base cone, from its pieces by base cone."""
     return [
         (sigma, wall, _bend_form(sub, wall))
-        for sigma, pieces in _pieces_by_base_cone(base, sub)
-        for wall in _interior_walls(sub, pieces)
+        for sigma, ps in pieces
+        if len(ps) > 1
+        for wall in _interior_walls(sub, ps)
     ]
 
 
@@ -176,6 +268,18 @@ def _apply(form: dict, values):
 def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -> AxiomReport:
     """Check integrality and per-base-cone convexity; report strictness.
 
+    With check_subdivision, first check that the subdivision subdivides
+    the base (`_checked_pieces`), raising ValueError when it does not.
+    """
+    base, sub = ord_fn.base, ord_fn.subdivision
+    pieces = _checked_pieces(base, sub) if check_subdivision else _pieces_by_base_cone(base, sub)
+    return _axiom_report(ord_fn, pieces)
+
+
+def _axiom_report(ord_fn: OrderFunction, pieces) -> AxiomReport:
+    """The axioms of a function whose subdivision has the given pieces by
+    base cone.
+
     Integrality is decided by the SNF rows (u, d) of every maximal cone
     (`integrality_congruences`): a function linear on the cone with
     integer values v at its generators is integral at every lattice point
@@ -185,11 +289,6 @@ def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -
     """
     report = AxiomReport()
     sub = ord_fn.subdivision
-    if check_subdivision:
-        sr = is_subdivision(sub, ord_fn.base)
-        if not sr:
-            raise ValueError(f"subdivision invariant violated: {sr}")
-
     report.positive = all(v > 0 for v in ord_fn.ray_values)
     if not report.positive:
         report.violations.append("non-positive ray value")
@@ -206,7 +305,7 @@ def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -
                     f"integrality fails at lattice point {point}: value {val}"
                 )
 
-    for sigma, wall, form in _wall_forms(ord_fn.base, sub):
+    for sigma, wall, form in _wall_forms(sub, pieces):
         d = _apply(form, ord_fn.ray_values)
         if d < 0:
             report.convex = False
@@ -225,14 +324,16 @@ def linearity_domains(ord_fn: OrderFunction) -> Complex:
     Adjacent pieces are merged across flat bends; with all bends strict
     the result equals the subdivision itself.
     """
-    report = verify_order_axioms(ord_fn)
+    pieces = _checked_pieces(ord_fn.base, ord_fn.subdivision)
+    report = _axiom_report(ord_fn, pieces)
     if not report.ok:
         raise ValueError("order function axioms fail: " + "; ".join(report.violations))
-    return _merged_domains(ord_fn)
+    return _merged_domains(ord_fn, pieces)
 
 
-def _merged_domains(ord_fn: OrderFunction) -> Complex:
-    """linearity_domains of a function whose axioms are already verified."""
+def _merged_domains(ord_fn: OrderFunction, pieces) -> Complex:
+    """linearity_domains of a function whose axioms are already verified,
+    from its subdivision's pieces by base cone."""
     sub = ord_fn.subdivision
 
     parent: dict[frozenset, frozenset] = {}
@@ -248,12 +349,10 @@ def _merged_domains(ord_fn: OrderFunction) -> Complex:
         if ra != rb:
             parent[max(ra, rb, key=sorted)] = min(ra, rb, key=sorted)
 
-    all_pieces = []
-    for sigma, pieces in _pieces_by_base_cone(ord_fn.base, sub):
-        all_pieces.extend(pieces)
-        for wall in _interior_walls(sub, pieces):
-            if _apply(_bend_form(sub, wall), ord_fn.ray_values) == 0:
-                union(wall[1], wall[3])
+    all_pieces = [p for _, ps in pieces for p in ps]
+    for _, wall, form in _wall_forms(sub, pieces):
+        if _apply(form, ord_fn.ray_values) == 0:
+            union(wall[1], wall[3])
 
     groups: dict[frozenset, list] = {}
     for p in all_pieces:
@@ -286,8 +385,8 @@ def _merged_domains(ord_fn: OrderFunction) -> Complex:
 
 def _centered_subdivision(cx: Complex, centers_with_hosts) -> Complex:
     sub = cx
-    for center, _ in centers_with_hosts:
-        sub = star_subdivide(sub, center)
+    for center, host in centers_with_hosts:
+        sub = star_subdivide(sub, center, host)
     return sub
 
 
@@ -336,13 +435,14 @@ def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: in
     return _place_values(cx, sub, forms, scale, dip)
 
 
-def _affine_conditions(sub: Complex, lin, walls):
+def _affine_conditions(sub: Complex, lin, pieces):
     """The order-function axioms for values affine in two integers (k, t).
 
     Ray i is valued k * lin[i][0] - t * lin[i][1].  Returns (rows, bends):
     integrality on every maximal cone is d | k * a - t * b for each SNF row
-    (a, b, d), with a and b reduced mod d, and the bend across each given
-    wall is k * alpha - t * beta for its (alpha, beta).
+    (a, b, d), with a and b reduced mod d, and the bend across each wall
+    of the given pieces by base cone is k * alpha - t * beta for its
+    (alpha, beta).
     """
     ks, ts = [k for k, _ in lin], [t for _, t in lin]
     rows = []
@@ -350,8 +450,7 @@ def _affine_conditions(sub: Complex, lin, walls):
         for u, d in integrality_congruences(sub.generators(c)) if c else ():
             row = dict(zip(sorted(c), u))
             rows.append((_apply(row, ks) % d, _apply(row, ts) % d, d))
-    forms = [_bend_form(sub, wall) for wall in walls]
-    return rows, [(_apply(form, ks), _apply(form, ts)) for form in forms]
+    return rows, [(_apply(form, ks), _apply(form, ts)) for _, _, form in _wall_forms(sub, pieces)]
 
 
 def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: int):
@@ -370,13 +469,7 @@ def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: in
     """
     L = math.lcm(*[q.denominator for q in coord_sums])
     lin = [(int(L * q), e) for q, e in forms]
-    walls = [
-        wall
-        for sigma in cx.maximal_cones
-        if sigma not in sub.cones  # an untouched cone is a single piece without walls
-        for wall in _interior_walls(sub, _host_pieces(cx, sub, sigma))
-    ]
-    rows, bends = _affine_conditions(sub, lin, walls)
+    rows, bends = _affine_conditions(sub, lin, _pieces_by_base_cone(cx, sub))
 
     step = L  # every admissible scale is a multiple of step
     for a, b, d in rows:
@@ -479,20 +572,35 @@ def compose_with_multiplier(outer: OrderFunction, inner: OrderFunction):
 def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
     """The order function m * outer + inner on inner's subdivision, and m.
 
-    Outer's value at a ray of its own subdivision is the stored value; it
-    is evaluated only at inner's other rays.  The fold's values are
-    integers exactly when m is a multiple of d, the common denominator
-    of outer at inner's rays; for any other given m the function is
-    None.  Without m, outer and inner must be verified
-    integral, positive and strictly convex; then the fold is integral and
-    positive for every such m, and its bend across each wall is
-    m * B_outer + B_inner, the wall's bend form at outer's and at inner's
-    values.  m is the first of d, 2d, 4d, ... that makes every bend
-    positive, so nothing is verified again.
+    Inner lives on outer's subdivision.  Outer's value at a ray of its own
+    subdivision is the stored value; at each other ray of inner's it is
+    solved once in the maximal cone of outer's subdivision whose pieces
+    hold the ray.  The fold's values are integers exactly when m is a
+    multiple of d, the common denominator of outer at inner's rays; for
+    any other given m the function is None.  Without m, outer and inner
+    must be verified integral, positive and strictly convex; then the fold
+    is integral and positive for every such m, and its bend across each
+    wall is m * B_outer + B_inner, the wall's bend form at outer's and at
+    inner's values.  m is the first of d, 2d, 4d, ... that makes every
+    bend positive, so nothing is verified again.
     """
-    sub = inner.subdivision
-    stored = dict(zip(outer.subdivision.rays, outer.ray_values))
-    evals = [stored[g] if g in stored else evaluate(outer, g) for g in sub.rays]
+    mid, sub = outer.subdivision, inner.subdivision
+    stored = dict(zip(mid.rays, outer.ray_values))
+    host = {}  # each other ray of sub -> a maximal cone of mid holding it
+    for sigma, pieces in _pieces_by_base_cone(inner.base, sub):
+        if pieces != [sigma]:
+            for r in chain.from_iterable(pieces):
+                if sub.rays[r] not in stored:
+                    host.setdefault(r, sigma)
+    evals = []
+    for r, g in enumerate(sub.rays):
+        if g in stored:
+            evals.append(stored[g])
+        elif r in host:
+            coeffs = solve_in_basis(mid.generators(host[r]), g)
+            evals.append(sum(a * outer.ray_values[i] for a, i in zip(coeffs, sorted(host[r]))))
+        else:  # a ray in no cone
+            evals.append(evaluate(outer, g))
     d = math.lcm(*[e.denominator for e in evals])
 
     def at(m):
@@ -503,7 +611,7 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
         return (at(m) if m % d == 0 else None), m
     bends = [
         (_apply(form, evals), _apply(form, inner.ray_values))
-        for _, _, form in _wall_forms(outer.base, sub)
+        for _, _, form in _wall_forms(sub, _pieces_by_base_cone(outer.base, sub))
     ]
     m = d
     while m <= COMPOSITION_CAP:

@@ -49,8 +49,8 @@ from .lattice import (
 from .orderfun import (
     OrderFunction,
     _affine_conditions,
-    _host_pieces,
-    _interior_walls,
+    _axiom_report,
+    _checked_pieces,
     _merged_domains,
     _pieces_by_base_cone,
     fold,
@@ -221,7 +221,9 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
     Each fact is decided once: the subdivision of the input (which the
     composite's axiom check needs too when it lives on final over
     input_cx), the action (strictness reads its orbits) and the axioms
-    (the linearity domains are merged from the checked function).
+    (the linearity domains are merged from the checked function).  The
+    composite's pieces by input cone are the ones the geometric
+    is_subdivision found, never a construction record.
     """
     flags = {}
     action_rep = verify_action(final, elements)
@@ -232,15 +234,18 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
     flags["equivariant"] = flags["subdivision_of_input"] and action_rep.ok
     flags["g_strict"] = action_rep.ok and _strictness(GroupAction(
         final, elements, action_rep.ray_permutations, action_rep.cone_permutations)).ok
-    on_final = composite.base == input_cx and composite.subdivision == final
-    if on_final and not sub_rep:
-        raise ValueError(f"subdivision invariant violated: {sub_rep}")
-    rep = verify_order_axioms(composite, check_subdivision=not on_final)
+    if composite.base == input_cx and composite.subdivision == final:
+        if not sub_rep:
+            raise ValueError(f"subdivision invariant violated: {sub_rep}")
+        pieces = sub_rep.pieces
+    else:
+        pieces = _checked_pieces(composite.base, composite.subdivision)
+    rep = _axiom_report(composite, pieces)
     flags["ord_positive"] = rep.positive
     flags["ord_integral"] = rep.integral
     flags["ord_strictly_convex"] = rep.convex and rep.strict
     flags["ord_linearity_matches_final"] = rep.ok and same_complex(
-        _merged_domains(composite), final
+        _merged_domains(composite, pieces), final
     )
     inv = action_rep.ok
     for perm in action_rep.ray_permutations:
@@ -369,8 +374,7 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
     denom = math.lcm(*[v.denominator for v in base_val])
     # with L = denom * k ray r is valued k * lin[r][0] - a * lin[r][1]
     lin = [(int(denom * v), 2 ** cx.dim(h) - 1) for v, h in zip(base_val, hosts)]
-    walls = [w for _, pieces in _pieces_by_base_cone(cx, bcx) for w in _interior_walls(bcx, pieces)]
-    rows, bends = _affine_conditions(bcx, lin, walls)
+    rows, bends = _affine_conditions(bcx, lin, _pieces_by_base_cone(cx, bcx))
     if not all(alpha == 0 and beta < 0 for alpha, beta in bends):
         raise ValueError("scale insufficient: a wall of the barycentric subdivision does not bend")
     # the a admitting some k form a subgroup of Z that holds the lcm P of
@@ -397,10 +401,15 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
 
 def _trace_row(label: str, cx: Complex):
     """One row of the measure trace: (label, max index, total index), or
-    (label, None, None) for a non-simplicial complex."""
-    if is_simplicial(cx):
-        return (label, max_index(cx), total_index(cx))
-    return (label, None, None)
+    (label, None, None) for a non-simplicial complex; `max_index` and
+    `total_index` from one pass over the maximal cones."""
+    indices = []
+    for c in cx.maximal_cones:
+        if len(c) != cx.dim(c):
+            return (label, None, None)
+        if c:
+            indices.append(cone_index(cx.generators(c)))
+    return (label, max(indices, default=1), sum(indices))
 
 
 class Replay:
@@ -539,10 +548,9 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
             raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
 
         # the measure must drop on every subdivided cone's descendants
-        for mc in cur.maximal_cones:
+        for mc, pieces in _pieces_by_base_cone(cur, nxt):
             if any(tau <= mc for tau in carriers):
                 idx = cone_index(cur.generators(mc))
-                pieces = _host_pieces(cur, nxt, mc)
                 if max((cone_index(nxt.generators(d)) for d in pieces), default=idx) >= idx:
                     raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 
-from .complexes import Complex, same_complex
+from .complexes import Complex, _cone_order, same_complex
 from .lattice import Vec, primitive
 
 
@@ -24,7 +24,7 @@ def barycenter(gens) -> Vec:
     return primitive(total)
 
 
-def star_subdivide(cx: Complex, center) -> Complex:
+def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
     """Subdivision of the complex centered at the ray through `center`.
 
     Every cone containing the center is replaced by the joins of the
@@ -35,24 +35,48 @@ def star_subdivide(cx: Complex, center) -> Complex:
 
     The center is located once, by its carrier tau; the rest is face
     lattice algebra, valid on a valid complex: a cone contains the center
-    exactly when it contains tau.
+    exactly when it contains tau.  `carrier` (ray ids) is the center's
+    carrier recorded in a complex this one subdivides; while it is still a
+    cone here (ids keep their rays) it is the carrier here too, and the
+    center is not located again.
+
+    The result records what the star did (`Complex._subdivides`): each
+    touched maximal cone sigma, one containing tau, becomes the pieces
+    f + center for the facets f of sigma not containing tau, and these
+    with the untouched maximal cones are the new maximal cones.
+    Dimensions and face lattices of untouched cones carry over.
     """
     c = tuple(int(v) for v in center)
     p = primitive(c)
     if p != c:
         warnings.warn(f"star center {c} normalized to primitive {p}")
     center = p
-    tau = cx.minimal_cone_containing(center)  # raises outside the support
+    if carrier is not None and frozenset(carrier) in cx.cones:
+        tau = frozenset(carrier)
+    else:
+        tau = cx.minimal_cone_containing(center)  # raises outside the support
     if center in cx.rays:
         return cx
 
     new_id = len(cx.rays)
-    rays = cx.rays + (center,)
-    cones = {c0 for c0 in cx.cones if not tau <= c0}
+    removed, added, pieces = set(), set(), {}
     for sigma in cx.maximal_cones:
         if tau <= sigma:
-            cones.update(f | {new_id} for f in cx.faces(sigma) if not tau <= f)
-    return Complex(cx.ambient_rank, rays, cones)
+            faces = cx.faces(sigma)
+            joins = {f: f | {new_id} for f in faces if not tau <= f}
+            removed.update(faces - joins.keys())
+            added.update(joins.values())
+            facet_dim = cx.dim(sigma) - 1
+            pieces[sigma] = [join for f, join in joins.items() if cx.dim(f) == facet_dim]
+    out = Complex(cx.ambient_rank, cx.rays + (center,), (cx.cones - removed) | added)
+    out._maximal = tuple(sorted(
+        [m for m in cx.maximal_cones if m not in pieces] + [q for ps in pieces.values() for q in ps],
+        key=_cone_order,
+    ))
+    out._dim_cache = {f: d for f, d in cx._dim_cache.items() if not tau <= f}
+    out._faces_cache = {f: fs for f, fs in cx._faces_cache.items() if not tau <= f}
+    out._subdivides = (cx, pieces)
+    return out
 
 
 def barycentric_subdivision(cx: Complex) -> Complex:
@@ -65,8 +89,8 @@ def barycentric_subdivision(cx: Complex) -> Complex:
     """
     out = cx
     for batch in _barycentric_cascade(cx):
-        for b, _ in batch:
-            out = star_subdivide(out, b)
+        for b, source in batch:
+            out = star_subdivide(out, b, source)
     return out
 
 

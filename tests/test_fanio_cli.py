@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,19 @@ def run_cli(*args):
     return main(list(args))
 
 
+def run_module_cli(*args, flags=()):
+    """`python -m equifan.cli ARGS` in a fresh interpreter, output captured."""
+    srcdir = str(Path(equifan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([srcdir, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "equifan.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize("keyword", ["input-hash", "output-hash"])
 def test_truncated_hash_line_is_a_parse_error(keyword, tmp_path, capsys):
     sing = singular_cone_2d(2)
@@ -332,6 +346,38 @@ class TestCli:
         assert run_cli("star", str(src), "--center=-1,0") == 1
         assert "center not in support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("center", ["a,b", "1,", "1.5,2", ""])
+    def test_star_malformed_center_is_a_parse_error(self, center, tmp_path, capsys):
+        src = tmp_path / "in.fan"
+        src.write_text(write_fan(fan_from_complex(orthant(2))))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("star", str(src), f"--center={center}")
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --center: expected comma-separated integers" in err
+        assert "Traceback" not in err
+
+    def test_star_non_primitive_center_prints_one_note(self, tmp_path):
+        src = tmp_path / "in.fan"
+        dst = tmp_path / "out.fan"
+        src.write_text(write_fan(fan_from_complex(orthant(2))))
+        proc = run_module_cli("star", str(src), "--center=2,10", "-o", str(dst))
+        assert proc.returncode == 0
+        assert proc.stderr == "note: center (2, 10) normalized to primitive (1, 5)\n"
+        assert ".py" not in proc.stderr and "Warning" not in proc.stderr
+        assert parse_fan(dst.read_text()).rays == ((1, 0), (0, 1), (1, 5))
+
+    def test_canonical_quadrilateral_fails_by_name(self, tmp_path):
+        # a known limitation of the direct barycentric construction: its
+        # dips depend only on the source dimension, so no wall bends here
+        src = tmp_path / "quad.fan"
+        src.write_text("rank 3\nrays 4\n0 2 1\n-3 1 1\n-2 3 1\n0 0 1\ncones 1\n0 1 2 3\n")
+        start = time.perf_counter()
+        proc = run_module_cli("resolve", str(src), "--mode", "canonical", "-o", str(tmp_path / "q.cert"))
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 1
+        assert proc.stderr == "error: scale insufficient: a wall of the barycentric subdivision does not bend\n"
+
     def test_resolve_verify_cycle(self, tmp_path, capsys):
         src = tmp_path / "in.fan"
         cert_path = tmp_path / "out.cert"
@@ -357,16 +403,7 @@ class TestCli:
         # overlapping cones: the input is not a complex
         src = tmp_path / "overlap.fan"
         src.write_text("rank 2\nrays 4\n1 0\n1 3\n1 1\n0 1\ncones 2\n0 1\n2 3\n")
-        srcdir = str(Path(equifan.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([srcdir, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "equifan.cli", "resolve", str(src),
-             "-o", str(tmp_path / "out.cert")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_module_cli("resolve", str(src), "-o", str(tmp_path / "out.cert"), flags=flags)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error: invalid input complex: cones [0, 1] and [2, 3]" in proc.stderr

@@ -1,0 +1,234 @@
+"""The star records against the geometry they stand for.
+
+`subdivide.star_subdivide` records the pieces of every maximal cone it
+touches and carries the caches of untouched cones over;
+`orderfun._recorded_pieces` composes the records along a chain of
+stars, and `complexes._local_subdivision_report` checks a stage on its
+touched hosts only.  Each is compared here with the geometric original
+(`orderfun._host_pieces`, `is_subdivision`, a freshly built complex) on
+every stage of the corpus resolutions and on derandomized star chains.
+"""
+
+import gc
+import weakref
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equifan.complexes import (
+    Complex,
+    _cone_order,
+    _local_subdivision_report,
+    is_subdivision,
+)
+from equifan.lattice import primitive
+from equifan.orderfun import (
+    _centered_subdivision,
+    _host_pieces,
+    _recorded_pieces,
+    _wall_forms,
+    _wall_relation,
+)
+from equifan.resolve import resolve_equivariant
+from equifan.subdivide import barycentric_subdivision, star_subdivide
+
+from conftest import corpus, interior_point, orthant
+from test_exact_parameters import CORPUS_RUNS
+
+
+def geometric_pieces(base, sub):
+    return [(sigma, _host_pieces(base, sub, sigma)) for sigma in base.maximal_cones]
+
+
+def stage_steps(base, stage):
+    """The complexes a recorded stage builds from base, one per step (base
+    itself for a stage without steps), each freshly starred so that its
+    records are untouched."""
+    if stage.kind == "barycentric-direct":
+        return [barycentric_subdivision(base)]
+    out, cur = [], base
+    for step in stage.steps:
+        cur = _centered_subdivision(cur, step.centers)
+        out.append(cur)
+    return out or [base]
+
+
+def corpus_stages():
+    """(run name, input, stage base, stage kind, stage's records) of every
+    stage of every corpus resolution."""
+    for name, cx, elements, mode in CORPUS_RUNS:
+        cert = resolve_equivariant(cx, elements, mode=mode)
+        base = cx
+        for stage in cert.stages:
+            yield name, cx, base, stage
+            base = stage_steps(base, stage)[-1]
+
+
+CORPUS_STAGES = list(corpus_stages())
+
+
+def test_corpus_has_stages_of_every_kind():
+    kinds = {stage.kind for *_, stage in CORPUS_STAGES}
+    assert kinds == {"barycentric", "barycentric-direct", "centered"}
+    assert len(CORPUS_STAGES) >= 40
+
+
+def test_composed_pieces_match_geometry_on_corpus_stages():
+    for name, cx, base, stage in CORPUS_STAGES:
+        steps = stage_steps(base, stage)
+        # each step over the one before, as the step folds ask
+        prev = base
+        for sub in steps:
+            pieces = _recorded_pieces(prev, sub)
+            assert pieces is not None, name
+            assert pieces == geometric_pieces(prev, sub), name
+            prev = sub
+        # the whole stage over its base, composed along every star
+        sub = stage_steps(base, stage)[-1]
+        assert _recorded_pieces(base, sub) == geometric_pieces(base, sub), name
+        # and over the input, as the composite fold asks: sub's record now
+        # leads to the stage base, whose records lead on to the input
+        assert _recorded_pieces(cx, sub) == geometric_pieces(cx, sub), name
+
+
+def test_local_check_matches_is_subdivision_on_corpus_stages():
+    mutated = 0
+    for name, _, base, stage in CORPUS_STAGES:
+        sub = stage_steps(base, stage)[-1]
+        pieces = _recorded_pieces(base, sub)
+        local = _local_subdivision_report(sub, base, pieces)
+        full = is_subdivision(sub, base)
+        assert local.ok and full.ok, name
+        assert local.pieces == full.pieces, name
+        for bad, bad_pieces in mutations(sub, pieces):
+            assert not is_subdivision(bad, base), name
+            assert not _local_subdivision_report(bad, base, bad_pieces), name
+            mutated += 1
+    assert mutated >= 70
+
+
+def mutations(sub, pieces):
+    """The subdivision with a piece of its first host of two or more
+    pieces dropped, and with one such piece laid in twice (over a copy of
+    one of its rays), each with its pieces by host."""
+    touched = [(k, ps) for k, (_, ps) in enumerate(pieces) if len(ps) > 1]
+    if not touched:
+        return
+    k, ps = touched[0]
+    sigma, p = pieces[k][0], ps[-1]
+    maximal = [c for c in sub.maximal_cones if c != p]
+    dropped = Complex.from_maximal_cones(sub.ambient_rank, sub.rays, maximal)
+    yield dropped, pieces[:k] + [(sigma, ps[:-1])] + pieces[k + 1:]
+    r = max(p)
+    twin = p - {r} | {len(sub.rays)}
+    doubled = Complex.from_maximal_cones(
+        sub.ambient_rank, sub.rays + (sub.rays[r],), list(sub.maximal_cones) + [twin]
+    )
+    yield doubled, pieces[:k] + [(sigma, sorted(ps + [twin], key=_cone_order))] + pieces[k + 1:]
+
+
+def test_local_check_names_a_wrong_pieces_map(orthant2):
+    sub = star_subdivide(orthant2, (1, 1))
+    pieces = _recorded_pieces(orthant2, sub)
+    assert _local_subdivision_report(sub, orthant2, pieces)
+    (sigma, ps), = pieces
+    report = _local_subdivision_report(sub, orthant2, [(sigma, ps[:1])])
+    assert not report
+    assert report.witnesses == ["the pieces by host are not the maximal cones of the fine complex, each once"]
+
+
+def test_carried_caches_match_a_fresh_complex():
+    for name, _, base, stage in CORPUS_STAGES:
+        for sub in stage_steps(base, stage):
+            fresh = Complex(sub.ambient_rank, sub.rays, sub.cones)
+            assert sub.maximal_cones == fresh.maximal_cones, name
+            for cone, d in sub._dim_cache.items():
+                assert d == fresh.dim(cone), name
+            for cone, faces in sub._faces_cache.items():
+                assert faces == fresh.faces(cone), name
+
+
+def test_a_subdivided_carrier_is_located_again(orthant2):
+    # both centers lie in the cone {0, 1}; after the first star that cone
+    # is gone, so the second center's recorded carrier no longer is one
+    batch = [((1, 1), (0, 1)), ((1, 2), (0, 1))]
+    expected = star_subdivide(star_subdivide(orthant2, (1, 1)), (1, 2))
+    with mock.patch.object(
+        Complex, "minimal_cone_containing", autospec=True, side_effect=Complex.minimal_cone_containing
+    ) as locate:
+        sub = _centered_subdivision(orthant2, batch)
+    assert [call.args[1] for call in locate.call_args_list] == [(1, 2)]
+    assert sub == expected
+    assert _recorded_pieces(orthant2, sub) == geometric_pieces(orthant2, sub)
+
+
+def test_a_recorded_carrier_that_is_still_a_cone_is_not_located(orthant2):
+    cx = star_subdivide(orthant2, (1, 1))
+    with mock.patch.object(
+        Complex, "minimal_cone_containing", autospec=True, side_effect=Complex.minimal_cone_containing
+    ) as locate:
+        sub = _centered_subdivision(cx, [((2, 1), (0, 2)), ((1, 2), (1, 2))])
+    assert locate.call_count == 0
+    assert sub == star_subdivide(star_subdivide(cx, (2, 1)), (1, 2))
+
+
+def test_records_free_the_complexes_in_between():
+    base = orthant(3)
+    mid = star_subdivide(base, (1, 1, 1))
+    sub = star_subdivide(mid, (1, 1, 2))
+    mid_ref = weakref.ref(mid)
+    # as in a stage: sub over mid (the search), then over base (the composite fold)
+    assert _recorded_pieces(mid, sub) == geometric_pieces(mid, sub)
+    del mid
+    assert _recorded_pieces(base, sub) == geometric_pieces(base, sub)
+    gc.collect()
+    assert mid_ref() is None
+    assert sub._subdivides[0] is base
+
+
+def test_unrelated_complexes_fall_back_to_geometry():
+    base = orthant(2)
+    other = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 2], [2, 1]])
+    assert _recorded_pieces(base, other) is None
+
+
+CORPUS = corpus()
+
+
+@st.composite
+def star_chains(draw):
+    """A corpus complex and one to four stars of it at sums of its rays and
+    cone interior points, each given no carrier or the center's carrier in
+    some complex of the chain so far, which may no longer be a cone."""
+    k = draw(st.integers(0, len(CORPUS) - 1))
+    chain = [CORPUS[k][1]]
+    for _ in range(draw(st.integers(1, 4))):
+        cur = chain[-1]
+        cones = sorted((c for c in cur.cones if c), key=sorted)
+        if not cones:
+            break
+        c = draw(st.sampled_from(cones))
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(c), max_size=len(c)))
+        center = primitive(interior_point(cur, c, weights))
+        carrier = draw(st.sampled_from([None] + chain))
+        if carrier is not None:
+            carrier = carrier.minimal_cone_containing(center)
+        out = star_subdivide(cur, center, carrier)
+        assert out == star_subdivide(cur, center)
+        chain.append(out)
+    return chain
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(star_chains(), st.data())
+def test_random_star_chains_match_geometry(chain, data):
+    base = chain[data.draw(st.integers(0, len(chain) - 1))]
+    sub = chain[-1]
+    pieces = _recorded_pieces(base, sub)
+    assert pieces == geometric_pieces(base, sub)
+    assert _local_subdivision_report(sub, base, pieces).ok
+    assert is_subdivision(sub, base).ok
+    for _, (_, c1, _, _, r2), _ in _wall_forms(sub, pieces):
+        key = (sub.generators(c1), sub.rays[r2])
+        assert _wall_relation(*key) == _wall_relation.__wrapped__(*key)
