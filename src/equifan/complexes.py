@@ -99,14 +99,8 @@ class Complex:
     def __init__(self, ambient_rank: int, rays, cones):
         self.ambient_rank = int(ambient_rank)
         self.rays: tuple[Vec, ...] = tuple(tuple(int(c) for c in r) for r in rays)
-        for r in self.rays:
-            if len(r) != self.ambient_rank:
-                raise ValueError("ray length does not match ambient rank")
         self.cones: frozenset[ConeIds] = frozenset(frozenset(c) for c in cones)
-        for c in self.cones:
-            for i in c:
-                if not (0 <= i < len(self.rays)):
-                    raise ValueError(f"cone references unknown ray id {i}")
+        _check_ids(self.ambient_rank, self.rays, self.cones)
         self._faces_cache: dict[ConeIds, frozenset[ConeIds]] = {}
         self._dim_cache: dict[ConeIds, int] = {}
         self._maximal: tuple[ConeIds, ...] | None = None
@@ -123,12 +117,13 @@ class Complex:
     def from_maximal_cones(cls, ambient_rank, rays, maximal):
         """Build a complex from ray generators and maximal cones (face-closed)."""
         rays = tuple(tuple(int(c) for c in r) for r in rays)
+        maximal = [frozenset(c) for c in maximal]
+        _check_ids(ambient_rank, rays, maximal)
         for r in rays:
             if all(c == 0 for c in r):
                 raise ValueError("zero ray")
         cones: set[ConeIds] = {frozenset()}
         for c in maximal:
-            c = frozenset(c)
             if c in cones:
                 continue
             gens = [rays[i] for i in sorted(c)]
@@ -213,6 +208,17 @@ class Complex:
             f"Complex(rank={self.ambient_rank}, rays={len(self.rays)}, "
             f"cones={len(self.cones)}, maximal={len(self.maximal_cones)})"
         )
+
+
+def _check_ids(ambient_rank, rays, cones):
+    """ValueError unless every ray has the ambient rank's length and every
+    cone names rays of the table."""
+    if any(len(r) != ambient_rank for r in rays):
+        raise ValueError("ray length does not match ambient rank")
+    for c in cones:
+        for i in c:
+            if not (0 <= i < len(rays)):
+                raise ValueError(f"cone references unknown ray id {i}")
 
 
 def _cone_order(cone):
@@ -417,48 +423,32 @@ class SubdivisionReport:
         return "subdivision" if self.ok else "; ".join(self.witnesses)
 
 
-def rays_in_cone(fine: Complex, coarse: Complex, sigma) -> frozenset[int]:
-    """Ray ids of `fine` lying in the cone sigma of `coarse` (geometric, so
-    sound on any input); a cone of `fine` lies in sigma iff its ids do."""
-    dual = coarse.dual(sigma)
-    return frozenset(i for i, r in enumerate(fine.rays) if dual.contains(r))
+def _host_pieces(fine: Complex, coarse: Complex):
+    """(sigma, pieces) for every maximal cone sigma of `coarse`, in order:
+    the maximal cones of `fine` of sigma's dimension whose rays lie in
+    sigma, in `fine.maximal_cones` order (geometric, so sound on any input)."""
+    out = []
+    for sigma in coarse.maximal_cones:
+        d, dual = coarse.dim(sigma), coarse.dual(sigma)
+        inside = frozenset(i for i, r in enumerate(fine.rays) if dual.contains(r))
+        out.append((sigma, [c for c in fine.maximal_cones if fine.dim(c) == d and c <= inside]))
+    return out
 
 
 def is_subdivision(fine: Complex, coarse: Complex) -> SubdivisionReport:
-    """Decide whether `fine` subdivides `coarse` (same support, refined cones).
-
-    Every cone of `fine` must sit inside a cone of `coarse`, and inside
-    each maximal cone of `coarse` the equal-dimension pieces of `fine`
-    must tile it: every facet of a piece that lies in a facet of the host
-    belongs to one piece and every other facet to exactly two, and the
-    generator sum of the first piece, a point of its relative interior,
-    lies in no other piece.  The last two conditions reject a multiple
-    cover, whose pieces pair up across walls as well as a tiling's do.
-    """
-    if fine.ambient_rank != coarse.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    inside = {s: rays_in_cone(fine, coarse, s) for s in coarse.maximal_cones}
-    contained = {}
-    for c in fine.maximal_cones:
-        hosts = [s for s in coarse.maximal_cones if c <= inside[s]]
-        if not hosts:
-            return SubdivisionReport(False, [f"cone {sorted(c)} of the fine complex is not contained in any cone"])
-        contained[c] = hosts
-
-    found = []
-    for sigma in coarse.maximal_cones:
-        d = coarse.dim(sigma)
-        pieces = [c for c, hs in contained.items() if sigma in hs and fine.dim(c) == d]
-        witnesses = _tiling_witnesses(fine, coarse, sigma, pieces)
-        if witnesses:
-            return SubdivisionReport(False, witnesses)
-        found.append((sigma, pieces))
-    return SubdivisionReport(True, [], found)
+    """Decide whether `fine` subdivides `coarse` (same support, refined
+    cones): `_subdivision_report` on the pieces found geometrically."""
+    return _subdivision_report(fine, coarse, _host_pieces(fine, coarse))
 
 
 def _tiling_witnesses(fine: Complex, coarse: Complex, sigma, pieces) -> list[str]:
     """Why the given pieces, cones of `fine` inside sigma of its dimension,
-    fail to tile sigma (facet pairing and one interior point); [] if they do."""
+    fail to tile sigma; [] if they do.  Every facet of a piece that lies in
+    a facet of sigma must belong to one piece and every other facet to
+    exactly two, and the generator sum of the first piece, a point of its
+    relative interior, must lie in no other piece.  The last two conditions
+    reject a multiple cover, whose pieces pair up across walls as well as
+    a tiling's do."""
     if not pieces:
         return [f"cone {sorted(sigma)} is not covered"]
     witnesses = []
@@ -488,20 +478,21 @@ def _tiling_witnesses(fine: Complex, coarse: Complex, sigma, pieces) -> list[str
     return witnesses
 
 
-def _local_subdivision_report(fine: Complex, coarse: Complex, pieces) -> SubdivisionReport:
-    """is_subdivision(fine, coarse) given which pieces fill which host.
+def _subdivision_report(fine: Complex, coarse: Complex, pieces) -> SubdivisionReport:
+    """Whether `fine` subdivides `coarse`, given which pieces fill which host.
 
     `pieces` lists (maximal cone of coarse, its pieces) for every maximal
-    cone of coarse in order, and together the pieces must be the maximal
-    cones of fine, each once.  An untouched host, its own only piece with
+    cone of coarse in order, as `_host_pieces` finds them or the star
+    records give them, and together the pieces must be the maximal cones
+    of fine, each once; so a stray maximal cone of fine of lower dimension
+    than its host is rejected.  An untouched host, its own only piece with
     the same generators, needs no test; every other host must hold its
-    pieces, of its dimension, and be tiled by them as in is_subdivision.
-    So the geometry costs only the touched hosts and their pieces.
+    pieces, of its dimension, and be tiled by them (`_tiling_witnesses`).
+    So given recorded pieces the geometry costs only the touched hosts.
 
     Sound on a valid coarse complex: pieces in different hosts meet only
     inside common faces of those hosts, so a piece lies in no host of its
-    dimension but its own, and the pieces listed for each host are the
-    ones is_subdivision would find there.
+    dimension but its own.
     """
     if fine.ambient_rank != coarse.ambient_rank:
         raise ValueError("ambient rank mismatch")
@@ -514,8 +505,9 @@ def _local_subdivision_report(fine: Complex, coarse: Complex, pieces) -> Subdivi
         if ps == [sigma] and fine.generators(sigma) == coarse.generators(sigma):
             continue
         d, dual = coarse.dim(sigma), coarse.dual(sigma)
+        outside = {i for i in set().union(*ps) if not dual.contains(fine.rays[i])}
         for p in ps:
-            if fine.dim(p) != d or not all(dual.contains(fine.rays[i]) for i in p):
+            if fine.dim(p) != d or p & outside:
                 return SubdivisionReport(
                     False, [f"cone {sorted(p)} of the fine complex is not a piece of host {sorted(sigma)}"]
                 )

@@ -58,11 +58,7 @@ def det(m) -> int:
 
 def is_unimodular(m) -> bool:
     rows = tuple(tuple(r) for r in m)
-    return (
-        len(rows) > 0
-        and all(len(r) == len(rows) for r in rows)
-        and det(rows) in (1, -1)
-    )
+    return all(len(r) == len(rows) for r in rows) and det(rows) in (1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +245,16 @@ def _smith_normal_form(M: Mat):
     return D, U, V
 
 
-def elementary_divisors(vectors):
-    """Diagonal of the SNF of the matrix whose rows are the given vectors."""
-    D, _, _ = smith_normal_form(vectors)
-    return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)))
-
-
 def cone_index(gens) -> int:
-    """Lattice index of a simplicial cone.
+    """Lattice index of a simplicial cone: the product of its elementary
+    divisors.
 
     The index of the subgroup generated by gens inside the saturation of
     their span; 1 exactly when the generators extend to a basis of the
     ambient lattice intersected with the span.
     """
-    gens = tuple(tuple(g) for g in gens)
-    if not gens:
-        return 1
-    k, n = len(gens), len(gens[0])
-    if k > n:
-        raise ValueError("not simplicial")
-    divs = elementary_divisors(gens)
-    if len(divs) < k or any(d == 0 for d in divs):
-        raise ValueError("not simplicial")
-    idx = 1
-    for d in divs:
-        idx *= d
-    return idx
+    divs, _ = _simplicial_snf(tuple(tuple(g) for g in gens))
+    return math.prod(divs)
 
 
 def is_smooth_cone(gens) -> bool:

@@ -18,9 +18,10 @@ the linear extension of the host values, which makes D positive.)
 
 Integrality is decided by SNF congruences, one per elementary divisor
 > 1 of each maximal cone, without listing lattice points.  Every ray
-value of a centered subdivision is affine in (scale, dip), so these
-congruences and one bend form per wall are built once per search on a
-single subdivision; the scan over scales and dips tests only them, and
+value of a centered subdivision is affine in (scale, dip), and of the
+direct barycentric function in (L, a), so these congruences and one bend
+form per wall are built once per search on a single subdivision; one
+solver (`_lex_first`) computes the first admitted pair from them, and
 only the winner is verified in full.  The multiplier m of a fold
 m * outer + inner is read off the same bend forms, affine in m.
 
@@ -42,11 +43,10 @@ from itertools import chain
 from .complexes import (
     Complex,
     _cone_order,
-    _local_subdivision_report,
+    _host_pieces,
+    _subdivision_report,
     cone_contains,
     is_simplicial,
-    is_subdivision,
-    rays_in_cone,
 )
 from .lattice import (
     integrality_congruences,
@@ -134,22 +134,13 @@ class AxiomReport:
         return self.ok
 
 
-def _host_pieces(base: Complex, sub: Complex, sigma):
-    """Maximal cones of the subdivision that fill the base cone sigma."""
-    d = base.dim(sigma)
-    inside = rays_in_cone(sub, base, sigma)
-    return [c for c in sub.maximal_cones if sub.dim(c) == d and c <= inside]
-
-
 def _pieces_by_base_cone(base: Complex, sub: Complex):
     """Maximal cones of the subdivision grouped by their base host cone:
     (sigma, its pieces in `sub.maximal_cones` order) for every maximal
     cone sigma of the base, in order.  Read off the star records when sub
-    was starred from base, found geometrically otherwise."""
+    was starred from base, found geometrically (`_host_pieces`) otherwise."""
     pieces = _recorded_pieces(base, sub)
-    if pieces is None:
-        pieces = [(sigma, _host_pieces(base, sub, sigma)) for sigma in base.maximal_cones]
-    return pieces
+    return _host_pieces(sub, base) if pieces is None else pieces
 
 
 def _remembered(base: Complex, sub: Complex):
@@ -198,16 +189,11 @@ def _recorded_pieces(base: Complex, sub: Complex):
 
 
 def _checked_pieces(base: Complex, sub: Complex):
-    """_pieces_by_base_cone(base, sub) once sub is shown to subdivide base;
-    ValueError otherwise.  Starred from base, sub is checked locally
-    (`_local_subdivision_report`: the tiling test on the touched hosts
-    only); any other sub by is_subdivision, whose pieces are taken."""
-    pieces = _recorded_pieces(base, sub)
-    if pieces is None:
-        report = is_subdivision(sub, base)
-        pieces = report.pieces
-    else:
-        report = _local_subdivision_report(sub, base, pieces)
+    """_pieces_by_base_cone(base, sub) once `_subdivision_report` shows
+    that sub subdivides base; ValueError otherwise.  Starred from base, sub
+    is tested on its touched hosts only."""
+    pieces = _pieces_by_base_cone(base, sub)
+    report = _subdivision_report(sub, base, pieces)
     if not report:
         raise ValueError(f"subdivision invariant violated: {report}")
     return pieces
@@ -436,76 +422,84 @@ def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: in
 
 
 def _affine_conditions(sub: Complex, lin, pieces):
-    """The order-function axioms for values affine in two integers (k, t).
+    """The order-function axioms for values affine in two integers (x, y).
 
-    Ray i is valued k * lin[i][0] - t * lin[i][1].  Returns (rows, bends):
-    integrality on every maximal cone is d | k * a - t * b for each SNF row
-    (a, b, d), with a and b reduced mod d, and the bend across each wall
-    of the given pieces by base cone is k * alpha - t * beta for its
-    (alpha, beta).
+    Ray i is valued x * lin[i][0] + y * lin[i][1].  Returns (rows, bends):
+    integrality on every maximal cone is d | x * P + y * Q for each
+    distinct SNF row (P, Q, d), with P and Q reduced mod d, and the bend
+    across each wall of the given pieces by base cone is x * a + y * b for
+    its (a, b).
     """
-    ks, ts = [k for k, _ in lin], [t for _, t in lin]
-    rows = []
+    xc, yc = [x for x, _ in lin], [y for _, y in lin]
+    rows = set()
     for c in sub.maximal_cones:
         for u, d in integrality_congruences(sub.generators(c)) if c else ():
             row = dict(zip(sorted(c), u))
-            rows.append((_apply(row, ks) % d, _apply(row, ts) % d, d))
-    return rows, [(_apply(form, ks), _apply(form, ts)) for _, _, form in _wall_forms(sub, pieces)]
+            rows.add((_apply(row, xc) % d, _apply(row, yc) % d, d))
+    return sorted(rows), [(_apply(form, xc), _apply(form, yc)) for _, _, form in _wall_forms(sub, pieces)]
+
+
+def _lex_first(rows, bounds, xs):
+    """The first (x, y), x in the order of xs and then the least y, with
+    d | x * P + y * Q for every row (P, Q, d) and x * a + y * b > 0 for
+    every bound (a, b); None when there is none.  The xs are positive and
+    some bound has b > 0.
+
+    The bounds confine y / x to an open interval (lo, hi), or to nothing
+    (a bound with b = 0 and a <= 0).  For each x the rows admit one
+    residue class of y, or none, built row by row; its least member above
+    x * lo is the answer when it lies below x * hi.
+    """
+    lo = max(Fraction(-a, b) for a, b in bounds if b > 0)
+    hi = min((Fraction(a, -b) for a, b in bounds if b < 0), default=None)
+    if any(b == 0 and a <= 0 for a, b in bounds) or (hi is not None and lo >= hi):
+        return None
+    for x in xs:
+        r, m = 0, 1  # the admitted y are r mod m
+        for P, Q, d in rows:
+            # y = r + m * j: solve j * m * Q = -(x * P + r * Q) (mod d)
+            g = math.gcd(m * Q, d)
+            rhs = -(x * P + r * Q)
+            if rhs % g:
+                break
+            j = rhs // g * pow(m * Q // g, -1, d // g)
+            r, m = (r + m * j) % (m * d // g), m * d // g
+        else:
+            y = math.floor(x * lo) + 1
+            y += (r - y) % m
+            if hi is None or y < x * hi:
+                return x, y
+    return None
 
 
 def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: int):
     """Lexicographically first strict (scale, dip), solved from exact forms.
 
     Scales run over multiples of L, the common denominator of the center
-    coordinate sums, so scale = L * k makes every value k * a_i - dip * e_i
-    with integer a_i = L * q_i, and `_affine_conditions` gives the axioms:
-
-    - an SNF row d | k * a - dip * b is solvable in dip only when
-      gcd(b, d) | k * a; that restricts the scale to a multiple of a fixed
-      step (for a row with b = 0 mod d, as on every piece without a new
-      ray, it is the whole condition);
-    - each wall bend k * alpha - dip * beta > 0 bounds dip / k from one
-      side, as does 1 <= dip < scale * min(q) (positive values).
+    coordinate sums, so scale = L * x makes every value
+    x * L * q_i - dip * e_i with integer L * q_i.  `_lex_first` solves the
+    axioms in (x, dip) from `_affine_conditions`, with positive values as
+    the bounds dip >= 1 and dip < x * L * min(q).
     """
     L = math.lcm(*[q.denominator for q in coord_sums])
-    lin = [(int(L * q), e) for q, e in forms]
-    rows, bends = _affine_conditions(sub, lin, _pieces_by_base_cone(cx, sub))
-
-    step = L  # every admissible scale is a multiple of step
-    for a, b, d in rows:
-        g = math.gcd(b, d)  # solvable in dip iff g | k * a
-        step = math.lcm(step, L * (g // math.gcd(g, a)))
-    rows = sorted({row for row in rows if row[1]})
-
-    # open bounds lo < dip / k < hi
-    lo, hi = Fraction(0), L * min(coord_sums)
-    for alpha, beta in bends:
-        if beta > 0:
-            hi = min(hi, alpha / beta)
-        elif beta < 0:
-            lo = max(lo, alpha / beta)
-        elif alpha <= 0:
-            hi = lo  # no dip bends this wall: leave no room for dip / k
-    if lo < hi:
-        for scale in range(step, scale_cap + 1, step):
-            k = scale // L
-            for dip in range(math.floor(k * lo) + 1, math.ceil(k * hi)):
-                if all((k * a - dip * b) % d == 0 for a, b, d in rows):
-                    return scale, dip
-    raise ValueError(
-        f"scale insufficient: no strict (scale, dip) with scale <= scale_cap={scale_cap}"
-    )
+    rows, bends = _affine_conditions(sub, [(int(L * q), -e) for q, e in forms], _pieces_by_base_cone(cx, sub))
+    positive = [(0, 1), (int(L * min(coord_sums)), -1)]
+    found = _lex_first(rows, bends + positive, range(1, scale_cap // L + 1))
+    if found is None:
+        raise ValueError(
+            f"scale insufficient: no strict (scale, dip) with scale <= scale_cap={scale_cap}"
+        )
+    return L * found[0], found[1]
 
 
 def search_centered_order_function(cx: Complex, centers_with_hosts, scale_cap: int = COMPOSITION_CAP):
     """Smallest verified (scale, dip) for a simultaneous centered subdivision.
 
-    The winner is the first candidate of a scan over scales in increasing
-    order and, for each, dips in increasing order that passes the axiom
-    check with strict bends, which keeps certificates small and
-    reproducible.  The scan is not run candidate by candidate: the
-    subdivision is built once, the axioms are solved once as exact forms
-    in (scale, dip), and only the winner is verified in full.
+    The winner is the strict (scale, dip) that is first in the order of
+    scales and then dips, which keeps certificates small and reproducible.
+    It is solved, not searched: the subdivision is built once, the axioms
+    become exact forms in (scale, dip) (`_solve_scale_dip`), and only the
+    winner is verified in full.
     """
     if not centers_with_hosts:
         trivial = centered_order_function(cx, [], 1, 1)

@@ -51,6 +51,7 @@ from .orderfun import (
     _affine_conditions,
     _axiom_report,
     _checked_pieces,
+    _lex_first,
     _merged_domains,
     _pieces_by_base_cone,
     fold,
@@ -116,30 +117,21 @@ def frames_equivariant(frames: dict, action) -> bool:
     return True
 
 
-def _inherit_frames(cx: Complex, frames: dict, sub: Complex, hosts: dict) -> dict:
-    """Frames on a simultaneous centered subdivision of cx.
+def _inherit_frames(frames: dict, pieces) -> dict:
+    """Frames on a simultaneous centered subdivision, from its pieces by
+    host (`_pieces_by_base_cone`).
 
-    A piece keeps its frame when untouched; a piece of the star of a
-    center takes its parent's frame with the center in the slot of the
-    parent ray it replaced.  No two centers share a cone, so a piece holds
-    at most one new ray.  `hosts` maps each center to its carrier in cx,
-    which lies in exactly the parents that contain the center.
+    An untouched host keeps its frame.  No two centers share a cone, so a
+    piece of the star of a center is its host with one ray replaced by the
+    center, and takes the host's frame with the center in that ray's slot.
     """
     new_frames = {}
-    for mc in sub.maximal_cones:
-        new = [i for i in mc if i >= len(cx.rays)]
-        if not new:
-            new_frames[mc] = frames[mc]
-            continue
-        wid = new[0]
-        base = mc - {wid}
-        tau = frozenset(hosts[sub.rays[wid]])
-        parents = [h for h in frames if len(h) == len(mc) and base < h and tau <= h]
-        if not parents:
-            raise RuntimeError(f"no framed parent for subdivision piece {sorted(mc)}")
-        fr = frames[parents[0]]
-        slot = fr.index(next(iter(parents[0] - base)))
-        new_frames[mc] = fr[:slot] + (wid,) + fr[slot + 1:]
+    for sigma, ps in pieces:
+        for p in ps:
+            new = p - sigma
+            if len(new) > 1 or len(sigma - p) != len(new):
+                raise RuntimeError(f"no framed parent for subdivision piece {sorted(p)}")
+            new_frames[p] = tuple(i if i in p else min(new) for i in frames[sigma])
     return new_frames
 
 
@@ -334,21 +326,6 @@ def _consistent_base_values(cx: Complex):
     return tuple(int(v * scale) for v in y)
 
 
-def _congruence_class(rows, a: int):
-    """(r, m) such that the k with d | k * A - a * B for every row (A, B, d)
-    are exactly those with k = r mod m, or None when there is no such k."""
-    r, m = 0, 1
-    for A, B, d in rows:
-        # k = r + m * j: solve j * m * A = a * B - r * A (mod d)
-        g = math.gcd(m * A, d)
-        rhs = a * B - r * A
-        if rhs % g:
-            return None
-        j = rhs // g * pow(m * A // g, -1, d // g)
-        r, m = (r + m * j) % (m * d // g), m * d // g
-    return r, m
-
-
 def direct_barycentric_order_function(cx: Complex, bcx: Complex):
     """Order function for B(cx) built directly from dimension-graded dips.
 
@@ -357,10 +334,11 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
     L * base(ray) - a * (2^dim - 1), where base is linear on every cone of
     cx.  Every wall of B(cx) lies in one such cone, so its bend is a times
     a constant: strictness holds for every (L, a) or for none.  Positivity
-    bounds L from below for each a.  Integrality is a set of SNF
-    congruences in (L, a); for an admitted a the admitted L form one
-    residue class.  So the smallest a, and then the smallest L, are
-    solved, not searched, and only they are verified.
+    bounds L from below for each a, and integrality is a set of SNF
+    congruences in (L, a).  `_lex_first` solves for the smallest a and
+    then the smallest L; the a admitting some L form a subgroup of Z that
+    holds the lcm P of the moduli ((L, a) = (0, P) solves every row), so
+    the smallest a is at most P.  Only the winner is verified.
     """
     y = _consistent_base_values(cx)
     hosts = _barycentric_sources(cx, bcx)
@@ -372,20 +350,15 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
         for h in hosts
     ]
     denom = math.lcm(*[v.denominator for v in base_val])
-    # with L = denom * k ray r is valued k * lin[r][0] - a * lin[r][1]
-    lin = [(int(denom * v), 2 ** cx.dim(h) - 1) for v, h in zip(base_val, hosts)]
+    # with L = denom * k ray r is valued a * lin[r][0] + k * lin[r][1], and
+    # positive when lin[r], as a bound, holds
+    lin = [(1 - 2 ** cx.dim(h), int(denom * v)) for v, h in zip(base_val, hosts)]
     rows, bends = _affine_conditions(bcx, lin, _pieces_by_base_cone(cx, bcx))
-    if not all(alpha == 0 and beta < 0 for alpha, beta in bends):
+    found = _lex_first(rows, bends + lin, range(1, math.lcm(*[d for _, _, d in rows]) + 1))
+    if found is None:
         raise ValueError("scale insufficient: a wall of the barycentric subdivision does not bend")
-    # the a admitting some k form a subgroup of Z that holds the lcm P of
-    # the moduli ((k, a) = (0, P) solves every row), so the least positive
-    # one divides P
-    period = math.lcm(*[d for _, _, d in rows])
-    a = next(a for a in range(1, period + 1) if period % a == 0 and _congruence_class(rows, a))
-    r, m = _congruence_class(rows, a)
-    kmin = math.ceil(max((a * c + 1) / v for v, (_, c) in zip(base_val, lin)) / denom)
-    k = kmin + (r - kmin) % m
-    winner = OrderFunction(cx, bcx, [k * ka - a * c for ka, c in lin])
+    a, k = found
+    winner = OrderFunction(cx, bcx, [a * c + k * ka for c, ka in lin])
     rep = verify_order_axioms(winner, check_subdivision=False)
     if not (rep.ok and rep.strict and rep.positive):
         raise RuntimeError(
@@ -541,17 +514,18 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
         check_simultaneous(cur, carriers)
         ord_k, scale, dip = search_centered_order_function(cur, centers_with_hosts)
         nxt = ord_k.subdivision
-        frames = _inherit_frames(cur, frames, nxt, dict(centers_with_hosts))
+        pieces = _pieces_by_base_cone(cur, nxt)
+        frames = _inherit_frames(frames, pieces)
         if any(frozenset(frame) != mc for mc, frame in frames.items()):
             raise RuntimeError("frame consistency: a frame does not list its cone's rays")
         if not trivial and not frames_equivariant(frames, group_action(nxt, elements)):
             raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
 
         # the measure must drop on every subdivided cone's descendants
-        for mc, pieces in _pieces_by_base_cone(cur, nxt):
+        for mc, ps in pieces:
             if any(tau <= mc for tau in carriers):
                 idx = cone_index(cur.generators(mc))
-                if max((cone_index(nxt.generators(d)) for d in pieces), default=idx) >= idx:
+                if max((cone_index(nxt.generators(d)) for d in ps), default=idx) >= idx:
                     raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")
 
         replay.stage("centered", [BatchStep(tuple(centers_with_hosts), scale, dip, 1)], [ord_k])

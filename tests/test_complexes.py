@@ -7,6 +7,7 @@ import pytest
 
 from equifan.complexes import (
     Complex,
+    _host_pieces,
     cone_dual,
     is_simplicial,
     is_smooth,
@@ -109,6 +110,20 @@ class TestValidation:
         report = validate_complex(cx)
         assert any("extreme ray" in v for v in report.violations)
 
+    @pytest.mark.parametrize(
+        "rays, cones, message",
+        [
+            ([(1, 0)], [(0, 1)], "cone references unknown ray id 1"),
+            ([(1, 0), (0, 1)], [(0, -1)], "cone references unknown ray id -1"),
+            ([(1,)], [(0,)], "ray length does not match ambient rank"),
+        ],
+    )
+    def test_from_maximal_cones_rejects_bad_tables(self, rays, cones, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            Complex.from_maximal_cones(2, rays, cones)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            Complex(2, rays, cones)
+
     def test_missing_face(self):
         cx = Complex(2, [(1, 0), (0, 1)], [frozenset({0, 1}), frozenset()])
         report = validate_complex(cx)
@@ -145,6 +160,24 @@ class TestSubdivision:
         assert not report
         assert any(w.startswith("boundary facet [0]") for w in report.witnesses)
         assert any(w.startswith("interior point") for w in report.witnesses)
+
+    def test_stray_lower_dimensional_cone_rejected(self, orthant2):
+        # the orthant with the 1-D cone through (1, 1) as an extra maximal
+        # cone: it lies in the orthant but is no piece of it
+        fine = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [2]])
+        assert frozenset({2}) in fine.maximal_cones
+        report = is_subdivision(fine, orthant2)
+        assert not report
+        assert report.witnesses == [
+            "the pieces by host are not the maximal cones of the fine complex, each once"
+        ]
+
+    def test_pieces_found_geometrically(self, orthant2):
+        st = star_subdivide(orthant2, (1, 1))
+        (sigma, pieces), = _host_pieces(st, orthant2)
+        assert sigma == frozenset({0, 1})
+        assert pieces == list(st.maximal_cones)
+        assert is_subdivision(st, orthant2).pieces == [(sigma, pieces)]
 
     def test_rank_mismatch(self, orthant2, orthant3):
         with pytest.raises(ValueError, match="rank"):

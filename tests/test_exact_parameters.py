@@ -3,9 +3,12 @@
 `fold`'s multiplier, the direct barycentric (L, a) and its base values
 are each compared with the old candidate-by-candidate loop, kept in
 conftest.py as a reference, and the base values also with sympy's
-exact linear programming.
+exact linear programming.  The solver both parameter searches share,
+`orderfun._lex_first`, is compared with a scan over (x, y) in the same
+order.
 """
 
+import math
 from unittest import mock
 
 import pytest
@@ -18,7 +21,7 @@ import equifan.resolve as resolve
 from equifan.complexes import Complex, is_simplicial, validate_complex
 from equifan.fanio import fan_from_complex, parse_certificate, verify_certificate, write_certificate
 from equifan.lattice import cone_index, primitive, rank
-from equifan.orderfun import fold
+from equifan.orderfun import _lex_first, fold
 from equifan.resolve import _consistent_base_values, direct_barycentric_order_function
 from equifan.subdivide import barycentric_subdivision
 
@@ -212,3 +215,40 @@ def test_square_cone_with_many_one_ray_cones():
     assert cert.ok and cert.stages[0].kind == "barycentric-direct"
     fan = fan_from_complex(cx, ())
     assert verify_certificate(parse_certificate(write_certificate(cert, fan)), fan) == []
+
+
+@st.composite
+def lex_first_problems(draw):
+    """Up to three SNF-like rows (P, Q, d) with moduli 2..12, often with
+    Q = 0 mod d, bounds (a, b) with one lower bound b > 0 and others of
+    any sign, b = 0 among them, and distinct positive xs in drawn order."""
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(2, 12))
+        q = draw(st.one_of(st.just(0), st.integers(0, d - 1)))
+        rows.append((draw(st.integers(0, d - 1)), q, d))
+    coef = st.integers(-6, 6)
+    bounds = [(draw(coef), draw(st.integers(1, 4)))]
+    bounds += draw(st.lists(st.tuples(coef, st.integers(-4, 4)), max_size=3))
+    xs = draw(st.lists(st.integers(1, 10), min_size=1, max_size=6, unique=True))
+    return rows, bounds, xs
+
+
+def brute_lex_first(rows, bounds, xs):
+    """The first (x, y) by scanning y upwards for each x in order.  The
+    least admitted y exceeds -6 * 10 and, rows repeating with period M,
+    lies below 60 + M when there is one."""
+    period = math.lcm(*[d for _, _, d in rows])
+    for x in xs:
+        for y in range(-60, 60 + period):
+            if all((x * p + y * q) % d == 0 for p, q, d in rows) and all(
+                x * a + y * b > 0 for a, b in bounds
+            ):
+                return x, y
+    return None
+
+
+@settings(DERANDOMIZED, max_examples=400)
+@given(lex_first_problems())
+def test_lex_first_matches_a_scan(problem):
+    assert _lex_first(*problem) == brute_lex_first(*problem)

@@ -67,6 +67,15 @@ def test_snf_examples():
     assert diag_of(D) == [1, 6]
 
 
+def test_empty_matrix():
+    # a 0 x 0 matrix is unimodular (its determinant is 1) and spans the
+    # zero cone, of index 1 with no nonzero parallelepiped point
+    assert smith_normal_form(()) == ((), (), ())
+    assert is_unimodular(())
+    assert cone_index(()) == 1
+    assert parallelepiped_points(()) == []
+
+
 def test_snf_contract_random():
     rng = random.Random(11)
     for _ in range(150):

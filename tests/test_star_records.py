@@ -3,9 +3,9 @@
 `subdivide.star_subdivide` records the pieces of every maximal cone it
 touches and carries the caches of untouched cones over;
 `orderfun._recorded_pieces` composes the records along a chain of
-stars, and `complexes._local_subdivision_report` checks a stage on its
+stars, and `complexes._subdivision_report` checks a stage on its
 touched hosts only.  Each is compared here with the geometric original
-(`orderfun._host_pieces`, `is_subdivision`, a freshly built complex) on
+(`complexes._host_pieces`, `is_subdivision`, a freshly built complex) on
 every stage of the corpus resolutions and on derandomized star chains.
 """
 
@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from equifan.complexes import (
     Complex,
     _cone_order,
-    _local_subdivision_report,
+    _host_pieces,
+    _subdivision_report,
     is_subdivision,
 )
 from equifan.lattice import primitive
 from equifan.orderfun import (
     _centered_subdivision,
-    _host_pieces,
     _recorded_pieces,
     _wall_forms,
     _wall_relation,
@@ -38,7 +38,7 @@ from test_exact_parameters import CORPUS_RUNS
 
 
 def geometric_pieces(base, sub):
-    return [(sigma, _host_pieces(base, sub, sigma)) for sigma in base.maximal_cones]
+    return _host_pieces(sub, base)
 
 
 def stage_steps(base, stage):
@@ -97,13 +97,13 @@ def test_local_check_matches_is_subdivision_on_corpus_stages():
     for name, _, base, stage in CORPUS_STAGES:
         sub = stage_steps(base, stage)[-1]
         pieces = _recorded_pieces(base, sub)
-        local = _local_subdivision_report(sub, base, pieces)
+        local = _subdivision_report(sub, base, pieces)
         full = is_subdivision(sub, base)
         assert local.ok and full.ok, name
         assert local.pieces == full.pieces, name
         for bad, bad_pieces in mutations(sub, pieces):
             assert not is_subdivision(bad, base), name
-            assert not _local_subdivision_report(bad, base, bad_pieces), name
+            assert not _subdivision_report(bad, base, bad_pieces), name
             mutated += 1
     assert mutated >= 70
 
@@ -131,11 +131,24 @@ def mutations(sub, pieces):
 def test_local_check_names_a_wrong_pieces_map(orthant2):
     sub = star_subdivide(orthant2, (1, 1))
     pieces = _recorded_pieces(orthant2, sub)
-    assert _local_subdivision_report(sub, orthant2, pieces)
+    assert _subdivision_report(sub, orthant2, pieces)
     (sigma, ps), = pieces
-    report = _local_subdivision_report(sub, orthant2, [(sigma, ps[:1])])
+    report = _subdivision_report(sub, orthant2, [(sigma, ps[:1])])
     assert not report
     assert report.witnesses == ["the pieces by host are not the maximal cones of the fine complex, each once"]
+
+
+def test_local_check_names_a_piece_outside_its_host():
+    # two half-planes, each listed as the other's only piece
+    cx = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
+    (a, pa), (b, pb) = _host_pieces(cx, cx)
+    report = _subdivision_report(cx, cx, [(a, pb), (b, pa)])
+    assert report.witnesses == [f"cone {sorted(b)} of the fine complex is not a piece of host {sorted(a)}"]
+    # the orthant and a stray 1-D cone inside it, listed as a second piece
+    fine = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [2]])
+    sigma = frozenset({0, 1})
+    report = _subdivision_report(fine, orthant(2), [(sigma, [frozenset({2}), sigma])])
+    assert report.witnesses == ["cone [2] of the fine complex is not a piece of host [0, 1]"]
 
 
 def test_carried_caches_match_a_fresh_complex():
@@ -227,7 +240,7 @@ def test_random_star_chains_match_geometry(chain, data):
     sub = chain[-1]
     pieces = _recorded_pieces(base, sub)
     assert pieces == geometric_pieces(base, sub)
-    assert _local_subdivision_report(sub, base, pieces).ok
+    assert _subdivision_report(sub, base, pieces).ok
     assert is_subdivision(sub, base).ok
     for _, (_, c1, _, _, r2), _ in _wall_forms(sub, pieces):
         key = (sub.generators(c1), sub.rays[r2])
