@@ -29,7 +29,6 @@ from .groups import (
 )
 from .lattice import (
     cone_index,
-    is_smooth_cone,
     parallelepiped_points,
     primitive,
     smith_normal_form,
@@ -83,7 +82,6 @@ __all__ = [
     "group_action",
     "is_simplicial",
     "is_smooth",
-    "is_smooth_cone",
     "is_subdivision",
     "linearity_domains",
     "max_index",

@@ -24,6 +24,7 @@ from .fanio import (
     write_fan,
 )
 from .groups import GROUP_CAP_DEFAULT, generate_group, group_action, verify_action
+from .groups import _fixed_cone_identity, _strictness
 from .lattice import cone_index, primitive
 from .resolve import resolve_equivariant
 from .subdivide import barycentric_subdivision, star_subdivide
@@ -187,10 +188,8 @@ def cmd_report(args) -> int:
         action = verify_action(cx, elements)
         print(f"group: order {len(elements)}, acts: {'yes' if action.ok else 'no'}")
         if action.ok:
-            from .groups import check_G_strict, check_fixed_cone_identity
-
-            print(f"fixed-cone identity: {'pass' if check_fixed_cone_identity(cx, elements).ok else 'FAIL'}")
-            print(f"strict action: {'pass' if check_G_strict(cx, elements).ok else 'FAIL'}")
+            print(f"fixed-cone identity: {'pass' if _fixed_cone_identity(action).ok else 'FAIL'}")
+            print(f"strict action: {'pass' if _strictness(action).ok else 'FAIL'}")
     return 0
 
 

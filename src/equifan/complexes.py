@@ -63,13 +63,13 @@ def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
     d = ambient_rank - len(equations)
     seen = set()
     normals = []
-    # every facet is spanned by d-1 independent generators lying on it
+    # every facet is spanned by d-1 independent generators lying on it; the
+    # equations span the orthogonal complement of the cone's span, so sub and
+    # the equations leave exactly one normal direction (up to sign) exactly
+    # when sub has rank d-1
     for subset in combinations(range(len(gens)), d - 1) if d >= 1 else []:
         sub = [gens[i] for i in subset]
-        if rank(sub) != d - 1:
-            continue
-        candidates = rational_nullspace(list(sub) + list(equations), n=ambient_rank)
-        # unique normal direction within the span, up to sign
+        candidates = rational_nullspace(sub + list(equations), n=ambient_rank)
         if len(candidates) != 1:
             continue
         u = candidates[0]
@@ -89,8 +89,23 @@ def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
     return DualDescription(equations, tuple(normals))
 
 
-def cone_contains(gens, x, ambient_rank: int) -> bool:
-    return cone_dual(gens, ambient_rank).contains(x)
+def _extreme(gens, ambient_rank: int) -> tuple[int, ...]:
+    """Indices of the extreme generators of a pointed cone, read off its
+    dual: generator i is extreme exactly when the facets holding it hold no
+    other generator.  (A generator in the cone of the others lies in the
+    relative interior of a face that other generators span.)"""
+    ineqs = cone_dual(gens, ambient_rank).inequalities
+    zeros = [frozenset(k for k, u in enumerate(ineqs) if _dot(u, g) == 0) for g in gens]
+    return tuple(
+        i for i, z in enumerate(zeros)
+        if not any(z <= w for j, w in enumerate(zeros) if j != i)
+    )
+
+
+def _require_length(x, ambient_rank: int):
+    """ValueError unless the point x has the ambient rank's length."""
+    if len(x) != ambient_rank:
+        raise ValueError(f"point has {len(x)} entries, expected {ambient_rank}")
 
 
 class Complex:
@@ -147,6 +162,7 @@ class Complex:
         return cone_dual(self.generators(cone), self.ambient_rank)
 
     def contains_point(self, cone, x) -> bool:
+        _require_length(x, self.ambient_rank)
         return self.dual(cone).contains(x)
 
     @property
@@ -183,6 +199,7 @@ class Complex:
         the facet inequalities vanishing at x vanish.  On a valid complex x
         lies in a cone exactly when its carrier is a face of it.
         """
+        _require_length(x, self.ambient_rank)
         for sigma in self.maximal_cones:
             dd = self.dual(sigma)
             if dd.contains(x):
@@ -323,16 +340,15 @@ def validate_complex(cx: Complex) -> ValidationReport:
         return report
 
     for c in sorted(cx.cones, key=sorted):
-        gens = cx.generators(c)
         if not c:
             continue
         dd = cx.dual(c)
         if rank(list(dd.equations) + list(dd.inequalities)) < cx.ambient_rank:
             report.violations.append(f"cone {sorted(c)} is not pointed")
             continue
-        for i in sorted(c):
-            others = [cx.rays[j] for j in sorted(c) if j != i]
-            if others and cone_contains(tuple(others), cx.rays[i], cx.ambient_rank):
+        extreme = _extreme(cx.generators(c), cx.ambient_rank)
+        for k, i in enumerate(sorted(c)):
+            if k not in extreme:
                 report.violations.append(
                     f"cone {sorted(c)}: generator {i} is not an extreme ray"
                 )
@@ -347,15 +363,12 @@ def validate_complex(cx: Complex) -> ValidationReport:
                 )
 
     for c1, c2 in combinations(cx.maximal_cones, 2):
-        inter = _intersect_cones(cx, c1, c2)
         shared = c1 & c2
-        candidate = frozenset(i for i in shared)
-        ok = (
-            inter == frozenset(cx.rays[i] for i in candidate)
-            and candidate in cx.faces(c1)
-            and candidate in cx.faces(c2)
-        )
-        if not ok:
+        if not (
+            _intersect_cones(cx, c1, c2) == frozenset(cx.rays[i] for i in shared)
+            and shared in cx.faces(c1)
+            and shared in cx.faces(c2)
+        ):
             report.violations.append(
                 f"cones {sorted(c1)} and {sorted(c2)} do not intersect in a common face"
             )
@@ -371,38 +384,19 @@ def require_valid(cx: Complex) -> Complex:
 
 
 def _intersect_cones(cx: Complex, c1, c2) -> frozenset[Vec]:
-    """Extreme rays (as primitive generators) of the exact intersection."""
+    """Extreme rays (as primitive generators) of the exact intersection.
+
+    The intersection C lies in the pointed cone c1, so it is pointed: its
+    dual, which both cones' facet normals and the span of their equations
+    generate, is full-dimensional, and its facets are C's extreme rays.
+    C = {0} gives no facet, and a ray gives one half-space.  The equations
+    and minus their sum generate their span as a cone, with fewer
+    generators for the enumeration than both signs of each.
+    """
     d1, d2 = cx.dual(c1), cx.dual(c2)
-    equations = list(d1.equations) + list(d2.equations)
-    normals = list(d1.inequalities) + list(d2.inequalities)
-    n = cx.ambient_rank
-    span = rational_nullspace(equations, n=n) if equations else [
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    ]
-    d = len(span)
-    if d == 0:
-        return frozenset()
-    rays = set()
-    # an extreme ray is cut out by d-1 independent active constraints
-    for subset in combinations(range(len(normals)), d - 1) if d >= 1 else []:
-        active = [normals[i] for i in subset] + list(equations)
-        dirs = rational_nullspace(active, n=n)
-        if len(dirs) != 1:
-            continue
-        v = dirs[0]
-        for cand in (v, tuple(-c for c in v)):
-            if all(_dot(u, cand) >= 0 for u in normals) and all(
-                _dot(e, cand) == 0 for e in equations
-            ):
-                rays.add(primitive(cand))
-                break
-    if d == 1:
-        # no constraints needed; test the span direction itself
-        v = span[0]
-        for cand in (v, tuple(-c for c in v)):
-            if all(_dot(u, cand) >= 0 for u in normals):
-                rays.add(primitive(cand))
-    return frozenset(rays)
+    eqs = d1.equations + d2.equations
+    span = eqs + (tuple(-sum(c) for c in zip(*eqs)),) if eqs else ()
+    return frozenset(cone_dual(d1.inequalities + d2.inequalities + span, cx.ambient_rank).inequalities)
 
 
 # ---------------------------------------------------------------------------

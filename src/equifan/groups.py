@@ -1,17 +1,18 @@
 """Finite group actions on complexes.
 
 A group is a finite set of unimodular integer matrices acting on the
-ambient lattice.  An action on a complex is verified by checking that
-every element permutes the ray generators and the cones; all later
-operations (orbits, strictness checks, quotients) work through the
-induced ray permutations.
+ambient lattice.  `verify_action` checks that every element permutes the
+ray generators and the cones and returns one record, a `GroupAction`:
+the induced ray and cone permutations, or the violations when the
+matrices do not act.  Orbits, the fixed-cone-identity and strictness
+checks and quotients all read that record, so an action is verified once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .complexes import Complex
+from .complexes import Complex, ValidationReport
 from .lattice import Mat, identity_matrix, is_unimodular, mat_mul, mat_vec
 
 GROUP_CAP_DEFAULT = 10_000
@@ -56,13 +57,18 @@ def trivial_group(rank: int) -> tuple[Mat, ...]:
     return (identity_matrix(rank),)
 
 
-@dataclass
-class ActionReport:
-    """Result of verifying that matrices act on a complex."""
+@dataclass(frozen=True)
+class GroupAction:
+    """The verified action of matrices on a complex: for each element, the
+    permutation of ray ids and the map of cones it induces.  When the
+    matrices do not act, `violations` says why, the tables are empty and
+    the orbit queries raise ValueError."""
 
-    violations: list[str] = field(default_factory=list)
+    complex: Complex
+    elements: tuple[Mat, ...]
     ray_permutations: tuple[tuple[int, ...], ...] = ()
     cone_permutations: tuple[dict, ...] = ()
+    violations: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -71,68 +77,13 @@ class ActionReport:
     def __bool__(self):
         return self.ok
 
-
-def verify_action(cx: Complex, elements) -> ActionReport:
-    """Check every element permutes rays and cones; emit permutation tables."""
-    report = ActionReport()
-    elements = tuple(tuple(tuple(int(c) for c in row) for row in m) for m in elements)
-    ray_index = {r: i for i, r in enumerate(cx.rays)}
-    perms = []
-    cone_maps = []
-    for k, m in enumerate(elements):
-        if not is_unimodular(m):
-            report.violations.append(f"element {k} is not unimodular")
-            continue
-        perm = []
-        ok = True
-        for i, r in enumerate(cx.rays):
-            img = mat_vec(m, r)
-            j = ray_index.get(img)
-            if j is None:
-                report.violations.append(
-                    f"element {k} maps ray {i} = {r} to {img}, not a ray"
-                )
-                ok = False
-                break
-            perm.append(j)
-        if not ok:
-            continue
-        cmap = {}
-        for c in cx.cones:
-            img = frozenset(perm[i] for i in c)
-            if img not in cx.cones:
-                report.violations.append(
-                    f"element {k} maps cone {sorted(c)} to {sorted(img)}, not a cone"
-                )
-                ok = False
-                break
-            cmap[c] = img
-        if ok:
-            perms.append(tuple(perm))
-            cone_maps.append(cmap)
-    if report.ok:
-        report.ray_permutations = tuple(perms)
-        report.cone_permutations = tuple(cone_maps)
-    return report
-
-
-def group_action(cx: Complex, elements) -> "GroupAction":
-    """Verified action of the given matrices on the complex (raises if invalid)."""
-    report = verify_action(cx, elements)
-    if not report.ok:
-        raise ValueError("group does not act on the complex: " + "; ".join(report.violations))
-    elements = tuple(tuple(tuple(int(c) for c in row) for row in m) for m in elements)
-    return GroupAction(cx, elements, report.ray_permutations, report.cone_permutations)
-
-
-@dataclass(frozen=True)
-class GroupAction:
-    complex: Complex
-    elements: tuple[Mat, ...]
-    ray_permutations: tuple[tuple[int, ...], ...]
-    cone_permutations: tuple[dict, ...]
+    def _require_ok(self) -> GroupAction:
+        if self.violations:
+            raise ValueError("group does not act on the complex: " + "; ".join(self.violations))
+        return self
 
     def ray_orbits(self) -> tuple[tuple[int, ...], ...]:
+        self._require_ok()
         n = len(self.complex.rays)
         seen = set()
         orbits = []
@@ -145,6 +96,7 @@ class GroupAction:
         return tuple(orbits)
 
     def cone_orbits(self, maximal_only: bool = False) -> tuple[tuple, ...]:
+        self._require_ok()
         cones = self.complex.maximal_cones if maximal_only else sorted(
             self.complex.cones, key=lambda c: (len(c), sorted(c))
         )
@@ -160,22 +112,67 @@ class GroupAction:
         return tuple(orbits)
 
 
-@dataclass
-class CheckReport:
-    violations: list[str] = field(default_factory=list)
+def verify_action(cx: Complex, elements) -> GroupAction:
+    """Check every element permutes rays and cones; the action record, with
+    permutation tables when they all do and the violations otherwise."""
+    violations = []
+    elements = tuple(tuple(tuple(int(c) for c in row) for row in m) for m in elements)
+    n = cx.ambient_rank
+    ray_index = {r: i for i, r in enumerate(cx.rays)}
+    perms = []
+    cone_maps = []
+    for k, m in enumerate(elements):
+        if len(m) != n or any(len(row) != n for row in m):
+            violations.append(f"element {k} is not a {n}x{n} matrix")
+            continue
+        if not is_unimodular(m):
+            violations.append(f"element {k} is not unimodular")
+            continue
+        perm = []
+        for i, r in enumerate(cx.rays):
+            img = mat_vec(m, r)
+            j = ray_index.get(img)
+            if j is None:
+                violations.append(f"element {k} maps ray {i} = {r} to {img}, not a ray")
+                break
+            perm.append(j)
+        else:
+            cmap = {}
+            for c in cx.cones:
+                img = frozenset(perm[i] for i in c)
+                if img not in cx.cones:
+                    violations.append(
+                        f"element {k} maps cone {sorted(c)} to {sorted(img)}, not a cone"
+                    )
+                    break
+                cmap[c] = img
+            else:
+                perms.append(tuple(perm))
+                cone_maps.append(cmap)
+    if violations:
+        return GroupAction(cx, elements, violations=tuple(violations))
+    return GroupAction(cx, elements, tuple(perms), tuple(cone_maps))
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
-    def __bool__(self):
-        return self.ok
+def group_action(cx: Complex, elements) -> GroupAction:
+    """Verified action of the given matrices on the complex (raises if invalid)."""
+    return verify_action(cx, elements)._require_ok()
 
 
-def check_fixed_cone_identity(cx: Complex, elements) -> CheckReport:
+def check_fixed_cone_identity(cx: Complex, elements) -> ValidationReport:
     """Every element fixing a cone setwise must fix its rays pointwise."""
-    action = group_action(cx, elements)
-    report = CheckReport()
+    return _fixed_cone_identity(group_action(cx, elements))
+
+
+def check_G_strict(cx: Complex, elements) -> ValidationReport:
+    """No cone may have two distinct edges in one ray orbit."""
+    return _strictness(group_action(cx, elements))
+
+
+def _fixed_cone_identity(action: GroupAction) -> ValidationReport:
+    """check_fixed_cone_identity on an action already verified."""
+    cx = action.complex
+    report = ValidationReport()
     for k, (perm, cmap) in enumerate(zip(action.ray_permutations, action.cone_permutations)):
         for c in sorted(cx.cones, key=sorted):
             if cmap[c] == c and any(perm[i] != i for i in c):
@@ -185,15 +182,10 @@ def check_fixed_cone_identity(cx: Complex, elements) -> CheckReport:
     return report
 
 
-def check_G_strict(cx: Complex, elements) -> CheckReport:
-    """No cone may have two distinct edges in one ray orbit."""
-    return _strictness(group_action(cx, elements))
-
-
-def _strictness(action: "GroupAction") -> CheckReport:
+def _strictness(action: GroupAction) -> ValidationReport:
     """check_G_strict on an action already verified."""
     cx = action.complex
-    report = CheckReport()
+    report = ValidationReport()
     orbit_of = {}
     for orbit in action.ray_orbits():
         for i in orbit:
@@ -241,13 +233,13 @@ class QuotientStructure:
 
 def quotient_structure(cx: Complex, elements) -> QuotientStructure:
     """Quotient orbit structure of a strict action (raises when not strict)."""
-    fci = check_fixed_cone_identity(cx, elements)
+    action = group_action(cx, elements)
+    fci = _fixed_cone_identity(action)
     if not fci.ok:
         raise ValueError("fixed-cone-identity check failed: " + "; ".join(fci.violations))
-    gs = check_G_strict(cx, elements)
+    gs = _strictness(action)
     if not gs.ok:
         raise ValueError("strictness check failed: " + "; ".join(gs.violations))
-    action = group_action(cx, elements)
     ray_orbits = action.ray_orbits()
     cone_orbits = action.cone_orbits()
     ray_reps = tuple(o[0] for o in ray_orbits)

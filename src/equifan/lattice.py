@@ -257,11 +257,6 @@ def cone_index(gens) -> int:
     return math.prod(divs)
 
 
-def is_smooth_cone(gens) -> bool:
-    """True when the simplicial cone spanned by gens has index 1."""
-    return cone_index(gens) == 1
-
-
 def _simplicial_snf(gens):
     """(divisors d_j, rows of U) of the SNF U*G*V = D of independent gens."""
     k = len(gens)

@@ -43,9 +43,9 @@ from itertools import chain
 from .complexes import (
     Complex,
     _cone_order,
+    _extreme,
     _host_pieces,
     _subdivision_report,
-    cone_contains,
     is_simplicial,
 )
 from .lattice import (
@@ -81,9 +81,6 @@ class OrderFunction:
         self.base = base
         self.subdivision = subdivision
         self.ray_values: tuple[int, ...] = vals
-
-    def value(self, ray_id: int) -> int:
-        return self.ray_values[ray_id]
 
     def __eq__(self, other):
         return (
@@ -350,13 +347,7 @@ def _merged_domains(ord_fn: OrderFunction, pieces) -> Complex:
             merged.append(sorted(comp[0]))  # one simplicial piece: linear, every ray extreme
             continue
         ray_ids = sorted(set().union(*comp))
-        gens = {i: sub.rays[i] for i in ray_ids}
-        extreme = []
-        for i in ray_ids:
-            others = tuple(gens[j] for j in ray_ids if j != i)
-            if others and cone_contains(others, gens[i], sub.ambient_rank):
-                continue
-            extreme.append(i)
+        extreme = [ray_ids[k] for k in _extreme(sub.generators(ray_ids), sub.ambient_rank)]
         # the merged region must be a cone on which the function is linear
         basis_ids = sorted(comp[0])
         for i in ray_ids:
@@ -472,7 +463,7 @@ def _lex_first(rows, bounds, xs):
     return None
 
 
-def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: int):
+def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums):
     """Lexicographically first strict (scale, dip), solved from exact forms.
 
     Scales run over multiples of L, the common denominator of the center
@@ -484,15 +475,15 @@ def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums, scale_cap: in
     L = math.lcm(*[q.denominator for q in coord_sums])
     rows, bends = _affine_conditions(sub, [(int(L * q), -e) for q, e in forms], _pieces_by_base_cone(cx, sub))
     positive = [(0, 1), (int(L * min(coord_sums)), -1)]
-    found = _lex_first(rows, bends + positive, range(1, scale_cap // L + 1))
+    found = _lex_first(rows, bends + positive, range(1, COMPOSITION_CAP // L + 1))
     if found is None:
         raise ValueError(
-            f"scale insufficient: no strict (scale, dip) with scale <= scale_cap={scale_cap}"
+            f"scale insufficient: no strict (scale, dip) with scale <= composition_cap={COMPOSITION_CAP}"
         )
     return L * found[0], found[1]
 
 
-def search_centered_order_function(cx: Complex, centers_with_hosts, scale_cap: int = COMPOSITION_CAP):
+def search_centered_order_function(cx: Complex, centers_with_hosts):
     """Smallest verified (scale, dip) for a simultaneous centered subdivision.
 
     The winner is the strict (scale, dip) that is first in the order of
@@ -506,7 +497,7 @@ def search_centered_order_function(cx: Complex, centers_with_hosts, scale_cap: i
         return trivial, 1, 1
     sub = _centered_subdivision(cx, centers_with_hosts)
     forms, coord_sums = _centered_value_forms(cx, sub, centers_with_hosts)
-    scale, dip = _solve_scale_dip(cx, sub, forms, coord_sums, scale_cap)
+    scale, dip = _solve_scale_dip(cx, sub, forms, coord_sums)
     winner = _place_values(cx, sub, forms, scale, dip)
     rep = verify_order_axioms(winner, check_subdivision=False)
     if not (rep.ok and rep.strict and rep.positive):

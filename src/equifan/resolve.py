@@ -30,7 +30,6 @@ from .complexes import (
 )
 from .fanio import BatchStep, StageRecord, complex_hash
 from .groups import (
-    GroupAction,
     _strictness,
     check_simultaneous,
     group_action,
@@ -218,14 +217,13 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
     is_subdivision found, never a construction record.
     """
     flags = {}
-    action_rep = verify_action(final, elements)
+    action = verify_action(final, elements)
     flags["smooth"] = is_smooth(final)
     flags["simplicial"] = is_simplicial(final)
     sub_rep = is_subdivision(final, input_cx)
     flags["subdivision_of_input"] = bool(sub_rep)
-    flags["equivariant"] = flags["subdivision_of_input"] and action_rep.ok
-    flags["g_strict"] = action_rep.ok and _strictness(GroupAction(
-        final, elements, action_rep.ray_permutations, action_rep.cone_permutations)).ok
+    flags["equivariant"] = flags["subdivision_of_input"] and action.ok
+    flags["g_strict"] = action.ok and _strictness(action).ok
     if composite.base == input_cx and composite.subdivision == final:
         if not sub_rep:
             raise ValueError(f"subdivision invariant violated: {sub_rep}")
@@ -239,8 +237,8 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
     flags["ord_linearity_matches_final"] = rep.ok and same_complex(
         _merged_domains(composite, pieces), final
     )
-    inv = action_rep.ok
-    for perm in action_rep.ray_permutations:
+    inv = action.ok
+    for perm in action.ray_permutations:
         inv = inv and all(
             composite.ray_values[perm[i]] == composite.ray_values[i]
             for i in range(len(final.rays))

@@ -509,6 +509,94 @@ def reference_evaluate(ord_fn, x):
     raise ValueError("point not in support")
 
 
+# ---------------------------------------------------------------------------
+# cone geometry references, as before every cone question was read off the
+# cone's cached dual: facet enumeration with a rank test per generator
+# subset, a throwaway dual per generator for extreme rays, and vertex
+# enumeration of an intersection
+
+
+def reference_cone_dual(gens, ambient_rank):
+    """The DualDescription of cone(gens): one facet normal per set of d-1
+    generators of rank d-1 whose normal keeps one sign on gens."""
+    from equifan.complexes import DualDescription
+    from equifan.lattice import primitive, rank, rational_nullspace
+
+    gens = tuple(tuple(g) for g in gens)
+    if not gens:
+        unit = [tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)]
+        return DualDescription(tuple(unit), ())
+    equations = tuple(rational_nullspace(gens, n=ambient_rank))
+    d = ambient_rank - len(equations)
+    seen, normals = set(), []
+    for subset in combinations(range(len(gens)), d - 1) if d >= 1 else []:
+        sub = [gens[i] for i in subset]
+        if rank(sub) != d - 1:
+            continue
+        candidates = rational_nullspace(sub + list(equations), n=ambient_rank)
+        if len(candidates) != 1:
+            continue
+        u = candidates[0]
+        vals = [sum(a * b for a, b in zip(u, g)) for g in gens]
+        if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
+            pass
+        elif all(v <= 0 for v in vals) and any(v < 0 for v in vals):
+            u, vals = tuple(-c for c in u), [-v for v in vals]
+        else:
+            continue
+        zero_set = frozenset(i for i, v in enumerate(vals) if v == 0)
+        if zero_set not in seen:
+            seen.add(zero_set)
+            normals.append(primitive(u))
+    return DualDescription(equations, tuple(sorted(normals)))
+
+
+def reference_extreme(gens, ambient_rank):
+    """Indices of the generators that lie outside the cone of the others."""
+    return tuple(
+        i for i in range(len(gens))
+        if len(gens) == 1
+        or not reference_cone_dual(gens[:i] + gens[i + 1:], ambient_rank).contains(gens[i])
+    )
+
+
+def reference_intersect_cones(cx, c1, c2):
+    """Extreme rays of c1 & c2 by vertex enumeration: every direction cut
+    out by d-1 of both cones' facet inequalities within the intersection
+    of their spans that satisfies them all."""
+    from equifan.lattice import primitive, rational_nullspace
+
+    d1 = reference_cone_dual(cx.generators(c1), cx.ambient_rank)
+    d2 = reference_cone_dual(cx.generators(c2), cx.ambient_rank)
+    equations = list(d1.equations) + list(d2.equations)
+    normals = list(d1.inequalities) + list(d2.inequalities)
+    n = cx.ambient_rank
+    span = rational_nullspace(equations, n=n) if equations else [
+        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+    ]
+    d = len(span)
+    if d == 0:
+        return frozenset()
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    rays = set()
+    for subset in combinations(range(len(normals)), d - 1):
+        dirs = rational_nullspace([normals[i] for i in subset] + equations, n=n)
+        if len(dirs) != 1:
+            continue
+        for cand in (dirs[0], tuple(-c for c in dirs[0])):
+            if all(dot(u, cand) >= 0 for u in normals) and all(dot(e, cand) == 0 for e in equations):
+                rays.add(primitive(cand))
+                break
+    if d == 1:
+        for cand in (span[0], tuple(-c for c in span[0])):
+            if all(dot(u, cand) >= 0 for u in normals):
+                rays.add(primitive(cand))
+    return frozenset(rays)
+
+
 @pytest.fixture
 def orthant2():
     return orthant(2)

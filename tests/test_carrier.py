@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equifan.orderfun
-from equifan.complexes import is_simplicial
+from equifan.complexes import Complex, is_simplicial
 from equifan.lattice import primitive
 from equifan.orderfun import OrderFunction, evaluate
 from equifan.subdivide import barycentric_subdivision, star_subdivide
@@ -102,6 +102,20 @@ def test_corpus_points_leave_the_support():
                 assert str(e) == "center not in support"
                 outside += 1
     assert outside > 50
+
+
+def test_point_of_the_wrong_length_rejected():
+    """A point is never judged on truncated dot products."""
+    cx = Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (1, 1, 3)], [[0, 1, 2]])
+    ord_fn = order_function(cx)
+    for x in ((1, 1), (1, 1, 1, 5)):
+        message = rf"^point has {len(x)} entries, expected 3$"
+        with pytest.raises(ValueError, match=message):
+            cx.minimal_cone_containing(x)
+        with pytest.raises(ValueError, match=message):
+            cx.contains_point(frozenset({0, 1}), x)
+        with pytest.raises(ValueError, match=message):
+            evaluate(ord_fn, x)
 
 
 @st.composite

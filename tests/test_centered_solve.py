@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from equifan.complexes import Complex
 from equifan.lattice import cone_index, parallelepiped_points, primitive, rank
+from equifan import orderfun
 from equifan.orderfun import search_centered_order_function
 from equifan.resolve import initial_frames_plain, resolve_equivariant, select_centers
 from equifan.subdivide import _barycentric_cascade, barycentric_subdivision
@@ -127,11 +128,12 @@ def test_random_cones_match_reference(cx, pick):
             reject()
 
 
-def test_scale_cap_named_in_error():
+def test_scale_cap_named_in_error(monkeypatch):
     sing = singular_cone_2d(4)
     centers = [((1, 3), frozenset({0, 1}))]
     f, scale, dip = search_centered_order_function(sing, centers)
     assert scale > 1
     cap = scale - 1
-    with pytest.raises(ValueError, match=rf"^scale insufficient: .*scale_cap={cap}$"):
-        search_centered_order_function(sing, centers, scale_cap=cap)
+    monkeypatch.setattr(orderfun, "COMPOSITION_CAP", cap)
+    with pytest.raises(ValueError, match=rf"^scale insufficient: .*composition_cap={cap}$"):
+        search_centered_order_function(sing, centers)

@@ -7,7 +7,9 @@ import pytest
 
 from equifan.complexes import (
     Complex,
+    _extreme,
     _host_pieces,
+    _intersect_cones,
     cone_dual,
     is_simplicial,
     is_smooth,
@@ -15,7 +17,7 @@ from equifan.complexes import (
     same_complex,
     validate_complex,
 )
-from equifan.lattice import primitive
+from equifan.lattice import primitive, rank
 from equifan.subdivide import barycentric_subdivision, star_subdivide
 
 from conftest import (
@@ -24,6 +26,9 @@ from conftest import (
     interior_point,
     orthant,
     p2_fan,
+    reference_cone_dual,
+    reference_extreme,
+    reference_intersect_cones,
     square_cone,
     subset_faces_oracle,
 )
@@ -237,3 +242,51 @@ class TestPredicates:
         b = Complex.from_maximal_cones(2, [(0, 1), (1, 0)], [[0, 1]])
         assert same_complex(a, b)
         assert a != b
+
+
+def _random_cone(rng, n):
+    """1 to n + 3 nonzero generators with coordinates in [-3, 3], so lower
+    dimensional cones, redundant and repeated generators all occur."""
+    k, gens = rng.randint(1, n + 3), []
+    while len(gens) < k:
+        g = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(g):
+            gens.append(g)
+    return tuple(gens)
+
+
+def _pointed(dual, n):
+    return rank(list(dual.equations) + list(dual.inequalities)) == n
+
+
+def test_dual_questions_match_references():
+    """cone_dual, _extreme and _intersect_cones against the pre-dual
+    references on 2,000 derandomized pairs of pointed cones in ranks 2-4;
+    cone_dual is also compared on every drawn cone that is not pointed."""
+    rng = random.Random(20261018)
+    pairs = flats = lower = redundant = 0
+    while pairs < 2000:
+        n = rng.randint(2, 4)
+        cones = []
+        for _ in range(2):
+            gens = _random_cone(rng, n)
+            ref = reference_cone_dual(gens, n)
+            assert cone_dual(gens, n) == ref, gens
+            if not _pointed(ref, n):
+                flats += 1
+                break
+            extreme = _extreme(gens, n)
+            assert extreme == reference_extreme(gens, n), gens
+            lower += bool(ref.equations)
+            redundant += len(extreme) < len(gens)
+            cones.append(gens)
+        if len(cones) < 2:
+            continue
+        g1, g2 = cones
+        cx = Complex(n, g1 + g2, [range(len(g1)), range(len(g1), len(g1) + len(g2))])
+        c1, c2 = frozenset(range(len(g1))), frozenset(range(len(g1), len(cx.rays)))
+        assert _intersect_cones(cx, c1, c2) == reference_intersect_cones(cx, c1, c2), (g1, g2)
+        pairs += 1
+    # the draws reach lower-dimensional cones, redundant generators and
+    # cones that are not pointed
+    assert min(lower, redundant, flats) > 500, (lower, redundant, flats)

@@ -7,6 +7,7 @@ import pytest
 
 from equifan.complexes import Complex, is_subdivision, same_complex
 from equifan.groups import (
+    GroupAction,
     check_G_strict,
     check_fixed_cone_identity,
     generate_group,
@@ -75,6 +76,25 @@ class TestVerifyAction:
         report = verify_action(singular_cone_2d(2), generate_group([SWAP2]))
         assert not report.ok
         assert any("not a ray" in v for v in report.violations)
+
+    def test_failing_action_is_a_falsy_record(self):
+        action = verify_action(singular_cone_2d(2), generate_group([SWAP2]))
+        assert isinstance(action, GroupAction) and not action and not action.ok
+        assert action.violations == ("element 0 maps ray 0 = (1, 0) to (0, 1), not a ray",)
+        assert action.ray_permutations == () and action.cone_permutations == ()
+        message = r"^group does not act on the complex: element 0 maps ray 0 = \(1, 0\)"
+        with pytest.raises(ValueError, match=message):
+            action.ray_orbits()
+        with pytest.raises(ValueError, match=message):
+            action.cone_orbits()
+
+    @pytest.mark.parametrize("element", [((0, 1), (1, 0)), ((1, 0, 0), (0, 1), (0, 0, 1))])
+    def test_element_of_the_wrong_size_is_a_violation(self, element):
+        cx = orthant(3)
+        elements = [((1, 0, 0), (0, 1, 0), (0, 0, 1)), element]
+        assert verify_action(cx, elements).violations == ("element 1 is not a 3x3 matrix",)
+        with pytest.raises(ValueError, match=r"^group does not act on the complex: element 1 is not a 3x3 matrix$"):
+            group_action(cx, elements)
 
     def test_identity_group_always_acts(self):
         for cx in (orthant(2), singular_cone_2d(3), complete_2d_fan()):

@@ -13,7 +13,6 @@ from equifan.lattice import (
     cone_index,
     det,
     integrality_congruences,
-    is_smooth_cone,
     is_unimodular,
     mat_mul,
     parallelepiped_points,
@@ -129,9 +128,9 @@ def test_cone_index_unimodular_invariance():
 
 
 def test_is_smooth_cone():
-    assert is_smooth_cone([(1, 0), (0, 1)])
-    assert not is_smooth_cone([(1, 0), (1, 2)])
-    assert is_smooth_cone([(1, 0, 0), (0, 1, 0)])
+    assert cone_index([(1, 0), (0, 1)]) == 1
+    assert not cone_index([(1, 0), (1, 2)]) == 1
+    assert cone_index([(1, 0, 0), (0, 1, 0)]) == 1
 
 
 def test_parallelepiped_examples():

@@ -174,6 +174,10 @@ class TestResolvePlain:
         ):
             resolve_equivariant(cx, mode="plain")
 
+    def test_element_of_the_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match=r"element 0 is not a 3x3 matrix"):
+            resolve_equivariant(orthant(3), [((1, 0), (0, 1))])
+
     def test_already_smooth(self, orthant2):
         cert = resolve_equivariant(orthant2, mode="plain")
         assert cert.final == orthant2
