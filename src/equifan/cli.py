@@ -45,11 +45,9 @@ def _load_fan(path) -> FanFile:
 
 
 def _elements(fan: FanFile):
-    if fan.group_generators:
-        return generate_group(fan.group_generators, cap=_group_cap())
-    from .groups import trivial_group
-
-    return trivial_group(fan.ambient_rank)
+    """The fan's group, the trivial one without generators; every command
+    builds its group here, so each reads the size cap."""
+    return generate_group(fan.group_generators, cap=_group_cap(), rank=fan.ambient_rank)
 
 
 def _emit(text: str, out_path):
@@ -85,8 +83,8 @@ def cmd_barycentric(args) -> int:
     fan = _load_fan(args.fan)
     cx = require_valid(fan.to_complex())
     out = barycentric_subdivision(cx)
-    gens = fan.group_generators if fan.group_generators else ()
-    if gens and not verify_action(out, generate_group(gens, cap=_group_cap())).ok:
+    gens = fan.group_generators
+    if gens and not verify_action(out, _elements(fan)).ok:
         gens = ()
     _emit(write_fan(fan_from_complex(out, gens)), args.output)
     return 0
@@ -110,8 +108,8 @@ def cmd_star(args) -> int:
         print(f"note: center {center} normalized to primitive {primitive(center)}", file=sys.stderr)
         center = primitive(center)
     out = star_subdivide(cx, center)
-    gens = fan.group_generators if fan.group_generators else ()
-    if gens and not verify_action(out, generate_group(gens, cap=_group_cap())).ok:
+    gens = fan.group_generators
+    if gens and not verify_action(out, _elements(fan)).ok:
         gens = ()
     _emit(write_fan(fan_from_complex(out, gens)), args.output)
     return 0

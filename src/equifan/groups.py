@@ -3,9 +3,11 @@
 A group is a finite set of unimodular integer matrices acting on the
 ambient lattice.  `verify_action` checks that every element permutes the
 ray generators and the cones and returns one record, a `GroupAction`:
-the induced ray and cone permutations, or the violations when the
-matrices do not act.  Orbits, the fixed-cone-identity and strictness
-checks and quotients all read that record, so an action is verified once.
+the induced ray permutations, or the violations when the matrices do not
+act.  A cone is a set of ray ids, so its image under an element is read
+off that element's ray permutation (`cone_image`); no cone table is kept.
+Orbits, the fixed-cone-identity and strictness checks and quotients all
+read that record, so an action is verified once.
 """
 
 from __future__ import annotations
@@ -57,17 +59,20 @@ def trivial_group(rank: int) -> tuple[Mat, ...]:
     return (identity_matrix(rank),)
 
 
+def cone_image(perm, cone) -> frozenset:
+    """The image of a cone (a set of ray ids) under a ray permutation."""
+    return frozenset(perm[i] for i in cone)
+
+
 @dataclass(frozen=True)
 class GroupAction:
     """The verified action of matrices on a complex: for each element, the
-    permutation of ray ids and the map of cones it induces.  When the
-    matrices do not act, `violations` says why, the tables are empty and
-    the orbit queries raise ValueError."""
+    permutation of ray ids it induces, which also carries every cone onto
+    a cone.  When the matrices do not act, `violations` says why, the
+    table is empty and the orbit queries raise ValueError."""
 
     complex: Complex
-    elements: tuple[Mat, ...]
     ray_permutations: tuple[tuple[int, ...], ...] = ()
-    cone_permutations: tuple[dict, ...] = ()
     violations: tuple[str, ...] = ()
 
     @property
@@ -82,45 +87,38 @@ class GroupAction:
             raise ValueError("group does not act on the complex: " + "; ".join(self.violations))
         return self
 
-    def ray_orbits(self) -> tuple[tuple[int, ...], ...]:
+    def _orbits(self, items, image, key=None) -> tuple[tuple, ...]:
+        """The orbits of the items, in order of their first member, each
+        sorted by key; `image(perm, item)` applies one element."""
         self._require_ok()
-        n = len(self.complex.rays)
         seen = set()
         orbits = []
-        for i in range(n):
-            if i in seen:
+        for x in items:
+            if x in seen:
                 continue
-            orbit = {perm[i] for perm in self.ray_permutations}
+            orbit = {image(perm, x) for perm in self.ray_permutations}
             seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
+            orbits.append(tuple(sorted(orbit, key=key)))
         return tuple(orbits)
 
+    def ray_orbits(self) -> tuple[tuple[int, ...], ...]:
+        return self._orbits(range(len(self.complex.rays)), lambda perm, i: perm[i])
+
     def cone_orbits(self, maximal_only: bool = False) -> tuple[tuple, ...]:
-        self._require_ok()
         cones = self.complex.maximal_cones if maximal_only else sorted(
             self.complex.cones, key=lambda c: (len(c), sorted(c))
         )
-        seen = set()
-        orbits = []
-        for c in cones:
-            c = frozenset(c)
-            if c in seen:
-                continue
-            orbit = {cmap[c] for cmap in self.cone_permutations}
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit, key=sorted)))
-        return tuple(orbits)
+        return self._orbits(map(frozenset, cones), cone_image, key=sorted)
 
 
 def verify_action(cx: Complex, elements) -> GroupAction:
     """Check every element permutes rays and cones; the action record, with
-    permutation tables when they all do and the violations otherwise."""
+    the ray permutations when they all do and the violations otherwise."""
     violations = []
     elements = tuple(tuple(tuple(int(c) for c in row) for row in m) for m in elements)
     n = cx.ambient_rank
     ray_index = {r: i for i, r in enumerate(cx.rays)}
     perms = []
-    cone_maps = []
     for k, m in enumerate(elements):
         if len(m) != n or any(len(row) != n for row in m):
             violations.append(f"element {k} is not a {n}x{n} matrix")
@@ -137,21 +135,18 @@ def verify_action(cx: Complex, elements) -> GroupAction:
                 break
             perm.append(j)
         else:
-            cmap = {}
             for c in cx.cones:
-                img = frozenset(perm[i] for i in c)
+                img = cone_image(perm, c)
                 if img not in cx.cones:
                     violations.append(
                         f"element {k} maps cone {sorted(c)} to {sorted(img)}, not a cone"
                     )
                     break
-                cmap[c] = img
             else:
                 perms.append(tuple(perm))
-                cone_maps.append(cmap)
     if violations:
-        return GroupAction(cx, elements, violations=tuple(violations))
-    return GroupAction(cx, elements, tuple(perms), tuple(cone_maps))
+        return GroupAction(cx, violations=tuple(violations))
+    return GroupAction(cx, tuple(perms))
 
 
 def group_action(cx: Complex, elements) -> GroupAction:
@@ -173,9 +168,9 @@ def _fixed_cone_identity(action: GroupAction) -> ValidationReport:
     """check_fixed_cone_identity on an action already verified."""
     cx = action.complex
     report = ValidationReport()
-    for k, (perm, cmap) in enumerate(zip(action.ray_permutations, action.cone_permutations)):
+    for k, perm in enumerate(action.ray_permutations):
         for c in sorted(cx.cones, key=sorted):
-            if cmap[c] == c and any(perm[i] != i for i in c):
+            if any(perm[i] != i for i in c) and cone_image(perm, c) == c:
                 report.violations.append(
                     f"element {k} fixes cone {sorted(c)} but permutes its edges"
                 )
@@ -244,31 +239,21 @@ def quotient_structure(cx: Complex, elements) -> QuotientStructure:
     cone_orbits = action.cone_orbits()
     ray_reps = tuple(o[0] for o in ray_orbits)
     cone_reps = tuple(o[0] for o in cone_orbits)
-    rep_of = {}
-    elem_to_rep = {}
-    for orbit in cone_orbits:
-        rep = orbit[0]
-        for c in orbit:
-            rep_of[frozenset(c)] = frozenset(rep)
-            # one element carrying the cone onto the representative
-            for k, cmap in enumerate(action.cone_permutations):
-                if cmap[frozenset(c)] == frozenset(rep):
-                    elem_to_rep[frozenset(c)] = k
-                    break
-    face_relations = {}
-    for rep in cone_reps:
-        rep = frozenset(rep)
-        rels = []
-        for f in cx.faces(rep):
-            rels.append((tuple(sorted(f)), tuple(sorted(rep_of[f])), elem_to_rep[f]))
-        face_relations[tuple(sorted(rep))] = tuple(sorted(rels))
+    rep_of = {c: orbit[0] for orbit in cone_orbits for c in orbit}
+    # one element carrying each cone onto its representative
+    elem_to_rep = {
+        c: next(k for k, perm in enumerate(action.ray_permutations) if cone_image(perm, c) == rep)
+        for c, rep in rep_of.items()
+    }
+    face_relations = {
+        tuple(sorted(rep)): tuple(sorted(
+            (tuple(sorted(f)), tuple(sorted(rep_of[f])), elem_to_rep[f]) for f in cx.faces(rep)
+        ))
+        for rep in cone_reps
+    }
     # an orbit is maximal in the quotient iff its members are maximal cones
-    maximal = tuple(
-        sorted(
-            (frozenset(rep) for rep in cone_reps if frozenset(rep) in set(cx.maximal_cones)),
-            key=sorted,
-        )
-    )
+    maximal_cones = set(cx.maximal_cones)
+    maximal = tuple(sorted((rep for rep in cone_reps if rep in maximal_cones), key=sorted))
     return QuotientStructure(
         ray_orbits, cone_orbits, ray_reps, cone_reps, face_relations, maximal
     )

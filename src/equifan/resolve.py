@@ -32,6 +32,7 @@ from .fanio import BatchStep, StageRecord, complex_hash
 from .groups import (
     _strictness,
     check_simultaneous,
+    cone_image,
     group_action,
     trivial_group,
     verify_action,
@@ -62,18 +63,28 @@ from .subdivide import _barycentric_cascade, barycentric_subdivision
 ROUND_CAP = 10_000
 
 
+def _index_measure(cx: Complex, required: bool = False):
+    """(largest, total) cone_index over the maximal cones, from one pass.
+    A non-simplicial complex gives None, or raises ValueError if `required`."""
+    indices = []
+    for c in cx.maximal_cones:
+        if len(c) != cx.dim(c):
+            if required:
+                raise ValueError("not simplicial")
+            return None
+        if c:
+            indices.append(cone_index(cx.generators(c)))
+    return max(indices, default=1), sum(indices)
+
+
 def total_index(cx: Complex) -> int:
     """Sum of cone_index over the maximal cones."""
-    if not is_simplicial(cx):
-        raise ValueError("not simplicial")
-    return sum(cone_index(cx.generators(c)) for c in cx.maximal_cones if c)
+    return _index_measure(cx, required=True)[1]
 
 
 def max_index(cx: Complex) -> int:
     """Largest cone_index among the maximal cones."""
-    if not is_simplicial(cx):
-        raise ValueError("not simplicial")
-    return max((cone_index(cx.generators(c)) for c in cx.maximal_cones if c), default=1)
+    return _index_measure(cx, required=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +119,9 @@ def initial_frames_barycentric(cx: Complex, bcx: Complex) -> dict:
 
 def frames_equivariant(frames: dict, action) -> bool:
     """The group must carry the frame of a cone onto the image's frame."""
-    for perm, cmap in zip(action.ray_permutations, action.cone_permutations):
+    for perm in action.ray_permutations:
         for mc, frame in frames.items():
-            image = cmap[mc]
-            if tuple(perm[i] for i in frame) != frames[image]:
+            if tuple(perm[i] for i in frame) != frames[cone_image(perm, mc)]:
                 return False
     return True
 
@@ -372,15 +382,8 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
 
 def _trace_row(label: str, cx: Complex):
     """One row of the measure trace: (label, max index, total index), or
-    (label, None, None) for a non-simplicial complex; `max_index` and
-    `total_index` from one pass over the maximal cones."""
-    indices = []
-    for c in cx.maximal_cones:
-        if len(c) != cx.dim(c):
-            return (label, None, None)
-        if c:
-            indices.append(cone_index(cx.generators(c)))
-    return (label, max(indices, default=1), sum(indices))
+    (label, None, None) for a non-simplicial complex."""
+    return (label, *(_index_measure(cx) or (None, None)))
 
 
 class Replay:

@@ -16,6 +16,7 @@ NEG2 = ((-1, 0), (0, -1))
 CYC3 = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 SWAP3_01 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 SWAP3_12 = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+REFLECT_X = ((-1, 0), (0, 1))
 
 
 def orthant(d):
@@ -35,6 +36,12 @@ def complete_2d_fan():
 
 def singular_cone_2d(r):
     return Complex.from_maximal_cones(2, [(1, 0), (1, r)], [[0, 1]])
+
+
+def quadrant_and_ray():
+    """The quadrant and the opposite ray: REFLECT_X permutes the rays but
+    carries the quadrant onto no cone."""
+    return Complex.from_maximal_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]])
 
 
 def square_cone():
@@ -595,6 +602,105 @@ def reference_intersect_cones(cx, c1, c2):
             if all(dot(u, cand) >= 0 for u in normals):
                 rays.add(primitive(cand))
     return frozenset(rays)
+
+
+# ---------------------------------------------------------------------------
+# group questions from per-element cone tables, as asked before an action
+# was held as its ray permutations alone
+
+
+class ReferenceAction:
+    """The action of matrices on a complex held as one ray permutation and
+    one cone map per element; every verdict and orbit is read off the
+    cone maps.  `violations` lists why the matrices do not act."""
+
+    def __init__(self, cx, elements):
+        from equifan.lattice import is_unimodular, mat_vec
+
+        self.cx = cx
+        self.violations = []
+        self.perms, self.cone_maps = [], []
+        n = cx.ambient_rank
+        ray_index = {r: i for i, r in enumerate(cx.rays)}
+        for k, m in enumerate(elements):
+            if len(m) != n or any(len(row) != n for row in m):
+                self.violations.append(f"element {k} is not a {n}x{n} matrix")
+                continue
+            if not is_unimodular(m):
+                self.violations.append(f"element {k} is not unimodular")
+                continue
+            images = [mat_vec(m, r) for r in cx.rays]
+            missing = [i for i, img in enumerate(images) if img not in ray_index]
+            if missing:
+                i = missing[0]
+                self.violations.append(f"element {k} maps ray {i} = {cx.rays[i]} to {images[i]}, not a ray")
+                continue
+            perm = tuple(ray_index[img] for img in images)
+            cmap = {c: frozenset(perm[i] for i in c) for c in cx.cones}
+            bad = [c for c in cx.cones if cmap[c] not in cx.cones]
+            if bad:
+                self.violations.append(
+                    f"element {k} maps cone {sorted(bad[0])} to {sorted(cmap[bad[0]])}, not a cone"
+                )
+                continue
+            self.perms.append(perm)
+            self.cone_maps.append(cmap)
+
+    def ray_orbits(self):
+        orbits = {tuple(sorted({perm[i] for perm in self.perms})) for i in range(len(self.cx.rays))}
+        return tuple(sorted(orbits))
+
+    def cone_orbits(self, maximal_only=False):
+        cones = self.cx.maximal_cones if maximal_only else self.cx.cones
+        orbits = {tuple(sorted({cmap[c] for cmap in self.cone_maps}, key=sorted)) for c in cones}
+        return tuple(sorted(orbits, key=lambda o: (len(o[0]), sorted(o[0]))))
+
+    def fixed_cone_identity(self):
+        return [
+            f"element {k} fixes cone {sorted(c)} but permutes its edges"
+            for k, (perm, cmap) in enumerate(zip(self.perms, self.cone_maps))
+            for c in sorted(self.cx.cones, key=sorted)
+            if cmap[c] == c and any(perm[i] != i for i in c)
+        ]
+
+    def strictness(self):
+        orbit_of = {i: orbit for orbit in self.ray_orbits() for i in orbit}
+        return [
+            f"cone {sorted(c)} has edges {sorted(members)} in one orbit"
+            for c in sorted(self.cx.cones, key=sorted)
+            for orbit in sorted({orbit_of[i] for i in c})
+            for members in [[i for i in c if orbit_of[i] == orbit]]
+            if len(members) > 1
+        ]
+
+    def quotient(self):
+        """The QuotientStructure, or the message naming the failed check."""
+        from equifan.groups import QuotientStructure
+
+        if self.fixed_cone_identity():
+            return "fixed-cone-identity check failed: " + "; ".join(self.fixed_cone_identity())
+        if self.strictness():
+            return "strictness check failed: " + "; ".join(self.strictness())
+        ray_orbits, cone_orbits = self.ray_orbits(), self.cone_orbits()
+        rep_of = {c: orbit[0] for orbit in cone_orbits for c in orbit}
+        elem_to_rep = {
+            c: next(k for k, cmap in enumerate(self.cone_maps) if cmap[c] == rep_of[c])
+            for c in rep_of
+        }
+        face_relations = {
+            tuple(sorted(orbit[0])): tuple(sorted(
+                (tuple(sorted(f)), tuple(sorted(rep_of[f])), elem_to_rep[f])
+                for f in self.cx.faces(orbit[0])
+            ))
+            for orbit in cone_orbits
+        }
+        maximal = tuple(sorted(
+            (o[0] for o in cone_orbits if o[0] in set(self.cx.maximal_cones)), key=sorted
+        ))
+        return QuotientStructure(
+            ray_orbits, cone_orbits, tuple(o[0] for o in ray_orbits),
+            tuple(o[0] for o in cone_orbits), face_relations, maximal,
+        )
 
 
 @pytest.fixture

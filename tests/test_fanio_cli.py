@@ -16,6 +16,7 @@ import equifan
 from equifan.cli import main
 from equifan.complexes import Complex
 from equifan.fanio import (
+    BatchStep,
     FanFile,
     ParseError,
     complex_hash,
@@ -27,10 +28,22 @@ from equifan.fanio import (
     write_certificate,
     write_fan,
 )
-from equifan.groups import generate_group
-from equifan.resolve import resolve_equivariant
+from equifan.groups import generate_group, trivial_group
+from equifan.orderfun import centered_order_function
+from equifan.resolve import FLAG_NAMES, Replay, ResolutionCertificate, resolve_equivariant
+from equifan.subdivide import barycentric_subdivision, star_subdivide
 
-from conftest import CYC3, SWAP2, corpus, orthant, singular_cone_2d
+from conftest import (
+    CYC3,
+    REFLECT_X,
+    SWAP2,
+    SWAP3_01,
+    corpus,
+    orthant,
+    quadrant_and_ray,
+    singular_cone_2d,
+)
+
 
 
 class TestFanFormat:
@@ -216,6 +229,53 @@ def test_verify_rejects_an_invalid_input():
     lines[1] = f"input-sha256 {fan_hash(bad)}"
     data = parse_certificate("\n".join(lines) + "\n")
     assert verify_certificate(data, bad) == [OVERLAP_VIOLATION]
+
+
+def replayed_plain_certificate(scale, dip):
+    """A self-consistent plain certificate of the cone (1,0),(1,2) starred
+    at (1,1) with the given (scale, dip), built through `Replay` as resolve
+    builds one, whether or not the stage function is an order function."""
+    cx = singular_cone_2d(2)
+    centers = (((1, 1), (0, 1)),)
+    replay = Replay(cx)
+    step_ord = centered_order_function(cx, centers, scale, dip)
+    replay.stage("centered", [BatchStep(centers, scale, dip, 1)], [step_ord])
+    cert = ResolutionCertificate(
+        mode="plain",
+        input_complex=cx,
+        group=trivial_group(2),
+        stages=tuple(replay.stages),
+        composite=replay.final_composite(),
+        final=replay.cur,
+        flags=dict.fromkeys(FLAG_NAMES, True),
+        trace=tuple(replay.trace),
+    )
+    fan = fan_from_complex(cx)
+    return parse_certificate(write_certificate(cert, fan)), fan
+
+
+@pytest.mark.parametrize(
+    "scale, dip, expected",
+    [
+        (2, 1, []),
+        (1, 0, ["stage 1: order function has a flat bend"]),
+        (1, -1, ["stage 1: order function violates convexity"]),
+        (
+            0,
+            -1,
+            [
+                "stage 1: order function violates convexity",
+                "stage 1: order function violates positivity",
+            ],
+        ),
+    ],
+    ids=["sound", "flat", "concave", "concave-and-zero"],
+)
+def test_stage_axiom_violations_are_named(scale, dip, expected):
+    """Recorded parameters that replay consistently but give no strictly
+    convex, positive order function are named by the stage's axiom check."""
+    cert, fan = replayed_plain_certificate(scale, dip)
+    assert verify_certificate(cert, fan) == expected
 
 
 def run_cli(*args):
@@ -472,6 +532,113 @@ class TestCli:
         monkeypatch.setenv("EQUIFAN_GROUP_CAP", "3")
         assert run_cli("orbits", str(src)) == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_validate_names_a_cone_not_mapped_to_a_cone(self, tmp_path, capsys):
+        # diag(-1, 1) permutes the rays but carries [0, 1] onto [1, 2]
+        src = tmp_path / "flap.fan"
+        src.write_text(write_fan(fan_from_complex(quadrant_and_ray(), [REFLECT_X])))
+        assert run_cli("validate", str(src)) == 1
+        assert capsys.readouterr().out == (
+            "violation: element 0 maps cone [0, 1] to [1, 2], not a cone\n"
+        )
+
+    @pytest.mark.parametrize(
+        "cx, gens, expected",
+        [
+            (
+                orthant(2),
+                [SWAP2],
+                "rank 2, rays 2, cones 4, maximal 1\nvalid: yes\nsimplicial: yes\n"
+                "smooth: yes\n  cone [0, 1]: index 1\ngroup: order 2, acts: yes\n"
+                "fixed-cone identity: FAIL\nstrict action: FAIL\n",
+            ),
+            (
+                star_subdivide(orthant(2), (1, 1)),
+                [SWAP2],
+                "rank 2, rays 3, cones 6, maximal 2\nvalid: yes\nsimplicial: yes\n"
+                "smooth: yes\n  cone [0, 2]: index 1\n  cone [1, 2]: index 1\n"
+                "group: order 2, acts: yes\nfixed-cone identity: pass\nstrict action: pass\n",
+            ),
+            (
+                quadrant_and_ray(),
+                [REFLECT_X],
+                "rank 2, rays 3, cones 5, maximal 2\nvalid: yes\nsimplicial: yes\n"
+                "smooth: yes\n  cone [0, 1]: index 1\n  cone [2]: index 1\n"
+                "group: order 2, acts: no\n",
+            ),
+        ],
+        ids=["orthant-swap", "star-swap", "flap-reflection"],
+    )
+    def test_report_with_group(self, cx, gens, expected, tmp_path, capsys):
+        src = tmp_path / "in.fan"
+        src.write_text(write_fan(fan_from_complex(cx, gens)))
+        assert run_cli("report", str(src)) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "cx, gens, expected",
+        [
+            (
+                star_subdivide(orthant(2), (1, 1)),
+                [SWAP2],
+                "group order 2\nray orbits:\n  [0, 1]: (1, 0), (0, 1)\n  [2]: (1, 1)\n"
+                "maximal cone orbits:\n  size 2: [[0, 2], [1, 2]]\n",
+            ),
+            (
+                barycentric_subdivision(orthant(3)),
+                [CYC3, SWAP3_01],
+                "group order 6\nray orbits:\n"
+                "  [0, 1, 2]: (1, 0, 0), (0, 1, 0), (0, 0, 1)\n"
+                "  [3]: (1, 1, 1)\n"
+                "  [4, 5, 6]: (1, 1, 0), (1, 0, 1), (0, 1, 1)\n"
+                "maximal cone orbits:\n"
+                "  size 6: [[0, 3, 4], [0, 3, 5], [1, 3, 4], [1, 3, 6], [2, 3, 5], [2, 3, 6]]\n",
+            ),
+        ],
+        ids=["star-swap", "barycentric-s3"],
+    )
+    def test_orbits_with_group(self, cx, gens, expected, tmp_path, capsys):
+        src = tmp_path / "in.fan"
+        src.write_text(write_fan(fan_from_complex(cx, gens)))
+        assert run_cli("orbits", str(src)) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "args, gens",
+        [
+            (["resolve", "-o", "out.cert"], []),
+            (["orbits"], []),
+            (["resolve", "-o", "out.cert"], [SWAP2]),
+            (["barycentric", "-o", "out.fan"], [SWAP2]),
+            (["star", "--center", "1,1", "-o", "out.fan"], [SWAP2]),
+            (["validate"], [SWAP2]),
+            (["report"], [SWAP2]),
+        ],
+        ids=["resolve", "orbits", "resolve-swap", "barycentric-swap", "star-swap",
+             "validate-swap", "report-swap"],
+    )
+    def test_every_group_reads_the_cap(self, args, gens, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "in.fan"
+        src.write_text(write_fan(fan_from_complex(orthant(2), gens)))
+        args = [str(tmp_path / a) if a.startswith("out.") else a for a in args]
+        monkeypatch.setenv("EQUIFAN_GROUP_CAP", "abc")
+        assert run_cli(args[0], str(src), *args[1:]) == 1
+        assert capsys.readouterr().err == (
+            "error: EQUIFAN_GROUP_CAP must be a positive integer, got 'abc'\n"
+        )
+        assert not any(p.name.startswith("out.") for p in tmp_path.iterdir())
+
+    def test_verify_reads_the_cap_without_generators(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "in.fan"
+        cert_path = tmp_path / "out.cert"
+        src.write_text(write_fan(fan_from_complex(singular_cone_2d(2))))
+        assert run_cli("resolve", str(src), "--mode", "plain", "-o", str(cert_path)) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("EQUIFAN_GROUP_CAP", "abc")
+        assert run_cli("verify", str(cert_path), str(src)) == 1
+        assert capsys.readouterr().err == (
+            "error: EQUIFAN_GROUP_CAP must be a positive integer, got 'abc'\n"
+        )
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     def test_bad_group_cap_env_names_itself(self, raw, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Group actions: generation, verification, strictness, orbits, quotients."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,16 +23,33 @@ from equifan.subdivide import barycentric_subdivision, star_subdivide
 
 from conftest import (
     CYC3,
+    NEG2,
+    REFLECT_X,
+    ROT2,
     SWAP2,
     SWAP3_01,
+    SWAP3_12,
+    ReferenceAction,
     complete_2d_fan,
+    corpus,
     orbit_star_subdivide,
     orthant,
     point_orbit,
+    quadrant_and_ray,
     random_action_pairs,
     simultaneous_star,
     singular_cone_2d,
 )
+
+CYC4 = tuple(tuple(int(j == (i - 1) % 4) for j in range(4)) for i in range(4))
+SWAP4_01 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+NEG4_0 = ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+CANDIDATE_GENERATORS = {
+    1: [[((-1,),)]],
+    2: [[SWAP2], [ROT2], [NEG2], [SWAP2, NEG2], [REFLECT_X]],
+    3: [[CYC3], [SWAP3_01], [SWAP3_12], [CYC3, SWAP3_01]],
+    4: [[CYC4], [SWAP4_01], [SWAP4_01, CYC4], [NEG4_0]],
+}
 
 
 def is_equivariant_subdivision(fine, coarse, elements):
@@ -81,7 +99,7 @@ class TestVerifyAction:
         action = verify_action(singular_cone_2d(2), generate_group([SWAP2]))
         assert isinstance(action, GroupAction) and not action and not action.ok
         assert action.violations == ("element 0 maps ray 0 = (1, 0) to (0, 1), not a ray",)
-        assert action.ray_permutations == () and action.cone_permutations == ()
+        assert action.ray_permutations == ()
         message = r"^group does not act on the complex: element 0 maps ray 0 = \(1, 0\)"
         with pytest.raises(ValueError, match=message):
             action.ray_orbits()
@@ -95,6 +113,13 @@ class TestVerifyAction:
         assert verify_action(cx, elements).violations == ("element 1 is not a 3x3 matrix",)
         with pytest.raises(ValueError, match=r"^group does not act on the complex: element 1 is not a 3x3 matrix$"):
             group_action(cx, elements)
+
+    def test_cone_not_mapped_to_a_cone_is_a_violation(self):
+        elements = generate_group([REFLECT_X])
+        assert elements[0] == REFLECT_X
+        action = verify_action(quadrant_and_ray(), elements)
+        assert action.violations == ("element 0 maps cone [0, 1] to [1, 2], not a cone",)
+        assert action.ray_permutations == ()
 
     def test_identity_group_always_acts(self):
         for cx in (orthant(2), singular_cone_2d(3), complete_2d_fan()):
@@ -276,3 +301,52 @@ class TestSimultaneousStar:
     def test_orbit_helper(self):
         g = generate_group([SWAP2])
         assert point_orbit((2, 1), g) == ((1, 2), (2, 1))
+
+
+def _reference_cases():
+    """(complex, elements) pairs: random verified actions, every corpus fan
+    under every candidate group of its rank (most of which do not act),
+    and elements that are not unimodular or of the wrong size."""
+    cases = random_action_pairs(random.Random(11), 25)
+    for _, cx in corpus():
+        for gens in CANDIDATE_GENERATORS[cx.ambient_rank]:
+            cases.append((cx, generate_group(gens)))
+    cases.append((quadrant_and_ray(), generate_group([REFLECT_X])))
+    cases.append((orthant(2), [((1, 0), (0, 1)), ((2, 0), (0, 1))]))
+    cases.append((orthant(2), [((1, 0), (0, 1)), ((0, 1, 0), (1, 0, 0), (0, 0, 1))]))
+    return cases
+
+
+def test_action_questions_match_cone_table_reference():
+    """Every group question read off the ray permutations agrees with the
+    per-element cone tables, on actions that act and ones that do not."""
+    seen = {"acts": 0, "not a ray": 0, "not a cone": 0, "not unimodular": 0, "matrix": 0,
+            "quotient": 0, "fixed-cone": 0, "strictness": 0}
+    for cx, elements in _reference_cases():
+        action = verify_action(cx, elements)
+        ref = ReferenceAction(cx, elements)
+        assert action.violations == tuple(ref.violations)
+        for v in ref.violations:
+            seen.update({key: seen[key] + 1 for key in seen if key in v})
+        if ref.violations:
+            message = "^group does not act on the complex: " + re.escape("; ".join(ref.violations)) + "$"
+            for check in (check_fixed_cone_identity, check_G_strict, quotient_structure):
+                with pytest.raises(ValueError, match=message):
+                    check(cx, elements)
+            continue
+        seen["acts"] += 1
+        assert action.ray_permutations == tuple(ref.perms)
+        assert action.ray_orbits() == ref.ray_orbits()
+        assert action.cone_orbits() == ref.cone_orbits()
+        assert action.cone_orbits(maximal_only=True) == ref.cone_orbits(maximal_only=True)
+        assert check_fixed_cone_identity(cx, elements).violations == ref.fixed_cone_identity()
+        assert check_G_strict(cx, elements).violations == ref.strictness()
+        expected = ref.quotient()
+        if isinstance(expected, str):
+            seen["fixed-cone" if expected.startswith("fixed") else "strictness"] += 1
+            with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
+                quotient_structure(cx, elements)
+        else:
+            seen["quotient"] += 1
+            assert quotient_structure(cx, elements) == expected
+    assert min(seen.values()) >= 1, seen
