@@ -387,16 +387,24 @@ def _intersect_cones(cx: Complex, c1, c2) -> frozenset[Vec]:
     """Extreme rays (as primitive generators) of the exact intersection.
 
     The intersection C lies in the pointed cone c1, so it is pointed: its
-    dual, which both cones' facet normals and the span of their equations
-    generate, is full-dimensional, and its facets are C's extreme rays.
-    C = {0} gives no facet, and a ray gives one half-space.  The equations
-    and minus their sum generate their span as a cone, with fewer
-    generators for the enumeration than both signs of each.
+    dual, which both cones' facet normals generate modulo the span of
+    their equations, is full-dimensional, and its facets are C's extreme
+    rays.  C = {0} gives no facet, and a ray gives one half-space.  C lies
+    in the common nullspace W of the equations, so the dual is enumerated
+    in W, in the coordinates y of a basis B of W (x = y . B): a facet
+    normal u restricts to (u . B_j)_j, and each facet found there maps
+    back through B.  W = {0} gives C = {0}; without equations B is the
+    standard basis.
     """
     d1, d2 = cx.dual(c1), cx.dual(c2)
-    eqs = d1.equations + d2.equations
-    span = eqs + (tuple(-sum(c) for c in zip(*eqs)),) if eqs else ()
-    return frozenset(cone_dual(d1.inequalities + d2.inequalities + span, cx.ambient_rank).inequalities)
+    normals = d1.inequalities + d2.inequalities
+    basis = rational_nullspace(d1.equations + d2.equations, n=cx.ambient_rank)
+    zero = (0,) * len(basis)
+    restricted = sorted({tuple(_dot(u, b) for b in basis) for u in normals} - {zero})
+    return frozenset(
+        primitive([_dot(y, col) for col in zip(*basis)])
+        for y in cone_dual(restricted, len(basis)).inequalities
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,9 @@ def parse_certificate(text: str) -> CertificateData:
     final_rays = _rays(lines, "final-rays", rank)
     final_cones = _cones(lines, "final-cones", len(final_rays))
     composite = _ray_values(lines, "composite", "composite value")
-    n, _ = lines.expect_keyword("end")
+    n, parts = lines.expect_keyword("end")
+    if parts:
+        raise ParseError(f"unexpected content after 'end': {' '.join(parts)!r}", n)
     if not lines.done():
         n, line = lines.next()
         raise ParseError(f"unexpected trailing content {line!r}", n)

@@ -15,7 +15,9 @@ from itertools import product
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
-# Smith normal forms kept per process, keyed by the integer matrix
+# Entries kept per process by each memo of this module: Smith normal forms
+# keyed by the integer matrix, and the simplicial SNF and the first
+# parallelepiped point keyed by the generator tuple
 SNF_CACHE_SIZE = 4096
 
 
@@ -257,14 +259,16 @@ def cone_index(gens) -> int:
     return math.prod(divs)
 
 
-def _simplicial_snf(gens):
-    """(divisors d_j, rows of U) of the SNF U*G*V = D of independent gens."""
+@lru_cache(maxsize=SNF_CACHE_SIZE)
+def _simplicial_snf(gens: tuple):
+    """(divisors d_j, rows of U) of the SNF U*G*V = D of independent gens,
+    memoised by the generator tuple."""
     k = len(gens)
     n = len(gens[0]) if gens else 0
     if k > n:
         raise ValueError("not simplicial")
     D, U, _ = smith_normal_form(gens)
-    divs = [D[i][i] for i in range(k)] if k <= min(len(D), n) else []
+    divs = tuple(D[i][i] for i in range(k)) if k <= min(len(D), n) else ()
     if len(divs) < k or any(d == 0 for d in divs):
         raise ValueError("not simplicial")
     return divs, U
@@ -291,7 +295,9 @@ def parallelepiped_points(gens):
     The list has exactly cone_index(gens) - 1 entries.
 
     Enumeration goes through the SNF quotient group rather than a
-    bounding-box scan, so the cost is proportional to the index.
+    bounding-box scan, so the cost is proportional to the index.  This is
+    the public listing and the oracle of `_first_point`, which finds the
+    first entry without listing the others.
     """
     gens = tuple(tuple(g) for g in gens)
     k = len(gens)
@@ -318,3 +324,52 @@ def parallelepiped_points(gens):
     if len(points) != cone_index(gens) - 1:
         raise RuntimeError("parallelepiped contract violated: point count is not index - 1")
     return points
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x * a + y * b, for a > 0 and b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+@lru_cache(maxsize=SNF_CACHE_SIZE)
+def _first_point(gens: tuple):
+    """parallelepiped_points(gens)[0], or None when the index is 1,
+    without listing the points; memoised by the generator tuple.
+
+    The coordinates a with sum a_i * gens_i integral form a lattice with
+    basis rows (1 / d_j) * U_j (U*G*V = D).  Scaled by L = lcm(d) it is an
+    integer lattice holding L * Z^k, put here in upper-triangular echelon
+    (Hermite) form modulo L: at each column the pivot row carries the gcd
+    g of the column's entries and L, the other rows are cleared by it, and
+    (L / g) times it joins them.  A nonzero point mod 1 with a_i = 0 for
+    i < p exists exactly when a pivot from column p on is below L.  So the
+    first point is zero before the last column p whose pivot is below L,
+    and, every later pivot being L, it is that pivot row / L mod 1.
+    """
+    divs, U = _simplicial_snf(gens)
+    L = divs[-1] if divs else 1
+    k = len(gens)
+    rows = [[L // d * x % L for x in u] for u, d in zip(U, divs) if d > 1]
+    first = None
+    for col in range(k):
+        piv, g = [0] * k, L  # L * e_col, which is 0 mod L off col
+        for row in rows:
+            if row[col]:
+                g, x, y = _xgcd(g, row[col])
+                piv = [(x * a + y * b) % L for a, b in zip(piv, row)]
+        if g == L:
+            continue
+        first = piv  # zero before col, as every row is
+        rows = [[(a - row[col] // g * b) % L for a, b in zip(row, piv)] for row in rows]
+        rows = [row for row in rows + [[L // g * b % L for b in piv]] if any(row)]
+    if first is None:
+        return None
+    w = [sum(a * gen[j] for a, gen in zip(first, gens)) for j in range(len(gens[0]))]
+    if any(c % L for c in w):
+        raise RuntimeError(f"parallelepiped contract violated: {first} / {L} gives a non-lattice point")
+    return tuple(c // L for c in w), tuple(Fraction(a, L) for a in first)

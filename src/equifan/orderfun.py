@@ -13,7 +13,9 @@ wall F between pieces F+r1 and F+r2 there is a unique relation
     D = (-a) * v(r1) + v(r2) - sum b_f * v(f)
 
 The function is convex across the wall iff D >= 0 and bends strictly
-iff D > 0.  (A centered subdivision's function dips the new ray below
+iff D > 0.  Each wall's form is kept times the positive common
+denominator of its relation, so every bend is an integer dot product
+with D's sign.  (A centered subdivision's function dips the new ray below
 the linear extension of the host values, which makes D positive.)
 
 Integrality is decided by SNF congruences, one per elementary divisor
@@ -212,24 +214,34 @@ def _interior_walls(sub: Complex, pieces):
 
 
 def _bend_form(sub: Complex, wall) -> dict:
-    """The bend D across a wall as a linear form {ray id: coefficient}."""
+    """The bend D across a wall times the positive denominator of the
+    wall's relation, as an integer linear form {ray id: coefficient}.
+    r2's coefficient is that denominator, so the form has D's sign and
+    D is the form's value over form[r2]."""
     f, c1, r1, c2, r2 = wall
     basis_ids = sorted(c1)
-    coeffs = _wall_relation(sub.generators(c1), sub.rays[r2])
-    if coeffs is None:
+    relation = _wall_relation(sub.generators(c1), sub.rays[r2])
+    if relation is None:
         raise ValueError(f"wall {sorted(f)}: pieces do not span the same space")
+    coeffs, den = relation
     alpha = coeffs[basis_ids.index(r1)]
     if not alpha < 0:
         raise ValueError(f"wall {sorted(f)}: pieces do not lie on opposite sides")
     form = {i: -a for a, i in zip(coeffs, basis_ids)}  # -alpha > 0 at r1
-    form[r2] = 1
+    form[r2] = den
     return form
 
 
 @lru_cache(maxsize=BEND_CACHE_SIZE)
 def _wall_relation(gens: tuple, other: tuple):
-    """The coordinates of the other piece's ray in one piece's generators."""
-    return solve_in_basis(gens, other)
+    """The coordinates of the other piece's ray in one piece's generators,
+    as (integer numerators, their positive common denominator), or None
+    when the ray is outside their span."""
+    coeffs = solve_in_basis(gens, other)
+    if coeffs is None:
+        return None
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return tuple(int(c * den) for c in coeffs), den
 
 
 def _wall_forms(sub: Complex, pieces):
@@ -294,7 +306,8 @@ def _axiom_report(ord_fn: OrderFunction, pieces) -> AxiomReport:
             report.convex = False
             report.strict = False
             report.violations.append(
-                f"convexity fails across wall {sorted(wall[0])} in cone {sorted(sigma)}: bend {d}"
+                f"convexity fails across wall {sorted(wall[0])} in cone {sorted(sigma)}: "
+                f"bend {Fraction(d, form[wall[4]])}"
             )
         elif d == 0:
             report.strict = False
@@ -439,7 +452,8 @@ def _lex_first(rows, bounds, xs):
     The bounds confine y / x to an open interval (lo, hi), or to nothing
     (a bound with b = 0 and a <= 0).  For each x the rows admit one
     residue class of y, or none, built row by row; its least member above
-    x * lo is the answer when it lies below x * hi.
+    x * lo is the answer when it lies below x * hi, both compared in
+    integers through the bounds' numerators and denominators.
     """
     lo = max(Fraction(-a, b) for a, b in bounds if b > 0)
     hi = min((Fraction(a, -b) for a, b in bounds if b < 0), default=None)
@@ -456,9 +470,9 @@ def _lex_first(rows, bounds, xs):
             j = rhs // g * pow(m * Q // g, -1, d // g)
             r, m = (r + m * j) % (m * d // g), m * d // g
         else:
-            y = math.floor(x * lo) + 1
+            y = x * lo.numerator // lo.denominator + 1
             y += (r - y) % m
-            if hi is None or y < x * hi:
+            if hi is None or y * hi.denominator < x * hi.numerator:
                 return x, y
     return None
 
@@ -587,22 +601,23 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
         else:  # a ray in no cone
             evals.append(evaluate(outer, g))
     d = math.lcm(*[e.denominator for e in evals])
+    scaled = [int(d * e) for e in evals]
 
-    def at(m):
-        values = [int(m * e) + v for e, v in zip(evals, inner.ray_values)]
-        return OrderFunction(outer.base, sub, values)
+    def at(t):  # the fold with m = t * d
+        return OrderFunction(outer.base, sub, [t * e + v for e, v in zip(scaled, inner.ray_values)])
 
     if m is not None:
-        return (at(m) if m % d == 0 else None), m
+        return (at(m // d) if m % d == 0 else None), m
+    # each wall's (d * B_outer, B_inner), both times its positive denominator
     bends = [
-        (_apply(form, evals), _apply(form, inner.ray_values))
+        (_apply(form, scaled), _apply(form, inner.ray_values))
         for _, _, form in _wall_forms(sub, _pieces_by_base_cone(outer.base, sub))
     ]
-    m = d
-    while m <= COMPOSITION_CAP:
-        if all(m * b_outer + b_inner > 0 for b_outer, b_inner in bends):
-            return at(m), m
-        m *= 2
+    t = 1
+    while t * d <= COMPOSITION_CAP:
+        if all(t * b_outer + b_inner > 0 for b_outer, b_inner in bends):
+            return at(t), t * d
+        t *= 2
     raise ValueError(
         f"composition cap exceeded: no strict multiplier m <= composition_cap={COMPOSITION_CAP}"
     )

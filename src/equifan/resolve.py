@@ -39,9 +39,9 @@ from .groups import (
 )
 from .lattice import (
     _eliminate,
+    _first_point,
     cone_index,
     mat_vec,
-    parallelepiped_points,
     primitive,
     rational_nullspace,
     transpose,
@@ -153,6 +153,10 @@ def select_centers(cx: Complex, frames: dict, elements=None):
 
     Returns (coordinate tuple, ((point, host maximal cone), ...)); every
     witness realizing the minimal canonical coordinate tuple is returned.
+    A cone's least point in its frame's coordinates comes from the
+    Hermite normal form of its lattice (`lattice._first_point`), memoised
+    by the frame's generators, so no point is listed and a cone left
+    untouched by a round costs one lookup; the ties are across cones.
     With `elements` (matrices acting on cx) the selected points must be
     stable under them.
     """
@@ -163,16 +167,15 @@ def select_centers(cx: Complex, frames: dict, elements=None):
     best = None
     chosen = []
     for mc in cx.maximal_cones:
-        frame = frames[mc]
-        gens = tuple(cx.rays[i] for i in frame)
-        if cone_index(gens) == 1:
+        first = _first_point(tuple(cx.rays[i] for i in frames[mc]))
+        if first is None:
             continue
-        for point, coords in parallelepiped_points(gens):
-            if best is None or coords < best:
-                best = coords
-                chosen = [(point, mc)]
-            elif coords == best:
-                chosen.append((point, mc))
+        point, coords = first
+        if best is None or coords < best:
+            best = coords
+            chosen = [(point, mc)]
+        elif coords == best:
+            chosen.append((point, mc))
     chosen = tuple(sorted(set(chosen), key=lambda pc: (pc[0], sorted(pc[1]))))
     if elements is not None:
         pts = {p for p, _ in chosen}

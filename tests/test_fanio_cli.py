@@ -313,6 +313,24 @@ def test_truncated_hash_line_is_a_parse_error(keyword, tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tail", ["0", "end", "x y"])
+def test_content_after_end_is_a_parse_error(tail, tmp_path, capsys):
+    sing = singular_cone_2d(2)
+    fan = fan_from_complex(sing)
+    text = write_certificate(resolve_equivariant(sing, mode="plain"), fan)
+    assert text.endswith("\nend\n")
+    text = text[: -len("end\n")] + f"end {tail}\n"
+    nlines = len(text.splitlines())
+    with pytest.raises(ParseError, match=rf"line {nlines}: unexpected content after 'end'"):
+        parse_certificate(text)
+    cert_path = tmp_path / "out.cert"
+    fan_path = tmp_path / "in.fan"
+    cert_path.write_text(text)
+    fan_path.write_text(write_fan(fan))
+    assert run_cli("verify", str(cert_path), str(fan_path)) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 @functools.cache
 def fuzz_bases():
     """Two small certificates (plain, and canonical with a group) as lines."""

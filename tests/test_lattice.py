@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from equifan.lattice import (
     _eliminate,
+    _first_point,
     cone_index,
     det,
     integrality_congruences,
@@ -157,6 +158,33 @@ def test_parallelepiped_against_box_oracle():
         slow = box_parallelepiped_points(gens)
         assert fast == slow
         assert len(fast) == cone_index(gens) - 1
+
+
+def test_first_point_matches_listing():
+    """_first_point against the first entry of parallelepiped_points on
+    1,500 derandomized simplicial cones in ranks 2-4, with k <= n
+    generators; a cone of index 1 and the zero cone give None."""
+    assert _first_point(()) is None
+    assert _first_point(((1, 0, 0), (1, 1, 0))) is None
+    rng = random.Random(20261019)
+    cones = lower = singular = 0
+    while cones < 1500:
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n)
+        gens = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(k))
+        try:
+            idx = cone_index(gens)
+        except ValueError:
+            continue
+        if idx > 60:
+            continue
+        points = parallelepiped_points(gens)
+        assert _first_point(gens) == (points[0] if points else None), gens
+        cones += 1
+        lower += k < n
+        singular += idx > 1
+    # the draws reach lower-dimensional cones, and both answers often
+    assert min(lower, singular, cones - singular) > 400, (lower, singular)
 
 
 def test_parallelepiped_count_random():

@@ -12,6 +12,7 @@ from equifan.complexes import Complex, same_complex
 from equifan.lattice import cone_index, parallelepiped_points, primitive, rank, solve_in_basis
 from equifan.orderfun import (
     OrderFunction,
+    _wall_relation,
     compose_order_functions,
     compose_with_multiplier,
     evaluate,
@@ -76,6 +77,21 @@ class TestAxioms:
         rep = verify_order_axioms(f)
         assert not rep.convex and not rep.ok
         assert any("convexity" in v for v in rep.violations)
+
+    def test_convexity_failure_names_the_exact_bend(self):
+        # the wall's relation (1,5) = -3/2 (1,0) + 5/2 (1,2) has denominator
+        # 2; the text gives the bend itself, not the bend times 2
+        cone = Complex.from_maximal_cones(2, [(1, 0), (1, 5)], [[0, 1]])
+        sub = star_subdivide(cone, (1, 2))
+        assert _wall_relation(((1, 0), (1, 2)), (1, 5)) == ((-3, 5), 2)
+        rep = verify_order_axioms(OrderFunction(cone, sub, (1, 1, 2)))
+        assert rep.violations == [
+            "integrality fails at lattice point (1, 1): value 3/2",
+            "integrality fails at lattice point (1, 3): value 5/3",
+            "convexity fails across wall [2] in cone [0, 1]: bend -5/2",
+        ]
+        rep = verify_order_axioms(OrderFunction(cone, sub, (3, 1, 4)))
+        assert rep.violations[-1] == "convexity fails across wall [2] in cone [0, 1]: bend -9/2"
 
     def test_no_interior_facets(self, orthant2):
         f = OrderFunction(orthant2, orthant2, {0: 1, 1: 1})
