@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 semantic failure, 2 parse failure.  There is no
+Exit codes: 0 success, 1 semantic failure, 2 parse failure (bytes that are
+not UTF-8 included) or a file that cannot be read or written.  There is no
 randomness anywhere, so identical inputs always produce byte-identical
 outputs.  The group size cap can be overridden through the environment
 variable EQUIFAN_GROUP_CAP.
@@ -39,9 +40,17 @@ def _group_cap() -> int:
     return int(raw)
 
 
+def _read(path) -> str:
+    """A file's text; bytes that are not UTF-8 are a parse failure."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text (byte {e.start})")
+
+
 def _load_fan(path) -> FanFile:
-    with open(path) as fh:
-        return parse_fan(fh.read())
+    return parse_fan(_read(path))
 
 
 def _elements(fan: FanFile):
@@ -135,8 +144,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate) as fh:
-        cert = parse_certificate(fh.read())
+    cert = parse_certificate(_read(args.certificate))
     fan = _load_fan(args.fan)
     violations = verify_certificate(cert, fan, group_cap=_group_cap())
     if violations:
@@ -243,7 +251,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .lattice import Vec, primitive, rank, rational_nullspace
+from .lattice import Vec, _eliminate, primitive, rank, rational_nullspace
 
 ConeIds = frozenset
 
@@ -53,6 +53,11 @@ def cone_dual(gens, ambient_rank: int) -> DualDescription:
 
 @lru_cache(maxsize=DUAL_CACHE_SIZE)
 def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
+    """The equations are the nullspace of gens.  A simplicial cone (as many
+    generators as dimensions) has exactly one facet without each generator,
+    so its normals are the dual basis of its generators within their span,
+    from one elimination (`_simplicial_normals`); any other cone enumerates
+    its facets."""
     if not gens:
         eqs = tuple(
             tuple(1 if i == j else 0 for j in range(ambient_rank))
@@ -61,6 +66,8 @@ def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
         return DualDescription(eqs, ())
     equations = tuple(rational_nullspace(gens, n=ambient_rank))
     d = ambient_rank - len(equations)
+    if d == len(gens):
+        return DualDescription(equations, _simplicial_normals(gens))
     seen = set()
     normals = []
     # every facet is spanned by d-1 independent generators lying on it; the
@@ -87,6 +94,24 @@ def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
             normals.append(primitive(u))
     normals.sort()
     return DualDescription(equations, tuple(normals))
+
+
+def _simplicial_normals(gens) -> tuple[Vec, ...]:
+    """Sorted facet normals of the cone over k independent generators, the
+    rows g_j of G.
+
+    Fraction-free elimination of [G*G^T | G] ends in D * [I | (G*G^T)^-1 * G],
+    so row j of its right block is u_j = G^T * a_j, a_j column j of
+    D * (G*G^T)^-1.  u_j lies in the span of the cone and u_j . g_i =
+    D * [i == j]: it vanishes on the facet that drops g_j, which spans the
+    rest of the span, and is positive on g_j, so it is that facet's normal.
+    D > 0 because G*G^T is positive definite: its leading minors, the
+    pivots, are positive, so no row is swapped and D = det(G*G^T).
+    """
+    k = len(gens)
+    rows = [[_dot(g, h) for h in gens] + list(g) for g in gens]
+    _eliminate(rows, k)
+    return tuple(sorted(primitive(row[k:]) for row in rows))
 
 
 def _extreme(gens, ambient_rank: int) -> tuple[int, ...]:
@@ -188,9 +213,20 @@ class Complex:
         return self._faces_cache[cone]
 
     def facets(self, cone) -> tuple[ConeIds, ...]:
+        """The faces of a cone one dimension below it, sorted by ray ids.
+
+        Every subset of a simplicial cone's rays spans a face of its own
+        size as dimension, so its facets are the cone minus one ray each
+        (the zero cone has none), with no dual and no rank of a face.
+        Other cones filter their face lattice by dimension.
+        """
+        cone = frozenset(cone)
         d = self.dim(cone)
-        return tuple(sorted((f for f in self.faces(cone) if self.dim(f) == d - 1),
-                            key=sorted))
+        if d == len(cone):
+            facets = (cone - {i} for i in cone)
+        else:
+            facets = (f for f in self.faces(cone) if self.dim(f) == d - 1)
+        return tuple(sorted(facets, key=sorted))
 
     def minimal_cone_containing(self, x) -> ConeIds:
         """The carrier of x: the cone whose relative interior contains x.
@@ -450,19 +486,29 @@ def _tiling_witnesses(fine: Complex, coarse: Complex, sigma, pieces) -> list[str
     exactly two, and the generator sum of the first piece, a point of its
     relative interior, must lie in no other piece.  The last two conditions
     reject a multiple cover, whose pieces pair up across walls as well as
-    a tiling's do."""
+    a tiling's do.
+
+    A facet of a piece lies in a facet of sigma exactly when that facet's
+    inequality vanishes on all its rays, so the sets of sigma's facets
+    through each ray are computed once and a piece's facet is on the
+    boundary when its rays' sets intersect; the zero facet, with no rays,
+    is on it when sigma has a facet.
+    """
     if not pieces:
         return [f"cone {sorted(sigma)} is not covered"]
     witnesses = []
-    sigma_dd = coarse.dual(sigma)
+    ineqs = coarse.dual(sigma).inequalities
+    every = frozenset(range(len(ineqs)))
+    through = {
+        i: frozenset(k for k, u in enumerate(ineqs) if _dot(u, fine.rays[i]) == 0)
+        for i in set().union(*pieces)
+    }
     facet_count: dict[frozenset, list] = {}  # facet -> [count, on the boundary]
     for p in pieces:
         for f in fine.facets(p):
-            fgens = fine.generators(f)
-            on_boundary = any(
-                all(_dot(u, g) == 0 for g in fgens) for u in sigma_dd.inequalities
-            )
-            facet_count.setdefault(f, [0, on_boundary])[0] += 1
+            if f not in facet_count:
+                facet_count[f] = [0, bool(every.intersection(*(through[i] for i in f)))]
+            facet_count[f][0] += 1
     for f, (cnt, on_boundary) in sorted(facet_count.items(), key=lambda kv: sorted(kv[0])):
         where, expected = ("boundary", 1) if on_boundary else ("interior", 2)
         if cnt != expected:

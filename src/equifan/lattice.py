@@ -261,12 +261,19 @@ def cone_index(gens) -> int:
 
 @lru_cache(maxsize=SNF_CACHE_SIZE)
 def _simplicial_snf(gens: tuple):
-    """(divisors d_j, rows of U) of the SNF U*G*V = D of independent gens,
-    memoised by the generator tuple."""
+    """(divisors d_j, rows of U) of a Smith form U*G*V = D of independent
+    gens, memoised by the generator tuple.
+
+    A square G with det(G) = +-1 is unimodular, so U = I, V = G^-1 and
+    D = I is a Smith form of it: one elimination gives the divisors (1, ...)
+    without the checked SNF, which every other cone takes.
+    """
     k = len(gens)
     n = len(gens[0]) if gens else 0
     if k > n:
         raise ValueError("not simplicial")
+    if k == n and det(gens) in (1, -1):
+        return (1,) * k, identity_matrix(k)
     D, U, _ = smith_normal_form(gens)
     divs = tuple(D[i][i] for i in range(k)) if k <= min(len(D), n) else ()
     if len(divs) < k or any(d == 0 for d in divs):

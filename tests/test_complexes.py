@@ -1,6 +1,9 @@
 """Complex representation, dual descriptions, validation, subdivision checks."""
 
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,15 @@ from equifan.complexes import (
     same_complex,
     validate_complex,
 )
-from equifan.lattice import primitive, rank
+from equifan.lattice import (
+    _first_point,
+    cone_index,
+    det,
+    integrality_congruences,
+    primitive,
+    rank,
+    smith_normal_form,
+)
 from equifan.subdivide import barycentric_subdivision, star_subdivide
 
 from conftest import (
@@ -166,6 +177,40 @@ class TestSubdivision:
         assert any(w.startswith("boundary facet [0]") for w in report.witnesses)
         assert any(w.startswith("interior point") for w in report.witnesses)
 
+    @pytest.mark.parametrize(
+        "rank_, coarse_rays, fine_rays, fine_cones, expected",
+        [
+            # two subdivisions of the quadrant laid over each other: each
+            # boundary facet met twice, an interior point in two pieces
+            (2, [(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1), (1, 2)],
+             [[0, 2], [2, 1], [0, 3], [3, 1]],
+             ["boundary facet [0] of host [0, 1] met 2 time(s), expected 1",
+              "boundary facet [1] of host [0, 1] met 2 time(s), expected 1",
+              "interior point (2, 1) of piece [0, 2] also lies in piece [0, 3] of host [0, 1]"]),
+            # the star of the quadrant at (1, 1) without its upper piece: the
+            # interior facet through the center is met once
+            (2, [(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)], [[0, 2]],
+             ["interior facet [2] of host [0, 1] met 1 time(s), expected 2"]),
+            # the octant and its star at (1, 1, 1) laid over each other
+            (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+             [[0, 1, 3], [1, 2, 3], [0, 2, 3], [0, 1, 2]],
+             ["boundary facet [0, 1] of host [0, 1, 2] met 2 time(s), expected 1",
+              "boundary facet [0, 2] of host [0, 1, 2] met 2 time(s), expected 1",
+              "boundary facet [1, 2] of host [0, 1, 2] met 2 time(s), expected 1",
+              "interior point (1, 1, 1) of piece [0, 1, 2] also lies in piece [0, 1, 3] of host [0, 1, 2]",
+              "interior point (1, 1, 1) of piece [0, 1, 2] also lies in piece [0, 2, 3] of host [0, 1, 2]",
+              "interior point (1, 1, 1) of piece [0, 1, 2] also lies in piece [1, 2, 3] of host [0, 1, 2]"]),
+            # a ray covered twice: the zero facet lies on its boundary
+            (2, [(1, 0)], [(1, 0), (2, 0)], [[0], [1]],
+             ["boundary facet [] of host [0] met 2 time(s), expected 1",
+              "interior point (1, 0) of piece [0] also lies in piece [1] of host [0]"]),
+        ],
+    )
+    def test_tiling_witness_texts(self, rank_, coarse_rays, fine_rays, fine_cones, expected):
+        coarse = Complex.from_maximal_cones(rank_, coarse_rays, [range(len(coarse_rays))])
+        fine = Complex.from_maximal_cones(rank_, fine_rays, fine_cones)
+        assert is_subdivision(fine, coarse).witnesses == expected
+
     def test_stray_lower_dimensional_cone_rejected(self, orthant2):
         # the orthant with the 1-D cone through (1, 1) as an extra maximal
         # cone: it lies in the orthant but is no piece of it
@@ -290,3 +335,80 @@ def test_dual_questions_match_references():
     # the draws reach lower-dimensional cones, redundant generators and
     # cones that are not pointed
     assert min(lower, redundant, flats) > 500, (lower, redundant, flats)
+
+
+def _simplicial_draw(rng):
+    """k independent generators in rank n (2-4, 1 <= k <= n): two draws in
+    five take k rows of a random unimodular matrix, a row negated or not, so
+    square cones of determinant +1 and -1 are common; the others have
+    coordinates in [-4, 4].  None when the draw is dependent."""
+    n = rng.randint(2, 4)
+    k = rng.randint(1, n)
+    if rng.random() < 0.4:
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(6):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        if rng.random() < 0.5:
+            m[0] = [-a for a in m[0]]
+        gens = tuple(tuple(r) for r in rng.sample(m, n)[:k])
+    else:
+        gens = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k))
+    return (gens, n) if rank(gens) == k else None
+
+
+def _snf_facts(gens):
+    """(index, integrality rows, first parallelepiped point) read off the
+    Smith normal form U*G*V = D: the product of the divisors, the rows
+    (U_j, d_j) with d_j > 1, and the lexicographically least nonzero
+    reduction of sum_j (t_j / d_j) * U_j with its lattice point."""
+    D, U, _ = smith_normal_form(gens)
+    divs = [D[j][j] for j in range(len(gens))]
+    rows = tuple((U[j], d) for j, d in enumerate(divs) if d > 1)
+    first = None
+    for t in itertools.product(*[range(d) for d in divs]):
+        a = [sum(Fraction(tj, d) * u[i] for tj, d, u in zip(t, divs, U)) % 1 for i in range(len(gens))]
+        if any(a) and (first is None or a < first):
+            first = a
+    if first is not None:
+        point = tuple(int(sum(ai * g[j] for ai, g in zip(first, gens))) for j in range(len(gens[0])))
+        first = (point, tuple(first))
+    return math.prod(divs), rows, first
+
+
+def test_simplicial_facts_match_references():
+    """The simplicial shortcuts against the general answers on 1,500
+    derandomized simplicial cones in ranks 2-4: cone_dual (facet normals
+    from one elimination) against the facet enumeration of
+    `reference_cone_dual`, `Complex.facets` of every face against the
+    dimension filter of `faces`, and cone_index, integrality_congruences
+    and _first_point (divisors 1 read off det = +-1) against the Smith
+    normal form."""
+    rng = random.Random(20261020)
+    seen = Counter()
+    while sum(seen.values()) < 1500:
+        draw = _simplicial_draw(rng)
+        if draw is None:
+            continue
+        gens, n = draw
+        k = len(gens)
+        if cone_index(gens) > 60:  # keeps the reference's listing short
+            continue
+        if k == n:
+            d = det(gens)
+            kind = ("square", abs(d) > 1, d > 0)
+        else:
+            kind = ("lower", cone_index(gens) > 1)
+        assert cone_dual(gens, n) == reference_cone_dual(gens, n), gens
+        cx = Complex.from_maximal_cones(n, gens, [range(k)])
+        for f in cx.cones:
+            by_dim = sorted((g for g in cx.faces(f) if cx.dim(g) == cx.dim(f) - 1), key=sorted)
+            assert cx.facets(f) == tuple(by_dim), (gens, f)
+        index, rows, first = _snf_facts(gens)
+        assert cone_index(gens) == index, gens
+        assert integrality_congruences(gens) == rows, gens
+        assert _first_point(gens) == first, gens
+        seen[kind] += 1
+    # k < n at index 1 and beyond, and k = n at |det| = 1 and beyond, both signs
+    assert min(seen.values()) >= 100 and len(seen) == 6, seen

@@ -667,3 +667,38 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: EQUIFAN_GROUP_CAP must be a positive integer, got {raw!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("validate", "{dir}"),
+            ("report", "{missing}"),
+            ("verify", "{dir}", "{fan}"),
+            ("verify", "{cert}", "{dir}"),
+            ("resolve", "{fan}", "-o", "{dir}"),
+            ("resolve", "{fan}", "-o", "{missing}/out.cert"),
+        ],
+    )
+    def test_unusable_paths_exit_2_with_one_error_line(self, args, tmp_path, capsys):
+        fan = fan_from_complex(orthant(2))
+        paths = {"dir": tmp_path / "d", "missing": tmp_path / "missing",
+                 "fan": tmp_path / "in.fan", "cert": tmp_path / "out.cert"}
+        paths["dir"].mkdir()
+        paths["fan"].write_text(write_fan(fan))
+        paths["cert"].write_text(write_certificate(resolve_equivariant(orthant(2)), fan))
+        assert run_cli(*[a.format(**paths) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["validate", "verify-cert", "verify-fan"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, command, tmp_path, capsys):
+        fan = fan_from_complex(orthant(2))
+        good_fan, good_cert, bad = tmp_path / "in.fan", tmp_path / "out.cert", tmp_path / "bad"
+        good_fan.write_text(write_fan(fan))
+        good_cert.write_text(write_certificate(resolve_equivariant(orthant(2)), fan))
+        bad.write_bytes(b"rank 2\n\xff\n")
+        args = {"validate": ("validate", bad),
+                "verify-cert": ("verify", bad, good_fan),
+                "verify-fan": ("verify", good_cert, bad)}[command]
+        assert run_cli(*map(str, args)) == 2
+        assert capsys.readouterr().err == f"parse error: {bad} is not UTF-8 text (byte 7)\n"
