@@ -59,6 +59,17 @@ def _elements(fan: FanFile):
     return generate_group(fan.group_generators, cap=_group_cap(), rank=fan.ambient_rank)
 
 
+def _acting_generators(fan: FanFile, cx) -> tuple:
+    """The fan's generators when they act on cx, else none.  The group is
+    still generated, so bad generators and the size cap fail as in every
+    other command, but the action is checked on the generators alone."""
+    if fan.group_generators:
+        _elements(fan)
+        if verify_action(cx, fan.group_generators).ok:
+            return fan.group_generators
+    return ()
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -92,9 +103,7 @@ def cmd_barycentric(args) -> int:
     fan = _load_fan(args.fan)
     cx = require_valid(fan.to_complex())
     out = barycentric_subdivision(cx)
-    gens = fan.group_generators
-    if gens and not verify_action(out, _elements(fan)).ok:
-        gens = ()
+    gens = _acting_generators(fan, out)
     _emit(write_fan(fan_from_complex(out, gens)), args.output)
     return 0
 
@@ -117,9 +126,7 @@ def cmd_star(args) -> int:
         print(f"note: center {center} normalized to primitive {primitive(center)}", file=sys.stderr)
         center = primitive(center)
     out = star_subdivide(cx, center)
-    gens = fan.group_generators
-    if gens and not verify_action(out, _elements(fan)).ok:
-        gens = ()
+    gens = _acting_generators(fan, out)
     _emit(write_fan(fan_from_complex(out, gens)), args.output)
     return 0
 
@@ -127,8 +134,9 @@ def cmd_star(args) -> int:
 def cmd_resolve(args) -> int:
     fan = _load_fan(args.fan)
     cx = fan.to_complex()
-    elements = _elements(fan)
-    cert = resolve_equivariant(cx, elements, mode=args.mode)
+    cert = resolve_equivariant(
+        cx, _elements(fan), mode=args.mode, generators=fan.group_generators or None
+    )
     with open(args.output, "w") as fh:
         fh.write(write_certificate(cert, fan))
     print("measure trace (label, max index, total index):")

@@ -178,9 +178,12 @@ class Complex:
         return tuple(self.rays[i] for i in sorted(cone))
 
     def dim(self, cone) -> int:
+        """The dimension of a cone's span: the ambient rank less the
+        equations of its memoised dual, shared by every complex holding
+        the cone."""
         cone = frozenset(cone)
         if cone not in self._dim_cache:
-            self._dim_cache[cone] = rank(self.generators(cone)) if cone else 0
+            self._dim_cache[cone] = self.ambient_rank - len(self.dual(cone).equations)
         return self._dim_cache[cone]
 
     def dual(self, cone) -> DualDescription:

@@ -438,7 +438,7 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     Returns the list of named violations (empty means the certificate is
     sound for this input).  An input that is not a valid complex is one.
     """
-    from .groups import GROUP_CAP_DEFAULT, generate_group, verify_action
+    from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
     from .lattice import primitive
     from .orderfun import centered_order_function, verify_order_axioms
     from .resolve import (
@@ -463,11 +463,14 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         elements = generate_group(fan.group_generators, cap=cap, rank=fan.ambient_rank)
     except ValueError as e:
         return [f"group generation failed: {e}"]
+    # the order checked and the group checked come from the fan's
+    # generators; every group question is asked of them
+    generators = fan.group_generators or trivial_group(fan.ambient_rank)
     if len(elements) != cert.group_order:
         violations.append(
             f"group order mismatch: file gives {len(elements)}, certificate says {cert.group_order}"
         )
-    if not verify_action(cx0, elements).ok:
+    if not verify_action(cx0, generators).ok:
         violations.append("group does not act on the input complex")
     if violations:
         return violations
@@ -559,7 +562,7 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         return ["composite order function mismatch"]
 
     # re-derive the flags; the measure trace came with the replay
-    flags = certificate_flags(cx0, elements, cur, composite_ord)
+    flags = certificate_flags(cx0, generators, cur, composite_ord)
     for name in FLAG_NAMES:
         if name not in cert.flags:
             violations.append(f"flag missing: {name}")

@@ -1,13 +1,20 @@
 """Finite group actions on complexes.
 
 A group is a finite set of unimodular integer matrices acting on the
-ambient lattice.  `verify_action` checks that every element permutes the
-ray generators and the cones and returns one record, a `GroupAction`:
+ambient lattice.  `verify_action` checks that every given matrix permutes
+the ray generators and the cones and returns one record, a `GroupAction`:
 the induced ray permutations, or the violations when the matrices do not
-act.  A cone is a set of ray ids, so its image under an element is read
-off that element's ray permutation (`cone_image`); no cone table is kept.
+act.  A cone is a set of ray ids, so its image under a matrix is read off
+that matrix's ray permutation (`cone_image`); no cone table is kept.
 Orbits, the fixed-cone-identity and strictness checks and quotients all
 read that record, so an action is verified once.
+
+A finite group preserves a set exactly when its generators do, and its
+orbits are the closure of a point under the generators' permutations
+(A. Seress, Permutation Group Algorithms, ch. 2).  So the action, its
+orbits and strictness may be asked of a generating set: |S| matrices, not
+|G|.  Only `check_fixed_cone_identity` and `quotient_structure` ask about
+each element, and need the whole group.
 """
 
 from __future__ import annotations
@@ -66,10 +73,11 @@ def cone_image(perm, cone) -> frozenset:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """The verified action of matrices on a complex: for each element, the
+    """The verified action of matrices on a complex: for each matrix, the
     permutation of ray ids it induces, which also carries every cone onto
-    a cone.  When the matrices do not act, `violations` says why, the
-    table is empty and the orbit queries raise ValueError."""
+    a cone.  The matrices may be a whole group or a generating set of it;
+    the orbits are the same.  When the matrices do not act, `violations`
+    says why, the table is empty and the orbit queries raise ValueError."""
 
     complex: Complex
     ray_permutations: tuple[tuple[int, ...], ...] = ()
@@ -89,14 +97,23 @@ class GroupAction:
 
     def _orbits(self, items, image, key=None) -> tuple[tuple, ...]:
         """The orbits of the items, in order of their first member, each
-        sorted by key; `image(perm, item)` applies one element."""
+        sorted by key; `image(perm, item)` applies one permutation.  An
+        orbit is the closure of its first member under the permutations,
+        so the identity need not be among them."""
         self._require_ok()
         seen = set()
         orbits = []
         for x in items:
             if x in seen:
                 continue
-            orbit = {image(perm, x) for perm in self.ray_permutations}
+            orbit, frontier = {x}, [x]
+            while frontier:
+                z = frontier.pop()
+                for perm in self.ray_permutations:
+                    y = image(perm, z)
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
             seen |= orbit
             orbits.append(tuple(sorted(orbit, key=key)))
         return tuple(orbits)
@@ -112,8 +129,11 @@ class GroupAction:
 
 
 def verify_action(cx: Complex, elements) -> GroupAction:
-    """Check every element permutes rays and cones; the action record, with
-    the ray permutations when they all do and the violations otherwise."""
+    """Check every matrix permutes rays and cones; the action record, with
+    the ray permutations when they all do and the violations otherwise.
+
+    A group acts exactly when a generating set does, so `elements` may be
+    either; a violation names the index of the matrix as given."""
     violations = []
     elements = tuple(tuple(tuple(int(c) for c in row) for row in m) for m in elements)
     n = cx.ambient_rank
@@ -155,17 +175,22 @@ def group_action(cx: Complex, elements) -> GroupAction:
 
 
 def check_fixed_cone_identity(cx: Complex, elements) -> ValidationReport:
-    """Every element fixing a cone setwise must fix its rays pointwise."""
+    """Every element fixing a cone setwise must fix its rays pointwise.
+
+    The question is asked of each element, so `elements` must be the whole
+    group (`generate_group`'s output), not a generating set."""
     return _fixed_cone_identity(group_action(cx, elements))
 
 
 def check_G_strict(cx: Complex, elements) -> ValidationReport:
-    """No cone may have two distinct edges in one ray orbit."""
+    """No cone may have two distinct edges in one ray orbit; `elements` may
+    be the group or a generating set."""
     return _strictness(group_action(cx, elements))
 
 
 def _fixed_cone_identity(action: GroupAction) -> ValidationReport:
-    """check_fixed_cone_identity on an action already verified."""
+    """check_fixed_cone_identity on an action already verified for the
+    whole group: a generating set would miss the elements it lacks."""
     cx = action.complex
     report = ValidationReport()
     for k, perm in enumerate(action.ray_permutations):
@@ -227,7 +252,11 @@ class QuotientStructure:
 
 
 def quotient_structure(cx: Complex, elements) -> QuotientStructure:
-    """Quotient orbit structure of a strict action (raises when not strict)."""
+    """Quotient orbit structure of a strict action (raises when not strict).
+
+    The fixed-cone-identity check and the element carrying each cone onto
+    its representative range over every element, so `elements` must be the
+    whole group (`generate_group`'s output), not a generating set."""
     action = group_action(cx, elements)
     fci = _fixed_cone_identity(action)
     if not fci.ok:

@@ -118,7 +118,10 @@ def initial_frames_barycentric(cx: Complex, bcx: Complex) -> dict:
 
 
 def frames_equivariant(frames: dict, action) -> bool:
-    """The group must carry the frame of a cone onto the image's frame."""
+    """The group must carry the frame of a cone onto the image's frame.
+
+    A product of matrices that carry frames onto frames does too, so an
+    action verified for a generating set decides it for the group."""
     for perm in action.ray_permutations:
         for mc, frame in frames.items():
             if tuple(perm[i] for i in frame) != frames[cone_image(perm, mc)]:
@@ -157,8 +160,9 @@ def select_centers(cx: Complex, frames: dict, elements=None):
     Hermite normal form of its lattice (`lattice._first_point`), memoised
     by the frame's generators, so no point is listed and a cone left
     untouched by a round costs one lookup; the ties are across cones.
-    With `elements` (matrices acting on cx) the selected points must be
-    stable under them.
+    With `elements` (matrices acting on cx: a group or a generating set,
+    since a group preserves a set exactly when its generators do) the
+    selected points must be stable under them.
     """
     if not is_simplicial(cx):
         raise ValueError("not simplicial")
@@ -221,6 +225,10 @@ FLAG_NAMES = (
 
 def certificate_flags(input_cx, elements, final, composite) -> dict:
     """Re-derive every certificate flag from scratch (nothing trusted).
+
+    `elements` is the group or a generating set of it: the action, its
+    strictness (from the orbits) and the invariance of the composite hold
+    for the group exactly when they hold for its generators.
 
     Each fact is decided once: the subdivision of the input (which the
     composite's axiom check needs too when it lives on final over
@@ -464,7 +472,13 @@ class Replay:
 # the pipeline
 
 
-def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> ResolutionCertificate:
+def _matrices(ms) -> tuple:
+    return tuple(tuple(tuple(int(v) for v in row) for row in m) for m in ms)
+
+
+def resolve_equivariant(
+    cx: Complex, elements=None, mode: str = "canonical", generators=None
+) -> ResolutionCertificate:
     """Refine the complex until smooth, equivariantly, with a certificate.
 
     Canonical mode starts with the barycentric subdivision and then
@@ -473,20 +487,31 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
     runs just the loop with the input generator order as frame.  An input
     that is not a valid complex raises ValueError naming its first
     violation.
+
+    `elements` is the group, recorded in the certificate.  Every group
+    question (the action, center stability, frame equivariance and the
+    flags) is asked of `generators`, a generating set of it, which
+    defaults to `elements`; each must belong to `elements` (ValueError
+    otherwise), and that they generate it is the caller's word, which
+    `fanio.verify_certificate` checks against the fan.
     """
     if elements is None:
         elements = trivial_group(cx.ambient_rank)
-    elements = tuple(tuple(tuple(int(v) for v in row) for row in m) for m in elements)
+    elements = _matrices(elements)
+    generators = elements if generators is None else _matrices(generators)
+    if not set(generators) <= set(elements):
+        raise ValueError("a generator is not an element of the group")
     if mode not in ("canonical", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
     require_valid(cx)
-    group_action(cx, elements)  # raises when the action is invalid
+    group_action(cx, generators)  # raises when the action is invalid
     # the identity alone carries every frame onto itself
-    trivial = elements == trivial_group(cx.ambient_rank)
+    identity = trivial_group(cx.ambient_rank)[0]
+    trivial = all(m == identity for m in elements)
 
     replay = Replay(cx)
     if mode == "plain":
-        if len(elements) != 1:
+        if not trivial:
             raise ValueError("plain mode requires the trivial group")
         if not is_simplicial(cx):
             raise ValueError("not simplicial")
@@ -511,7 +536,7 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
         if replay.rounds >= ROUND_CAP:
             raise RuntimeError("resolution did not terminate within the round cap")
         cur = replay.cur
-        _, selected = select_centers(cur, frames, elements)
+        _, selected = select_centers(cur, frames, generators)
         centers = sorted({primitive(p) for p, _ in selected})
         carriers = [cur.minimal_cone_containing(c) for c in centers]
         centers_with_hosts = [(c, tuple(sorted(t))) for c, t in zip(centers, carriers)]
@@ -522,7 +547,7 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
         frames = _inherit_frames(frames, pieces)
         if any(frozenset(frame) != mc for mc, frame in frames.items()):
             raise RuntimeError("frame consistency: a frame does not list its cone's rays")
-        if not trivial and not frames_equivariant(frames, group_action(nxt, elements)):
+        if not trivial and not frames_equivariant(frames, group_action(nxt, generators)):
             raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
 
         # the measure must drop on every subdivided cone's descendants
@@ -535,7 +560,7 @@ def resolve_equivariant(cx: Complex, elements=None, mode: str = "canonical") -> 
         replay.stage("centered", [BatchStep(tuple(centers_with_hosts), scale, dip, 1)], [ord_k])
 
     composite = replay.final_composite()
-    flags = certificate_flags(cx, elements, replay.cur, composite)
+    flags = certificate_flags(cx, generators, replay.cur, composite)
     if not all(flags.values()):
         bad = [k for k, v in flags.items() if not v]
         raise RuntimeError(f"resolution verification failed: {bad}")

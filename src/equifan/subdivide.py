@@ -44,7 +44,10 @@ def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
     touched maximal cone sigma, one containing tau, becomes the pieces
     f + center for the facets f of sigma not containing tau, and these
     with the untouched maximal cones are the new maximal cones.
-    Dimensions and face lattices of untouched cones carry over.
+    Dimensions and face lattices of untouched cones carry over.  A new
+    cone f + center has dimension dim f + 1: the center lies in sigma but
+    not in its face f, so not in the span of f.  A face of a simplicial
+    sigma has its size as dimension, so no face of one is ranked.
     """
     c = tuple(int(v) for v in center)
     p = primitive(c)
@@ -59,21 +62,24 @@ def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
         return cx
 
     new_id = len(cx.rays)
-    removed, added, pieces = set(), set(), {}
+    removed, added, pieces, join_dims = set(), set(), {}, {}
     for sigma in cx.maximal_cones:
         if tau <= sigma:
             faces = cx.faces(sigma)
             joins = {f: f | {new_id} for f in faces if not tau <= f}
             removed.update(faces - joins.keys())
             added.update(joins.values())
-            facet_dim = cx.dim(sigma) - 1
-            pieces[sigma] = [join for f, join in joins.items() if cx.dim(f) == facet_dim]
+            d = cx.dim(sigma)
+            for f, join in joins.items():
+                join_dims[join] = (len(f) if d == len(sigma) else cx.dim(f)) + 1
+            pieces[sigma] = [join for join in joins.values() if join_dims[join] == d]
     out = Complex(cx.ambient_rank, cx.rays + (center,), (cx.cones - removed) | added)
     out._maximal = tuple(sorted(
         [m for m in cx.maximal_cones if m not in pieces] + [q for ps in pieces.values() for q in ps],
         key=_cone_order,
     ))
     out._dim_cache = {f: d for f, d in cx._dim_cache.items() if not tau <= f}
+    out._dim_cache.update(join_dims)
     out._faces_cache = {f: fs for f, fs in cx._faces_cache.items() if not tau <= f}
     out._subdivides = (cx, pieces)
     return out

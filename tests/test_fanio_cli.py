@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from equifan.subdivide import barycentric_subdivision, star_subdivide
 
 from conftest import (
     CYC3,
+    NEG2,
     REFLECT_X,
     SWAP2,
     SWAP3_01,
@@ -389,6 +391,47 @@ def test_single_line_mutations_are_rejected(mutation):
     except ParseError:
         return
     assert verify_certificate(data, fan)
+
+
+class TestGroupQuestionsFromGenerators:
+    """Resolve and verify ask the fan's generators; the element count comes
+    from the group they generate."""
+
+    def test_resolve_names_the_failing_generator(self, tmp_path, capsys):
+        src = tmp_path / "in.fan"
+        src.write_text(write_fan(fan_from_complex(orthant(2), [SWAP2, NEG2])))
+        assert run_cli("resolve", str(src), "-o", str(tmp_path / "out.cert")) == 1
+        assert capsys.readouterr().err == (
+            "error: group does not act on the complex: "
+            "element 1 maps ray 0 = (1, 0) to (-1, 0), not a ray\n"
+        )
+        # validate still lists the violations of every element of the group
+        assert run_cli("validate", str(src)) == 1
+        assert capsys.readouterr().out == (
+            "violation: element 0 maps ray 0 = (1, 0) to (-1, 0), not a ray\n"
+            "violation: element 1 maps ray 0 = (1, 0) to (0, -1), not a ray\n"
+        )
+
+    @pytest.mark.parametrize("gens", [[CYC3, SWAP3_01], []], ids=["s3", "trivial"])
+    def test_verify_asks_the_generators(self, gens):
+        import equifan.groups
+        import equifan.resolve
+
+        cx = barycentric_subdivision(orthant(3))
+        fan = fan_from_complex(cx, gens)
+        elements = generate_group(gens, rank=3)
+        cert = parse_certificate(write_certificate(resolve_equivariant(cx, elements), fan))
+        asked = []
+        verify_action = equifan.groups.verify_action
+
+        def spy(cx, matrices):
+            asked.append(tuple(matrices))
+            return verify_action(cx, matrices)
+
+        with mock.patch.object(equifan.groups, "verify_action", spy), \
+                mock.patch.object(equifan.resolve, "verify_action", spy):
+            assert verify_certificate(cert, fan) == []
+        assert asked == [tuple(gens) or trivial_group(3)] * 2
 
 
 class TestCli:

@@ -121,6 +121,18 @@ class TestVerifyAction:
         assert action.violations == ("element 0 maps cone [0, 1] to [1, 2], not a cone",)
         assert action.ray_permutations == ()
 
+    def test_orbits_of_matrices_without_the_identity(self, orthant2):
+        # the orbit of a ray is closed under SWAP2 from the ray itself
+        action = verify_action(orthant2, [SWAP2])
+        assert action.ray_orbits() == ((0, 1),)
+        assert action.cone_orbits() == (
+            (frozenset(),), (frozenset({0}), frozenset({1})), (frozenset({0, 1}),)
+        )
+        assert check_G_strict(orthant2, [SWAP2]).violations == ["cone [0, 1] has edges [0, 1] in one orbit"]
+
+    def test_orbits_close_under_one_generator(self, orthant3):
+        assert verify_action(orthant3, [CYC3]).ray_orbits() == ((0, 1, 2),)
+
     def test_identity_group_always_acts(self):
         for cx in (orthant(2), singular_cone_2d(3), complete_2d_fan()):
             assert verify_action(cx, trivial_group(cx.ambient_rank)).ok
@@ -349,4 +361,146 @@ def test_action_questions_match_cone_table_reference():
         else:
             seen["quotient"] += 1
             assert quotient_structure(cx, elements) == expected
+    assert min(seen.values()) >= 1, seen
+
+
+# ---------------------------------------------------------------------------
+# group questions asked of a generating set
+
+
+def _generating_sets(rng, elements, count):
+    """`count` generating sets of a group: the elements in a random order,
+    each kept when the ones kept so far do not generate it; half of the
+    sets get one redundant element (the identity, say) somewhere too."""
+    rank = len(elements[0])
+    out = []
+    for _ in range(count):
+        pool = list(elements)
+        rng.shuffle(pool)
+        gens = []
+        for m in pool:
+            if m not in generate_group(gens, rank=rank):
+                gens.append(m)
+        if rng.random() < 0.5:
+            gens.insert(rng.randrange(len(gens) + 1), rng.choice(elements))
+        out.append(gens)
+    return out
+
+
+def _is_group(matrices) -> bool:
+    try:
+        return tuple(matrices) == generate_group(matrices)
+    except ValueError:  # not unimodular, or of unequal sizes
+        return False
+
+
+def _frames(rng, cx, ref):
+    """Frames on the maximal cones: by ray id, shuffled, and sorted by ray
+    orbit (equivariant whenever no cone has two edges in one orbit)."""
+    orbit_of = {i: k for k, orbit in enumerate(ref.ray_orbits()) for i in orbit}
+    shuffled = {}
+    for mc in cx.maximal_cones:
+        frame = sorted(mc)
+        rng.shuffle(frame)
+        shuffled[mc] = tuple(frame)
+    return [
+        {mc: tuple(sorted(mc)) for mc in cx.maximal_cones},
+        shuffled,
+        {mc: tuple(sorted(mc, key=lambda i: (orbit_of[i], i))) for mc in cx.maximal_cones},
+    ]
+
+
+def _invariant_values(rng, cx, ref):
+    """Positive ray values constant on the ray orbits, and the same values
+    with one ray of a larger orbit raised (no longer invariant)."""
+    orbits = ref.ray_orbits()
+    values = [0] * len(cx.rays)
+    for k, orbit in enumerate(orbits):
+        for i in orbit:
+            values[i] = k + 1
+    out = [tuple(values)]
+    moved = [orbit for orbit in orbits if len(orbit) > 1]
+    if moved:
+        values[rng.choice(rng.choice(moved))] += 1
+        out.append(tuple(values))
+    return out
+
+
+def _symmetric_singular_cases():
+    """Non-smooth complexes with a group acting, for the center stability
+    question: orbit stars at points of weight > 1 and mirrored cones."""
+    mirrored = Complex.from_maximal_cones(2, [(1, 0), (1, -2), (0, 1), (-2, 1)], [[0, 1], [2, 3]])
+    swap, rot = generate_group([SWAP2]), generate_group([ROT2])
+    s3, c3 = generate_group([CYC3, SWAP3_01]), generate_group([CYC3])
+    return [
+        (mirrored, swap),
+        (Complex.from_maximal_cones(2, [(1, 3), (3, 1)], [[0, 1]]), swap),
+        (orbit_star_subdivide(star_subdivide(orthant(2), (1, 1)), (1, 3), swap), swap),
+        (orbit_star_subdivide(complete_2d_fan(), (1, 2), rot), rot),
+        (orbit_star_subdivide(barycentric_subdivision(orthant(3)), (1, 2, 4), s3), s3),
+        (orbit_star_subdivide(barycentric_subdivision(orthant(3)), (1, 1, 3), c3), c3),
+    ]
+
+
+def test_generator_questions_match_the_whole_group():
+    """Every group question asked of a random generating set agrees with
+    the per-element cone tables of the whole group: whether it acts, the
+    orbits, strictness, frame equivariance, center stability and the
+    invariance of ray values, on actions that act and ones that do not."""
+    from equifan.complexes import is_simplicial, is_smooth
+    from equifan.resolve import certificate_flags, frames_equivariant, select_centers
+
+    rng = random.Random(5)
+    seen = {"acts": 0, "fails": 0, "strict": 0, "not strict": 0, "frames": 0, "no frames": 0,
+            "stable": 0, "unstable": 0, "invariant": 0, "not invariant": 0}
+    cases = [(cx, e) for cx, e in _reference_cases() if _is_group(e)]
+    cases += random_action_pairs(random.Random(17), 15)
+    cases += _symmetric_singular_cases()
+    for cx, elements in cases:
+        ref = ReferenceAction(cx, elements)
+        for gens in _generating_sets(rng, elements, 2):
+            assert generate_group(gens, rank=cx.ambient_rank) == elements
+            action = verify_action(cx, gens)
+            assert action.ok == (not ref.violations)
+            if ref.violations:
+                seen["fails"] += 1
+                with pytest.raises(ValueError, match="^group does not act on the complex"):
+                    check_G_strict(cx, gens)
+                continue
+            seen["acts"] += 1
+            assert action.ray_orbits() == ref.ray_orbits()
+            assert action.cone_orbits() == ref.cone_orbits()
+            assert action.cone_orbits(maximal_only=True) == ref.cone_orbits(maximal_only=True)
+            assert check_G_strict(cx, gens).violations == ref.strictness()
+            seen["not strict" if ref.strictness() else "strict"] += 1
+
+            for frames in _frames(rng, cx, ref):
+                expected = all(
+                    tuple(perm[i] for i in frames[mc]) == frames[cmap[mc]]
+                    for perm, cmap in zip(ref.perms, ref.cone_maps)
+                    for mc in frames
+                )
+                assert frames_equivariant(frames, action) == expected
+                seen["frames" if expected else "no frames"] += 1
+                if not is_simplicial(cx) or is_smooth(cx):
+                    continue
+                coords, chosen = select_centers(cx, frames)
+                points = {p for p, _ in chosen}
+                stable = all({mat_vec(m, p) for p in points} == points for m in elements)
+                seen["stable" if stable else "unstable"] += 1
+                if stable:
+                    assert select_centers(cx, frames, gens) == (coords, chosen)
+                else:
+                    with pytest.raises(RuntimeError, match="not stable under the group"):
+                        select_centers(cx, frames, gens)
+
+            if not is_simplicial(cx):
+                continue
+            for values in _invariant_values(rng, cx, ref):
+                composite = OrderFunction(cx, cx, values)
+                flags = certificate_flags(cx, gens, cx, composite)
+                expected = all(values[perm[i]] == values[i] for perm in ref.perms for i in range(len(values)))
+                assert flags["ord_g_invariant"] == expected
+                assert flags["equivariant"] and flags["g_strict"] == (not ref.strictness())
+                seen["invariant" if expected else "not invariant"] += 1
     assert min(seen.values()) >= 1, seen

@@ -18,7 +18,16 @@ from equifan.resolve import (
 )
 from equifan.subdivide import barycentric_subdivision, star_subdivide
 
-from conftest import CYC3, SWAP2, orthant, singular_cone_2d, square_cone
+from conftest import (
+    CYC3,
+    NEG2,
+    SWAP2,
+    SWAP3_01,
+    complete_2d_fan,
+    orthant,
+    singular_cone_2d,
+    square_cone,
+)
 
 
 class TestCanonicalCoordinates:
@@ -161,6 +170,10 @@ class TestResolvePlain:
         with pytest.raises(ValueError, match="trivial group"):
             resolve_equivariant(orthant2, generate_group([SWAP2]), mode="plain")
 
+    def test_one_matrix_other_than_the_identity_rejected(self, orthant2):
+        with pytest.raises(ValueError, match="^plain mode requires the trivial group$"):
+            resolve_equivariant(orthant2, [SWAP2], mode="plain")
+
     def test_non_simplicial_rejected(self):
         with pytest.raises(ValueError, match="not simplicial"):
             resolve_equivariant(square_cone(), mode="plain")
@@ -190,6 +203,44 @@ class TestResolvePlain:
         maxima = [row[1] for row in cert.trace]
         assert all(a >= b for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] == 1
+
+
+class TestResolveFromGenerators:
+    """Group questions asked of a generating set give the same certificate."""
+
+    CASES = [
+        (orthant(2), [SWAP2]),
+        (complete_2d_fan(), [SWAP2, NEG2]),
+        (orthant(3), [CYC3]),
+        (orthant(3), [SWAP3_01, CYC3]),
+        (barycentric_subdivision(orthant(3)), [CYC3, SWAP3_01]),
+    ]
+
+    @pytest.mark.parametrize("cx, gens", CASES)
+    def test_same_certificate_as_the_whole_group(self, cx, gens):
+        from equifan.fanio import fan_from_complex, write_certificate
+
+        elements = generate_group(gens)
+        fan = fan_from_complex(cx, gens)
+        from_gens = resolve_equivariant(cx, elements, generators=gens)
+        assert from_gens.group == elements
+        assert write_certificate(from_gens, fan) == write_certificate(resolve_equivariant(cx, elements), fan)
+
+    def test_matrices_without_the_identity(self, orthant2):
+        # [SWAP2] alone generates the group of order 2; its orbits close
+        alone = resolve_equivariant(orthant2, [SWAP2], mode="canonical")
+        group = resolve_equivariant(orthant2, generate_group([SWAP2]), mode="canonical")
+        assert alone.ok
+        assert (alone.stages, alone.final, alone.flags) == (group.stages, group.final, group.flags)
+
+    def test_generator_outside_the_group_rejected(self, orthant2):
+        with pytest.raises(ValueError, match="^a generator is not an element of the group$"):
+            resolve_equivariant(orthant2, generate_group([SWAP2]), generators=[NEG2])
+
+    def test_failing_generator_named_by_its_index(self, orthant2):
+        message = r"^group does not act on the complex: element 1 maps ray 0 = \(1, 0\) to \(-1, 0\), not a ray$"
+        with pytest.raises(ValueError, match=message):
+            resolve_equivariant(orthant2, generate_group([SWAP2, NEG2]), generators=[SWAP2, NEG2])
 
 
 class TestResolveCanonical:
