@@ -167,7 +167,8 @@ def cmd_orbits(args) -> int:
     fan = _load_fan(args.fan)
     cx = require_valid(fan.to_complex())
     elements = _elements(fan)
-    action = group_action(cx, elements)
+    # a generating set closes the same orbits as the whole group
+    action = group_action(cx, fan.group_generators or elements)
     print(f"group order {len(elements)}")
     print("ray orbits:")
     for orbit in action.ray_orbits():

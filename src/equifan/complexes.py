@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .lattice import Vec, _eliminate, primitive, rank, rational_nullspace
+from .lattice import Vec, _eliminate, integer_vector, primitive, rank, rational_nullspace
 
 ConeIds = frozenset
 
@@ -138,7 +138,7 @@ class Complex:
 
     def __init__(self, ambient_rank: int, rays, cones):
         self.ambient_rank = int(ambient_rank)
-        self.rays: tuple[Vec, ...] = tuple(tuple(int(c) for c in r) for r in rays)
+        self.rays: tuple[Vec, ...] = tuple(integer_vector(r) for r in rays)
         self.cones: frozenset[ConeIds] = frozenset(frozenset(c) for c in cones)
         _check_ids(self.ambient_rank, self.rays, self.cones)
         self._faces_cache: dict[ConeIds, frozenset[ConeIds]] = {}
@@ -156,7 +156,7 @@ class Complex:
     @classmethod
     def from_maximal_cones(cls, ambient_rank, rays, maximal):
         """Build a complex from ray generators and maximal cones (face-closed)."""
-        rays = tuple(tuple(int(c) for c in r) for r in rays)
+        rays = tuple(integer_vector(r) for r in rays)
         maximal = [frozenset(c) for c in maximal]
         _check_ids(ambient_rank, rays, maximal)
         for r in rays:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex, ValidationReport
-from .lattice import Mat, identity_matrix, is_unimodular, mat_mul, mat_vec
+from .lattice import Mat, identity_matrix, integer_vector, is_unimodular, mat_mul, mat_vec
 
 GROUP_CAP_DEFAULT = 10_000
 
@@ -34,7 +34,7 @@ def generate_group(generators, cap: int = GROUP_CAP_DEFAULT, rank: int | None = 
     unimodular or the group would exceed `cap` elements.  Without
     generators the ambient rank must be given to form the identity.
     """
-    gens = [tuple(tuple(int(c) for c in row) for row in m) for m in generators]
+    gens = [tuple(integer_vector(row) for row in m) for m in generators]
     if not gens:
         if rank is None:
             raise ValueError("empty generating set needs an explicit rank")
@@ -135,7 +135,7 @@ def verify_action(cx: Complex, elements) -> GroupAction:
     A group acts exactly when a generating set does, so `elements` may be
     either; a violation names the index of the matrix as given."""
     violations = []
-    elements = tuple(tuple(tuple(int(c) for c in row) for row in m) for m in elements)
+    elements = tuple(tuple(integer_vector(row) for row in m) for m in elements)
     n = cx.ambient_rank
     ray_index = {r: i for i, r in enumerate(cx.rays)}
     perms = []

@@ -21,9 +21,19 @@ Mat = tuple[tuple[int, ...], ...]
 SNF_CACHE_SIZE = 4096
 
 
+def integer_vector(v) -> Vec:
+    """The entries of v as ints; ValueError naming the first entry that is
+    not equal to an integer (2.0 is 2, 2.5 raises)."""
+    v = tuple(v)
+    ints = tuple(int(c) for c in v)
+    if ints != v:
+        raise ValueError(f"entry {next(c for c, i in zip(v, ints) if c != i)!r} is not an integer")
+    return ints
+
+
 def primitive(v) -> Vec:
     """Primitive lattice point on the ray through v (divide out the gcd)."""
-    v = tuple(int(c) for c in v)
+    v = integer_vector(v)
     if all(c == 0 for c in v):
         raise ValueError("zero ray")
     g = math.gcd(*[abs(c) for c in v])
@@ -172,7 +182,7 @@ def smith_normal_form(m):
     U, V unimodular.  The contract is checked by exact multiplication on
     every computation, before the result is memoised by the matrix.
     """
-    return _smith_normal_form(tuple(tuple(int(c) for c in row) for row in m))
+    return _smith_normal_form(tuple(integer_vector(row) for row in m))
 
 
 @lru_cache(maxsize=SNF_CACHE_SIZE)

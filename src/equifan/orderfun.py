@@ -19,13 +19,17 @@ with D's sign.  (A centered subdivision's function dips the new ray below
 the linear extension of the host values, which makes D positive.)
 
 Integrality is decided by SNF congruences, one per elementary divisor
-> 1 of each maximal cone, without listing lattice points.  Every ray
-value of a centered subdivision is affine in (scale, dip), and of the
-direct barycentric function in (L, a), so these congruences and one bend
-form per wall are built once per search on a single subdivision; one
-solver (`_lex_first`) computes the first admitted pair from them, and
-only the winner is verified in full.  The multiplier m of a fold
-m * outer + inner is read off the same bend forms, affine in m.
+> 1 of each maximal cone, without listing lattice points.
+
+Every parameterised order function has one representation: integer
+forms (a_i, b_i), ray i valued x * a_i + y * b_i (`_place`).  A centered
+subdivision takes x = scale / L and y = dip, the direct barycentric
+function x = a and y = L / denom, and a fold m * outer + inner
+x = m / d and y = 1.  One solver (`_solve`) builds the congruences and
+one bend form per wall once on a single subdivision, computes the first
+admitted pair (`_lex_first`) and verifies only the winner, through the
+one strictness predicate (`_strict_failure`).  The multiplier of a fold
+is read off the same bend forms, affine in x.
 
 Walls are found among the pieces of each base cone, which a subdivision
 built by stars reads off the stars' records (`_recorded_pieces`) instead
@@ -51,6 +55,7 @@ from .complexes import (
     is_simplicial,
 )
 from .lattice import (
+    integer_vector,
     integrality_congruences,
     primitive,
     solve_in_basis,
@@ -271,6 +276,13 @@ def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -
     return _axiom_report(ord_fn, pieces)
 
 
+def _strict_failure(ord_fn: OrderFunction):
+    """None when the function is verified strict and positive on its
+    pieces by base cone, its axiom report otherwise."""
+    rep = verify_order_axioms(ord_fn, check_subdivision=False)
+    return None if rep.ok and rep.strict and rep.positive else rep
+
+
 def _axiom_report(ord_fn: OrderFunction, pieces) -> AxiomReport:
     """The axioms of a function whose subdivision has the given pieces by
     base cone.
@@ -373,74 +385,31 @@ def _merged_domains(ord_fn: OrderFunction, pieces) -> Complex:
     return Complex.from_maximal_cones(sub.ambient_rank, sub.rays, merged)
 
 
-def _centered_subdivision(cx: Complex, centers_with_hosts) -> Complex:
-    sub = cx
-    for center, host in centers_with_hosts:
-        sub = star_subdivide(sub, center, host)
-    return sub
+def _place(forms, x: int, y: int) -> list:
+    """The ray values x * a_i + y * b_i of the integer forms (a_i, b_i)."""
+    return [x * a + y * b for a, b in forms]
 
 
-def _centered_value_forms(cx: Complex, sub: Complex, centers_with_hosts):
-    """The value rule of a centered subdivision as forms in (scale, dip),
-    and the coordinate sum of every center in its host.
+def _pair(form: dict, forms):
+    """A linear form {ray id: coefficient} at the values placed on the
+    forms, as the (a, b) of its value x * a + y * b."""
+    return sum(c * forms[i][0] for i, c in form.items()), sum(c * forms[i][1] for i, c in form.items())
 
-    Ray i is valued scale * q_i - dip * e_i: an old ray has (q, e) = (1, 0);
-    a new center ray has q = its coordinate sum in its minimal host and e = 1.
+
+def _affine_conditions(sub: Complex, forms, pieces):
+    """The order-function axioms for the values placed on the forms.
+
+    Returns (rows, bends): integrality on every maximal cone is
+    d | x * P + y * Q for each distinct SNF row (P, Q, d), with P and Q
+    reduced mod d, and the bend across each wall of the given pieces by
+    base cone is x * a + y * b for its (a, b).
     """
-    forms = [(1, 0)] * len(cx.rays) + [None] * (len(sub.rays) - len(cx.rays))
-    coord_sums = []
-    for center, host in centers_with_hosts:
-        q = sum(solve_in_basis(cx.generators(host), center))
-        coord_sums.append(q)
-        rid = sub.rays.index(center)
-        if rid >= len(cx.rays):  # a center that was already a ray is not valued anew
-            forms[rid] = (q, 1)
-    return forms, coord_sums
-
-
-def _place_values(cx: Complex, sub: Complex, forms, scale: int, dip: int):
-    """The order function with the given forms at (scale, dip), or None
-    when some new ray value fails to be a positive integer."""
-    values = {}
-    for rid, (q, e) in enumerate(forms):
-        if not e:
-            values[rid] = scale
-            continue
-        val = scale * q - dip
-        if val.denominator != 1 or val <= 0:
-            return None
-        values[rid] = int(val)
-    return OrderFunction(cx, sub, values)
-
-
-def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: int):
-    """Order function for the simultaneous centered subdivision.
-
-    Old rays get the value `scale`; each new center ray gets
-    scale * (coordinate sum in its minimal host) - dip.  Returns None
-    when some value fails to be a positive integer.
-    """
-    sub = _centered_subdivision(cx, centers_with_hosts)
-    forms, _ = _centered_value_forms(cx, sub, centers_with_hosts)
-    return _place_values(cx, sub, forms, scale, dip)
-
-
-def _affine_conditions(sub: Complex, lin, pieces):
-    """The order-function axioms for values affine in two integers (x, y).
-
-    Ray i is valued x * lin[i][0] + y * lin[i][1].  Returns (rows, bends):
-    integrality on every maximal cone is d | x * P + y * Q for each
-    distinct SNF row (P, Q, d), with P and Q reduced mod d, and the bend
-    across each wall of the given pieces by base cone is x * a + y * b for
-    its (a, b).
-    """
-    xc, yc = [x for x, _ in lin], [y for _, y in lin]
     rows = set()
     for c in sub.maximal_cones:
         for u, d in integrality_congruences(sub.generators(c)) if c else ():
-            row = dict(zip(sorted(c), u))
-            rows.add((_apply(row, xc) % d, _apply(row, yc) % d, d))
-    return sorted(rows), [(_apply(form, xc), _apply(form, yc)) for _, _, form in _wall_forms(sub, pieces)]
+            P, Q = _pair(dict(zip(sorted(c), u)), forms)
+            rows.add((P % d, Q % d, d))
+    return sorted(rows), [_pair(form, forms) for _, _, form in _wall_forms(sub, pieces)]
 
 
 def _lex_first(rows, bounds, xs):
@@ -477,24 +446,70 @@ def _lex_first(rows, bounds, xs):
     return None
 
 
-def _solve_scale_dip(cx: Complex, sub: Complex, forms, coord_sums):
-    """Lexicographically first strict (scale, dip), solved from exact forms.
+def _solve(base: Complex, sub: Complex, forms, bounds, x_cap, failure: str, chose):
+    """(f, x, y) for the first (x, y) whose values x * a_i + y * b_i on the
+    forms make a strict order function f on sub over base.
 
-    Scales run over multiples of L, the common denominator of the center
-    coordinate sums, so scale = L * x makes every value
-    x * L * q_i - dip * e_i with integer L * q_i.  `_lex_first` solves the
-    axioms in (x, dip) from `_affine_conditions`, with positive values as
-    the bounds dip >= 1 and dip < x * L * min(q).
+    `_lex_first` reads the pair off `_affine_conditions` and the extra
+    bounds, x running up to x_cap (None: the lcm of the rows' moduli);
+    only the winner is placed and verified.  ValueError(failure) when no
+    pair is admitted; RuntimeError naming chose(x, y) when it fails.
     """
-    L = math.lcm(*[q.denominator for q in coord_sums])
-    rows, bends = _affine_conditions(sub, [(int(L * q), -e) for q, e in forms], _pieces_by_base_cone(cx, sub))
-    positive = [(0, 1), (int(L * min(coord_sums)), -1)]
-    found = _lex_first(rows, bends + positive, range(1, COMPOSITION_CAP // L + 1))
+    rows, bends = _affine_conditions(sub, forms, _pieces_by_base_cone(base, sub))
+    if x_cap is None:
+        x_cap = math.lcm(*[d for _, _, d in rows])
+    found = _lex_first(rows, bends + bounds, range(1, x_cap + 1))
     if found is None:
-        raise ValueError(
-            f"scale insufficient: no strict (scale, dip) with scale <= composition_cap={COMPOSITION_CAP}"
-        )
-    return L * found[0], found[1]
+        raise ValueError(failure)
+    winner = OrderFunction(base, sub, _place(forms, *found))
+    rep = _strict_failure(winner)
+    if rep is not None:
+        raise RuntimeError(f"{chose(*found)}, which fails verification: " + "; ".join(rep.violations))
+    return winner, *found
+
+
+def _centered_subdivision(cx: Complex, centers_with_hosts) -> Complex:
+    sub = cx
+    for center, host in centers_with_hosts:
+        sub = star_subdivide(sub, center, host)
+    return sub
+
+
+def _centered_forms(cx: Complex, centers_with_hosts):
+    """(subdivision, value forms, L, L * q of each center).
+
+    q is a center's coordinate sum in its minimal host, L the common
+    denominator of every q.  At x = scale / L and y = dip an old ray's
+    form (L, 0) values it at scale and a new center's (L * q, -1) at
+    scale * q - dip; a center that was already a ray is not valued anew.
+    """
+    sub = _centered_subdivision(cx, centers_with_hosts)
+    sums = [sum(solve_in_basis(cx.generators(host), center)) for center, host in centers_with_hosts]
+    L = math.lcm(*[q.denominator for q in sums])
+    lq = [int(L * q) for q in sums]
+    forms = [(L, 0)] * len(sub.rays)
+    for (center, _), a in zip(centers_with_hosts, lq):
+        rid = sub.rays.index(center)
+        if rid >= len(cx.rays):
+            forms[rid] = (a, -1)
+    return sub, forms, L, lq
+
+
+def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: int):
+    """Order function for the simultaneous centered subdivision.
+
+    Old rays get the value `scale`; each new center ray gets
+    scale * (coordinate sum in its minimal host) - dip.  Returns None
+    when some value fails to be a positive integer: L does not divide
+    the scale, or a new ray's value is not positive.
+    """
+    sub, forms, L, _ = _centered_forms(cx, centers_with_hosts)
+    if scale % L:
+        return None
+    values = _place(forms, scale // L, dip)
+    if any(v <= 0 for v, (_, b) in zip(values, forms) if b):
+        return None
+    return OrderFunction(cx, sub, values)
 
 
 def search_centered_order_function(cx: Complex, centers_with_hosts):
@@ -502,24 +517,19 @@ def search_centered_order_function(cx: Complex, centers_with_hosts):
 
     The winner is the strict (scale, dip) that is first in the order of
     scales and then dips, which keeps certificates small and reproducible.
-    It is solved, not searched: the subdivision is built once, the axioms
-    become exact forms in (scale, dip) (`_solve_scale_dip`), and only the
-    winner is verified in full.
+    It is solved (`_solve`) in x = scale / L and y = dip on the forms of
+    `_centered_forms`, with scale <= COMPOSITION_CAP and the positive values
+    as the bounds dip >= 1 and dip < scale * min q.
     """
     if not centers_with_hosts:
-        trivial = centered_order_function(cx, [], 1, 1)
-        return trivial, 1, 1
-    sub = _centered_subdivision(cx, centers_with_hosts)
-    forms, coord_sums = _centered_value_forms(cx, sub, centers_with_hosts)
-    scale, dip = _solve_scale_dip(cx, sub, forms, coord_sums)
-    winner = _place_values(cx, sub, forms, scale, dip)
-    rep = verify_order_axioms(winner, check_subdivision=False)
-    if not (rep.ok and rep.strict and rep.positive):
-        raise RuntimeError(
-            f"centered solve chose (scale={scale}, dip={dip}), which fails verification: "
-            + "; ".join(rep.violations)
-        )
-    return winner, scale, dip
+        return centered_order_function(cx, [], 1, 1), 1, 1
+    sub, forms, L, lq = _centered_forms(cx, centers_with_hosts)
+    winner, x, dip = _solve(
+        cx, sub, forms, [(0, 1), (min(lq), -1)], COMPOSITION_CAP // L,
+        f"scale insufficient: no strict (scale, dip) with scale <= composition_cap={COMPOSITION_CAP}",
+        lambda x, y: f"centered solve chose (scale={L * x}, dip={y})",
+    )
+    return winner, L * x, dip
 
 
 def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
@@ -532,7 +542,7 @@ def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
     """
     if not is_simplicial(cx):
         raise ValueError("not simplicial")
-    c = tuple(int(v) for v in center)
+    c = integer_vector(center)
     p = primitive(c)
     if p != c:
         warnings.warn(f"star center {c} normalized to primitive {p}")
@@ -544,8 +554,8 @@ def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
         ord_fn = centered_order_function(cx, [(center, host)], scale, 1)
         if ord_fn is None:
             raise ValueError("scale insufficient")
-    rep = verify_order_axioms(ord_fn, check_subdivision=False)
-    if not (rep.ok and rep.strict and rep.positive):
+    rep = _strict_failure(ord_fn)
+    if rep is not None:
         raise ValueError("scale insufficient: " + "; ".join(rep.violations))
     return ord_fn
 
@@ -562,8 +572,7 @@ def compose_with_multiplier(outer: OrderFunction, inner: OrderFunction):
     if outer.subdivision != inner.base:
         raise ValueError("composition mismatch: outer subdivision is not the inner base")
     for name, f in (("outer", outer), ("inner", inner)):
-        rep = verify_order_axioms(f, check_subdivision=False)
-        if not (rep.ok and rep.strict and rep.positive):
+        if _strict_failure(f) is not None:
             raise ValueError(f"{name} order function is not verified strict")
     return fold(outer, inner)
 
@@ -601,18 +610,15 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
         else:  # a ray in no cone
             evals.append(evaluate(outer, g))
     d = math.lcm(*[e.denominator for e in evals])
-    scaled = [int(d * e) for e in evals]
+    forms = [(int(d * e), v) for e, v in zip(evals, inner.ray_values)]
 
     def at(t):  # the fold with m = t * d
-        return OrderFunction(outer.base, sub, [t * e + v for e, v in zip(scaled, inner.ray_values)])
+        return OrderFunction(outer.base, sub, _place(forms, t, 1))
 
     if m is not None:
         return (at(m // d) if m % d == 0 else None), m
     # each wall's (d * B_outer, B_inner), both times its positive denominator
-    bends = [
-        (_apply(form, scaled), _apply(form, inner.ray_values))
-        for _, _, form in _wall_forms(sub, _pieces_by_base_cone(outer.base, sub))
-    ]
+    bends = [_pair(form, forms) for _, _, form in _wall_forms(sub, _pieces_by_base_cone(outer.base, sub))]
     t = 1
     while t * d <= COMPOSITION_CAP:
         if all(t * b_outer + b_inner > 0 for b_outer, b_inner in bends):

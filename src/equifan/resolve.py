@@ -41,6 +41,7 @@ from .lattice import (
     _eliminate,
     _first_point,
     cone_index,
+    integer_vector,
     mat_vec,
     primitive,
     rational_nullspace,
@@ -48,15 +49,13 @@ from .lattice import (
 )
 from .orderfun import (
     OrderFunction,
-    _affine_conditions,
     _axiom_report,
     _checked_pieces,
-    _lex_first,
     _merged_domains,
     _pieces_by_base_cone,
+    _solve,
     fold,
     search_centered_order_function,
-    verify_order_axioms,
 )
 from .subdivide import _barycentric_cascade, barycentric_subdivision
 
@@ -351,13 +350,17 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
     Used when the input has non-simplicial cones, where the cascade of
     centered order functions is not representable.  Values take the form
     L * base(ray) - a * (2^dim - 1), where base is linear on every cone of
-    cx.  Every wall of B(cx) lies in one such cone, so its bend is a times
-    a constant: strictness holds for every (L, a) or for none.  Positivity
-    bounds L from below for each a, and integrality is a set of SNF
-    congruences in (L, a).  `_lex_first` solves for the smallest a and
-    then the smallest L; the a admitting some L form a subgroup of Z that
-    holds the lcm P of the moduli ((L, a) = (0, P) solves every row), so
-    the smallest a is at most P.  Only the winner is verified.
+    cx and dim is the dimension of the ray's source cone.  Every wall of
+    B(cx) lies in one such cone, so its bend is a times one constant of the
+    geometry: strictness holds for every (L, a) or for none.  Where some
+    wall's constant is not positive, as on most non-simplicial cones,
+    canonical mode fails.  The cause is not that the dips depend on the
+    source dimension alone; it is the fixed ratio a * (2^k - 1) between
+    the levels' dips, and free per-level dips would bend such walls.
+    Positivity bounds L from below for each a, and integrality is a set of
+    SNF congruences in (L, a).  `_solve` takes x = a and y = L / denom;
+    the a admitting some L form a subgroup of Z that holds the lcm P of
+    the moduli ((L, a) = (0, P) solves every row), so a runs up to P.
     """
     y = _consistent_base_values(cx)
     hosts = _barycentric_sources(cx, bcx)
@@ -369,21 +372,14 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
         for h in hosts
     ]
     denom = math.lcm(*[v.denominator for v in base_val])
-    # with L = denom * k ray r is valued a * lin[r][0] + k * lin[r][1], and
-    # positive when lin[r], as a bound, holds
-    lin = [(1 - 2 ** cx.dim(h), int(denom * v)) for v, h in zip(base_val, hosts)]
-    rows, bends = _affine_conditions(bcx, lin, _pieces_by_base_cone(cx, bcx))
-    found = _lex_first(rows, bends + lin, range(1, math.lcm(*[d for _, _, d in rows]) + 1))
-    if found is None:
-        raise ValueError("scale insufficient: a wall of the barycentric subdivision does not bend")
-    a, k = found
-    winner = OrderFunction(cx, bcx, [a * c + k * ka for c, ka in lin])
-    rep = verify_order_axioms(winner, check_subdivision=False)
-    if not (rep.ok and rep.strict and rep.positive):
-        raise RuntimeError(
-            f"direct barycentric solve chose (L={denom * k}, a={a}), which fails "
-            "verification: " + "; ".join(rep.violations)
-        )
+    # with L = denom * k ray r is valued a * forms[r][0] + k * forms[r][1],
+    # and positive when forms[r], as a bound, holds
+    forms = [(1 - 2 ** cx.dim(h), int(denom * v)) for v, h in zip(base_val, hosts)]
+    winner, a, k = _solve(
+        cx, bcx, forms, forms, None,
+        "scale insufficient: a wall of the barycentric subdivision does not bend",
+        lambda a, k: f"direct barycentric solve chose (L={denom * k}, a={a})",
+    )
     return winner, denom * k, a
 
 
@@ -473,7 +469,7 @@ class Replay:
 
 
 def _matrices(ms) -> tuple:
-    return tuple(tuple(tuple(int(v) for v in row) for row in m) for m in ms)
+    return tuple(tuple(integer_vector(row) for row in m) for m in ms)
 
 
 def resolve_equivariant(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 
 from .complexes import Complex, _cone_order, same_complex
-from .lattice import Vec, primitive
+from .lattice import Vec, integer_vector, primitive
 
 
 def barycenter(gens) -> Vec:
@@ -49,7 +49,7 @@ def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
     not in its face f, so not in the span of f.  A face of a simplicial
     sigma has its size as dimension, so no face of one is ranked.
     """
-    c = tuple(int(v) for v in center)
+    c = integer_vector(center)
     p = primitive(c)
     if p != c:
         warnings.warn(f"star center {c} normalized to primitive {p}")

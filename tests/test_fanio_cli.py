@@ -1,6 +1,7 @@
 """File formats, hashing, replay verification, and the command line."""
 
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -40,6 +41,7 @@ from conftest import (
     REFLECT_X,
     SWAP2,
     SWAP3_01,
+    candidate_actions,
     corpus,
     orthant,
     quadrant_and_ray,
@@ -432,6 +434,53 @@ class TestGroupQuestionsFromGenerators:
                 mock.patch.object(equifan.resolve, "verify_action", spy):
             assert verify_certificate(cert, fan) == []
         assert asked == [tuple(gens) or trivial_group(3)] * 2
+
+
+def b4_orthant_fan():
+    """The fan of all 16 orthants of Z^4 with the signed permutations
+    (order 384), given by a transposition, a 4-cycle and a sign change."""
+    rays = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    cones = [[2 * i + b for i, b in enumerate(bits)] for bits in itertools.product((0, 1), repeat=4)]
+    gens = [
+        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+        ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ]
+    return Complex.from_maximal_cones(4, rays, cones), gens
+
+
+CANDIDATE_GENERATORS = {"swap": [SWAP2], "3-cycle": [CYC3], "s3": [CYC3, SWAP3_01]}
+
+
+def orbit_fans():
+    for name, cx in corpus():
+        for group, _ in candidate_actions(cx):
+            yield pytest.param(cx, CANDIDATE_GENERATORS[group], id=f"{name}-{group}")
+    yield pytest.param(*b4_orthant_fan(), id="b4-orthant")
+
+
+@pytest.mark.parametrize("cx, gens", orbit_fans())
+def test_orbits_from_the_generators_print_the_whole_group_output(cx, gens, tmp_path, capsys):
+    import equifan.cli
+
+    src = tmp_path / "in.fan"
+    src.write_text(write_fan(fan_from_complex(cx, gens)))
+    asked = []
+    group_action = equifan.cli.group_action
+
+    def spy(cx, matrices):
+        asked.append(tuple(matrices))
+        return group_action(cx, matrices)
+
+    with mock.patch.object(equifan.cli, "group_action", spy):
+        assert run_cli("orbits", str(src)) == 0
+    from_generators = capsys.readouterr().out
+    assert asked == [tuple(gens)]
+    elements = generate_group(gens)
+    with mock.patch.object(equifan.cli, "group_action", lambda cx, _: group_action(cx, elements)):
+        assert run_cli("orbits", str(src)) == 0
+    assert from_generators == capsys.readouterr().out
+    assert from_generators.startswith(f"group order {len(elements)}\n")
 
 
 class TestCli:

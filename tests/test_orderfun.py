@@ -17,6 +17,7 @@ from equifan.orderfun import (
     compose_with_multiplier,
     evaluate,
     linearity_domains,
+    centered_order_function,
     search_centered_order_function,
     star_order_function,
     verify_order_axioms,
@@ -217,6 +218,41 @@ class TestSearchCentered:
         f, scale, dip = search_centered_order_function(orthant2, [])
         assert f.subdivision == orthant2
         assert f.ray_values == (1, 1)
+
+
+class TestCenteredEdges:
+    """The public centered constructors at their edges: a center that is
+    already a ray, a negative scale, a scale L does not divide, no center."""
+
+    RAY = ((1, 0), (0,))
+    DIAGONAL = ((1, 1), (0, 1))
+
+    def test_ray_center_is_not_valued_anew(self, orthant2):
+        f, scale, dip = search_centered_order_function(orthant2, [self.RAY])
+        assert (f.ray_values, scale, dip) == ((2, 2), 2, 1)
+
+    def test_ray_center_beside_a_new_center(self, orthant2):
+        f, scale, dip = search_centered_order_function(orthant2, [self.RAY, self.DIAGONAL])
+        assert (f.ray_values, scale, dip) == ((2, 2, 3), 2, 1)
+
+    def test_replay_places_old_rays_at_any_scale(self, orthant2):
+        f = centered_order_function(orthant2, [self.RAY], -1, 1)
+        assert f.subdivision is orthant2
+        assert f.ray_values == (-1, -1)
+
+    def test_replay_rejects_a_non_positive_new_value(self, orthant2):
+        assert centered_order_function(orthant2, [self.RAY, self.DIAGONAL], -1, 1) is None
+
+    def test_replay_rejects_a_scale_off_the_common_denominator(self):
+        # (1, 1) = (3, 1) / 4 + (1, 3) / 4: coordinate sum 1/2, so L = 2
+        cx = Complex.from_maximal_cones(2, [(3, 1), (1, 3)], [[0, 1]])
+        assert centered_order_function(cx, [((1, 1), (0, 1))], 1, 1) is None
+        assert centered_order_function(cx, [((1, 1), (0, 1))], 4, 1).ray_values == (4, 4, 1)
+
+    def test_no_center_is_the_constant_one(self, orthant2):
+        f, scale, dip = search_centered_order_function(orthant2, [])
+        assert f.subdivision is orthant2
+        assert (f.ray_values, scale, dip) == ((1, 1), 1, 1)
 
 
 class TestCompose:
