@@ -203,8 +203,13 @@ def cmd_report(args) -> int:
         action = verify_action(cx, elements)
         print(f"group: order {len(elements)}, acts: {'yes' if action.ok else 'no'}")
         if action.ok:
-            print(f"fixed-cone identity: {'pass' if _fixed_cone_identity(action).ok else 'FAIL'}")
-            print(f"strict action: {'pass' if _strictness(action).ok else 'FAIL'}")
+            strict = _strictness(action).ok
+            # strictness implies the fixed-cone identity: an element that
+            # fixes a cone and moves one of its edges puts two of its edges
+            # in one orbit, so the per-element check runs only when it fails
+            fixed = strict or _fixed_cone_identity(action).ok
+            print(f"fixed-cone identity: {'pass' if fixed else 'FAIL'}")
+            print(f"strict action: {'pass' if strict else 'FAIL'}")
     return 0
 
 

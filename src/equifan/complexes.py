@@ -9,6 +9,7 @@ table, so subdivisions and group actions are pure index manipulations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -48,7 +49,16 @@ def cone_dual(gens, ambient_rank: int) -> DualDescription:
     Memoised by the generator tuple and the rank: the dual is a pure
     function of them, so every complex holding the cone shares it.
     """
-    return _cone_dual(tuple(tuple(g) for g in gens), int(ambient_rank))
+    return _cone_dual(tuple(tuple(g) for g in gens), _integer_rank(ambient_rank))
+
+
+def _integer_rank(ambient_rank) -> int:
+    """The ambient rank as an int; ValueError naming it unless it is
+    equal to an integer (2.0 is 2, 2.5 raises)."""
+    n = int(ambient_rank)
+    if n != ambient_rank:
+        raise ValueError(f"ambient rank {ambient_rank!r} is not an integer")
+    return n
 
 
 @lru_cache(maxsize=DUAL_CACHE_SIZE)
@@ -137,7 +147,7 @@ class Complex:
     """Immutable conical polyhedral complex in a fixed ambient lattice."""
 
     def __init__(self, ambient_rank: int, rays, cones):
-        self.ambient_rank = int(ambient_rank)
+        self.ambient_rank = _integer_rank(ambient_rank)
         self.rays: tuple[Vec, ...] = tuple(integer_vector(r) for r in rays)
         self.cones: frozenset[ConeIds] = frozenset(frozenset(c) for c in cones)
         _check_ids(self.ambient_rank, self.rays, self.cones)
@@ -156,6 +166,7 @@ class Complex:
     @classmethod
     def from_maximal_cones(cls, ambient_rank, rays, maximal):
         """Build a complex from ray generators and maximal cones (face-closed)."""
+        ambient_rank = _integer_rank(ambient_rank)
         rays = tuple(integer_vector(r) for r in rays)
         maximal = [frozenset(c) for c in maximal]
         _check_ids(ambient_rank, rays, maximal)
@@ -360,9 +371,27 @@ class ValidationReport:
 def validate_complex(cx: Complex) -> ValidationReport:
     """Check the complex axioms and report every violation found.
 
-    Checks: ray primitivity and distinctness, pointedness, irredundant
-    generators, face closure, and pairwise intersection-is-a-common-face
-    (decided exactly via dual descriptions).
+    Checks, in order:
+
+    - the rays are nonzero, primitive and distinct;
+    - each maximal cone is pointed and its generators are extreme rays.
+      That covers every cone: a subset of a pointed cone's generators
+      spans a pointed cone, in which they stay extreme;
+    - face closure, as one comparison: the cones must be the union of the
+      maximal cones' face lattices, so a face missing from the complex and
+      a cone that is a face of no maximal cone are both violations;
+    - any two maximal cones meet in a common face.
+
+    A pair sigma, tau with shared rays F passes when a separating form
+    u = n_sigma - lambda * n_tau exists (`_separated`), where n is the sum
+    of a cone's facet normals that vanish on F.  Such a u is > 0 on
+    sigma's other rays, < 0 on tau's and 0 on F, so it is >= 0 on sigma
+    and vanishes there only on the cone over F, since a point of sigma
+    with u = 0 has no weight on any other ray; the same holds on tau with
+    u <= 0.  So sigma & tau lies in sigma & ker u, which is the cone over
+    F, a face of both (Fulton's separation lemma, *Introduction to Toric
+    Varieties*, 1.2).  Only a pair with no such lambda is decided by the
+    exact intersection (`_intersect_cones`).
     """
     report = ValidationReport()
     seen = {}
@@ -378,7 +407,8 @@ def validate_complex(cx: Complex) -> ValidationReport:
     if report.violations:
         return report
 
-    for c in sorted(cx.cones, key=sorted):
+    maximal = sorted(cx.maximal_cones, key=sorted)
+    for c in maximal:
         if not c:
             continue
         dd = cx.dual(c)
@@ -394,24 +424,59 @@ def validate_complex(cx: Complex) -> ValidationReport:
     if report.violations:
         return report
 
-    for c in sorted(cx.cones, key=sorted):
-        for f in cx.faces(c):
-            if f not in cx.cones:
-                report.violations.append(
-                    f"face {sorted(f)} of cone {sorted(c)} missing from the complex"
-                )
+    faces = frozenset().union(*(cx.faces(c) for c in maximal))
+    if faces != cx.cones:
+        for c in maximal:
+            for f in cx.faces(c):
+                if f not in cx.cones:
+                    report.violations.append(
+                        f"face {sorted(f)} of cone {sorted(c)} missing from the complex"
+                    )
+        for c in sorted(cx.cones - faces, key=sorted):
+            report.violations.append(f"cone {sorted(c)} is not a face of any maximal cone")
 
     for c1, c2 in combinations(cx.maximal_cones, 2):
         shared = c1 & c2
         if not (
-            _intersect_cones(cx, c1, c2) == frozenset(cx.rays[i] for i in shared)
-            and shared in cx.faces(c1)
-            and shared in cx.faces(c2)
+            _separated(cx, c1, c2, shared)
+            or (
+                shared in cx.faces(c1)
+                and shared in cx.faces(c2)
+                and _intersect_cones(cx, c1, c2) == frozenset(cx.rays[i] for i in shared)
+            )
         ):
             report.violations.append(
                 f"cones {sorted(c1)} and {sorted(c2)} do not intersect in a common face"
             )
     return report
+
+
+def _normal_sum(cx: Complex, cone, shared) -> tuple:
+    """The sum of the cone's facet normals that vanish on the shared rays
+    (the empty tuple, which dots to 0, when none does)."""
+    normals = [u for u in cx.dual(cone).inequalities if all(_dot(u, cx.rays[i]) == 0 for i in shared)]
+    return tuple(map(sum, zip(*normals)))
+
+
+def _separated(cx: Complex, c1, c2, shared) -> bool:
+    """Whether some lambda makes u = n1 - lambda * n2 positive on c1's rays
+    outside the shared rays and negative on c2's (see `validate_complex`).
+
+    n1 and n2 are `_normal_sum`s, so u vanishes on the shared rays.  A ray
+    r of c1 with (a, b) = (n1 . r, n2 . r) asks a - lambda * b > 0, and a
+    ray of c2 asks the same of (-a, -b): for b = 0 that is a > 0, else a
+    bound a / b on lambda, from above when b > 0 and from below when b < 0.
+    """
+    n1, n2 = _normal_sum(cx, c1, shared), _normal_sum(cx, c2, shared)
+    below, above = [], []
+    for cone, sign in ((c1, 1), (c2, -1)):
+        for i in cone - shared:
+            a, b = sign * _dot(n1, cx.rays[i]), sign * _dot(n2, cx.rays[i])
+            if b == 0 and a <= 0:
+                return False
+            if b:
+                (above if b > 0 else below).append(Fraction(a, b))
+    return not below or not above or max(below) < min(above)
 
 
 def require_valid(cx: Complex) -> Complex:

@@ -519,13 +519,13 @@ def search_centered_order_function(cx: Complex, centers_with_hosts):
     scales and then dips, which keeps certificates small and reproducible.
     It is solved (`_solve`) in x = scale / L and y = dip on the forms of
     `_centered_forms`, with scale <= COMPOSITION_CAP and the positive values
-    as the bounds dip >= 1 and dip < scale * min q.
+    as the bounds dip >= 1 and dip < scale * min q (no upper bound for
+    an empty batch, which is solved like any other).
     """
-    if not centers_with_hosts:
-        return centered_order_function(cx, [], 1, 1), 1, 1
     sub, forms, L, lq = _centered_forms(cx, centers_with_hosts)
+    bounds = [(0, 1)] + ([(min(lq), -1)] if lq else [])
     winner, x, dip = _solve(
-        cx, sub, forms, [(0, 1), (min(lq), -1)], COMPOSITION_CAP // L,
+        cx, sub, forms, bounds, COMPOSITION_CAP // L,
         f"scale insufficient: no strict (scale, dip) with scale <= composition_cap={COMPOSITION_CAP}",
         lambda x, y: f"centered solve chose (scale={L * x}, dip={y})",
     )

@@ -604,6 +604,53 @@ def reference_intersect_cones(cx, c1, c2):
     return frozenset(rays)
 
 
+def reference_validate_complex(cx):
+    """The complex axioms checked on every cone and every pair of maximal
+    cones by their exact intersection, as `validate_complex` decided them
+    before the separating forms, plus the check that every cone is a face
+    of a maximal cone.  Returns the violations."""
+    from equifan.complexes import _extreme, _intersect_cones
+    from equifan.lattice import primitive, rank
+
+    violations, seen = [], {}
+    for i, r in enumerate(cx.rays):
+        if all(c == 0 for c in r):
+            return [f"ray {i} is zero"]
+        if primitive(r) != r:
+            violations.append(f"ray {i} = {r} is not primitive")
+        if r in seen:
+            violations.append(f"rays {seen[r]} and {i} have equal generators {r}")
+        seen[r] = i
+    if violations:
+        return violations
+    for c in sorted(cx.cones, key=sorted):
+        if not c:
+            continue
+        dd = cx.dual(c)
+        if rank(list(dd.equations) + list(dd.inequalities)) < cx.ambient_rank:
+            violations.append(f"cone {sorted(c)} is not pointed")
+            continue
+        extreme = _extreme(cx.generators(c), cx.ambient_rank)
+        violations += [f"cone {sorted(c)}: generator {i} is not an extreme ray"
+                       for k, i in enumerate(sorted(c)) if k not in extreme]
+    if violations:
+        return violations
+    for c in sorted(cx.cones, key=sorted):
+        violations += [f"face {sorted(f)} of cone {sorted(c)} missing from the complex"
+                       for f in cx.faces(c) if f not in cx.cones]
+        if not any(c in cx.faces(m) for m in cx.maximal_cones):
+            violations.append(f"cone {sorted(c)} is not a face of any maximal cone")
+    for c1, c2 in combinations(cx.maximal_cones, 2):
+        shared = c1 & c2
+        if not (
+            _intersect_cones(cx, c1, c2) == frozenset(cx.rays[i] for i in shared)
+            and shared in cx.faces(c1)
+            and shared in cx.faces(c2)
+        ):
+            violations.append(f"cones {sorted(c1)} and {sorted(c2)} do not intersect in a common face")
+    return violations
+
+
 # ---------------------------------------------------------------------------
 # group questions from per-element cone tables, as asked before an action
 # was held as its ray permutations alone

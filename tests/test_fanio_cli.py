@@ -222,6 +222,7 @@ def test_negative_certificate_counts_are_parse_errors(keyword):
         parse_certificate("\n".join(lines) + "\n")
 
 
+NONFACE_FAN = "rank 3\nrays 4\n0 0 1\n0 1 1\n1 -1 1\n1 0 -2\ncones 2\n0 1 2\n0 1 2 3\n"
 OVERLAP_FAN = "rank 2\nrays 4\n1 0\n1 2\n1 1\n0 1\ncones 2\n0 1\n2 3\n"
 OVERLAP_VIOLATION = "invalid input complex: cones [0, 1] and [2, 3] do not intersect in a common face"
 
@@ -650,6 +651,36 @@ class TestCli:
         assert run_cli("validate", str(src)) == 1
         assert capsys.readouterr().out == (
             "violation: element 0 maps cone [0, 1] to [1, 2], not a cone\n"
+        )
+
+    def test_validate_names_a_cone_that_is_no_face(self, tmp_path, capsys):
+        # [0, 1, 2] lies in [0, 1, 2, 3] but is not a face of it, and it is
+        # not a maximal cone, so no pair of maximal cones meets it
+        src = tmp_path / "nonface.fan"
+        src.write_text(NONFACE_FAN)
+        assert run_cli("validate", str(src)) == 1
+        assert capsys.readouterr().out == (
+            "violation: cone [0, 1, 2] is not a face of any maximal cone\n"
+            "violation: cone [1, 2] is not a face of any maximal cone\n"
+        )
+        assert run_cli("resolve", str(src), "-o", str(tmp_path / "out.cert")) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid input complex: cone [0, 1, 2] is not a face of any maximal cone\n"
+        )
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "not-strict"])
+    def test_report_asks_each_element_only_when_not_strict(self, strict, tmp_path, capsys):
+        # strictness implies the fixed-cone identity, so its per-element
+        # check runs only when strictness fails; the output is pinned below
+        cx = star_subdivide(orthant(2), (1, 1)) if strict else orthant(2)
+        src = tmp_path / "in.fan"
+        src.write_text(write_fan(fan_from_complex(cx, [SWAP2])))
+        with mock.patch("equifan.cli._fixed_cone_identity", wraps=equifan.cli._fixed_cone_identity) as fci:
+            assert run_cli("report", str(src)) == 0
+        assert fci.call_count == (0 if strict else 1)
+        verdict = "pass" if strict else "FAIL"
+        assert capsys.readouterr().out.endswith(
+            f"fixed-cone identity: {verdict}\nstrict action: {verdict}\n"
         )
 
     @pytest.mark.parametrize(

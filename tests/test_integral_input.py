@@ -4,7 +4,7 @@ is (2.0 is 2)."""
 
 import pytest
 
-from equifan.complexes import Complex
+from equifan.complexes import Complex, cone_dual
 from equifan.groups import generate_group, verify_action
 from equifan.lattice import primitive, smith_normal_form
 from equifan.orderfun import star_order_function
@@ -22,6 +22,21 @@ def test_complex_constructor():
     with rejects(1.5):
         Complex(2, [(1.5, 0), (0, 1)], [[], [0], [1], [0, 1]])
     assert Complex(2, [(1.0, 0), (0, 1)], [[], [0], [1], [0, 1]]).rays == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Complex(n, [(1, 0), (0, 1)], [[], [0], [1], [0, 1]]),
+        lambda n: Complex.from_maximal_cones(n, [(1, 0), (0, 1)], [[0, 1]]),
+        lambda n: cone_dual([(1, 0), (0, 1)], n),
+    ],
+    ids=["Complex", "from_maximal_cones", "cone_dual"],
+)
+def test_ambient_rank(build):
+    with pytest.raises(ValueError, match=r"^ambient rank 2.5 is not an integer$"):
+        build(2.5)
+    assert build(2.0) == build(2)
 
 
 def test_from_maximal_cones():

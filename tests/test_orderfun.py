@@ -254,6 +254,14 @@ class TestCenteredEdges:
         assert f.subdivision is orthant2
         assert (f.ray_values, scale, dip) == ((1, 1), 1, 1)
 
+    def test_no_center_is_solved_like_any_batch(self):
+        # the constant 1 is 5/4 at (2, 3) = 3/8 (3, 1) + 7/8 (1, 3), so the
+        # least integral scale is 4
+        cx = Complex.from_maximal_cones(2, [(3, 1), (1, 3)], [[0, 1]])
+        f, scale, dip = search_centered_order_function(cx, [])
+        assert (f.ray_values, scale, dip) == ((4, 4), 4, 1)
+        assert verify_order_axioms(f).ok
+
 
 class TestCompose:
     def test_identity_inner(self, orthant2, starred):
