@@ -539,7 +539,7 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         ):
             if getattr(record, field) != getattr(stage, field):
                 return violations + [f"stage {k}: {name} mismatch"]
-        rep = verify_order_axioms(ord_stage, check_subdivision=True)
+        rep = verify_order_axioms(ord_stage)
         if not rep.integral:
             violations.append(f"stage {k}: order function violates integrality")
         if not rep.convex:

@@ -60,7 +60,7 @@ from .lattice import (
     primitive,
     solve_in_basis,
 )
-from .subdivide import star_subdivide
+from .subdivide import _stars
 
 COMPOSITION_CAP = 2**20
 # wall solves kept per process, keyed by the two pieces' generators: a wall
@@ -265,21 +265,19 @@ def _apply(form: dict, values):
     return sum(a * values[i] for i, a in form.items())
 
 
-def verify_order_axioms(ord_fn: OrderFunction, check_subdivision: bool = True) -> AxiomReport:
+def verify_order_axioms(ord_fn: OrderFunction) -> AxiomReport:
     """Check integrality and per-base-cone convexity; report strictness.
 
-    With check_subdivision, first check that the subdivision subdivides
-    the base (`_checked_pieces`), raising ValueError when it does not.
+    First check that the subdivision subdivides the base
+    (`_checked_pieces`), raising ValueError when it does not.
     """
-    base, sub = ord_fn.base, ord_fn.subdivision
-    pieces = _checked_pieces(base, sub) if check_subdivision else _pieces_by_base_cone(base, sub)
-    return _axiom_report(ord_fn, pieces)
+    return _axiom_report(ord_fn, _checked_pieces(ord_fn.base, ord_fn.subdivision))
 
 
 def _strict_failure(ord_fn: OrderFunction):
     """None when the function is verified strict and positive on its
     pieces by base cone, its axiom report otherwise."""
-    rep = verify_order_axioms(ord_fn, check_subdivision=False)
+    rep = _axiom_report(ord_fn, _pieces_by_base_cone(ord_fn.base, ord_fn.subdivision))
     return None if rep.ok and rep.strict and rep.positive else rep
 
 
@@ -468,13 +466,6 @@ def _solve(base: Complex, sub: Complex, forms, bounds, x_cap, failure: str, chos
     return winner, *found
 
 
-def _centered_subdivision(cx: Complex, centers_with_hosts) -> Complex:
-    sub = cx
-    for center, host in centers_with_hosts:
-        sub = star_subdivide(sub, center, host)
-    return sub
-
-
 def _centered_forms(cx: Complex, centers_with_hosts):
     """(subdivision, value forms, L, L * q of each center).
 
@@ -483,7 +474,7 @@ def _centered_forms(cx: Complex, centers_with_hosts):
     form (L, 0) values it at scale and a new center's (L * q, -1) at
     scale * q - dip; a center that was already a ray is not valued anew.
     """
-    sub = _centered_subdivision(cx, centers_with_hosts)
+    sub = _stars(cx, centers_with_hosts)
     sums = [sum(solve_in_basis(cx.generators(host), center)) for center, host in centers_with_hosts]
     L = math.lcm(*[q.denominator for q in sums])
     lq = [int(L * q) for q in sums]
@@ -547,13 +538,11 @@ def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
     if p != c:
         warnings.warn(f"star center {c} normalized to primitive {p}")
     center = p
-    if center in cx.rays:
-        ord_fn = OrderFunction(cx, cx, {i: scale for i in range(len(cx.rays))})
-    else:
-        host = cx.minimal_cone_containing(center)  # raises outside the support
-        ord_fn = centered_order_function(cx, [(center, host)], scale, 1)
-        if ord_fn is None:
-            raise ValueError("scale insufficient")
+    host = cx.minimal_cone_containing(center)  # raises outside the support
+    # a center that is a ray stars nothing (`star_subdivide`): all at scale
+    ord_fn = centered_order_function(cx, [(center, host)], scale, 1)
+    if ord_fn is None:
+        raise ValueError("scale insufficient")
     rep = _strict_failure(ord_fn)
     if rep is not None:
         raise ValueError("scale insufficient: " + "; ".join(rep.violations))

@@ -50,40 +50,34 @@ from .lattice import (
 from .orderfun import (
     OrderFunction,
     _axiom_report,
-    _checked_pieces,
     _merged_domains,
     _pieces_by_base_cone,
     _solve,
     fold,
     search_centered_order_function,
 )
-from .subdivide import _barycentric_cascade, barycentric_subdivision
+from .subdivide import _barycentric_cascade, _barycentric_sources, barycentric_subdivision
 
 ROUND_CAP = 10_000
 
 
-def _index_measure(cx: Complex, required: bool = False):
-    """(largest, total) cone_index over the maximal cones, from one pass.
-    A non-simplicial complex gives None, or raises ValueError if `required`."""
-    indices = []
-    for c in cx.maximal_cones:
-        if len(c) != cx.dim(c):
-            if required:
-                raise ValueError("not simplicial")
-            return None
-        if c:
-            indices.append(cone_index(cx.generators(c)))
+def _index_measure(cx: Complex):
+    """(largest, total) cone_index over the maximal cones, from one pass;
+    ValueError on a non-simplicial complex."""
+    if not is_simplicial(cx):
+        raise ValueError("not simplicial")
+    indices = [cone_index(cx.generators(c)) for c in cx.maximal_cones if c]
     return max(indices, default=1), sum(indices)
 
 
 def total_index(cx: Complex) -> int:
     """Sum of cone_index over the maximal cones."""
-    return _index_measure(cx, required=True)[1]
+    return _index_measure(cx)[1]
 
 
 def max_index(cx: Complex) -> int:
     """Largest cone_index among the maximal cones."""
-    return _index_measure(cx, required=True)[0]
+    return _index_measure(cx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +87,6 @@ def max_index(cx: Complex) -> int:
 def initial_frames_plain(cx: Complex) -> dict:
     """Plain-mode frames: input generator order (ascending ray id)."""
     return {c: tuple(sorted(c)) for c in cx.maximal_cones}
-
-
-def _barycentric_sources(cx: Complex, bcx: Complex) -> list:
-    """The cone of cx whose relative interior holds each ray of the
-    barycentric subdivision bcx, as built by the cascade."""
-    pairs = [(r, (i,)) for i, r in enumerate(cx.rays)]
-    pairs += [pair for batch in _barycentric_cascade(cx) for pair in batch]
-    if tuple(r for r, _ in pairs) != bcx.rays:
-        raise ValueError("not the barycentric subdivision of the base complex")
-    return [source for _, source in pairs]
 
 
 def initial_frames_barycentric(cx: Complex, bcx: Complex) -> dict:
@@ -135,6 +119,8 @@ def _inherit_frames(frames: dict, pieces) -> dict:
     An untouched host keeps its frame.  No two centers share a cone, so a
     piece of the star of a center is its host with one ray replaced by the
     center, and takes the host's frame with the center in that ray's slot.
+    A piece that swaps more than one ray of its host raises RuntimeError,
+    so every frame written lists exactly its piece's rays.
     """
     new_frames = {}
     for sigma, ps in pieces:
@@ -158,15 +144,14 @@ def select_centers(cx: Complex, frames: dict, elements=None):
     A cone's least point in its frame's coordinates comes from the
     Hermite normal form of its lattice (`lattice._first_point`), memoised
     by the frame's generators, so no point is listed and a cone left
-    untouched by a round costs one lookup; the ties are across cones.
+    untouched by a round costs one lookup; the ties are across cones.  A
+    smooth complex has no point, which raises ValueError.
     With `elements` (matrices acting on cx: a group or a generating set,
     since a group preserves a set exactly when its generators do) the
     selected points must be stable under them.
     """
     if not is_simplicial(cx):
         raise ValueError("not simplicial")
-    if is_smooth(cx):
-        raise ValueError("nothing to select")
     best = None
     chosen = []
     for mc in cx.maximal_cones:
@@ -179,6 +164,8 @@ def select_centers(cx: Complex, frames: dict, elements=None):
             chosen = [(point, mc)]
         elif coords == best:
             chosen.append((point, mc))
+    if best is None:  # every cone has index 1
+        raise ValueError("nothing to select")
     chosen = tuple(sorted(set(chosen), key=lambda pc: (pc[0], sorted(pc[1]))))
     if elements is not None:
         pts = {p for p, _ in chosen}
@@ -229,9 +216,9 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
     strictness (from the orbits) and the invariance of the composite hold
     for the group exactly when they hold for its generators.
 
-    Each fact is decided once: the subdivision of the input (which the
-    composite's axiom check needs too when it lives on final over
-    input_cx), the action (strictness reads its orbits) and the axioms
+    The composite must live on final over input_cx.  Each fact is decided
+    once: the subdivision of the input (which the composite's axiom check
+    needs too), the action (strictness reads its orbits) and the axioms
     (the linearity domains are merged from the checked function).  The
     composite's pieces by input cone are the ones the geometric
     is_subdivision found, never a construction record.
@@ -244,12 +231,9 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
     flags["subdivision_of_input"] = bool(sub_rep)
     flags["equivariant"] = flags["subdivision_of_input"] and action.ok
     flags["g_strict"] = action.ok and _strictness(action).ok
-    if composite.base == input_cx and composite.subdivision == final:
-        if not sub_rep:
-            raise ValueError(f"subdivision invariant violated: {sub_rep}")
-        pieces = sub_rep.pieces
-    else:
-        pieces = _checked_pieces(composite.base, composite.subdivision)
+    if not sub_rep or composite.base != input_cx or composite.subdivision != final:
+        raise ValueError(f"subdivision invariant violated: {sub_rep}")
+    pieces = sub_rep.pieces
     rep = _axiom_report(composite, pieces)
     flags["ord_positive"] = rep.positive
     flags["ord_integral"] = rep.integral
@@ -390,7 +374,10 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
 def _trace_row(label: str, cx: Complex):
     """One row of the measure trace: (label, max index, total index), or
     (label, None, None) for a non-simplicial complex."""
-    return (label, *(_index_measure(cx) or (None, None)))
+    try:
+        return (label, *_index_measure(cx))
+    except ValueError:  # not simplicial
+        return (label, None, None)
 
 
 class Replay:
@@ -528,27 +515,28 @@ def resolve_equivariant(
             replay.stage("barycentric-direct", [BatchStep((), scale, dip, 1)], [ord_b])
         frames = initial_frames_barycentric(cx, replay.cur)
 
-    while not is_smooth(replay.cur):
+    # the last trace row holds cur's largest index (None: not simplicial)
+    while replay.trace[-1][1] != 1:
         if replay.rounds >= ROUND_CAP:
-            raise RuntimeError("resolution did not terminate within the round cap")
+            raise RuntimeError(f"resolution did not terminate within round_cap={ROUND_CAP}")
         cur = replay.cur
-        _, selected = select_centers(cur, frames, generators)
-        centers = sorted({primitive(p) for p, _ in selected})
-        carriers = [cur.minimal_cone_containing(c) for c in centers]
-        centers_with_hosts = [(c, tuple(sorted(t))) for c, t in zip(centers, carriers)]
-        check_simultaneous(cur, carriers)
+        best, selected = select_centers(cur, frames, generators)
+        # a point's carrier: the frame rays of its nonzero coordinates
+        carrier_of = {}
+        for p, mc in selected:
+            carrier_of.setdefault(primitive(p), frozenset(i for i, a in zip(frames[mc], best) if a))
+        centers_with_hosts = [(c, tuple(sorted(t))) for c, t in sorted(carrier_of.items())]
+        check_simultaneous(cur, list(carrier_of.values()))
         ord_k, scale, dip = search_centered_order_function(cur, centers_with_hosts)
         nxt = ord_k.subdivision
         pieces = _pieces_by_base_cone(cur, nxt)
         frames = _inherit_frames(frames, pieces)
-        if any(frozenset(frame) != mc for mc, frame in frames.items()):
-            raise RuntimeError("frame consistency: a frame does not list its cone's rays")
         if not trivial and not frames_equivariant(frames, group_action(nxt, generators)):
             raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
 
         # the measure must drop on every subdivided cone's descendants
         for mc, ps in pieces:
-            if any(tau <= mc for tau in carriers):
+            if any(tau <= mc for tau in carrier_of.values()):
                 idx = cone_index(cur.generators(mc))
                 if max((cone_index(nxt.generators(d)) for d in ps), default=idx) >= idx:
                     raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")

@@ -10,6 +10,7 @@ as a cross-check.
 from __future__ import annotations
 
 import warnings
+from itertools import chain
 
 from .complexes import Complex, _cone_order, same_complex
 from .lattice import Vec, integer_vector, primitive
@@ -29,9 +30,9 @@ def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
 
     Every cone containing the center is replaced by the joins of the
     center with its faces disjoint from the center ray; all other cones
-    are untouched.  If the center already is a ray of the complex the
-    complex is returned unchanged.  New rays get fresh ids appended; old
-    ids never change.
+    are untouched.  A center whose carrier is its own ray leaves the
+    complex unchanged; one equal to a ray that no cone uses raises
+    ValueError.  New rays get fresh ids appended; old ids never change.
 
     The center is located once, by its carrier tau; the rest is face
     lattice algebra, valid on a valid complex: a cone contains the center
@@ -59,6 +60,9 @@ def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
     else:
         tau = cx.minimal_cone_containing(center)  # raises outside the support
     if center in cx.rays:
+        rid = cx.rays.index(center)
+        if tau != {rid}:
+            raise ValueError(f"center {center} is ray {rid}, which is in no cone")
         return cx
 
     new_id = len(cx.rays)
@@ -85,6 +89,13 @@ def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
     return out
 
 
+def _stars(cx: Complex, centers_with_carriers) -> Complex:
+    """cx starred at each (center, carrier) in turn (`star_subdivide`)."""
+    for center, carrier in centers_with_carriers:
+        cx = star_subdivide(cx, center, carrier)
+    return cx
+
+
 def barycentric_subdivision(cx: Complex) -> Complex:
     """Barycentric subdivision via the cascade of centered subdivisions.
 
@@ -93,38 +104,38 @@ def barycentric_subdivision(cx: Complex) -> Complex:
     (ascending sorted ray ids of the host cone) for determinism, though
     it does not affect the result.
     """
-    out = cx
-    for batch in _barycentric_cascade(cx):
-        for b, source in batch:
-            out = star_subdivide(out, b, source)
-    return out
+    return _stars(cx, chain.from_iterable(_barycentric_cascade(cx)))
 
 
 def _barycentric_cascade(cx: Complex):
     """The cascade's centers: one batch per dimension level, highest first.
 
     A batch holds (barycenter, source cone as sorted ray ids) for each cone
-    of the level whose barycenter is not a ray; in order, the centers are
-    the new rays.  The higher levels leave the source cone whole, so it is
-    the minimal host of its barycenter in the batch's base.  The group of
-    a symmetric complex permutes each batch, which the order functions
-    rely on.
+    of the level; in order, the centers are the new rays.  A ray is its own
+    barycenter, so the cones of dimension 1 have no level.  The higher
+    levels leave the source cone whole, so it is the minimal host of its
+    barycenter in the batch's base.  The group of a symmetric complex
+    permutes each batch, which the order functions rely on.
     """
     by_dim: dict[int, list] = {}
     for c in cx.cones:
         d = cx.dim(c)
-        if d >= 1:
-            by_dim.setdefault(d, []).append(c)
-    batches = []
-    for d in sorted(by_dim, reverse=True):
-        batch = []
-        for orig in sorted(by_dim[d], key=sorted):
-            b = barycenter(cx.generators(orig))
-            if b not in cx.rays:
-                batch.append((b, tuple(sorted(orig))))
-        if batch:
-            batches.append(batch)
-    return batches
+        if d >= 2:
+            by_dim.setdefault(d, []).append(tuple(sorted(c)))
+    return [
+        [(barycenter(cx.generators(c)), c) for c in sorted(by_dim[d])]
+        for d in sorted(by_dim, reverse=True)
+    ]
+
+
+def _barycentric_sources(cx: Complex, bcx: Complex) -> list:
+    """The source of each ray of bcx, B(cx) as the cascade builds it: the
+    cone of cx whose relative interior holds it.  ValueError on other rays."""
+    pairs = [(r, (i,)) for i, r in enumerate(cx.rays)]
+    pairs += chain.from_iterable(_barycentric_cascade(cx))
+    if tuple(r for r, _ in pairs) != bcx.rays:
+        raise ValueError("not the barycentric subdivision of the base complex")
+    return [source for _, source in pairs]
 
 
 def barycentric_subdivision_inductive(cx: Complex) -> Complex:
@@ -174,22 +185,12 @@ def barycentric_edge_bijection(cx: Complex, bcx: Complex) -> dict:
     """Map each ray of the barycentric subdivision to its source cone.
 
     Returns {ray id in bcx -> cone of cx whose relative interior contains
-    that ray}; this is a bijection onto the positive-dimensional cones of
-    cx, with inverse given by taking barycenters.
+    that ray} for the rays some cone uses, read off the cascade's sources
+    by generator; this is a bijection onto the positive-dimensional cones
+    of cx, with inverse given by taking barycenters.
     """
-    if not same_complex(bcx, barycentric_subdivision(cx)):
+    b = barycentric_subdivision(cx)
+    if not same_complex(bcx, b):
         raise ValueError("not the barycentric subdivision of the base complex")
-    used_rays = sorted({i for c in bcx.cones for i in c})
-    mapping = {}
-    targets = set()
-    for rid in used_rays:
-        g = bcx.rays[rid]
-        host = cx.minimal_cone_containing(g)
-        if barycenter(cx.generators(host)) != g:
-            raise ValueError("not the barycentric subdivision of the base complex")
-        mapping[rid] = host
-        targets.add(host)
-    positive = {c for c in cx.cones if cx.dim(c) >= 1}
-    if targets != positive or len(mapping) != len(positive):
-        raise ValueError("not the barycentric subdivision of the base complex")
-    return mapping
+    source = dict(zip(b.rays, _barycentric_sources(cx, b)))
+    return {rid: frozenset(source[bcx.rays[rid]]) for rid in sorted({i for c in bcx.cones for i in c})}

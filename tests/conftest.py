@@ -358,7 +358,7 @@ def reference_search_centered(cx, centers_with_hosts, scale_cap=2**20, max_candi
             cand = centered_order_function(cx, centers_with_hosts, scale, dip)
             if cand is None:
                 continue
-            rep = verify_order_axioms(cand, check_subdivision=False)
+            rep = verify_order_axioms(cand)
             if rep.ok and rep.strict and rep.positive:
                 return cand, scale, dip
     raise ValueError("scale insufficient")
@@ -375,7 +375,7 @@ def reference_fold(outer, inner, cap=2**20):
     while m <= cap:
         values = [int(m * e) + v for e, v in zip(evals, inner.ray_values)]
         cand = OrderFunction(outer.base, sub, values)
-        rep = verify_order_axioms(cand, check_subdivision=False)
+        rep = verify_order_axioms(cand)
         if rep.ok and rep.strict and rep.positive:
             return cand, m
         m *= 2
@@ -426,7 +426,7 @@ def reference_direct_barycentric(cx, bcx, y, dip_cap=64, scale_steps=64, max_can
     first to pass with strict bends wins.  A scan that would verify more
     than max_candidates candidates raises ReferenceBudgetExceeded."""
     from equifan.orderfun import OrderFunction, verify_order_axioms
-    from equifan.resolve import _barycentric_sources
+    from equifan.subdivide import _barycentric_sources
 
     base_val, dims = [], []
     for host in _barycentric_sources(cx, bcx):
@@ -444,7 +444,7 @@ def reference_direct_barycentric(cx, bcx, y, dip_cap=64, scale_steps=64, max_can
                 raise ReferenceBudgetExceeded(f"no winner among {max_candidates} candidates")
             values = [int(scale * v) - a * (2**dim - 1) for v, dim in zip(base_val, dims)]
             cand = OrderFunction(cx, bcx, values)
-            rep = verify_order_axioms(cand, check_subdivision=False)
+            rep = verify_order_axioms(cand)
             if rep.ok and rep.strict and rep.positive:
                 return cand, scale, a
     raise ReferenceBudgetExceeded("no strict (L, a) in the reference window")

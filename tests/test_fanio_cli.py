@@ -517,6 +517,25 @@ class TestCli:
         assert run_cli("star", str(src), "--center=-1,0") == 1
         assert "center not in support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rays, args",
+        [
+            ("1 0\n0 1\n1 1", ["barycentric"]),
+            ("1 0\n0 1\n1 1", ["resolve", "-o", "out.cert"]),
+            ("1 0\n1 3\n1 1", ["star", "--center", "1,1"]),
+            ("1 0\n1 3\n1 1", ["resolve", "--mode", "canonical", "-o", "out.cert"]),
+            ("1 0\n1 3\n1 1", ["resolve", "--mode", "plain", "-o", "out.cert"]),
+        ],
+        ids=["barycentric", "resolve", "star", "resolve-canonical", "resolve-plain"],
+    )
+    def test_center_on_a_ray_in_no_cone_is_named(self, rays, args, tmp_path, capsys, monkeypatch):
+        # the cone [0, 1] holds (1, 1), which is also ray 2 of the table but
+        # in no cone: it is a new center, and one equal to a listed ray
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.fan").write_text(f"rank 2\nrays 3\n{rays}\ncones 1\n0 1\n")
+        assert run_cli(args[0], "in.fan", *args[1:]) == 1
+        assert capsys.readouterr().err == "error: center (1, 1) is ray 2, which is in no cone\n"
+
     @pytest.mark.parametrize("center", ["a,b", "1,", "1.5,2", ""])
     def test_star_malformed_center_is_a_parse_error(self, center, tmp_path, capsys):
         src = tmp_path / "in.fan"

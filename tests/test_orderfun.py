@@ -190,6 +190,12 @@ class TestStarOrderFunction:
         assert f.subdivision is orthant2
         assert f.ray_values == (3, 3)
 
+    def test_ray_in_no_cone_named(self):
+        # (1, 1) lies in the cone [0, 1] and equals ray 2, which no cone uses
+        cx = Complex.from_maximal_cones(2, [(1, 0), (1, 3), (1, 1)], [[0, 1]])
+        with pytest.raises(ValueError, match=r"^center \(1, 1\) is ray 2, which is in no cone$"):
+            star_order_function(cx, (1, 1), 3)
+
     def test_insufficient_scale(self):
         sing = singular_cone_2d(4)
         # dip 1 at (1,3) makes the value M - 1/3 at (1,1): never integral
@@ -360,7 +366,7 @@ def test_integrality_verdict_matches_enumeration(case):
     """The SNF verdict equals the verdict of listing every parallelepiped
     point, and each named point is one of them with a non-integral value."""
     cx, values = case
-    rep = verify_order_axioms(OrderFunction(cx, cx, values), check_subdivision=False)
+    rep = verify_order_axioms(OrderFunction(cx, cx, values))
     values_at = {
         point: sum(a * v for a, v in zip(coords, values))
         for point, coords in parallelepiped_points(cx.generators(cx.maximal_cones[0]))

@@ -205,6 +205,48 @@ class TestResolvePlain:
         assert maxima[-1] == 1
 
 
+    def test_round_cap_named_in_error(self, monkeypatch):
+        import equifan.resolve
+
+        monkeypatch.setattr(equifan.resolve, "ROUND_CAP", 1)  # (1,0),(1,3) needs 2 rounds
+        with pytest.raises(RuntimeError, match=r"^resolution did not terminate within round_cap=1$"):
+            resolve_equivariant(singular_cone_2d(3), mode="plain")
+
+
+@pytest.mark.parametrize(
+    "cx, gens, mode",
+    [
+        (singular_cone_2d(7), None, "plain"),
+        (orthant(3), [CYC3], "canonical"),
+        (square_cone(), [SWAP3_01], "canonical"),
+        (Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]]), [SWAP2], "canonical"),
+    ],
+    ids=["plain-2d", "orthant3-cycle", "square-swap", "two-cones-swap"],
+)
+def test_rounds_read_carriers_and_smoothness_once(cx, gens, mode, monkeypatch):
+    """The round loop reads each center's carrier off its host's frame and
+    the complex's smoothness off the measure trace: no center is located
+    in the complex, and only the final flags walk the cones for it."""
+    import equifan.resolve
+
+    def locate(self, x):
+        raise AssertionError(f"center {x} located by a scan of the complex")
+
+    smooth_calls = []
+
+    def counted_is_smooth(c):
+        smooth_calls.append(c)
+        return is_smooth(c)
+
+    elements = generate_group(gens) if gens else None
+    expected = resolve_equivariant(cx, elements, mode=mode)
+    monkeypatch.setattr(Complex, "minimal_cone_containing", locate)
+    monkeypatch.setattr(equifan.resolve, "is_smooth", counted_is_smooth)
+    cert = resolve_equivariant(cx, elements, mode=mode)
+    assert smooth_calls == [cert.final]
+    assert cert.stages == expected.stages and cert.ok
+
+
 class TestResolveFromGenerators:
     """Group questions asked of a generating set give the same certificate."""
 

@@ -24,14 +24,9 @@ from equifan.complexes import (
     is_subdivision,
 )
 from equifan.lattice import primitive
-from equifan.orderfun import (
-    _centered_subdivision,
-    _recorded_pieces,
-    _wall_forms,
-    _wall_relation,
-)
+from equifan.orderfun import _recorded_pieces, _wall_forms, _wall_relation
 from equifan.resolve import resolve_equivariant
-from equifan.subdivide import barycentric_subdivision, star_subdivide
+from equifan.subdivide import _stars, barycentric_subdivision, star_subdivide
 
 from conftest import corpus, interior_point, orthant
 from test_exact_parameters import CORPUS_RUNS
@@ -49,7 +44,7 @@ def stage_steps(base, stage):
         return [barycentric_subdivision(base)]
     out, cur = [], base
     for step in stage.steps:
-        cur = _centered_subdivision(cur, step.centers)
+        cur = _stars(cur, step.centers)
         out.append(cur)
     return out or [base]
 
@@ -170,7 +165,7 @@ def test_a_subdivided_carrier_is_located_again(orthant2):
     with mock.patch.object(
         Complex, "minimal_cone_containing", autospec=True, side_effect=Complex.minimal_cone_containing
     ) as locate:
-        sub = _centered_subdivision(orthant2, batch)
+        sub = _stars(orthant2, batch)
     assert [call.args[1] for call in locate.call_args_list] == [(1, 2)]
     assert sub == expected
     assert _recorded_pieces(orthant2, sub) == geometric_pieces(orthant2, sub)
@@ -181,7 +176,7 @@ def test_a_recorded_carrier_that_is_still_a_cone_is_not_located(orthant2):
     with mock.patch.object(
         Complex, "minimal_cone_containing", autospec=True, side_effect=Complex.minimal_cone_containing
     ) as locate:
-        sub = _centered_subdivision(cx, [((2, 1), (0, 2)), ((1, 2), (1, 2))])
+        sub = _stars(cx, [((2, 1), (0, 2)), ((1, 2), (1, 2))])
     assert locate.call_count == 0
     assert sub == star_subdivide(star_subdivide(cx, (2, 1)), (1, 2))
 

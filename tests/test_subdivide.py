@@ -33,6 +33,18 @@ class TestStarSubdivide:
     def test_existing_ray_is_identity(self, orthant2):
         assert star_subdivide(orthant2, (1, 0)) is orthant2
 
+    def test_ray_in_no_cone_named(self):
+        # the barycenter (1, 1) of the cone [0, 1] is ray 2, which no cone uses
+        from equifan.complexes import Complex
+
+        cx = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 1]])
+        message = r"^center \(1, 1\) is ray 2, which is in no cone$"
+        for carrier in (None, (0, 1)):
+            with pytest.raises(ValueError, match=message):
+                star_subdivide(cx, (1, 1), carrier)
+        with pytest.raises(ValueError, match=message):
+            barycentric_subdivision(cx)
+
     def test_orthant3_center(self, orthant3):
         st = star_subdivide(orthant3, (1, 1, 1))
         assert len(st.maximal_cones) == 3
@@ -147,6 +159,15 @@ class TestEdgeBijection:
             # inverse is the barycenter map
             for rid, host in bij.items():
                 assert barycenter(cx.generators(host)) == b.rays[rid], name
+
+    def test_rays_looked_up_by_generator(self):
+        # the inductive construction numbers the new rays in another order
+        for name, cx in corpus():
+            b = barycentric_subdivision(cx)
+            by_gen = {b.rays[rid]: host for rid, host in barycentric_edge_bijection(cx, b).items()}
+            other = barycentric_subdivision_inductive(cx)
+            bij = barycentric_edge_bijection(cx, other)
+            assert {other.rays[rid]: host for rid, host in bij.items()} == by_gen, name
 
     def test_wrong_complex_rejected(self, orthant2, orthant3):
         with pytest.raises(ValueError, match="not the barycentric subdivision"):

@@ -1,0 +1,143 @@
+"""Hand-built certificates for the `verify_certificate` verdicts that no
+single-field mutation reaches.
+
+Each test starts from a certificate that `resolve_equivariant` wrote,
+changes the fields one verdict needs, and pins the violation list.  The
+composite fold's own integrality check ("composite re-derivation is not
+integral") is not here: every stage function is checked integral before
+the next stage folds it, so the composite is integral at every lattice
+point and each recorded multiplier folds to integers.
+"""
+
+from dataclasses import replace
+
+from equifan.complexes import Complex
+from equifan.fanio import (
+    BatchStep,
+    StageRecord,
+    complex_hash,
+    fan_from_complex,
+    fan_hash,
+    parse_certificate,
+    verify_certificate,
+    write_certificate,
+)
+from equifan.groups import generate_group
+from equifan.resolve import FLAG_NAMES, resolve_equivariant
+
+from conftest import SWAP2, orthant, singular_cone_2d, square_cone
+
+
+def certificate(cx, mode="plain", gens=None):
+    """(parsed certificate, fan) of cx resolved in the given mode."""
+    fan = fan_from_complex(cx, gens or ())
+    cert = resolve_equivariant(cx, gens and generate_group(gens), mode=mode)
+    return parse_certificate(write_certificate(cert, fan)), fan
+
+
+def with_stage(data, k, **fields):
+    """data with stage k (1-based) changed in the given fields."""
+    stages = list(data.stages)
+    stages[k - 1] = replace(stages[k - 1], **fields)
+    return replace(data, stages=tuple(stages))
+
+
+def with_step(data, k, j, **fields):
+    """data with step j of stage k (both 1-based) changed in the given fields."""
+    steps = list(data.stages[k - 1].steps)
+    steps[j - 1] = replace(steps[j - 1], **fields)
+    return with_stage(data, k, steps=tuple(steps))
+
+
+def test_rank_differs():
+    data, fan = certificate(singular_cone_2d(2))
+    assert verify_certificate(replace(data, rank=3), fan) == ["certificate/input mismatch: rank differs"]
+
+
+def test_group_generation_failed():
+    data, fan = certificate(orthant(2), "canonical", [SWAP2])
+    assert verify_certificate(data, fan) == []
+    assert verify_certificate(data, fan, group_cap=1) == ["group generation failed: group size cap 1 exceeded"]
+
+
+def test_group_does_not_act_on_the_input():
+    # the swap carries ray (1, 2) to (2, 1), which is no ray of the cone
+    cx = singular_cone_2d(2)
+    data, _ = certificate(cx)
+    fan = fan_from_complex(cx, [SWAP2])
+    data = replace(data, input_sha256=fan_hash(fan), group_order=2)
+    assert verify_certificate(data, fan) == ["group does not act on the input complex"]
+
+
+def test_direct_stage_needs_one_step_without_centers():
+    data, fan = certificate(square_cone(), "canonical")
+    assert data.stages[0].kind == "barycentric-direct"
+    expected = ["stage 1: a direct barycentric stage has one step and no centers"]
+    assert verify_certificate(with_stage(data, 1, steps=()), fan) == expected
+    step = data.stages[0].steps[0]
+    two = with_stage(data, 1, steps=(step, replace(step, multiplier=2)))
+    assert verify_certificate(two, fan) == expected
+    centered = with_step(data, 1, 1, centers=(((0, 0, 1), (0, 1, 2, 3)),))
+    assert verify_certificate(centered, fan) == expected
+
+
+def test_center_outside_the_support_is_invalid():
+    data, fan = certificate(singular_cone_2d(2))
+    bad = with_step(data, 1, 1, centers=(((-1, 0), (0, 1)),))
+    assert verify_certificate(bad, fan) == ["stage 1: center (-1, 0) invalid: center not in support"]
+
+
+def test_step_replay_failed_on_a_ray_in_no_cone():
+    # the smooth cone (1,0),(0,1) with the unused ray (1,1): a stage that
+    # stars at that ray names it
+    cx = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 1]])
+    data, fan = certificate(cx)
+    assert data.stages == ()
+    h = complex_hash(cx)
+    stage = StageRecord("centered", (BatchStep((((1, 1), (0, 1)),), 1, 1, 1),), 1, (1, 1, 1), (), h, h)
+    assert verify_certificate(replace(data, stages=(stage,)), fan) == [
+        "stage 1: step replay failed: center (1, 1) is ray 2, which is in no cone"
+    ]
+
+
+def test_step_composition_that_is_not_integral():
+    # the barycentric cascade of the cone (1,0,0),(3,4,0),(0,0,1) has two
+    # steps; at scale 3 the first step's function is 3/2 at the second
+    # step's center (1,1,0), so the recorded step multiplier 1 leaves
+    # non-integral values
+    cx = Complex.from_maximal_cones(3, [(1, 0, 0), (3, 4, 0), (0, 0, 1)], [[0, 1, 2]])
+    data, fan = certificate(cx, "canonical")
+    assert [s.multiplier for s in data.stages[0].steps] == [1, 1]
+    assert data.stages[0].steps[1].centers[0] == ((1, 1, 0), (0, 1))
+    bad = with_step(data, 1, 1, scale=3)
+    assert verify_certificate(bad, fan) == ["stage 1: step composition is not integral"]
+
+
+def test_stage_function_that_is_not_integral():
+    # (1,0),(1,3) starred at (1,2) with (scale, dip) = (3, 1) values the
+    # rays 3, 3, 2, so the lattice point (1,1) of the piece (1,0),(1,2)
+    # gets 5/2; every other field replays consistently
+    data, fan = certificate(singular_cone_2d(3))
+    assert data.stages[0].steps[0].centers == (((1, 2), (0, 1)),)
+    assert (data.stages[0].steps[0].scale, data.stages[0].values) == (3, (3, 3, 1))
+    bad = with_stage(with_step(data, 1, 1, dip=1), 1, values=(3, 3, 2))
+    assert verify_certificate(bad, fan) == ["stage 1: order function violates integrality"]
+
+
+def test_final_verification_failed():
+    # no stages on the non-smooth cone (1,0),(1,2): everything replays and
+    # every recorded field matches, and the smooth flag is false
+    cx = singular_cone_2d(2)
+    data, fan = certificate(cx)
+    flags = dict.fromkeys(FLAG_NAMES, True)
+    flags["smooth"] = False
+    bad = replace(
+        data,
+        stages=(),
+        final_rays=cx.rays,
+        final_cones=((0, 1),),
+        composite=(1, 1),
+        flags=flags,
+        trace=(("input", 2, 2),),
+    )
+    assert verify_certificate(bad, fan) == ["final verification failed: smooth"]
