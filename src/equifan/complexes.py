@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .lattice import Vec, _eliminate, integer_vector, primitive, rank, rational_nullspace
+from .lattice import Vec, _dot, _dual_basis, integer_vector, primitive, rank, rational_nullspace
 
 ConeIds = frozenset
 
@@ -39,10 +39,6 @@ class DualDescription:
         )
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def cone_dual(gens, ambient_rank: int) -> DualDescription:
     """Dual description of the cone spanned by gens (no pointedness check).
 
@@ -63,21 +59,18 @@ def _integer_rank(ambient_rank) -> int:
 
 @lru_cache(maxsize=DUAL_CACHE_SIZE)
 def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
-    """The equations are the nullspace of gens.  A simplicial cone (as many
-    generators as dimensions) has exactly one facet without each generator,
-    so its normals are the dual basis of its generators within their span,
-    from one elimination (`_simplicial_normals`); any other cone enumerates
-    its facets."""
-    if not gens:
-        eqs = tuple(
-            tuple(1 if i == j else 0 for j in range(ambient_rank))
-            for i in range(ambient_rank)
-        )
-        return DualDescription(eqs, ())
+    """The equations are the nullspace of gens.  Independent generators
+    span a simplicial cone, which has exactly one facet without each
+    generator: its normals are their memoised dual basis
+    (`_simplicial_normals`), and the nullspace is taken only when they
+    span less than the ambient space.  Any other cone enumerates its
+    facets."""
+    basis = _dual_basis(gens)
+    if basis is not None:
+        equations = tuple(rational_nullspace(gens, n=ambient_rank)) if len(gens) < ambient_rank else ()
+        return DualDescription(equations, _simplicial_normals(basis[1]))
     equations = tuple(rational_nullspace(gens, n=ambient_rank))
     d = ambient_rank - len(equations)
-    if d == len(gens):
-        return DualDescription(equations, _simplicial_normals(gens))
     seen = set()
     normals = []
     # every facet is spanned by d-1 independent generators lying on it; the
@@ -106,22 +99,16 @@ def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
     return DualDescription(equations, tuple(normals))
 
 
-def _simplicial_normals(gens) -> tuple[Vec, ...]:
-    """Sorted facet normals of the cone over k independent generators, the
-    rows g_j of G.
+def _simplicial_normals(dual_rows) -> tuple[Vec, ...]:
+    """Sorted facet normals of the cone over independent generators g_j,
+    from the rows u_j of their dual basis (`lattice._dual_basis`).
 
-    Fraction-free elimination of [G*G^T | G] ends in D * [I | (G*G^T)^-1 * G],
-    so row j of its right block is u_j = G^T * a_j, a_j column j of
-    D * (G*G^T)^-1.  u_j lies in the span of the cone and u_j . g_i =
-    D * [i == j]: it vanishes on the facet that drops g_j, which spans the
-    rest of the span, and is positive on g_j, so it is that facet's normal.
-    D > 0 because G*G^T is positive definite: its leading minors, the
-    pivots, are positive, so no row is swapped and D = det(G*G^T).
+    u_j lies in the span of the cone and u_j . g_i = D * [i == j] with
+    D > 0: it vanishes on the facet that drops g_j, which spans the rest
+    of the span, and is positive on g_j, so its primitive multiple is
+    that facet's normal.
     """
-    k = len(gens)
-    rows = [[_dot(g, h) for h in gens] + list(g) for g in gens]
-    _eliminate(rows, k)
-    return tuple(sorted(primitive(row[k:]) for row in rows))
+    return tuple(sorted(primitive(u) for u in dual_rows))
 
 
 def _extreme(gens, ambient_rank: int) -> tuple[int, ...]:
@@ -189,12 +176,18 @@ class Complex:
         return tuple(self.rays[i] for i in sorted(cone))
 
     def dim(self, cone) -> int:
-        """The dimension of a cone's span: the ambient rank less the
-        equations of its memoised dual, shared by every complex holding
-        the cone."""
+        """The dimension of a cone's span: the generator count when the
+        generators are independent (they have a memoised dual basis,
+        `lattice._dual_basis`), with no dual; else the ambient rank less
+        the equations of the memoised dual.  Both memos are shared by
+        every complex holding the cone."""
         cone = frozenset(cone)
         if cone not in self._dim_cache:
-            self._dim_cache[cone] = self.ambient_rank - len(self.dual(cone).equations)
+            gens = self.generators(cone)
+            self._dim_cache[cone] = (
+                len(gens) if _dual_basis(gens) is not None
+                else self.ambient_rank - len(cone_dual(gens, self.ambient_rank).equations)
+            )
         return self._dim_cache[cone]
 
     def dual(self, cone) -> DualDescription:
@@ -297,10 +290,11 @@ def _raw_faces(gens, ambient_rank):
     """Face lattice of a cone as frozensets of generator indices.
 
     Every set of independent generators spans a face of their cone, so a
-    simplicial cone's lattice is the power set; other cones are peeled.
+    simplicial cone's lattice, independent generators having a dual basis,
+    is the power set; other cones are peeled.
     """
     k = len(gens)
-    if ambient_rank - len(cone_dual(gens, ambient_rank).equations) == k:
+    if _dual_basis(tuple(gens)) is not None:
         return frozenset(
             frozenset(s) for j in range(k + 1) for s in combinations(range(k), j)
         )

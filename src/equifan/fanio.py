@@ -447,7 +447,7 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         certificate_flags,
         direct_barycentric_order_function,
     )
-    from .subdivide import barycentric_subdivision
+    from .subdivide import _barycentric
 
     violations: list[str] = []
     if fan_hash(fan) != cert.input_sha256:
@@ -500,8 +500,8 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         if stage.kind == "barycentric-direct":
             if len(stage.steps) != 1 or stage.steps[0].centers:
                 return [f"stage {k}: a direct barycentric stage has one step and no centers"]
-            bcx = barycentric_subdivision(replay.cur)
-            ord_stage, scale, dip = direct_barycentric_order_function(replay.cur, bcx)
+            bcx, sources = _barycentric(replay.cur)
+            ord_stage, scale, dip = direct_barycentric_order_function(replay.cur, bcx, sources)
             step_ords.append(ord_stage)
             if (scale, dip) != (stage.steps[0].scale, stage.steps[0].dip):
                 violations.append(f"stage {k}: direct construction scale/dip mismatch")

@@ -3,6 +3,12 @@
 Everything here works over arbitrary-precision integers, eliminating
 with one fraction-free loop; there is no floating point anywhere.
 Vectors are tuples of ints, matrices are tuples of row tuples.
+
+Independent generators are eliminated once: `_dual_basis`, memoised by
+the generator tuple, gives D > 0 and rows u_j with u_j . g_i = D * [i == j]
+in the span of the generators.  The solves in that basis, the facet
+normals and dimension of a simplicial cone (`complexes`) and the
+unimodular test of a square one (D == 1) are read off it.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
 # Entries kept per process by each memo of this module: Smith normal forms
-# keyed by the integer matrix, and the simplicial SNF and the first
-# parallelepiped point keyed by the generator tuple
+# keyed by the integer matrix, and the dual basis, the simplicial SNF and
+# the first parallelepiped point keyed by the generator tuple
 SNF_CACHE_SIZE = 4096
 
 
@@ -110,23 +116,56 @@ def rank(vectors) -> int:
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
-def solve_in_basis(gens, x):
-    """Solve x = sum c_i * gens_i exactly.
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
-    Returns the tuple of Fraction coefficients, or None when x (integer
-    or rational) is not in the span of gens, which must be independent.
+
+@lru_cache(maxsize=SNF_CACHE_SIZE)
+def _dual_basis(gens: tuple):
+    """(D, rows u_j) of independent generators g_i, or None when they are
+    dependent; memoised by the generator tuple.
+
+    Fraction-free elimination of [G*G^T | G] ends in D * [I | (G*G^T)^-1 * G],
+    so row j of its right block is u_j = G^T * a_j, a_j column j of
+    D * (G*G^T)^-1: u_j lies in the span of the generators and
+    u_j . g_i = D * [i == j].  D > 0 because G*G^T is positive definite:
+    its leading minors, the pivots, are positive, so no row is swapped and
+    D = det(G*G^T).  Dependent generators make G*G^T singular, so the
+    elimination finds fewer than k pivots.
     """
     k = len(gens)
-    den = math.lcm(*[c.denominator for c in x])
-    # augmented system: columns are the generators, rhs is den * x
-    rows = [[g[j] for g in gens] + [int(xj * den)] for j, xj in enumerate(x)]
-    pivots, _ = _eliminate(rows, k)
-    if len(pivots) < k:
-        raise ValueError("not simplicial")  # dependent generators
-    # inconsistent rows mean x is outside the span
-    if any(row[k] != 0 for row in rows[k:]):
+    rows = [[_dot(g, h) for h in gens] + list(g) for g in gens]
+    if len(_eliminate(rows, k)[0]) < k:
         return None
-    return tuple(Fraction(rows[j][k], rows[j][j] * den) for j in range(k))
+    return (rows[0][0] if rows else 1), tuple(tuple(row[k:]) for row in rows)
+
+
+def solve_in_basis(gens, x):
+    """Solve x = sum c_j * gens_j exactly.
+
+    Returns the tuple of Fraction coefficients, or None when x (integer
+    or rational) is not in the span of gens.  Raises ValueError when gens
+    are dependent ("not simplicial") or x's length is not theirs.
+
+    The coefficients are read off the memoised dual basis (`_dual_basis`):
+    c_j = (u_j . x) / D.  When gens span less than the ambient space, x is
+    in their span exactly when sum c_j * gens_j = x.
+    """
+    gens = tuple(tuple(g) for g in gens)
+    if gens and len(x) != len(gens[0]):
+        raise ValueError(f"point has {len(x)} entries, generators have {len(gens[0])}")
+    basis = _dual_basis(gens)
+    if basis is None:
+        raise ValueError("not simplicial")
+    D, us = basis
+    den = math.lcm(*[c.denominator for c in x])
+    p = [int(c * den) for c in x]  # den * x, an integer point
+    dots = [_dot(u, p) for u in us]
+    if len(gens) < len(p) and any(
+        sum(d * g[i] for d, g in zip(dots, gens)) != D * c for i, c in enumerate(p)
+    ):
+        return None
+    return tuple(Fraction(c, D * den) for c in dots)
 
 
 def rational_nullspace(vectors, n=None):
@@ -272,23 +311,23 @@ def cone_index(gens) -> int:
 @lru_cache(maxsize=SNF_CACHE_SIZE)
 def _simplicial_snf(gens: tuple):
     """(divisors d_j, rows of U) of a Smith form U*G*V = D of independent
-    gens, memoised by the generator tuple.
+    gens, memoised by the generator tuple; ValueError ("not simplicial")
+    when the memoised dual basis finds them dependent.
 
     A square G with det(G) = +-1 is unimodular, so U = I, V = G^-1 and
-    D = I is a Smith form of it: one elimination gives the divisors (1, ...)
-    without the checked SNF, which every other cone takes.
+    D = I is a Smith form of it.  The dual basis's D is det(G*G^T) =
+    det(G)^2, so D == 1 gives the divisors (1, ...) with no further
+    elimination and without the checked SNF, which every other cone takes.
     """
     k = len(gens)
     n = len(gens[0]) if gens else 0
-    if k > n:
+    basis = _dual_basis(gens)
+    if basis is None:
         raise ValueError("not simplicial")
-    if k == n and det(gens) in (1, -1):
+    if k == n and basis[0] == 1:
         return (1,) * k, identity_matrix(k)
     D, U, _ = smith_normal_form(gens)
-    divs = tuple(D[i][i] for i in range(k)) if k <= min(len(D), n) else ()
-    if len(divs) < k or any(d == 0 for d in divs):
-        raise ValueError("not simplicial")
-    return divs, U
+    return tuple(D[i][i] for i in range(k)), U
 
 
 def integrality_congruences(gens):

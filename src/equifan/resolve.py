@@ -56,7 +56,7 @@ from .orderfun import (
     fold,
     search_centered_order_function,
 )
-from .subdivide import _barycentric_cascade, _barycentric_sources, barycentric_subdivision
+from .subdivide import _barycentric, _barycentric_cascade, _barycentric_sources
 
 ROUND_CAP = 10_000
 
@@ -89,9 +89,10 @@ def initial_frames_plain(cx: Complex) -> dict:
     return {c: tuple(sorted(c)) for c in cx.maximal_cones}
 
 
-def initial_frames_barycentric(cx: Complex, bcx: Complex) -> dict:
-    """Frames on the barycentric subdivision, ordered by source-cone dimension."""
-    dim_of = [cx.dim(source) for source in _barycentric_sources(cx, bcx)]
+def initial_frames_barycentric(cx: Complex, bcx: Complex, sources) -> dict:
+    """Frames on the barycentric subdivision, ordered by source-cone
+    dimension; `sources` gives each ray's source cone (`_barycentric_sources`)."""
+    dim_of = [cx.dim(source) for source in sources]
     frames = {}
     for mc in bcx.maximal_cones:
         if len({dim_of[i] for i in mc}) != len(mc):
@@ -328,8 +329,9 @@ def _consistent_base_values(cx: Complex):
     return tuple(int(v * scale) for v in y)
 
 
-def direct_barycentric_order_function(cx: Complex, bcx: Complex):
-    """Order function for B(cx) built directly from dimension-graded dips.
+def direct_barycentric_order_function(cx: Complex, bcx: Complex, sources):
+    """Order function for B(cx) built directly from dimension-graded dips;
+    `sources` gives the source cone of each ray of bcx (`_barycentric_sources`).
 
     Used when the input has non-simplicial cones, where the cascade of
     centered order functions is not representable.  Values take the form
@@ -347,18 +349,17 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex):
     the moduli ((L, a) = (0, P) solves every row), so a runs up to P.
     """
     y = _consistent_base_values(cx)
-    hosts = _barycentric_sources(cx, bcx)
     # the base function is linear on the host, so its value at the
     # barycenter is the edge-value sum divided by the primitivization
     # factor of the generator sum
     base_val = [
         Fraction(sum(y[i] for i in h), math.gcd(*[sum(col) for col in zip(*cx.generators(h))]))
-        for h in hosts
+        for h in sources
     ]
     denom = math.lcm(*[v.denominator for v in base_val])
     # with L = denom * k ray r is valued a * forms[r][0] + k * forms[r][1],
     # and positive when forms[r], as a bound, holds
-    forms = [(1 - 2 ** cx.dim(h), int(denom * v)) for v, h in zip(base_val, hosts)]
+    forms = [(1 - 2 ** cx.dim(h), int(denom * v)) for v, h in zip(base_val, sources)]
     winner, a, k = _solve(
         cx, bcx, forms, forms, None,
         "scale insufficient: a wall of the barycentric subdivision does not bend",
@@ -503,17 +504,19 @@ def resolve_equivariant(
         if is_simplicial(cx):
             steps, ords = [], []
             cur = cx
-            for batch in _barycentric_cascade(cx):
+            cascade = _barycentric_cascade(cx)
+            for batch in cascade:
                 ord_k, scale, dip = search_centered_order_function(cur, batch)
                 steps.append(BatchStep(tuple(batch), scale, dip, None))
                 ords.append(ord_k)
                 cur = ord_k.subdivision
             replay.stage("barycentric", steps, ords)
+            sources = _barycentric_sources(cx, replay.cur, cascade)
         else:
-            bcx = barycentric_subdivision(cx)
-            ord_b, scale, dip = direct_barycentric_order_function(cx, bcx)
+            bcx, sources = _barycentric(cx)
+            ord_b, scale, dip = direct_barycentric_order_function(cx, bcx, sources)
             replay.stage("barycentric-direct", [BatchStep((), scale, dip, 1)], [ord_b])
-        frames = initial_frames_barycentric(cx, replay.cur)
+        frames = initial_frames_barycentric(cx, replay.cur, sources)
 
     # the last trace row holds cur's largest index (None: not simplicial)
     while replay.trace[-1][1] != 1:

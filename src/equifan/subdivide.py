@@ -96,15 +96,19 @@ def _stars(cx: Complex, centers_with_carriers) -> Complex:
     return cx
 
 
-def barycentric_subdivision(cx: Complex) -> Complex:
+def barycentric_subdivision(cx: Complex, cascade=None) -> Complex:
     """Barycentric subdivision via the cascade of centered subdivisions.
 
     Centers are the barycenters of the original cones, processed by
     decreasing dimension; within one dimension level the order is fixed
     (ascending sorted ray ids of the host cone) for determinism, though
-    it does not affect the result.
+    it does not affect the result.  `cascade` is cx's
+    `_barycentric_cascade`, given by a caller that reads the sources off
+    it too (`_barycentric`).
     """
-    return _stars(cx, chain.from_iterable(_barycentric_cascade(cx)))
+    if cascade is None:
+        cascade = _barycentric_cascade(cx)
+    return _stars(cx, chain.from_iterable(cascade))
 
 
 def _barycentric_cascade(cx: Complex):
@@ -128,14 +132,22 @@ def _barycentric_cascade(cx: Complex):
     ]
 
 
-def _barycentric_sources(cx: Complex, bcx: Complex) -> list:
-    """The source of each ray of bcx, B(cx) as the cascade builds it: the
-    cone of cx whose relative interior holds it.  ValueError on other rays."""
+def _barycentric_sources(cx: Complex, bcx: Complex, cascade) -> list:
+    """The source of each ray of bcx, B(cx) as cx's `cascade` builds it:
+    the cone of cx whose relative interior holds it.  ValueError on other
+    rays."""
     pairs = [(r, (i,)) for i, r in enumerate(cx.rays)]
-    pairs += chain.from_iterable(_barycentric_cascade(cx))
+    pairs += chain.from_iterable(cascade)
     if tuple(r for r, _ in pairs) != bcx.rays:
         raise ValueError("not the barycentric subdivision of the base complex")
     return [source for _, source in pairs]
+
+
+def _barycentric(cx: Complex):
+    """(B(cx), the source of each of its rays), from one cascade."""
+    cascade = _barycentric_cascade(cx)
+    bcx = barycentric_subdivision(cx, cascade)
+    return bcx, _barycentric_sources(cx, bcx, cascade)
 
 
 def barycentric_subdivision_inductive(cx: Complex) -> Complex:
@@ -189,8 +201,8 @@ def barycentric_edge_bijection(cx: Complex, bcx: Complex) -> dict:
     by generator; this is a bijection onto the positive-dimensional cones
     of cx, with inverse given by taking barycenters.
     """
-    b = barycentric_subdivision(cx)
+    b, sources = _barycentric(cx)
     if not same_complex(bcx, b):
         raise ValueError("not the barycentric subdivision of the base complex")
-    source = dict(zip(b.rays, _barycentric_sources(cx, b)))
+    source = dict(zip(b.rays, sources))
     return {rid: frozenset(source[bcx.rays[rid]]) for rid in sorted({i for c in bcx.cones for i in c})}

@@ -325,6 +325,80 @@ def reference_det(m):
     return sign * a[n - 1][n - 1]
 
 
+# references for the dual-basis kernel, as it was before independent
+# generators were eliminated once: a solve eliminated per call, a dual
+# that takes the nullspace first, and a unimodular test by determinant
+
+
+def reference_eliminated_solve(gens, x):
+    """solve_in_basis by one elimination of [G^T | den * x] per call."""
+    from equifan.lattice import _eliminate
+
+    k = len(gens)
+    den = math.lcm(*[c.denominator for c in x])
+    rows = [[g[j] for g in gens] + [int(xj * den)] for j, xj in enumerate(x)]
+    pivots, _ = _eliminate(rows, k)
+    if len(pivots) < k:
+        raise ValueError("not simplicial")
+    if any(row[k] != 0 for row in rows[k:]):
+        return None
+    return tuple(Fraction(rows[j][k], rows[j][j] * den) for j in range(k))
+
+
+def reference_nullspace_first_dual(gens, ambient_rank):
+    """The cone dual from the nullspace first: a cone whose dimension, the
+    ambient rank less the equations, is its generator count takes the
+    primitive rows of the right block of [G*G^T | G] eliminated; any other
+    cone enumerates its facets."""
+    from equifan.complexes import DualDescription
+    from equifan.lattice import _eliminate, primitive, rational_nullspace
+
+    gens = tuple(tuple(g) for g in gens)
+    if not gens:
+        unit = [tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)]
+        return DualDescription(tuple(unit), ())
+    equations = tuple(rational_nullspace(gens, n=ambient_rank))
+    k = len(gens)
+    if ambient_rank - len(equations) != k:
+        return reference_cone_dual(gens, ambient_rank)
+    rows = [[sum(a * b for a, b in zip(g, h)) for h in gens] + list(g) for g in gens]
+    _eliminate(rows, k)
+    return DualDescription(equations, tuple(sorted(primitive(row[k:]) for row in rows)))
+
+
+def reference_dim(gens, ambient_rank):
+    """A cone's dimension: the ambient rank less its dual's equations."""
+    return ambient_rank - len(reference_nullspace_first_dual(gens, ambient_rank).equations)
+
+
+def reference_raw_faces(gens, ambient_rank):
+    """The power set when the dimension is the generator count, else peeled."""
+    from equifan.complexes import _peeled_faces
+
+    k = len(gens)
+    if reference_dim(gens, ambient_rank) == k:
+        return frozenset(frozenset(s) for j in range(k + 1) for s in combinations(range(k), j))
+    return _peeled_faces(gens, ambient_rank)
+
+
+def reference_simplicial_snf(gens):
+    """_simplicial_snf with the unimodular test det(G) = +-1, else the
+    checked SNF, whose divisors must all be nonzero."""
+    from equifan.lattice import identity_matrix, smith_normal_form
+
+    k = len(gens)
+    n = len(gens[0]) if gens else 0
+    if k > n:
+        raise ValueError("not simplicial")
+    if k == n and reference_det(gens) in (1, -1):
+        return (1,) * k, identity_matrix(k)
+    D, U, _ = smith_normal_form(gens)
+    divs = tuple(D[i][i] for i in range(k)) if k <= min(len(D), n) else ()
+    if len(divs) < k or any(d == 0 for d in divs):
+        raise ValueError("not simplicial")
+    return divs, U
+
+
 class ReferenceBudgetExceeded(Exception):
     """The reference scan was stopped after its candidate budget."""
 
@@ -426,10 +500,10 @@ def reference_direct_barycentric(cx, bcx, y, dip_cap=64, scale_steps=64, max_can
     first to pass with strict bends wins.  A scan that would verify more
     than max_candidates candidates raises ReferenceBudgetExceeded."""
     from equifan.orderfun import OrderFunction, verify_order_axioms
-    from equifan.subdivide import _barycentric_sources
+    from equifan.subdivide import _barycentric_cascade, _barycentric_sources
 
     base_val, dims = [], []
-    for host in _barycentric_sources(cx, bcx):
+    for host in _barycentric_sources(cx, bcx, _barycentric_cascade(cx)):
         total = tuple(sum(col) for col in zip(*cx.generators(host)))
         base_val.append(Fraction(sum(y[i] for i in host), math.gcd(*map(abs, total))))
         dims.append(cx.dim(host))

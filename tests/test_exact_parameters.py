@@ -23,7 +23,7 @@ from equifan.fanio import fan_from_complex, parse_certificate, verify_certificat
 from equifan.lattice import cone_index, primitive, rank
 from equifan.orderfun import _lex_first, fold
 from equifan.resolve import _consistent_base_values, direct_barycentric_order_function
-from equifan.subdivide import barycentric_subdivision
+from equifan.subdivide import _barycentric
 
 from conftest import (
     ReferenceBudgetExceeded,
@@ -132,10 +132,10 @@ def direct_matches_reference(cx, max_candidates=None) -> bool:
     """Same (L, a) and values as the reference loop on the same base
     values, or no strict candidate for either; False when only the
     reference found nothing in its window or budget."""
-    bcx = barycentric_subdivision(cx)
+    bcx, sources = _barycentric(cx)
     y = _consistent_base_values(cx)
     try:
-        fn, scale, dip = direct_barycentric_order_function(cx, bcx)
+        fn, scale, dip = direct_barycentric_order_function(cx, bcx, sources)
     except ValueError as e:
         # a flat or broken bend is one for every (L, a); the reference
         # finds no strict candidate near the start either

@@ -1,4 +1,5 @@
-"""Cone geometry memoised by generator matrix: duals, face lattices, SNFs.
+"""Cone geometry memoised by generator matrix: duals, dual bases, face
+lattices, SNFs.
 
 The caches hold pure functions of the matrix only, so a memoised answer
 must equal a fresh computation, and a resolve must write the same bytes
@@ -70,6 +71,13 @@ def test_memoised_snf_equals_fresh(cone):
 
 
 @CACHE_SETTINGS
+@given(cones())
+def test_memoised_dual_basis_equals_fresh(cone):
+    gens, _ = cone
+    assert lattice._dual_basis(gens) == lattice._dual_basis.__wrapped__(gens)
+
+
+@CACHE_SETTINGS
 @given(simplicial_cones())
 def test_simplicial_faces_are_the_power_set_of_peeling(cone):
     gens, n = cone
@@ -89,6 +97,7 @@ def test_snf_contract_failure_is_not_cached(monkeypatch):
 def _clear():
     complexes._cone_dual.cache_clear()
     lattice._smith_normal_form.cache_clear()
+    lattice._dual_basis.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -113,10 +122,12 @@ def test_same_certificate_bytes_warm_and_cold(cx, gens, mode):
     _clear()
     cold = run()
     duals, snfs = complexes._cone_dual.cache_info(), lattice._smith_normal_form.cache_info()
+    bases = lattice._dual_basis.cache_info()
     warm = run()
     assert warm == cold
-    # the warm run computed no geometry: every dual and SNF was a hit
+    # the warm run computed no geometry: every dual, SNF and dual basis was a hit
     assert complexes._cone_dual.cache_info().misses == duals.misses
     assert lattice._smith_normal_form.cache_info().misses == snfs.misses
+    assert lattice._dual_basis.cache_info().misses == bases.misses
     _clear()
     assert run() == cold

@@ -16,7 +16,7 @@ from equifan.resolve import (
     select_centers,
     total_index,
 )
-from equifan.subdivide import barycentric_subdivision, star_subdivide
+from equifan.subdivide import _barycentric, barycentric_subdivision, star_subdivide
 
 from conftest import (
     CYC3,
@@ -78,16 +78,16 @@ class TestFrames:
         assert frames == {frozenset({0, 1}): (0, 1)}
 
     def test_barycentric_frames_ordered_by_dimension(self, orthant2):
-        b = barycentric_subdivision(orthant2)
-        frames = initial_frames_barycentric(orthant2, b)
+        b, sources = _barycentric(orthant2)
+        frames = initial_frames_barycentric(orthant2, b, sources)
         for mc, frame in frames.items():
             # first slot: an original ray (dim-1 source), last: the barycenter
             assert b.rays[frame[-1]] == (1, 1)
         assert frames_coherent(frames)
 
     def test_barycentric_frames_coherent_orthant3(self, orthant3):
-        b = barycentric_subdivision(orthant3)
-        frames = initial_frames_barycentric(orthant3, b)
+        b, sources = _barycentric(orthant3)
+        frames = initial_frames_barycentric(orthant3, b, sources)
         assert frames_coherent(frames)
         for mc, frame in frames.items():
             assert len(frame) == 3
@@ -245,6 +245,37 @@ def test_rounds_read_carriers_and_smoothness_once(cx, gens, mode, monkeypatch):
     cert = resolve_equivariant(cx, elements, mode=mode)
     assert smooth_calls == [cert.final]
     assert cert.stages == expected.stages and cert.ok
+
+
+@pytest.mark.parametrize(
+    "cx, direct_stages",
+    [(square_cone(), 1), (orthant(3), 0)],
+    ids=["square-direct", "orthant3-cascade"],
+)
+def test_barycentric_cascade_built_once(cx, direct_stages, monkeypatch):
+    """A canonical resolve builds the barycentric cascade's centers once,
+    for the stage and the frames (and, on a non-simplicial input, the
+    direct order function); verification builds them once per direct
+    stage it replays, and not for a cascade of centered steps."""
+    import equifan.resolve
+    import equifan.subdivide
+    from equifan.fanio import fan_from_complex, parse_certificate, verify_certificate, write_certificate
+
+    calls = []
+    cascade = equifan.subdivide._barycentric_cascade
+
+    def counted(c):
+        calls.append(c)
+        return cascade(c)
+
+    monkeypatch.setattr(equifan.subdivide, "_barycentric_cascade", counted)
+    monkeypatch.setattr(equifan.resolve, "_barycentric_cascade", counted)
+    cert = resolve_equivariant(cx, mode="canonical")
+    assert calls == [cx]
+    fan = fan_from_complex(cx)
+    calls.clear()
+    assert verify_certificate(parse_certificate(write_certificate(cert, fan)), fan) == []
+    assert len(calls) == direct_stages
 
 
 class TestResolveFromGenerators:
