@@ -96,19 +96,15 @@ def _stars(cx: Complex, centers_with_carriers) -> Complex:
     return cx
 
 
-def barycentric_subdivision(cx: Complex, cascade=None) -> Complex:
+def barycentric_subdivision(cx: Complex) -> Complex:
     """Barycentric subdivision via the cascade of centered subdivisions.
 
     Centers are the barycenters of the original cones, processed by
     decreasing dimension; within one dimension level the order is fixed
     (ascending sorted ray ids of the host cone) for determinism, though
-    it does not affect the result.  `cascade` is cx's
-    `_barycentric_cascade`, given by a caller that reads the sources off
-    it too (`_barycentric`).
+    it does not affect the result.
     """
-    if cascade is None:
-        cascade = _barycentric_cascade(cx)
-    return _stars(cx, chain.from_iterable(cascade))
+    return _stars(cx, chain.from_iterable(_barycentric_cascade(cx)))
 
 
 def _barycentric_cascade(cx: Complex):
@@ -146,7 +142,7 @@ def _barycentric_sources(cx: Complex, bcx: Complex, cascade) -> list:
 def _barycentric(cx: Complex):
     """(B(cx), the source of each of its rays), from one cascade."""
     cascade = _barycentric_cascade(cx)
-    bcx = barycentric_subdivision(cx, cascade)
+    bcx = _stars(cx, chain.from_iterable(cascade))
     return bcx, _barycentric_sources(cx, bcx, cascade)
 
 

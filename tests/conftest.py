@@ -326,49 +326,13 @@ def reference_det(m):
 
 
 # references for the dual-basis kernel, as it was before independent
-# generators were eliminated once: a solve eliminated per call, a dual
-# that takes the nullspace first, and a unimodular test by determinant
-
-
-def reference_eliminated_solve(gens, x):
-    """solve_in_basis by one elimination of [G^T | den * x] per call."""
-    from equifan.lattice import _eliminate
-
-    k = len(gens)
-    den = math.lcm(*[c.denominator for c in x])
-    rows = [[g[j] for g in gens] + [int(xj * den)] for j, xj in enumerate(x)]
-    pivots, _ = _eliminate(rows, k)
-    if len(pivots) < k:
-        raise ValueError("not simplicial")
-    if any(row[k] != 0 for row in rows[k:]):
-        return None
-    return tuple(Fraction(rows[j][k], rows[j][j] * den) for j in range(k))
-
-
-def reference_nullspace_first_dual(gens, ambient_rank):
-    """The cone dual from the nullspace first: a cone whose dimension, the
-    ambient rank less the equations, is its generator count takes the
-    primitive rows of the right block of [G*G^T | G] eliminated; any other
-    cone enumerates its facets."""
-    from equifan.complexes import DualDescription
-    from equifan.lattice import _eliminate, primitive, rational_nullspace
-
-    gens = tuple(tuple(g) for g in gens)
-    if not gens:
-        unit = [tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)]
-        return DualDescription(tuple(unit), ())
-    equations = tuple(rational_nullspace(gens, n=ambient_rank))
-    k = len(gens)
-    if ambient_rank - len(equations) != k:
-        return reference_cone_dual(gens, ambient_rank)
-    rows = [[sum(a * b for a, b in zip(g, h)) for h in gens] + list(g) for g in gens]
-    _eliminate(rows, k)
-    return DualDescription(equations, tuple(sorted(primitive(row[k:]) for row in rows)))
+# generators were eliminated once: a dimension from the dual's equations,
+# a face lattice on it, and a unimodular test by determinant
 
 
 def reference_dim(gens, ambient_rank):
     """A cone's dimension: the ambient rank less its dual's equations."""
-    return ambient_rank - len(reference_nullspace_first_dual(gens, ambient_rank).equations)
+    return ambient_rank - len(reference_cone_dual(gens, ambient_rank).equations)
 
 
 def reference_raw_faces(gens, ambient_rank):

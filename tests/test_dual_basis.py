@@ -2,10 +2,12 @@
 basis answers the solves, the simplicial dual, dimension and face lattice,
 and the unimodular test.
 
-Every answer is compared with the per-question eliminations it replaced
-(the references in conftest) on 4,000 generator sets (2,000 seeds, two
-sets each) of rank 1-5 with 0 to n generators, dependent sets among them,
-and on integer, rational and outside-the-span points.
+Every answer is compared with the references in conftest (a solve by
+rational elimination, the dual by facet enumeration, dimension and face
+lattice from the dual's equations, a unimodular test by determinant) on
+4,000 generator sets (2,000 seeds, two sets each) of rank 1-5 with 0 to n
+generators, dependent sets among them, and on integer, rational and
+outside-the-span points.
 """
 
 import random
@@ -21,11 +23,11 @@ from equifan.complexes import Complex, _raw_faces, cone_dual
 from equifan.lattice import _dual_basis, _simplicial_snf, cone_index, solve_in_basis
 
 from conftest import (
+    reference_cone_dual,
     reference_dim,
-    reference_eliminated_solve,
-    reference_nullspace_first_dual,
     reference_raw_faces,
     reference_simplicial_snf,
+    reference_solve_in_basis,
 )
 
 
@@ -77,8 +79,8 @@ def _outcome(fn, *args):
 def test_dual_basis_answers_match_the_references(seed):
     for gens, n, points in generator_sets(seed):
         for x in points:
-            assert _outcome(solve_in_basis, gens, x) == _outcome(reference_eliminated_solve, gens, x)
-        assert cone_dual(gens, n) == reference_nullspace_first_dual(gens, n)
+            assert _outcome(solve_in_basis, gens, x) == _outcome(reference_solve_in_basis, gens, x)
+        assert cone_dual(gens, n) == reference_cone_dual(gens, n)
         cone = frozenset(range(len(gens)))
         assert Complex(n, gens, [cone]).dim(cone) == reference_dim(gens, n)
         assert _raw_faces(gens, n) == reference_raw_faces(gens, n)
