@@ -13,13 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .lattice import Vec, _dot, _dual_basis, integer_vector, primitive, rank, rational_nullspace
+from .lattice import CACHE_SIZE, Vec, _dot, _dual_basis, integer_vector, primitive, rank, rational_nullspace
 
 ConeIds = frozenset
-
-# cone duals kept per process, keyed by (generator tuple, ambient rank):
-# a cone that a subdivision leaves untouched keeps its dual
-DUAL_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,7 @@ def _integer_rank(ambient_rank) -> int:
     return n
 
 
-@lru_cache(maxsize=DUAL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cone_dual(gens: tuple, ambient_rank: int) -> DualDescription:
     """The equations are the nullspace of gens.  Independent generators
     span a simplicial cone, which has exactly one facet without each
@@ -138,7 +134,6 @@ class Complex:
         self.rays: tuple[Vec, ...] = tuple(integer_vector(r) for r in rays)
         self.cones: frozenset[ConeIds] = frozenset(frozenset(c) for c in cones)
         _check_ids(self.ambient_rank, self.rays, self.cones)
-        self._faces_cache: dict[ConeIds, frozenset[ConeIds]] = {}
         self._dim_cache: dict[ConeIds, int] = {}
         self._maximal: tuple[ConeIds, ...] | None = None
         # (a complex this one subdivides, {each of its maximal cones that is
@@ -209,15 +204,12 @@ class Complex:
         return self._maximal
 
     def faces(self, cone) -> frozenset[ConeIds]:
-        """All faces of a cone, including itself and the zero face."""
-        cone = frozenset(cone)
-        if cone not in self._faces_cache:
-            order = sorted(cone)
-            raw = _raw_faces(self.generators(cone), self.ambient_rank)
-            self._faces_cache[cone] = frozenset(
-                frozenset(order[i] for i in f) for f in raw
-            )
-        return self._faces_cache[cone]
+        """All faces of a cone, including itself and the zero face.  Not
+        memoised, as a complex seldom asks twice: `_raw_faces` reads them
+        off the memoised dual basis, or peels the cone by memoised duals."""
+        order = sorted(cone)
+        raw = _raw_faces(self.generators(order), self.ambient_rank)
+        return frozenset(frozenset(order[i] for i in f) for f in raw)
 
     def facets(self, cone) -> tuple[ConeIds, ...]:
         """The faces of a cone one dimension below it, sorted by ray ids.
@@ -418,10 +410,11 @@ def validate_complex(cx: Complex) -> ValidationReport:
     if report.violations:
         return report
 
-    faces = frozenset().union(*(cx.faces(c) for c in maximal))
+    faces_of = {c: cx.faces(c) for c in maximal}  # read again by the pair test
+    faces = frozenset().union(*faces_of.values())
     if faces != cx.cones:
         for c in maximal:
-            for f in cx.faces(c):
+            for f in faces_of[c]:
                 if f not in cx.cones:
                     report.violations.append(
                         f"face {sorted(f)} of cone {sorted(c)} missing from the complex"
@@ -434,8 +427,8 @@ def validate_complex(cx: Complex) -> ValidationReport:
         if not (
             _separated(cx, c1, c2, shared)
             or (
-                shared in cx.faces(c1)
-                and shared in cx.faces(c2)
+                shared in faces_of[c1]
+                and shared in faces_of[c2]
                 and _intersect_cones(cx, c1, c2) == frozenset(cx.rays[i] for i in shared)
             )
         ):

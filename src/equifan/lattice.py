@@ -21,10 +21,12 @@ from itertools import product
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 
-# Entries kept per process by each memo of this module: Smith normal forms
-# keyed by the integer matrix, and the dual basis, the simplicial SNF and
-# the first parallelepiped point keyed by the generator tuple
-SNF_CACHE_SIZE = 4096
+# Entries kept per process by each memo of the package, all keyed by
+# generator tuples: here the dual basis, the simplicial SNF and the first
+# parallelepiped point, and the cone duals (`complexes`) and wall relations
+# (`orderfun`), so a cone or wall that a subdivision leaves untouched keeps
+# its facts
+CACHE_SIZE = 4096
 
 
 def integer_vector(v) -> Vec:
@@ -120,7 +122,7 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-@lru_cache(maxsize=SNF_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _dual_basis(gens: tuple):
     """(D, rows u_j) of independent generators g_i, or None when they are
     dependent; memoised by the generator tuple.
@@ -219,13 +221,9 @@ def smith_normal_form(m):
 
     Returns (D, U, V) with U*M*V = D, D diagonal with d_i | d_{i+1} and
     U, V unimodular.  The contract is checked by exact multiplication on
-    every computation, before the result is memoised by the matrix.
+    every call.  Not memoised: its one caller, `_simplicial_snf`, is.
     """
-    return _smith_normal_form(tuple(integer_vector(row) for row in m))
-
-
-@lru_cache(maxsize=SNF_CACHE_SIZE)
-def _smith_normal_form(M: Mat):
+    M = tuple(integer_vector(row) for row in m)
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     a = [list(r) for r in M]
@@ -308,7 +306,7 @@ def cone_index(gens) -> int:
     return math.prod(divs)
 
 
-@lru_cache(maxsize=SNF_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _simplicial_snf(gens: tuple):
     """(divisors d_j, rows of U) of a Smith form U*G*V = D of independent
     gens, memoised by the generator tuple; ValueError ("not simplicial")
@@ -392,7 +390,7 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-@lru_cache(maxsize=SNF_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _first_point(gens: tuple):
     """parallelepiped_points(gens)[0], or None when the index is 1,
     without listing the points; memoised by the generator tuple.

@@ -55,6 +55,7 @@ from .complexes import (
     is_simplicial,
 )
 from .lattice import (
+    CACHE_SIZE,
     integer_vector,
     integrality_congruences,
     primitive,
@@ -63,9 +64,6 @@ from .lattice import (
 from .subdivide import _stars
 
 COMPOSITION_CAP = 2**20
-# wall solves kept per process, keyed by the two pieces' generators: a wall
-# that a subdivision leaves untouched keeps its bend form
-BEND_CACHE_SIZE = 4096
 
 
 class OrderFunction:
@@ -237,7 +235,7 @@ def _bend_form(sub: Complex, wall) -> dict:
     return form
 
 
-@lru_cache(maxsize=BEND_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _wall_relation(gens: tuple, other: tuple):
     """The coordinates of the other piece's ray in one piece's generators,
     as (integer numerators, their positive common denominator), or None
@@ -274,10 +272,10 @@ def verify_order_axioms(ord_fn: OrderFunction) -> AxiomReport:
     return _axiom_report(ord_fn, _checked_pieces(ord_fn.base, ord_fn.subdivision))
 
 
-def _strict_failure(ord_fn: OrderFunction):
-    """None when the function is verified strict and positive on its
+def _strict_failure(ord_fn: OrderFunction, pieces):
+    """None when the function is verified strict and positive on the given
     pieces by base cone, its axiom report otherwise."""
-    rep = _axiom_report(ord_fn, _pieces_by_base_cone(ord_fn.base, ord_fn.subdivision))
+    rep = _axiom_report(ord_fn, pieces)
     return None if rep.ok and rep.strict and rep.positive else rep
 
 
@@ -453,14 +451,15 @@ def _solve(base: Complex, sub: Complex, forms, bounds, x_cap, failure: str, chos
     only the winner is placed and verified.  ValueError(failure) when no
     pair is admitted; RuntimeError naming chose(x, y) when it fails.
     """
-    rows, bends = _affine_conditions(sub, forms, _pieces_by_base_cone(base, sub))
+    pieces = _pieces_by_base_cone(base, sub)
+    rows, bends = _affine_conditions(sub, forms, pieces)
     if x_cap is None:
         x_cap = math.lcm(*[d for _, _, d in rows])
     found = _lex_first(rows, bends + bounds, range(1, x_cap + 1))
     if found is None:
         raise ValueError(failure)
     winner = OrderFunction(base, sub, _place(forms, *found))
-    rep = _strict_failure(winner)
+    rep = _strict_failure(winner, pieces)
     if rep is not None:
         raise RuntimeError(f"{chose(*found)}, which fails verification: " + "; ".join(rep.violations))
     return winner, *found
@@ -543,7 +542,7 @@ def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
     ord_fn = centered_order_function(cx, [(center, host)], scale, 1)
     if ord_fn is None:
         raise ValueError("scale insufficient")
-    rep = _strict_failure(ord_fn)
+    rep = _strict_failure(ord_fn, _pieces_by_base_cone(cx, ord_fn.subdivision))
     if rep is not None:
         raise ValueError("scale insufficient: " + "; ".join(rep.violations))
     return ord_fn
@@ -557,11 +556,12 @@ def compose_order_functions(outer: OrderFunction, inner: OrderFunction) -> Order
 
 
 def compose_with_multiplier(outer: OrderFunction, inner: OrderFunction):
-    """compose_order_functions, also returning the multiplier M."""
+    """compose_order_functions, also returning the multiplier M.  Each
+    function's subdivision must subdivide its base (`_checked_pieces`)."""
     if outer.subdivision != inner.base:
         raise ValueError("composition mismatch: outer subdivision is not the inner base")
     for name, f in (("outer", outer), ("inner", inner)):
-        if _strict_failure(f) is not None:
+        if _strict_failure(f, _checked_pieces(f.base, f.subdivision)) is not None:
             raise ValueError(f"{name} order function is not verified strict")
     return fold(outer, inner)
 

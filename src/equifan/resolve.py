@@ -405,9 +405,8 @@ class Replay:
 
         A multiplier of None is chosen by `orderfun.fold`; a given one is
         used, except the unused leading ones, recorded as 1.  A given step
-        multiplier that folds to non-integers raises ValueError; a given
-        stage multiplier that does leaves `composite` None.  Returns
-        (record, stage function).
+        or stage multiplier that folds to non-integers raises ValueError.
+        Returns (record, stage function).
         """
         base = self.cur
         stage_ord = None
@@ -424,9 +423,11 @@ class Replay:
             stage_ord = OrderFunction(base, base, [1] * len(base.rays))
         sub = stage_ord.subdivision
         if not self.stages:
-            self.composite, multiplier = stage_ord, 1
+            composite, multiplier = stage_ord, 1
         else:
-            self.composite, multiplier = fold(self.composite, stage_ord, multiplier)
+            composite, multiplier = fold(self.composite, stage_ord, multiplier)
+            if composite is None:
+                raise ValueError("composite re-derivation is not integral")
         record = StageRecord(
             kind=kind,
             steps=tuple(recorded),
@@ -437,7 +438,7 @@ class Replay:
             output_hash=complex_hash(sub),
         )
         self.stages.append(record)
-        self.cur, self.cur_hash = sub, record.output_hash
+        self.composite, self.cur, self.cur_hash = composite, sub, record.output_hash
         if kind == "centered":
             self.rounds += 1
             self.trace.append(_trace_row(f"round{self.rounds}", sub))

@@ -25,7 +25,7 @@ def barycenter(gens) -> Vec:
     return primitive(total)
 
 
-def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
+def star_subdivide(cx: Complex, center, *, _carrier=None) -> Complex:
     """Subdivision of the complex centered at the ray through `center`.
 
     Every cone containing the center is replaced by the joins of the
@@ -36,29 +36,25 @@ def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
 
     The center is located once, by its carrier tau; the rest is face
     lattice algebra, valid on a valid complex: a cone contains the center
-    exactly when it contains tau.  `carrier` (ray ids) is the center's
-    carrier recorded in a complex this one subdivides; while it is still a
-    cone here (ids keep their rays) it is the carrier here too, and the
-    center is not located again.
+    exactly when it contains tau.  `_carrier` is private to `_stars`,
+    which passes a tau read off its records, unchecked; every other
+    caller has the center located.
 
     The result records what the star did (`Complex._subdivides`): each
     touched maximal cone sigma, one containing tau, becomes the pieces
     f + center for the facets f of sigma not containing tau, and these
     with the untouched maximal cones are the new maximal cones.
-    Dimensions and face lattices of untouched cones carry over.  A new
-    cone f + center has dimension dim f + 1: the center lies in sigma but
-    not in its face f, so not in the span of f.  A face of a simplicial
-    sigma has its size as dimension, so no face of one is ranked.
+    Dimensions of untouched cones carry over.  A new cone f + center has
+    dimension dim f + 1: the center lies in sigma but not in its face f,
+    so not in the span of f.  A face of a simplicial sigma has its size
+    as dimension, so no face of one is ranked.
     """
     c = integer_vector(center)
     p = primitive(c)
     if p != c:
         warnings.warn(f"star center {c} normalized to primitive {p}")
     center = p
-    if carrier is not None and frozenset(carrier) in cx.cones:
-        tau = frozenset(carrier)
-    else:
-        tau = cx.minimal_cone_containing(center)  # raises outside the support
+    tau = cx.minimal_cone_containing(center) if _carrier is None else _carrier  # raises outside the support
     if center in cx.rays:
         rid = cx.rays.index(center)
         if tau != {rid}:
@@ -84,15 +80,22 @@ def star_subdivide(cx: Complex, center, carrier=None) -> Complex:
     ))
     out._dim_cache = {f: d for f, d in cx._dim_cache.items() if not tau <= f}
     out._dim_cache.update(join_dims)
-    out._faces_cache = {f: fs for f, fs in cx._faces_cache.items() if not tau <= f}
     out._subdivides = (cx, pieces)
     return out
 
 
 def _stars(cx: Complex, centers_with_carriers) -> Complex:
-    """cx starred at each (center, carrier) in turn (`star_subdivide`)."""
+    """cx starred at each (center, carrier) in turn (`star_subdivide`).
+
+    A carrier (ray ids) is the center's carrier in a complex that the
+    current one subdivides, as the barycentric cascade and a batch of
+    centers record it.  While it is still a cone here (ids keep their
+    rays) it is the carrier here too, and the center is not located
+    again; once a star has split it, the center is located.
+    """
     for center, carrier in centers_with_carriers:
-        cx = star_subdivide(cx, center, carrier)
+        tau = frozenset(carrier)
+        cx = star_subdivide(cx, center, _carrier=tau if tau in cx.cones else None)
     return cx
 
 

@@ -119,7 +119,6 @@ def test_solve_rejects_a_point_of_the_wrong_length():
 def _fresh():
     lattice._dual_basis.cache_clear()
     lattice._simplicial_snf.cache_clear()
-    lattice._smith_normal_form.cache_clear()
     complexes._cone_dual.cache_clear()
 
 

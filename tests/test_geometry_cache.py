@@ -1,5 +1,5 @@
-"""Cone geometry memoised by generator matrix: duals, dual bases, face
-lattices, SNFs.
+"""Cone geometry memoised by generator matrix: duals, dual bases,
+simplicial SNFs, first parallelepiped points.
 
 The caches hold pure functions of the matrix only, so a memoised answer
 must equal a fresh computation, and a resolve must write the same bytes
@@ -63,15 +63,6 @@ def test_memoised_dual_equals_fresh(cone):
 
 @CACHE_SETTINGS
 @given(cones())
-def test_memoised_snf_equals_fresh(cone):
-    gens, _ = cone
-    cached = smith_normal_form(gens)
-    assert cached == lattice._smith_normal_form.__wrapped__(gens)
-    assert all(isinstance(m, tuple) and all(isinstance(r, tuple) for r in m) for m in cached)
-
-
-@CACHE_SETTINGS
-@given(cones())
 def test_memoised_dual_basis_equals_fresh(cone):
     gens, _ = cone
     assert lattice._dual_basis(gens) == lattice._dual_basis.__wrapped__(gens)
@@ -87,17 +78,16 @@ def test_simplicial_faces_are_the_power_set_of_peeling(cone):
 
 
 def test_snf_contract_failure_is_not_cached(monkeypatch):
-    lattice._smith_normal_form.cache_clear()
     monkeypatch.setattr(lattice, "is_unimodular", lambda m: False)
     with pytest.raises(RuntimeError, match="SNF contract violated"):
         smith_normal_form(((1, 0), (1, 2)))
-    assert lattice._smith_normal_form.cache_info().currsize == 0
 
 
 def _clear():
     complexes._cone_dual.cache_clear()
-    lattice._smith_normal_form.cache_clear()
     lattice._dual_basis.cache_clear()
+    lattice._simplicial_snf.cache_clear()
+    lattice._first_point.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -121,13 +111,13 @@ def test_same_certificate_bytes_warm_and_cold(cx, gens, mode):
 
     _clear()
     cold = run()
-    duals, snfs = complexes._cone_dual.cache_info(), lattice._smith_normal_form.cache_info()
+    duals, snfs = complexes._cone_dual.cache_info(), lattice._simplicial_snf.cache_info()
     bases = lattice._dual_basis.cache_info()
     warm = run()
     assert warm == cold
     # the warm run computed no geometry: every dual, SNF and dual basis was a hit
     assert complexes._cone_dual.cache_info().misses == duals.misses
-    assert lattice._smith_normal_form.cache_info().misses == snfs.misses
+    assert lattice._simplicial_snf.cache_info().misses == snfs.misses
     assert lattice._dual_basis.cache_info().misses == bases.misses
     _clear()
     assert run() == cold

@@ -310,6 +310,18 @@ class TestCompose:
         assert len(full.maximal_cones) == 6
         assert same_complex(linearity_domains(comp), full)
 
+    def test_inner_subdivision_must_subdivide_its_base(self):
+        # the inner function's one cone (1,0),(1,1) covers part of its base
+        base = singular_cone_2d(3)
+        outer = OrderFunction(base, base, [3, 3])
+        part = Complex.from_maximal_cones(2, [(1, 0), (1, 3), (1, 1)], [[0, 2]])
+        inner = OrderFunction(base, part, [3, 3, 2])
+        message = r"^subdivision invariant violated: interior facet \[2\] of host \[0, 1\] met 1 time\(s\), expected 2$"
+        with pytest.raises(ValueError, match=message):
+            compose_with_multiplier(outer, inner)
+        with pytest.raises(ValueError, match=message):
+            compose_order_functions(outer, inner)
+
     def test_mismatched_chain(self, orthant2, starred):
         outer = star_order_function(orthant2, (1, 1), 2)
         with pytest.raises(ValueError, match="composition mismatch"):

@@ -11,6 +11,7 @@ from equifan.complexes import (
     validate_complex,
 )
 from equifan.subdivide import (
+    _stars,
     barycenter,
     barycentric_edge_bijection,
     barycentric_subdivision,
@@ -39,11 +40,25 @@ class TestStarSubdivide:
 
         cx = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 1]])
         message = r"^center \(1, 1\) is ray 2, which is in no cone$"
-        for carrier in (None, (0, 1)):
-            with pytest.raises(ValueError, match=message):
-                star_subdivide(cx, (1, 1), carrier)
+        with pytest.raises(ValueError, match=message):
+            star_subdivide(cx, (1, 1))
+        with pytest.raises(ValueError, match=message):
+            _stars(cx, [((1, 1), (0, 1))])  # with its recorded carrier
         with pytest.raises(ValueError, match=message):
             barycentric_subdivision(cx)
+
+    def test_center_is_always_located(self):
+        # the carrier of (1, 1) is [0, 1]; a carrier could once be passed,
+        # and starred over the wrong one, [1, 2], the half-planes gave the
+        # overlapping cones [0, 1] and [1, 3]
+        from equifan.complexes import Complex
+
+        cx = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
+        with pytest.raises(TypeError):
+            star_subdivide(cx, (1, 1), (1, 2))
+        st = star_subdivide(cx, (1, 1))
+        assert validate_complex(st).ok
+        assert is_subdivision(st, cx)
 
     def test_orthant3_center(self, orthant3):
         st = star_subdivide(orthant3, (1, 1, 1))

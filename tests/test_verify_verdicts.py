@@ -4,12 +4,15 @@ single-field mutation reaches.
 Each test starts from a certificate that `resolve_equivariant` wrote,
 changes the fields one verdict needs, and pins the violation list.  The
 composite fold's own integrality check ("composite re-derivation is not
-integral") is not here: every stage function is checked integral before
-the next stage folds it, so the composite is integral at every lattice
-point and each recorded multiplier folds to integers.
+integral") cannot be reached through a certificate: every stage function
+is checked integral before the next stage folds it, so the composite is
+integral at every lattice point and each recorded multiplier folds to
+integers.  `Replay` is fed a non-integral first stage directly instead.
 """
 
 from dataclasses import replace
+
+import pytest
 
 from equifan.complexes import Complex
 from equifan.fanio import (
@@ -23,7 +26,8 @@ from equifan.fanio import (
     write_certificate,
 )
 from equifan.groups import generate_group
-from equifan.resolve import FLAG_NAMES, resolve_equivariant
+from equifan.orderfun import centered_order_function
+from equifan.resolve import FLAG_NAMES, Replay, resolve_equivariant
 
 from conftest import SWAP2, orthant, singular_cone_2d, square_cone
 
@@ -122,6 +126,22 @@ def test_stage_function_that_is_not_integral():
     assert (data.stages[0].steps[0].scale, data.stages[0].values) == (3, (3, 3, 1))
     bad = with_stage(with_step(data, 1, 1, dip=1), 1, values=(3, 3, 2))
     assert verify_certificate(bad, fan) == ["stage 1: order function violates integrality"]
+
+
+def test_composite_that_is_not_integral():
+    # the stage function above, 5/2 at the lattice point (1,1), taken as
+    # the first stage; the next stage stars (1,1), where the recorded
+    # multiplier 1 leaves the composite 5/2
+    cx = singular_cone_2d(3)
+    first_centers, second_centers = (((1, 2), (0, 1)),), (((1, 1), (0, 2)),)
+    first = centered_order_function(cx, first_centers, 3, 1)
+    assert first.ray_values == (3, 3, 2)
+    second = centered_order_function(first.subdivision, second_centers, 2, 1)
+    replay = Replay(cx)
+    replay.stage("centered", [BatchStep(first_centers, 3, 1, 1)], [first])
+    with pytest.raises(ValueError, match="^composite re-derivation is not integral$"):
+        replay.stage("centered", [BatchStep(second_centers, 2, 1, 1)], [second], 1)
+    assert len(replay.stages) == 1 and replay.composite is first and replay.cur == first.subdivision
 
 
 def test_final_verification_failed():
