@@ -200,14 +200,15 @@ def cmd_report(args) -> int:
             print(f"  cone {list(c)}: index {v}")
     if fan.group_generators:
         elements = _elements(fan)
-        action = verify_action(cx, elements)
+        # the group acts, and is strict, exactly when its generators are
+        action = verify_action(cx, fan.group_generators)
         print(f"group: order {len(elements)}, acts: {'yes' if action.ok else 'no'}")
         if action.ok:
             strict = _strictness(action).ok
             # strictness implies the fixed-cone identity: an element that
             # fixes a cone and moves one of its edges puts two of its edges
             # in one orbit, so the per-element check runs only when it fails
-            fixed = strict or _fixed_cone_identity(action).ok
+            fixed = strict or _fixed_cone_identity(group_action(cx, elements)).ok
             print(f"fixed-cone identity: {'pass' if fixed else 'FAIL'}")
             print(f"strict action: {'pass' if strict else 'FAIL'}")
     return 0

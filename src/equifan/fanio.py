@@ -11,7 +11,8 @@ Verification rebuilds each step's order function from its recorded
 (centers, scale, dip) and hands the stage to `resolve.Replay`, the same
 fold that produced the certificate.  Each subdivision is built once, by
 the step that makes it, and the replay yields the stage records, the
-composite and the measure trace that are compared with the file.
+composite and the measure trace that are compared with the file.  Only
+a recorded host failing `orderfun._host_coordinates` is located.
 """
 
 from __future__ import annotations
@@ -440,7 +441,7 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     """
     from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
     from .lattice import primitive
-    from .orderfun import centered_order_function, verify_order_axioms
+    from .orderfun import _host_coordinates, centered_order_function, verify_order_axioms
     from .resolve import (
         FLAG_NAMES,
         Replay,
@@ -512,6 +513,10 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
                     try:
                         if primitive(center) != tuple(center):
                             return [f"stage {k}: center {center} is not primitive"]
+                        # a sorted host holding the center inside is its carrier
+                        if (list(host) == sorted(set(host))
+                                and _host_coordinates(batch_base, center, host) is not None):
+                            continue
                         actual_host = tuple(sorted(batch_base.minimal_cone_containing(center)))
                     except ValueError as e:
                         return [f"stage {k}: center {center} invalid: {e}"]

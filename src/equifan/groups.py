@@ -271,9 +271,12 @@ def quotient_structure(cx: Complex, elements) -> QuotientStructure:
     rep_of = {c: orbit[0] for orbit in cone_orbits for c in orbit}
     # one element carrying each cone onto its representative
     elem_to_rep = {
-        c: next(k for k, perm in enumerate(action.ray_permutations) if cone_image(perm, c) == rep)
+        c: next((k for k, perm in enumerate(action.ray_permutations) if cone_image(perm, c) == rep), None)
         for c, rep in rep_of.items()
     }
+    if None in elem_to_rep.values():  # a generating set may have none
+        raise ValueError("no element carries some cone onto its orbit representative: "
+                         "the elements must be the whole group")
     face_relations = {
         tuple(sorted(rep)): tuple(sorted(
             (tuple(sorted(f)), tuple(sorted(rep_of[f])), elem_to_rep[f]) for f in cx.faces(rep)

@@ -26,10 +26,12 @@ forms (a_i, b_i), ray i valued x * a_i + y * b_i (`_place`).  A centered
 subdivision takes x = scale / L and y = dip, the direct barycentric
 function x = a and y = L / denom, and a fold m * outer + inner
 x = m / d and y = 1.  One solver (`_solve`) builds the congruences and
-one bend form per wall once on a single subdivision, computes the first
-admitted pair (`_lex_first`) and verifies only the winner, through the
-one strictness predicate (`_strict_failure`).  The multiplier of a fold
-is read off the same bend forms, affine in x.
+the wall table (`_wall_forms`, one bend form per wall) once on a single
+subdivision, computes the first admitted pair (`_lex_first`) and
+verifies only the winner on that table, through the one strictness
+predicate (`_strict_failure`).  The multiplier of a fold is read off the
+same bend forms, affine in x.  Every check builds its wall table once;
+a centered subdivision's hosts are checked (`_host_coordinates`).
 
 Walls are found among the pieces of each base cone, which a subdivision
 built by stars reads off the stars' records (`_recorded_pieces`) instead
@@ -190,32 +192,6 @@ def _recorded_pieces(base: Complex, sub: Complex):
     return pieces
 
 
-def _checked_pieces(base: Complex, sub: Complex):
-    """_pieces_by_base_cone(base, sub) once `_subdivision_report` shows
-    that sub subdivides base; ValueError otherwise.  Starred from base, sub
-    is tested on its touched hosts only."""
-    pieces = _pieces_by_base_cone(base, sub)
-    report = _subdivision_report(sub, base, pieces)
-    if not report:
-        raise ValueError(f"subdivision invariant violated: {report}")
-    return pieces
-
-
-def _interior_walls(sub: Complex, pieces):
-    """Walls (codim-1 faces shared by exactly two pieces) within one host."""
-    by_facet: dict[frozenset, list] = {}
-    for c in pieces:
-        for r in sorted(c):
-            f = c - {r}
-            by_facet.setdefault(f, []).append((c, r))
-    walls = []
-    for f, owners in sorted(by_facet.items(), key=lambda kv: sorted(kv[0])):
-        if len(owners) == 2:
-            (c1, r1), (c2, r2) = owners
-            walls.append((f, c1, r1, c2, r2))
-    return walls
-
-
 def _bend_form(sub: Complex, wall) -> dict:
     """The bend D across a wall times the positive denominator of the
     wall's relation, as an integer linear form {ray id: coefficient}.
@@ -248,14 +224,23 @@ def _wall_relation(gens: tuple, other: tuple):
 
 
 def _wall_forms(sub: Complex, pieces):
-    """(base cone, wall, bend form) of every interior wall of the
-    subdivision inside a base cone, from its pieces by base cone."""
-    return [
-        (sigma, wall, _bend_form(sub, wall))
-        for sigma, ps in pieces
-        if len(ps) > 1
-        for wall in _interior_walls(sub, ps)
-    ]
+    """The wall table: (base cone, wall, bend form) of every interior wall
+    of the subdivision inside a base cone, from its pieces by base cone.
+    A wall (f, c1, r1, c2, r2) is a codim-1 face f shared by exactly two
+    pieces c1 = f + r1 and c2 = f + r2 of one base cone."""
+    table = []
+    for sigma, ps in pieces:
+        if len(ps) < 2:  # a single piece has no interior wall
+            continue
+        by_facet: dict[frozenset, list] = {}
+        for c in ps:
+            for r in sorted(c):
+                by_facet.setdefault(c - {r}, []).append((c, r))
+        for f, owners in sorted(by_facet.items(), key=lambda kv: sorted(kv[0])):
+            if len(owners) == 2:
+                wall = (f, *owners[0], *owners[1])
+                table.append((sigma, wall, _bend_form(sub, wall)))
+    return table
 
 
 def _apply(form: dict, values):
@@ -263,25 +248,35 @@ def _apply(form: dict, values):
     return sum(a * values[i] for i, a in form.items())
 
 
+def _checked_walls(ord_fn: OrderFunction):
+    """The wall table of the function's subdivision over its base, once
+    `_subdivision_report` shows that the subdivision subdivides the base;
+    ValueError otherwise.  Starred from the base, the subdivision is
+    tested on its touched hosts only."""
+    base, sub = ord_fn.base, ord_fn.subdivision
+    pieces = _pieces_by_base_cone(base, sub)
+    report = _subdivision_report(sub, base, pieces)
+    if not report:
+        raise ValueError(f"subdivision invariant violated: {report}")
+    return _wall_forms(sub, pieces)
+
+
 def verify_order_axioms(ord_fn: OrderFunction) -> AxiomReport:
     """Check integrality and per-base-cone convexity; report strictness.
-
-    First check that the subdivision subdivides the base
-    (`_checked_pieces`), raising ValueError when it does not.
-    """
-    return _axiom_report(ord_fn, _checked_pieces(ord_fn.base, ord_fn.subdivision))
+    ValueError when the subdivision does not subdivide the base."""
+    return _axiom_report(ord_fn, _checked_walls(ord_fn))
 
 
-def _strict_failure(ord_fn: OrderFunction, pieces):
-    """None when the function is verified strict and positive on the given
-    pieces by base cone, its axiom report otherwise."""
-    rep = _axiom_report(ord_fn, pieces)
+def _strict_failure(ord_fn: OrderFunction, walls):
+    """None when the function is verified strict and positive across the
+    given wall table (`_wall_forms`), its axiom report otherwise."""
+    rep = _axiom_report(ord_fn, walls)
     return None if rep.ok and rep.strict and rep.positive else rep
 
 
-def _axiom_report(ord_fn: OrderFunction, pieces) -> AxiomReport:
-    """The axioms of a function whose subdivision has the given pieces by
-    base cone.
+def _axiom_report(ord_fn: OrderFunction, walls) -> AxiomReport:
+    """The axioms of a function whose subdivision has the given wall table
+    (`_wall_forms` of its pieces by base cone).
 
     Integrality is decided by the SNF rows (u, d) of every maximal cone
     (`integrality_congruences`): a function linear on the cone with
@@ -308,7 +303,7 @@ def _axiom_report(ord_fn: OrderFunction, pieces) -> AxiomReport:
                     f"integrality fails at lattice point {point}: value {val}"
                 )
 
-    for sigma, wall, form in _wall_forms(sub, pieces):
+    for sigma, wall, form in walls:
         d = _apply(form, ord_fn.ray_values)
         if d < 0:
             report.convex = False
@@ -325,59 +320,33 @@ def _axiom_report(ord_fn: OrderFunction, pieces) -> AxiomReport:
 def linearity_domains(ord_fn: OrderFunction) -> Complex:
     """Coarsest subdivision of the base on which the function is linear.
 
-    Adjacent pieces are merged across flat bends; with all bends strict
-    the result equals the subdivision itself.
+    Pieces are merged across the flat walls of the wall table the axiom
+    report read; with all bends strict the result equals the subdivision.
+    On a convex function each merged class is the convex set where the
+    function equals one linear form: the cone over its extreme rays.
     """
-    pieces = _checked_pieces(ord_fn.base, ord_fn.subdivision)
-    report = _axiom_report(ord_fn, pieces)
+    walls = _checked_walls(ord_fn)
+    report = _axiom_report(ord_fn, walls)
     if not report.ok:
         raise ValueError("order function axioms fail: " + "; ".join(report.violations))
-    return _merged_domains(ord_fn, pieces)
-
-
-def _merged_domains(ord_fn: OrderFunction, pieces) -> Complex:
-    """linearity_domains of a function whose axioms are already verified,
-    from its subdivision's pieces by base cone."""
     sub = ord_fn.subdivision
-
-    parent: dict[frozenset, frozenset] = {}
+    parent = {c: c for c in sub.maximal_cones}
 
     def find(c):
-        while parent.get(c, c) != c:
-            parent[c] = parent.get(parent[c], parent[c])
-            c = parent[c]
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
         return c
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb, key=sorted)] = min(ra, rb, key=sorted)
-
-    all_pieces = [p for _, ps in pieces for p in ps]
-    for _, wall, form in _wall_forms(sub, pieces):
+    for _, (_, c1, _, c2, _), form in walls:
         if _apply(form, ord_fn.ray_values) == 0:
-            union(wall[1], wall[3])
-
-    groups: dict[frozenset, list] = {}
-    for p in all_pieces:
-        groups.setdefault(find(p), []).append(p)
-
-    merged = []
-    for comp in groups.values():
-        if len(comp) == 1:
-            merged.append(sorted(comp[0]))  # one simplicial piece: linear, every ray extreme
-            continue
-        ray_ids = sorted(set().union(*comp))
-        extreme = [ray_ids[k] for k in _extreme(sub.generators(ray_ids), sub.ambient_rank)]
-        # the merged region must be a cone on which the function is linear
-        basis_ids = sorted(comp[0])
-        for i in ray_ids:
-            coeffs = solve_in_basis(sub.generators(comp[0]), sub.rays[i])
-            if coeffs is None or sum(
-                a * ord_fn.ray_values[j] for a, j in zip(coeffs, basis_ids)
-            ) != ord_fn.ray_values[i]:
-                raise ValueError("non-convex linearity domain")
-        merged.append(extreme)
+            parent[find(c1)] = find(c2)
+    classes: dict[frozenset, set] = {}
+    for c in sub.maximal_cones:
+        classes.setdefault(find(c), set()).update(c)
+    merged = [
+        [ids[k] for k in _extreme(sub.generators(ids), sub.ambient_rank)]
+        for ids in map(sorted, classes.values())
+    ]
     return Complex.from_maximal_cones(sub.ambient_rank, sub.rays, merged)
 
 
@@ -392,20 +361,20 @@ def _pair(form: dict, forms):
     return sum(c * forms[i][0] for i, c in form.items()), sum(c * forms[i][1] for i, c in form.items())
 
 
-def _affine_conditions(sub: Complex, forms, pieces):
+def _affine_conditions(sub: Complex, forms, walls):
     """The order-function axioms for the values placed on the forms.
 
     Returns (rows, bends): integrality on every maximal cone is
     d | x * P + y * Q for each distinct SNF row (P, Q, d), with P and Q
-    reduced mod d, and the bend across each wall of the given pieces by
-    base cone is x * a + y * b for its (a, b).
+    reduced mod d, and the bend across each wall of the given wall table
+    (`_wall_forms`) is x * a + y * b for its (a, b).
     """
     rows = set()
     for c in sub.maximal_cones:
         for u, d in integrality_congruences(sub.generators(c)) if c else ():
             P, Q = _pair(dict(zip(sorted(c), u)), forms)
             rows.add((P % d, Q % d, d))
-    return sorted(rows), [_pair(form, forms) for _, _, form in _wall_forms(sub, pieces)]
+    return sorted(rows), [_pair(form, forms) for _, _, form in walls]
 
 
 def _lex_first(rows, bounds, xs):
@@ -448,21 +417,33 @@ def _solve(base: Complex, sub: Complex, forms, bounds, x_cap, failure: str, chos
 
     `_lex_first` reads the pair off `_affine_conditions` and the extra
     bounds, x running up to x_cap (None: the lcm of the rows' moduli);
-    only the winner is placed and verified.  ValueError(failure) when no
-    pair is admitted; RuntimeError naming chose(x, y) when it fails.
+    only the winner is placed and verified, against the same wall table.
+    ValueError(failure) when no pair is admitted; RuntimeError naming
+    chose(x, y) when it fails.
     """
-    pieces = _pieces_by_base_cone(base, sub)
-    rows, bends = _affine_conditions(sub, forms, pieces)
+    walls = _wall_forms(sub, _pieces_by_base_cone(base, sub))
+    rows, bends = _affine_conditions(sub, forms, walls)
     if x_cap is None:
         x_cap = math.lcm(*[d for _, _, d in rows])
     found = _lex_first(rows, bends + bounds, range(1, x_cap + 1))
     if found is None:
         raise ValueError(failure)
     winner = OrderFunction(base, sub, _place(forms, *found))
-    rep = _strict_failure(winner, pieces)
+    rep = _strict_failure(winner, walls)
     if rep is not None:
         raise RuntimeError(f"{chose(*found)}, which fails verification: " + "; ".join(rep.violations))
     return winner, *found
+
+
+def _host_coordinates(cx: Complex, center, host):
+    """The center's coordinates in the generators of its host, when the
+    host is a nonzero simplicial cone of cx whose relative interior holds
+    the center (so the host is the center's carrier); None otherwise."""
+    host = frozenset(host)
+    if not host or host not in cx.cones or cx.dim(host) != len(host):
+        return None
+    coords = solve_in_basis(cx.generators(host), center)
+    return coords if coords is not None and all(c > 0 for c in coords) else None
 
 
 def _centered_forms(cx: Complex, centers_with_hosts):
@@ -472,9 +453,15 @@ def _centered_forms(cx: Complex, centers_with_hosts):
     denominator of every q.  At x = scale / L and y = dip an old ray's
     form (L, 0) values it at scale and a new center's (L * q, -1) at
     scale * q - dip; a center that was already a ray is not valued anew.
+    A host that is not its center's carrier raises ValueError.
     """
+    sums = []
+    for center, host in centers_with_hosts:
+        coords = _host_coordinates(cx, center, host)
+        if coords is None:
+            raise ValueError(f"host {list(host)} is not the carrier of center {tuple(center)}")
+        sums.append(sum(coords))
     sub = _stars(cx, centers_with_hosts)
-    sums = [sum(solve_in_basis(cx.generators(host), center)) for center, host in centers_with_hosts]
     L = math.lcm(*[q.denominator for q in sums])
     lq = [int(L * q) for q in sums]
     forms = [(L, 0)] * len(sub.rays)
@@ -542,7 +529,8 @@ def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
     ord_fn = centered_order_function(cx, [(center, host)], scale, 1)
     if ord_fn is None:
         raise ValueError("scale insufficient")
-    rep = _strict_failure(ord_fn, _pieces_by_base_cone(cx, ord_fn.subdivision))
+    sub = ord_fn.subdivision
+    rep = _strict_failure(ord_fn, _wall_forms(sub, _pieces_by_base_cone(cx, sub)))
     if rep is not None:
         raise ValueError("scale insufficient: " + "; ".join(rep.violations))
     return ord_fn
@@ -557,11 +545,11 @@ def compose_order_functions(outer: OrderFunction, inner: OrderFunction) -> Order
 
 def compose_with_multiplier(outer: OrderFunction, inner: OrderFunction):
     """compose_order_functions, also returning the multiplier M.  Each
-    function's subdivision must subdivide its base (`_checked_pieces`)."""
+    function's subdivision must subdivide its base (`_checked_walls`)."""
     if outer.subdivision != inner.base:
         raise ValueError("composition mismatch: outer subdivision is not the inner base")
     for name, f in (("outer", outer), ("inner", inner)):
-        if _strict_failure(f, _checked_pieces(f.base, f.subdivision)) is not None:
+        if _strict_failure(f, _checked_walls(f)) is not None:
             raise ValueError(f"{name} order function is not verified strict")
     return fold(outer, inner)
 

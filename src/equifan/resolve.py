@@ -20,14 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .complexes import (
-    Complex,
-    is_simplicial,
-    is_smooth,
-    is_subdivision,
-    require_valid,
-    same_complex,
-)
+from .complexes import Complex, is_simplicial, is_subdivision, require_valid
 from .fanio import BatchStep, StageRecord, complex_hash
 from .groups import (
     _strictness,
@@ -50,9 +43,9 @@ from .lattice import (
 from .orderfun import (
     OrderFunction,
     _axiom_report,
-    _merged_domains,
     _pieces_by_base_cone,
     _solve,
+    _wall_forms,
     fold,
     search_centered_order_function,
 )
@@ -219,29 +212,34 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
 
     The composite must live on final over input_cx.  Each fact is decided
     once: the subdivision of the input (which the composite's axiom check
-    needs too), the action (strictness reads its orbits) and the axioms
-    (the linearity domains are merged from the checked function).  The
-    composite's pieces by input cone are the ones the geometric
+    needs too), simpliciality (smoothness reads it), the action
+    (strictness reads its orbits) and the axioms, from one wall table.
+    The composite's pieces by input cone are the ones the geometric
     is_subdivision found, never a construction record.
+
+    With the pieces final's maximal cones, each once, the linearity
+    domains are final exactly when the axioms hold and every bend is
+    strict: then nothing merges; a flat wall merges two pieces into a
+    cone that is no cone of final; and on a convex function each class
+    of pieces joined by flat walls is the convex set where it equals one
+    linear form, so the merge cannot fail.
     """
     flags = {}
     action = verify_action(final, elements)
-    flags["smooth"] = is_smooth(final)
-    flags["simplicial"] = is_simplicial(final)
+    simplicial = is_simplicial(final)
+    flags["smooth"] = simplicial and all(cone_index(final.generators(c)) == 1 for c in final.maximal_cones if c)
+    flags["simplicial"] = simplicial
     sub_rep = is_subdivision(final, input_cx)
     flags["subdivision_of_input"] = bool(sub_rep)
     flags["equivariant"] = flags["subdivision_of_input"] and action.ok
     flags["g_strict"] = action.ok and _strictness(action).ok
     if not sub_rep or composite.base != input_cx or composite.subdivision != final:
         raise ValueError(f"subdivision invariant violated: {sub_rep}")
-    pieces = sub_rep.pieces
-    rep = _axiom_report(composite, pieces)
+    rep = _axiom_report(composite, _wall_forms(final, sub_rep.pieces))
     flags["ord_positive"] = rep.positive
     flags["ord_integral"] = rep.integral
     flags["ord_strictly_convex"] = rep.convex and rep.strict
-    flags["ord_linearity_matches_final"] = rep.ok and same_complex(
-        _merged_domains(composite, pieces), final
-    )
+    flags["ord_linearity_matches_final"] = rep.ok and rep.strict
     inv = action.ok
     for perm in action.ray_permutations:
         inv = inv and all(

@@ -488,6 +488,53 @@ def reference_direct_barycentric(cx, bcx, y, dip_cap=64, scale_steps=64, max_can
     raise ReferenceBudgetExceeded("no strict (L, a) in the reference window")
 
 
+def reference_linearity_matches_final(input_cx, final, composite):
+    """The certificate flag `ord_linearity_matches_final` derived the long
+    way: verify the axioms on the geometric pieces, merge the pieces
+    across every flat wall into linearity domains (each merged region
+    must be a cone on which the function is linear), rebuild the domains
+    as a complex and compare it with final."""
+    from equifan.complexes import _extreme, is_subdivision, same_complex
+    from equifan.orderfun import _apply, _axiom_report, _wall_forms
+
+    pieces = is_subdivision(final, input_cx).pieces
+    walls = _wall_forms(final, pieces)
+    if not _axiom_report(composite, walls).ok:
+        return False
+    parent = {}
+
+    def find(c):
+        while parent.get(c, c) != c:
+            parent[c] = parent.get(parent[c], parent[c])
+            c = parent[c]
+        return c
+
+    for _, wall, form in walls:
+        if _apply(form, composite.ray_values) == 0:
+            ra, rb = find(wall[1]), find(wall[3])
+            if ra != rb:
+                parent[max(ra, rb, key=sorted)] = min(ra, rb, key=sorted)
+    groups = {}
+    for p in (p for _, ps in pieces for p in ps):
+        groups.setdefault(find(p), []).append(p)
+    merged = []
+    for comp in groups.values():
+        if len(comp) == 1:
+            merged.append(sorted(comp[0]))
+            continue
+        ray_ids = sorted(set().union(*comp))
+        basis_ids = sorted(comp[0])
+        for i in ray_ids:
+            coeffs = solve_in_basis(final.generators(comp[0]), final.rays[i])
+            if coeffs is None or sum(
+                a * composite.ray_values[j] for a, j in zip(coeffs, basis_ids)
+            ) != composite.ray_values[i]:
+                raise ValueError("non-convex linearity domain")
+        merged.append([ray_ids[k] for k in _extreme(final.generators(ray_ids), final.ambient_rank)])
+    domains = Complex.from_maximal_cones(final.ambient_rank, final.rays, merged)
+    return same_complex(domains, final)
+
+
 def subset_faces_oracle(cx, cone):
     """Faces of a simplicial cone are exactly the subsets of its rays."""
     cone = sorted(cone)

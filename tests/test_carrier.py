@@ -8,6 +8,7 @@ support where the support is not the whole space) and derandomized sums
 of those points.
 """
 
+import re
 from unittest import mock
 
 import pytest
@@ -16,12 +17,26 @@ from hypothesis import strategies as st
 
 import equifan.orderfun
 from equifan.complexes import Complex, is_simplicial
+from equifan.fanio import fan_from_complex, parse_certificate, verify_certificate, write_certificate
+from equifan.groups import generate_group
 from equifan.lattice import primitive
-from equifan.orderfun import OrderFunction, evaluate
+from equifan.orderfun import (
+    OrderFunction,
+    _host_coordinates,
+    centered_order_function,
+    evaluate,
+    search_centered_order_function,
+)
+from equifan.resolve import resolve_equivariant
 from equifan.subdivide import barycentric_subdivision, star_subdivide
 
 from conftest import (
+    CYC3,
+    SWAP2,
     corpus,
+    orthant,
+    singular_cone_2d,
+    square_cone,
     interior_point,
     reference_evaluate,
     reference_minimal_cone_containing,
@@ -138,3 +153,56 @@ def test_sums_of_points_match_references(case):
     k, x = case
     cx = CORPUS[k][1]
     check_point(cx, order_function(cx), x)
+
+
+@pytest.mark.parametrize("name,cx", CORPUS, ids=[name for name, _ in CORPUS])
+def test_host_coordinates_accept_exactly_the_carrier(name, cx):
+    """A host passes the centered forms' test exactly when it is a nonzero
+    simplicial cone and the reference carrier of the center."""
+    points = base_points(cx)
+    for x in points + [tuple(-v for v in p) for p in points]:
+        try:
+            carrier = reference_minimal_cone_containing(cx, x)
+        except ValueError:
+            carrier = None
+        for host in cx.cones:
+            coords = _host_coordinates(cx, x, tuple(sorted(host)))
+            expected = host == carrier and bool(host) and cx.dim(host) == len(host)
+            assert (coords is not None) == expected, (name, x, sorted(host))
+
+
+HALF_PLANES = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("host", [(0,), (1,), (1, 2), (0, 2), (0, 1, 2), (7,), ()])
+def test_centered_hosts_are_checked(host):
+    """A host that is not its center's carrier raises ValueError naming
+    both, in the replay and in the search."""
+    message = "^" + re.escape(f"host {list(host)} is not the carrier of center (1, 1)") + "$"
+    for call in (
+        lambda: centered_order_function(HALF_PLANES, [((1, 1), host)], 2, 1),
+        lambda: search_centered_order_function(HALF_PLANES, [((1, 1), host)]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert centered_order_function(HALF_PLANES, [((1, 1), (0, 1))], 2, 1) is not None
+
+
+@pytest.mark.parametrize(
+    "cx, gens, mode",
+    [
+        (singular_cone_2d(7), None, "plain"),
+        (orthant(3), [CYC3], "canonical"),
+        (square_cone(), None, "canonical"),
+        (Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]]), [SWAP2], "canonical"),
+    ],
+    ids=["plain-2d", "orthant3-cycle", "square-direct", "two-cones-swap"],
+)
+def test_verify_locates_no_recorded_host(cx, gens, mode):
+    """Verifying an untampered certificate takes every recorded host by
+    the centered forms' test and locates none."""
+    cert = resolve_equivariant(cx, generate_group(gens) if gens else None, mode=mode)
+    fan = fan_from_complex(cx, gens or ())
+    data = parse_certificate(write_certificate(cert, fan))
+    with mock.patch.object(Complex, "minimal_cone_containing", side_effect=AssertionError("located")):
+        assert verify_certificate(data, fan) == []

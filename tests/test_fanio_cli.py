@@ -39,9 +39,11 @@ from conftest import (
     CYC3,
     NEG2,
     REFLECT_X,
+    ROT2,
     SWAP2,
     SWAP3_01,
     candidate_actions,
+    complete_2d_fan,
     corpus,
     orthant,
     quadrant_and_ray,
@@ -726,14 +728,47 @@ class TestCli:
                 "smooth: yes\n  cone [0, 1]: index 1\n  cone [2]: index 1\n"
                 "group: order 2, acts: no\n",
             ),
+            (
+                barycentric_subdivision(orthant(3)),
+                [CYC3, SWAP3_01],
+                "rank 3, rays 7, cones 26, maximal 6\nvalid: yes\nsimplicial: yes\n"
+                "smooth: yes\n  cone [0, 3, 4]: index 1\n  cone [0, 3, 5]: index 1\n"
+                "  cone [1, 3, 4]: index 1\n  cone [1, 3, 6]: index 1\n"
+                "  cone [2, 3, 5]: index 1\n  cone [2, 3, 6]: index 1\n"
+                "group: order 6, acts: yes\nfixed-cone identity: pass\nstrict action: pass\n",
+            ),
+            (
+                orthant(3),
+                [CYC3, SWAP3_01],
+                "rank 3, rays 3, cones 8, maximal 1\nvalid: yes\nsimplicial: yes\n"
+                "smooth: yes\n  cone [0, 1, 2]: index 1\n"
+                "group: order 6, acts: yes\nfixed-cone identity: FAIL\nstrict action: FAIL\n",
+            ),
+            (
+                complete_2d_fan(),
+                [ROT2],
+                "rank 2, rays 4, cones 9, maximal 4\nvalid: yes\nsimplicial: yes\n"
+                "smooth: yes\n  cone [0, 1]: index 1\n  cone [0, 3]: index 1\n"
+                "  cone [1, 2]: index 1\n  cone [2, 3]: index 1\n"
+                "group: order 4, acts: yes\nfixed-cone identity: pass\nstrict action: FAIL\n",
+            ),
         ],
-        ids=["orthant-swap", "star-swap", "flap-reflection"],
+        ids=["orthant-swap", "star-swap", "flap-reflection", "barycentric-s3", "orthant-s3", "square-fan-c4"],
     )
     def test_report_with_group(self, cx, gens, expected, tmp_path, capsys):
+        # the action and strictness are asked of the generators; only the
+        # fixed-cone identity, when strictness fails, of the whole group
         src = tmp_path / "in.fan"
         src.write_text(write_fan(fan_from_complex(cx, gens)))
-        assert run_cli("report", str(src)) == 0
+        with mock.patch("equifan.cli.verify_action", wraps=equifan.cli.verify_action) as va, \
+                mock.patch("equifan.cli.group_action", wraps=equifan.cli.group_action) as ga:
+            assert run_cli("report", str(src)) == 0
         assert capsys.readouterr().out == expected
+        assert [len(call.args[1]) for call in va.call_args_list] == [len(gens)]
+        whole_group = expected.endswith("strict action: FAIL\n")
+        assert [len(call.args[1]) for call in ga.call_args_list] == (
+            [len(generate_group(gens))] if whole_group else []
+        )
 
     @pytest.mark.parametrize(
         "cx, gens, expected",

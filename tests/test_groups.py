@@ -249,6 +249,19 @@ class TestQuotient:
         with pytest.raises(ValueError, match="check failed"):
             quotient_structure(orthant2, generate_group([SWAP2]))
 
+    def test_generating_set_is_rejected(self):
+        # the 3D orthant fan under the rotation group of the cube, given by
+        # two generators: no single generator carries every cone of its
+        # barycentric subdivision onto its orbit representative
+        rot_z = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
+        rays = [tuple(s if j == i else 0 for j in range(3)) for s in (1, -1) for i in range(3)]
+        cones = [[a, b, c] for a in (0, 3) for b in (1, 4) for c in (2, 5)]
+        b = barycentric_subdivision(Complex.from_maximal_cones(3, rays, cones))
+        with pytest.raises(ValueError, match="the elements must be the whole group"):
+            quotient_structure(b, [rot_z, CYC3])
+        q = quotient_structure(b, generate_group([rot_z, CYC3]))
+        assert len(q.maximal_representatives) == 2
+
     def test_face_relations_reference_representatives(self, orthant2):
         st = star_subdivide(orthant2, (1, 1))
         q = quotient_structure(st, generate_group([SWAP2]))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from equifan.complexes import Complex, is_smooth, is_subdivision, same_complex
+from equifan.complexes import Complex, is_simplicial, is_smooth, is_subdivision, same_complex
 from equifan.groups import generate_group, trivial_group
 from equifan.lattice import cone_index, det, primitive, solve_in_basis
 from equifan.orderfun import evaluate, linearity_domains, verify_order_axioms
@@ -226,24 +226,28 @@ class TestResolvePlain:
 def test_rounds_read_carriers_and_smoothness_once(cx, gens, mode, monkeypatch):
     """The round loop reads each center's carrier off its host's frame and
     the complex's smoothness off the measure trace: no center is located
-    in the complex, and only the final flags walk the cones for it."""
+    in the complex, and the final complex is asked its simpliciality
+    twice, by its trace row and by the flags, which then walk its cones
+    for smoothness (`is_smooth` would ask a third time)."""
+    import equifan.complexes
     import equifan.resolve
 
     def locate(self, x):
         raise AssertionError(f"center {x} located by a scan of the complex")
 
-    smooth_calls = []
+    simplicial_calls = []
 
-    def counted_is_smooth(c):
-        smooth_calls.append(c)
-        return is_smooth(c)
+    def counted_is_simplicial(c):
+        simplicial_calls.append(c)
+        return is_simplicial(c)
 
     elements = generate_group(gens) if gens else None
     expected = resolve_equivariant(cx, elements, mode=mode)
     monkeypatch.setattr(Complex, "minimal_cone_containing", locate)
-    monkeypatch.setattr(equifan.resolve, "is_smooth", counted_is_smooth)
+    for module in (equifan.complexes, equifan.resolve):
+        monkeypatch.setattr(module, "is_simplicial", counted_is_simplicial)
     cert = resolve_equivariant(cx, elements, mode=mode)
-    assert smooth_calls == [cert.final]
+    assert simplicial_calls.count(cert.final) == 2
     assert cert.stages == expected.stages and cert.ok
 
 
