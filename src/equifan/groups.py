@@ -226,12 +226,18 @@ def check_simultaneous(cx: Complex, carriers):
     """Raise ValueError when two centers lie in one maximal cone.
 
     Centers are given by their carriers; on a valid complex centers a and b
-    share a maximal cone sigma exactly when tau_a | tau_b <= sigma.
+    share a maximal cone sigma exactly when tau_a | tau_b <= sigma, that is
+    when sigma lies in both stars (the maximal cones containing a carrier).
+    So one pass claims each carrier's star, and a maximal cone claimed
+    twice raises.
     """
-    for i, a in enumerate(carriers):
-        for b in carriers[i + 1:]:
-            if any(a | b <= c for c in cx.maximal_cones):
-                raise ValueError("orbit not simultaneous-safe")
+    claimed = set()
+    for tau in carriers:
+        for sigma in cx.maximal_cones:
+            if tau <= sigma:
+                if sigma in claimed:
+                    raise ValueError("orbit not simultaneous-safe")
+                claimed.add(sigma)
 
 
 @dataclass

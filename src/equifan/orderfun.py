@@ -248,17 +248,21 @@ def _apply(form: dict, values):
     return sum(a * values[i] for i, a in form.items())
 
 
-def _checked_walls(ord_fn: OrderFunction):
-    """The wall table of the function's subdivision over its base, once
-    `_subdivision_report` shows that the subdivision subdivides the base;
-    ValueError otherwise.  Starred from the base, the subdivision is
-    tested on its touched hosts only."""
-    base, sub = ord_fn.base, ord_fn.subdivision
+def _checked_pieces(base: Complex, sub: Complex):
+    """The pieces of sub by base cone, once `_subdivision_report` shows
+    that sub subdivides base; ValueError otherwise.  Starred from the
+    base, sub is tested on its touched hosts only."""
     pieces = _pieces_by_base_cone(base, sub)
     report = _subdivision_report(sub, base, pieces)
     if not report:
         raise ValueError(f"subdivision invariant violated: {report}")
-    return _wall_forms(sub, pieces)
+    return pieces
+
+
+def _checked_walls(ord_fn: OrderFunction):
+    """The wall table of the function's subdivision over its base, whose
+    pieces are checked first (`_checked_pieces`)."""
+    return _wall_forms(ord_fn.subdivision, _checked_pieces(ord_fn.base, ord_fn.subdivision))
 
 
 def verify_order_axioms(ord_fn: OrderFunction) -> AxiomReport:

@@ -1,5 +1,10 @@
 """Centered (star) and barycentric subdivision.
 
+Stars are taken by one loop (`_stars`), with one construction per run of
+simultaneous stars: consecutive stars whose stars, the maximal cones
+containing their carriers, are disjoint are built at once, as the
+simultaneous star of KKMS (*Toroidal Embeddings I*, LNM 339).
+
 Both of the classical barycentric constructions are implemented: the
 top-down cascade of centered subdivisions (by decreasing dimension of
 the original cones) and the bottom-up inductive construction over the
@@ -25,46 +30,92 @@ def barycenter(gens) -> Vec:
     return primitive(total)
 
 
-def star_subdivide(cx: Complex, center, *, _carrier=None) -> Complex:
-    """Subdivision of the complex centered at the ray through `center`.
+def star_subdivide(cx: Complex, center) -> Complex:
+    """Subdivision of the complex centered at the ray through `center`:
+    the center is located (its carrier tau) and starred as a run of one
+    (`_stars`), so one complex is constructed.
 
     Every cone containing the center is replaced by the joins of the
     center with its faces disjoint from the center ray; all other cones
     are untouched.  A center whose carrier is its own ray leaves the
     complex unchanged; one equal to a ray that no cone uses raises
     ValueError.  New rays get fresh ids appended; old ids never change.
-
-    The center is located once, by its carrier tau; the rest is face
-    lattice algebra, valid on a valid complex: a cone contains the center
-    exactly when it contains tau.  `_carrier` is private to `_stars`,
-    which passes a tau read off its records, unchecked; every other
-    caller has the center located.
-
-    The result records what the star did (`Complex._subdivides`): each
-    touched maximal cone sigma, one containing tau, becomes the pieces
-    f + center for the facets f of sigma not containing tau, and these
-    with the untouched maximal cones are the new maximal cones.
-    Dimensions of untouched cones carry over.  A new cone f + center has
-    dimension dim f + 1: the center lies in sigma but not in its face f,
-    so not in the span of f.  A face of a simplicial sigma has its size
-    as dimension, so no face of one is ranked.
+    Past locating, the star is face lattice algebra, valid on a valid
+    complex: a cone contains the center exactly when it contains tau.
     """
-    c = integer_vector(center)
-    p = primitive(c)
-    if p != c:
-        warnings.warn(f"star center {c} normalized to primitive {p}")
-    center = p
-    tau = cx.minimal_cone_containing(center) if _carrier is None else _carrier  # raises outside the support
-    if center in cx.rays:
-        rid = cx.rays.index(center)
-        if tau != {rid}:
-            raise ValueError(f"center {center} is ray {rid}, which is in no cone")
-        return cx
+    return _stars(cx, [(center, None)])
 
-    new_id = len(cx.rays)
+
+def _stars(cx: Complex, centers_with_carriers) -> Complex:
+    """cx starred at each (center, carrier) in turn, with one construction
+    per run of simultaneous stars (`_simultaneous_stars`).
+
+    A carrier (ray ids) is the center's carrier in a complex that the
+    current one subdivides, as the barycentric cascade and a batch of
+    centers record it, or None, and then the center is located.  A star
+    joins the current run when its center is not already a ray, its
+    carrier is a cone of the run's base and its star, the maximal cones
+    containing the carrier, is disjoint from the stars already in the
+    run.  Any other star closes the run, which is built, and is taken on
+    the result: a carrier that is no cone there (a star split it) is
+    located again; a center that is a ray there leaves the complex
+    unchanged when the ray is its carrier, else ValueError names it; any
+    other center opens the next run.
+
+    A run equals the stars taken one at a time, on any input, a recorded
+    carrier being taken unchecked either way: a cone containing tau_a is a
+    face only of maximal cones containing tau_a, so stars with disjoint
+    stars remove disjoint sets of cones, and neither creates a cone
+    containing the other's carrier (a join f + c_a holding tau_b would put
+    tau_b in f, a face of a maximal cone in both stars).  So each carrier
+    is still a cone, with the same star, after the other's star.
+    """
+    base, run, taken = cx, {}, set()  # run: center -> (tau, its star)
+    for center, carrier in centers_with_carriers:
+        c = integer_vector(center)
+        center = primitive(c)
+        if center != c:
+            warnings.warn(f"star center {c} normalized to primitive {center}")
+        tau = None if carrier is None else frozenset(carrier)
+        star = None
+        if tau in base.cones and center not in run and center not in base.rays:
+            star = [sigma for sigma in base.maximal_cones if tau <= sigma]
+            if not taken.isdisjoint(star):
+                star = None
+        if star is None:
+            base, run, taken = _simultaneous_stars(base, run), {}, set()
+            if tau not in base.cones:
+                tau = base.minimal_cone_containing(center)  # raises outside the support
+            if center in base.rays:
+                rid = base.rays.index(center)
+                if tau != {rid}:
+                    raise ValueError(f"center {center} is ray {rid}, which is in no cone")
+                continue
+            star = [sigma for sigma in base.maximal_cones if tau <= sigma]
+        run[center] = tau, star
+        taken.update(star)
+    return _simultaneous_stars(base, run)
+
+
+def _simultaneous_stars(cx: Complex, run) -> Complex:
+    """cx starred at every center of a run ({center: (tau, its star)},
+    the stars pairwise disjoint, see `_stars`), as one construction; cx
+    itself for an empty run.  The centers get new ray ids in order.
+
+    The construction records what the run did (`Complex._subdivides`):
+    each touched maximal cone sigma, one containing its center's tau,
+    becomes the pieces f + center for the facets f of sigma not containing
+    tau, and these with the untouched maximal cones are the new maximal
+    cones.  Dimensions of the cones kept carry over.  A new cone f +
+    center has dimension dim f + 1: the center lies in sigma but not in
+    its face f, so not in the span of f.  A face of a simplicial sigma has
+    its size as dimension, so no face of one is ranked.
+    """
+    if not run:
+        return cx
     removed, added, pieces, join_dims = set(), set(), {}, {}
-    for sigma in cx.maximal_cones:
-        if tau <= sigma:
+    for new_id, (tau, star) in enumerate(run.values(), start=len(cx.rays)):
+        for sigma in star:
             faces = cx.faces(sigma)
             joins = {f: f | {new_id} for f in faces if not tau <= f}
             removed.update(faces - joins.keys())
@@ -73,30 +124,15 @@ def star_subdivide(cx: Complex, center, *, _carrier=None) -> Complex:
             for f, join in joins.items():
                 join_dims[join] = (len(f) if d == len(sigma) else cx.dim(f)) + 1
             pieces[sigma] = [join for join in joins.values() if join_dims[join] == d]
-    out = Complex(cx.ambient_rank, cx.rays + (center,), (cx.cones - removed) | added)
+    out = Complex(cx.ambient_rank, cx.rays + tuple(run), (cx.cones - removed) | added)
     out._maximal = tuple(sorted(
         [m for m in cx.maximal_cones if m not in pieces] + [q for ps in pieces.values() for q in ps],
         key=_cone_order,
     ))
-    out._dim_cache = {f: d for f, d in cx._dim_cache.items() if not tau <= f}
+    out._dim_cache = {f: d for f, d in cx._dim_cache.items() if f not in removed}
     out._dim_cache.update(join_dims)
     out._subdivides = (cx, pieces)
     return out
-
-
-def _stars(cx: Complex, centers_with_carriers) -> Complex:
-    """cx starred at each (center, carrier) in turn (`star_subdivide`).
-
-    A carrier (ray ids) is the center's carrier in a complex that the
-    current one subdivides, as the barycentric cascade and a batch of
-    centers record it.  While it is still a cone here (ids keep their
-    rays) it is the carrier here too, and the center is not located
-    again; once a star has split it, the center is located.
-    """
-    for center, carrier in centers_with_carriers:
-        tau = frozenset(carrier)
-        cx = star_subdivide(cx, center, _carrier=tau if tau in cx.cones else None)
-    return cx
 
 
 def barycentric_subdivision(cx: Complex) -> Complex:

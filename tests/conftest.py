@@ -586,6 +586,41 @@ def reference_star_subdivide(cx, center):
     return Complex(cx.ambient_rank, cx.rays + (center,), cones)
 
 
+def reference_stars(cx, centers_with_carriers):
+    """The stars of `subdivide._stars` taken one at a time, each built as a
+    new complex from its cones: a carrier that is still a cone is taken
+    unchecked, any other is located again, and a center that is a ray
+    must be its own carrier."""
+    from equifan.lattice import primitive
+
+    for center, carrier in centers_with_carriers:
+        center = primitive(center)
+        tau = frozenset(carrier)
+        if tau not in cx.cones:
+            tau = cx.minimal_cone_containing(center)
+        if center in cx.rays:
+            rid = cx.rays.index(center)
+            if tau != {rid}:
+                raise ValueError(f"center {center} is ray {rid}, which is in no cone")
+            continue
+        new_id = len(cx.rays)
+        cones = {c for c in cx.cones if not tau <= c}
+        for sigma in cx.maximal_cones:
+            if tau <= sigma:
+                cones.update(f | {new_id} for f in cx.faces(sigma) if not tau <= f)
+        cx = Complex(cx.ambient_rank, cx.rays + (center,), cones)
+    return cx
+
+
+def reference_check_simultaneous(cx, carriers):
+    """groups.check_simultaneous testing every pair of carriers against
+    every maximal cone."""
+    for i, a in enumerate(carriers):
+        for b in carriers[i + 1:]:
+            if any(a | b <= c for c in cx.maximal_cones):
+                raise ValueError("orbit not simultaneous-safe")
+
+
 def reference_evaluate(ord_fn, x):
     """(piece, value): the first maximal cone whose trial solve gives
     non-negative coefficients, and the value there."""

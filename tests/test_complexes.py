@@ -13,6 +13,7 @@ from equifan.complexes import (
     _extreme,
     _host_pieces,
     _intersect_cones,
+    _peeled_faces,
     cone_dual,
     is_simplicial,
     is_smooth,
@@ -98,6 +99,16 @@ class TestFaces:
                 continue
             for c in cx.maximal_cones:
                 assert cx.faces(c) == subset_faces_oracle(cx, c), name
+
+    def test_every_cone_matches_peeling(self):
+        # a simplicial cone's faces are read off its dimension, carried over
+        # in a starred complex, and any other cone is peeled
+        for name, cx in corpus():
+            for sub in (cx, barycentric_subdivision(cx)):
+                for c in sub.cones:
+                    order = sorted(c)
+                    peeled = _peeled_faces(sub.generators(order), sub.ambient_rank)
+                    assert sub.faces(c) == {frozenset(order[i] for i in f) for f in peeled}, name
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ from equifan.groups import (
     GroupAction,
     check_G_strict,
     check_fixed_cone_identity,
+    check_simultaneous,
     generate_group,
     group_action,
     quotient_structure,
@@ -37,6 +38,7 @@ from conftest import (
     point_orbit,
     quadrant_and_ray,
     random_action_pairs,
+    reference_check_simultaneous,
     simultaneous_star,
     singular_cone_2d,
 )
@@ -322,6 +324,33 @@ class TestSimultaneousStar:
     def test_shared_cone_rejected(self, orthant2):
         with pytest.raises(ValueError, match="orbit not simultaneous-safe"):
             simultaneous_star(orthant2, [(2, 1), (1, 2)])
+
+    def test_one_pass_matches_the_pairwise_reference(self):
+        # carrier lists drawn with repeats from the cones of the corpus and of
+        # their barycentric subdivisions, the zero cone among them
+        complexes = [cx for _, cx in corpus()]
+        complexes += [barycentric_subdivision(cx) for cx in complexes if len(cx.cones) < 20]
+        rng = random.Random(20)
+        outcomes = []
+        for _ in range(1200):
+            cx = rng.choice(complexes)
+            cones = sorted(cx.cones, key=sorted)
+            carriers = [rng.choice(cones) for _ in range(rng.randint(0, 6))]
+            if carriers and rng.random() < 0.2:
+                carriers.insert(rng.randrange(len(carriers) + 1), rng.choice(carriers))
+            if rng.random() < 0.1:
+                carriers.append(frozenset())
+            verdicts = []
+            for check in (check_simultaneous, reference_check_simultaneous):
+                try:
+                    check(cx, carriers)
+                    verdicts.append(None)
+                except ValueError as e:
+                    verdicts.append(str(e))
+            assert verdicts[0] == verdicts[1], (cx, carriers)
+            outcomes.append(verdicts[0])
+        assert outcomes.count(None) >= 200
+        assert outcomes.count("orbit not simultaneous-safe") >= 200
 
     def test_orbit_helper(self):
         g = generate_group([SWAP2])

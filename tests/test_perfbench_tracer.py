@@ -12,6 +12,7 @@ from pathlib import Path
 import equifan.cli  # noqa: F401  (loads every traced module)
 import equifan.fanio
 import equifan.resolve
+import equifan.subdivide
 from conftest import singular_cone_2d
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -41,6 +42,9 @@ def test_every_target_resolves_and_unwinds():
         cert = equifan.resolve.resolve_equivariant(cx, mode="plain")
         text = equifan.fanio.write_certificate(cert, fan)
         assert equifan.fanio.verify_certificate(equifan.fanio.parse_certificate(text), fan) == []
+        # resolve and verify star through the run loop `_stars`; the public
+        # star is the `equifan star` command's
+        equifan.subdivide.star_subdivide(cx, (1, 1))
     finally:
         tracer.uninstall()
     assert tracer.leftover_wrappers() == []

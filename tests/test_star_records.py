@@ -13,6 +13,7 @@ import gc
 import weakref
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +27,9 @@ from equifan.complexes import (
 from equifan.lattice import primitive
 from equifan.orderfun import _recorded_pieces, _wall_forms, _wall_relation
 from equifan.resolve import resolve_equivariant
-from equifan.subdivide import _stars, barycentric_subdivision, star_subdivide
+from equifan.subdivide import _barycentric_cascade, _stars, barycentric_subdivision, star_subdivide
 
-from conftest import corpus, interior_point, orthant
+from conftest import complete_2d_fan, corpus, interior_point, orthant, reference_stars
 from test_exact_parameters import CORPUS_RUNS
 
 
@@ -240,3 +241,104 @@ def test_random_star_chains_match_geometry(chain, data):
     for _, (_, c1, _, _, r2), _ in _wall_forms(sub, pieces):
         key = (sub.generators(c1), sub.rays[r2])
         assert _wall_relation(*key) == _wall_relation.__wrapped__(*key)
+
+
+# the corpus and the barycentric subdivisions of its smaller complexes,
+# whose many maximal cones leave room for runs of several stars
+BATCH_BASES = [cx for _, cx in CORPUS] + [barycentric_subdivision(cx) for _, cx in CORPUS if len(cx.cones) < 20]
+
+
+@st.composite
+def star_batches(draw):
+    """A batch base and one to three batches of one to six stars, each
+    given to `_stars` on the complex the batches before it built, as
+    (batch base, batch, result).  A center is a point inside a cone (so
+    two centers often share a maximal cone and an earlier star splits a
+    later carrier), a ray of a cone, or a center repeated from the batch;
+    its carrier is the one in the batch base or in an earlier complex,
+    which may no longer be a cone."""
+    chain = [draw(st.sampled_from(BATCH_BASES))]
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        cur = chain[-1]
+        cones = sorted((c for c in cur.cones if c), key=sorted)
+        batch = []
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(["point", "point", "point", "ray", "repeat"]))
+            if kind == "repeat" and batch:
+                batch.append(draw(st.sampled_from(batch)))
+                continue
+            c = draw(st.sampled_from(cones))
+            if kind == "ray":
+                center = cur.rays[min(c)]
+            else:
+                weights = draw(st.lists(st.integers(1, 3), min_size=len(c), max_size=len(c)))
+                center = primitive(interior_point(cur, c, weights))
+            where = draw(st.sampled_from(chain))
+            batch.append((center, tuple(sorted(where.minimal_cone_containing(center)))))
+        steps.append((cur, batch, _stars(cur, batch)))
+        chain.append(steps[-1][2])
+    return steps
+
+
+def assert_stars_match_reference(base, batch, out, earlier):
+    """out, `_stars(base, batch)`, equals the stars taken one at a time,
+    its carried caches equal a fresh complex's, and its records compose to
+    the geometric pieces over base and every earlier complex (nearest
+    first, as the folds ask)."""
+    assert out == reference_stars(base, batch)
+    fresh = Complex(out.ambient_rank, out.rays, out.cones)
+    assert out.maximal_cones == fresh.maximal_cones
+    assert out._dim_cache == {cone: fresh.dim(cone) for cone in out._dim_cache}
+    for prev in reversed(earlier + [base]):
+        assert _recorded_pieces(prev, out) == geometric_pieces(prev, out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(star_batches())
+def test_batched_stars_match_the_stars_one_at_a_time(steps):
+    for j, (base, batch, out) in enumerate(steps):
+        assert_stars_match_reference(base, batch, out, [b for b, _, _ in steps[:j]])
+
+
+@pytest.mark.parametrize("name, cx", CORPUS, ids=[name for name, _ in CORPUS])
+def test_the_barycentric_cascade_matches_the_stars_one_at_a_time(name, cx):
+    batch = [star for level in _barycentric_cascade(cx) for star in level]
+    assert_stars_match_reference(cx, batch, _stars(cx, batch), [])
+
+
+def count_constructions(cx, batch):
+    with mock.patch.object(Complex, "__init__", autospec=True, side_effect=Complex.__init__) as init:
+        out = _stars(cx, batch)
+    assert out == reference_stars(cx, batch)
+    return init.call_count
+
+
+def test_a_simultaneous_batch_constructs_one_complex(orthant3):
+    cx = barycentric_subdivision(orthant3)
+    inside = [(primitive(interior_point(cx, c)), tuple(sorted(c))) for c in cx.maximal_cones]
+    for k in range(1, len(inside) + 1):
+        assert count_constructions(cx, inside[:k]) == 1
+    # the second level of the cascade: each face of the orthant lies in one
+    # maximal cone of its star at (1, 1, 1)
+    cx = star_subdivide(orthant3, (1, 1, 1))
+    faces = [((1, 1, 0), (0, 1)), ((0, 1, 1), (1, 2)), ((1, 0, 1), (0, 2))]
+    assert count_constructions(cx, faces) == 1
+
+
+def test_a_batch_sharing_a_maximal_cone_constructs_twice(orthant2):
+    assert count_constructions(orthant2, [((1, 1), (0, 1)), ((1, 2), (0, 1))]) == 2
+    # the second center is the first one's ray: the run closes, and the
+    # ray leaves the complex unchanged
+    assert count_constructions(orthant2, [((1, 1), (0, 1)), ((1, 1), (0, 1))]) == 1
+
+
+def test_a_repeated_center_is_a_ray_whatever_its_carrier():
+    # a recorded carrier is taken unchecked: here the repeated center's
+    # second one, the opposite quadrant, shares no maximal cone with the
+    # first, but once the first star is taken the center is a ray
+    cx = complete_2d_fan()
+    batch = [((1, 1), (0, 1)), ((1, 1), (2, 3))]
+    for stars in (_stars, reference_stars):
+        with pytest.raises(ValueError, match=r"^center \(1, 1\) is ray 4, which is in no cone$"):
+            stars(cx, batch)

@@ -26,7 +26,7 @@ from equifan.fanio import (
     write_certificate,
 )
 from equifan.groups import generate_group
-from equifan.orderfun import centered_order_function
+from equifan.orderfun import centered_order_function, search_centered_order_function
 from equifan.resolve import FLAG_NAMES, Replay, resolve_equivariant
 
 from conftest import SWAP2, orthant, singular_cone_2d, square_cone
@@ -161,3 +161,24 @@ def test_final_verification_failed():
         trace=(("input", 2, 2),),
     )
     assert verify_certificate(bad, fan) == ["final verification failed: smooth"]
+
+
+def test_a_step_with_two_centers_in_one_maximal_cone():
+    # the second center lies in the maximal cone the first one stars, so
+    # the stars of the step are built one after the other
+    cx = singular_cone_2d(5)
+    data, fan = certificate(cx)
+    (step,) = data.stages[0].steps
+    assert step.centers == (((1, 4), (0, 1)),)
+    centers = step.centers + (((1, 2), (0, 1)),)
+    assert verify_certificate(with_step(data, 1, 1, centers=centers), fan) == ["stage 1: output hash mismatch"]
+    # recorded as a resolve would, the stage passes, and the next stage
+    # does not start on its output
+    ord_k, scale, dip = search_centered_order_function(cx, centers)
+    record, _ = Replay(cx).stage("centered", [BatchStep(centers, scale, dip, 1)], [ord_k])
+    fields = {f: getattr(record, f) for f in ("steps", "values", "new_rays", "output_hash")}
+    assert verify_certificate(with_stage(data, 1, **fields), fan) == ["stage 2: input hash mismatch"]
+    # a repeated center is a ray when its second star comes
+    data, fan = certificate(singular_cone_2d(3))
+    (step,) = data.stages[0].steps
+    assert verify_certificate(with_step(data, 1, 1, centers=step.centers * 2), fan) == []
