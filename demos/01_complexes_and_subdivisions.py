@@ -9,11 +9,9 @@ from equifan import (
     Complex,
     barycentric_edge_bijection,
     barycentric_subdivision,
-    barycentric_subdivision_inductive,
     is_simplicial,
     is_smooth,
     is_subdivision,
-    same_complex,
     star_subdivide,
     validate_complex,
 )
@@ -33,10 +31,6 @@ print("is a subdivision of the fan:", bool(is_subdivision(st, p2)))
 b = barycentric_subdivision(p2)
 print("\nbarycentric subdivision:", b)
 print("maximal cones:", len(b.maximal_cones), " (expected 6)")
-
-# The bottom-up construction gives the identical complex.
-b2 = barycentric_subdivision_inductive(p2)
-print("both constructions agree:", same_complex(b, b2))
 
 # Each new ray is the barycenter of exactly one positive-dimensional cone.
 bij = barycentric_edge_bijection(p2, b)

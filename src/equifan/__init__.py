@@ -53,7 +53,6 @@ from .subdivide import (
     barycenter,
     barycentric_edge_bijection,
     barycentric_subdivision,
-    barycentric_subdivision_inductive,
     star_subdivide,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "barycenter",
     "barycentric_edge_bijection",
     "barycentric_subdivision",
-    "barycentric_subdivision_inductive",
     "check_G_strict",
     "check_fixed_cone_identity",
     "compose_order_functions",

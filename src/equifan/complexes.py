@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .lattice import CACHE_SIZE, Vec, _dot, _dual_basis, integer_vector, primitive, rank, rational_nullspace
+from .lattice import CACHE_SIZE, Vec, _dot, _dual_basis, cone_index, integer_vector, primitive, rank, rational_nullspace
 
 ConeIds = frozenset
 
@@ -136,12 +136,6 @@ class Complex:
         _check_ids(self.ambient_rank, self.rays, self.cones)
         self._dim_cache: dict[ConeIds, int] = {}
         self._maximal: tuple[ConeIds, ...] | None = None
-        # (a complex this one subdivides, {each of its maximal cones that is
-        # not a maximal cone here: its pieces}), set by subdivide.star_subdivide
-        # and composed by orderfun._recorded_pieces
-        self._subdivides: tuple | None = None
-        # composed pieces maps by base complex, see orderfun._recorded_pieces
-        self._pieces: dict = {}
 
     # -- construction -------------------------------------------------
 
@@ -590,13 +584,13 @@ def _subdivision_report(fine: Complex, coarse: Complex, pieces) -> SubdivisionRe
     """Whether `fine` subdivides `coarse`, given which pieces fill which host.
 
     `pieces` lists (maximal cone of coarse, its pieces) for every maximal
-    cone of coarse in order, as `_host_pieces` finds them or the star
-    records give them, and together the pieces must be the maximal cones
-    of fine, each once; so a stray maximal cone of fine of lower dimension
-    than its host is rejected.  An untouched host, its own only piece with
-    the same generators, needs no test; every other host must hold its
-    pieces, of its dimension, and be tiled by them (`_tiling_witnesses`).
-    So given recorded pieces the geometry costs only the touched hosts.
+    cone of coarse in order, as `_host_pieces` or the stars give them, and
+    together the pieces must be the maximal cones of fine, each once; so a
+    stray maximal cone of fine of lower dimension than its host is
+    rejected.  An untouched host, its own only piece with the same
+    generators, needs no test; every other host must hold its pieces, of
+    its dimension, and be tiled by them (`_tiling_witnesses`).  So given
+    the stars' pieces the geometry costs only the touched hosts.
 
     Sound on a valid coarse complex: pieces in different hosts meet only
     inside common faces of those hosts, so a piece lies in no host of its
@@ -632,8 +626,6 @@ def is_simplicial(cx: Complex) -> bool:
 
 def is_smooth(cx: Complex) -> bool:
     """Simplicial and every maximal cone has lattice index 1."""
-    from .lattice import cone_index
-
     if not is_simplicial(cx):
         return False
     return all(cone_index(cx.generators(c)) == 1 for c in cx.maximal_cones if c)

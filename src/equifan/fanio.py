@@ -507,15 +507,18 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         if stage.kind == "barycentric-direct":
             if len(stage.steps) != 1 or stage.steps[0].centers:
                 return [f"stage {k}: a direct barycentric stage has one step and no centers"]
-            bcx, sources = _barycentric(replay.cur)
-            ord_stage, scale, dip = direct_barycentric_order_function(replay.cur, bcx, sources)
+            ord_stage, scale, dip = direct_barycentric_order_function(replay.cur, *_barycentric(replay.cur))
             step_ords.append(ord_stage)
             if (scale, dip) != (stage.steps[0].scale, stage.steps[0].dip):
                 violations.append(f"stage {k}: direct construction scale/dip mismatch")
         else:
             batch_base = replay.cur
             for step in stage.steps:
+                listed = set()
                 for center, host in step.centers:
+                    if center in listed:
+                        return [f"stage {k}: center {center} is listed twice"]
+                    listed.add(center)
                     try:
                         if primitive(center) != tuple(center):
                             return [f"stage {k}: center {center} is not primitive"]
@@ -553,7 +556,7 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
         if stage.kind == "barycentric-direct":
             # the direct solve verified its function strict and positive on
             # the wall table of its pieces, which leaves the pieces to check
-            _checked_pieces(ord_stage.base, ord_stage.subdivision)
+            _checked_pieces(ord_stage)
             rep = AxiomReport()
         else:
             rep = verify_order_axioms(ord_stage)

@@ -33,16 +33,16 @@ predicate (`_strict_failure`).  The multiplier of a fold is read off the
 same bend forms, affine in x.  Every check builds its wall table once;
 a centered subdivision's hosts are checked (`_host_coordinates`).
 
-Walls are found among the pieces of each base cone, which a subdivision
-built by stars reads off the stars' records (`_recorded_pieces`) instead
-of testing every ray against every cone.
+Walls are found among the pieces of each base cone: the map a function
+is built with (`_pieces`), which the stars return and a fold composes
+(`subdivide._compose`); only a function made by hand has them found
+geometrically.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +50,6 @@ from itertools import chain
 
 from .complexes import (
     Complex,
-    _cone_order,
     _extreme,
     _host_pieces,
     _subdivision_report,
@@ -63,13 +62,15 @@ from .lattice import (
     primitive,
     solve_in_basis,
 )
-from .subdivide import _stars
+from .subdivide import _compose, _stars
 
 COMPOSITION_CAP = 2**20
 
 
 class OrderFunction:
     """Integer ray values on a simplicial subdivision of a base complex."""
+
+    _pieces = None  # its pieces by base cone when built here (`_pieces_by_base_cone`)
 
     def __init__(self, base: Complex, subdivision: Complex, ray_values):
         if not is_simplicial(subdivision):
@@ -138,58 +139,18 @@ class AxiomReport:
         return self.ok
 
 
-def _pieces_by_base_cone(base: Complex, sub: Complex):
-    """Maximal cones of the subdivision grouped by their base host cone:
-    (sigma, its pieces in `sub.maximal_cones` order) for every maximal
-    cone sigma of the base, in order.  Read off the star records when sub
-    was starred from base, found geometrically (`_host_pieces`) otherwise."""
-    pieces = _recorded_pieces(base, sub)
-    return _host_pieces(sub, base) if pieces is None else pieces
+def _pieces_by_base_cone(ord_fn: OrderFunction):
+    """Maximal cones of the function's subdivision grouped by their base
+    host cone: (sigma, its pieces in `subdivision.maximal_cones` order)
+    for every maximal cone sigma of the base, in order: the map it was
+    built with, or for a function made by hand `_host_pieces`."""
+    return _host_pieces(ord_fn.subdivision, ord_fn.base) if ord_fn._pieces is None else ord_fn._pieces
 
 
-def _remembered(base: Complex, sub: Complex):
-    entry = sub._pieces.get(id(base))
-    return entry[1] if entry is not None and entry[0]() is base else None
-
-
-def _recorded_pieces(base: Complex, sub: Complex):
-    """The pieces map of sub over base composed from subdivision records,
-    or None when sub was not starred from base.
-
-    Walks sub's records (`Complex._subdivides`) back to base, or to a
-    complex whose map over base is known, and follows each cone there
-    through the pieces every record made of it.  The map is memoised on
-    sub, and sub's record becomes one over base with the composed pieces,
-    which frees the complexes in between.
-    """
-    pieces = _remembered(base, sub)
-    path, node = [], sub
-    while pieces is None and node is not base:
-        if node._subdivides is None:
-            return None
-        path.append(node)
-        node = node._subdivides[0]
-        pieces = _remembered(base, node)
-    if pieces is None:
-        pieces = [(sigma, [sigma]) for sigma in base.maximal_cones]
-    if not path:
-        return pieces
-    made: dict = {}  # cone of `node` -> its pieces so far
-    owner: dict = {}  # piece -> the cone of `node` it lies in
-    for step in reversed(path):
-        for p, ps in step._subdivides[1].items():
-            q = owner.pop(p, p)
-            made.setdefault(q, {q}).discard(p)
-            made[q].update(ps)
-            owner.update(dict.fromkeys(ps, q))
-    pieces = [
-        (sigma, sorted(chain.from_iterable(made.get(q, (q,)) for q in qs), key=_cone_order)
-         if any(q in made for q in qs) else qs)
-        for sigma, qs in pieces
-    ]
-    sub._subdivides = (base, {sigma: ps for sigma, ps in pieces if ps != [sigma]})
-    sub._pieces[id(base)] = (weakref.ref(base), pieces)  # weakly: a map must not keep its base alive
-    return pieces
+def _carrying(ord_fn: OrderFunction, pieces) -> OrderFunction:
+    """The function, built with the given pieces map over its base."""
+    ord_fn._pieces = pieces
+    return ord_fn
 
 
 def _bend_form(sub: Complex, wall) -> dict:
@@ -248,12 +209,12 @@ def _apply(form: dict, values):
     return sum(a * values[i] for i, a in form.items())
 
 
-def _checked_pieces(base: Complex, sub: Complex):
-    """The pieces of sub by base cone, once `_subdivision_report` shows
-    that sub subdivides base; ValueError otherwise.  Starred from the
-    base, sub is tested on its touched hosts only."""
-    pieces = _pieces_by_base_cone(base, sub)
-    report = _subdivision_report(sub, base, pieces)
+def _checked_pieces(ord_fn: OrderFunction):
+    """The function's pieces by base cone, once `_subdivision_report`
+    shows that its subdivision subdivides its base; ValueError otherwise.
+    With the map it was built with, only the touched hosts are tested."""
+    pieces = _pieces_by_base_cone(ord_fn)
+    report = _subdivision_report(ord_fn.subdivision, ord_fn.base, pieces)
     if not report:
         raise ValueError(f"subdivision invariant violated: {report}")
     return pieces
@@ -262,7 +223,7 @@ def _checked_pieces(base: Complex, sub: Complex):
 def _checked_walls(ord_fn: OrderFunction):
     """The wall table of the function's subdivision over its base, whose
     pieces are checked first (`_checked_pieces`)."""
-    return _wall_forms(ord_fn.subdivision, _checked_pieces(ord_fn.base, ord_fn.subdivision))
+    return _wall_forms(ord_fn.subdivision, _checked_pieces(ord_fn))
 
 
 def verify_order_axioms(ord_fn: OrderFunction) -> AxiomReport:
@@ -415,9 +376,10 @@ def _lex_first(rows, bounds, xs):
     return None
 
 
-def _solve(base: Complex, sub: Complex, forms, bounds, x_cap, failure: str, chose):
+def _solve(base: Complex, sub: Complex, pieces, forms, bounds, x_cap, failure: str, chose):
     """(f, x, y) for the first (x, y) whose values x * a_i + y * b_i on the
-    forms make a strict order function f on sub over base.
+    forms make a strict order function f on sub over base, whose pieces
+    by base cone are given.
 
     `_lex_first` reads the pair off `_affine_conditions` and the extra
     bounds, x running up to x_cap (None: the lcm of the rows' moduli);
@@ -425,14 +387,14 @@ def _solve(base: Complex, sub: Complex, forms, bounds, x_cap, failure: str, chos
     ValueError(failure) when no pair is admitted; RuntimeError naming
     chose(x, y) when it fails.
     """
-    walls = _wall_forms(sub, _pieces_by_base_cone(base, sub))
+    walls = _wall_forms(sub, pieces)
     rows, bends = _affine_conditions(sub, forms, walls)
     if x_cap is None:
         x_cap = math.lcm(*[d for _, _, d in rows])
     found = _lex_first(rows, bends + bounds, range(1, x_cap + 1))
     if found is None:
         raise ValueError(failure)
-    winner = OrderFunction(base, sub, _place(forms, *found))
+    winner = _carrying(OrderFunction(base, sub, _place(forms, *found)), pieces)
     rep = _strict_failure(winner, walls)
     if rep is not None:
         raise RuntimeError(f"{chose(*found)}, which fails verification: " + "; ".join(rep.violations))
@@ -451,7 +413,8 @@ def _host_coordinates(cx: Complex, center, host):
 
 
 def _centered_forms(cx: Complex, centers_with_hosts):
-    """(subdivision, value forms, L, L * q of each center).
+    """(subdivision, its pieces over cx, value forms, L, L * q of each
+    center).
 
     q is a center's coordinate sum in its minimal host, L the common
     denominator of every q.  At x = scale / L and y = dip an old ray's
@@ -465,7 +428,7 @@ def _centered_forms(cx: Complex, centers_with_hosts):
         if coords is None:
             raise ValueError(f"host {list(host)} is not the carrier of center {tuple(center)}")
         sums.append(sum(coords))
-    sub = _stars(cx, centers_with_hosts)
+    sub, pieces = _stars(cx, centers_with_hosts)
     L = math.lcm(*[q.denominator for q in sums])
     lq = [int(L * q) for q in sums]
     forms = [(L, 0)] * len(sub.rays)
@@ -473,7 +436,7 @@ def _centered_forms(cx: Complex, centers_with_hosts):
         rid = sub.rays.index(center)
         if rid >= len(cx.rays):
             forms[rid] = (a, -1)
-    return sub, forms, L, lq
+    return sub, pieces, forms, L, lq
 
 
 def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: int):
@@ -484,13 +447,13 @@ def centered_order_function(cx: Complex, centers_with_hosts, scale: int, dip: in
     when some value fails to be a positive integer: L does not divide
     the scale, or a new ray's value is not positive.
     """
-    sub, forms, L, _ = _centered_forms(cx, centers_with_hosts)
+    sub, pieces, forms, L, _ = _centered_forms(cx, centers_with_hosts)
     if scale % L:
         return None
     values = _place(forms, scale // L, dip)
     if any(v <= 0 for v, (_, b) in zip(values, forms) if b):
         return None
-    return OrderFunction(cx, sub, values)
+    return _carrying(OrderFunction(cx, sub, values), pieces)
 
 
 def search_centered_order_function(cx: Complex, centers_with_hosts):
@@ -503,10 +466,10 @@ def search_centered_order_function(cx: Complex, centers_with_hosts):
     as the bounds dip >= 1 and dip < scale * min q (no upper bound for
     an empty batch, which is solved like any other).
     """
-    sub, forms, L, lq = _centered_forms(cx, centers_with_hosts)
+    sub, pieces, forms, L, lq = _centered_forms(cx, centers_with_hosts)
     bounds = [(0, 1)] + ([(min(lq), -1)] if lq else [])
     winner, x, dip = _solve(
-        cx, sub, forms, bounds, COMPOSITION_CAP // L,
+        cx, sub, pieces, forms, bounds, COMPOSITION_CAP // L,
         f"scale insufficient: no strict (scale, dip) with scale <= composition_cap={COMPOSITION_CAP}",
         lambda x, y: f"centered solve chose (scale={L * x}, dip={y})",
     )
@@ -533,8 +496,7 @@ def star_order_function(cx: Complex, center, scale: int) -> OrderFunction:
     ord_fn = centered_order_function(cx, [(center, host)], scale, 1)
     if ord_fn is None:
         raise ValueError("scale insufficient")
-    sub = ord_fn.subdivision
-    rep = _strict_failure(ord_fn, _wall_forms(sub, _pieces_by_base_cone(cx, sub)))
+    rep = _strict_failure(ord_fn, _wall_forms(ord_fn.subdivision, _pieces_by_base_cone(ord_fn)))
     if rep is not None:
         raise ValueError("scale insufficient: " + "; ".join(rep.violations))
     return ord_fn
@@ -561,24 +523,27 @@ def compose_with_multiplier(outer: OrderFunction, inner: OrderFunction):
 def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
     """The order function m * outer + inner on inner's subdivision, and m.
 
-    Inner lives on outer's subdivision.  Outer's value at a ray of its own
-    subdivision is the stored value; at each other ray of inner's it is
-    solved once in the maximal cone of outer's subdivision whose pieces
-    hold the ray.  The fold's values are integers exactly when m is a
-    multiple of d, the common denominator of outer at inner's rays; for
-    any other given m the function is None.  Without m, outer and inner
-    must be verified integral, positive and strictly convex; then the fold
-    is integral and positive for every such m, and its bend across each
-    wall is m * B_outer + B_inner, the wall's bend form at outer's and at
-    inner's values.  m is the first of d, 2d, 4d, ... that makes every
-    bend positive, so nothing is verified again.
+    Inner lives on outer's subdivision, and the fold's pieces over outer's
+    base are outer's composed with inner's (`_compose`).  Outer's value at
+    a ray of its own subdivision is the stored value; at each other ray of
+    inner's it is solved once in the maximal cone of outer's subdivision
+    whose pieces hold the ray.  The fold's values are integers exactly
+    when m is a multiple of d, the common denominator of outer at inner's
+    rays; for any other given m the function is None.  Without m, outer
+    and inner must be verified integral, positive and strictly convex;
+    then the fold is integral and positive for every such m, and its bend
+    across each wall is m * B_outer + B_inner, the wall's bend form at
+    outer's and at inner's values.  m is the first of d, 2d, 4d, ... that
+    makes every bend positive, so nothing is verified again.
     """
     mid, sub = outer.subdivision, inner.subdivision
     stored = dict(zip(mid.rays, outer.ray_values))
     host = {}  # each other ray of sub -> a maximal cone of mid holding it
-    for sigma, pieces in _pieces_by_base_cone(inner.base, sub):
-        if pieces != [sigma]:
-            for r in chain.from_iterable(pieces):
+    inner_pieces = _pieces_by_base_cone(inner)
+    pieces = _compose(_pieces_by_base_cone(outer), inner_pieces)
+    for sigma, ps in inner_pieces:
+        if ps != [sigma]:
+            for r in chain.from_iterable(ps):
                 if sub.rays[r] not in stored:
                     host.setdefault(r, sigma)
     evals = []
@@ -594,12 +559,12 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
     forms = [(int(d * e), v) for e, v in zip(evals, inner.ray_values)]
 
     def at(t):  # the fold with m = t * d
-        return OrderFunction(outer.base, sub, _place(forms, t, 1))
+        return _carrying(OrderFunction(outer.base, sub, _place(forms, t, 1)), pieces)
 
     if m is not None:
         return (at(m // d) if m % d == 0 else None), m
     # each wall's (d * B_outer, B_inner), both times its positive denominator
-    bends = [_pair(form, forms) for _, _, form in _wall_forms(sub, _pieces_by_base_cone(outer.base, sub))]
+    bends = [_pair(form, forms) for _, _, form in _wall_forms(sub, pieces)]
     t = 1
     while t * d <= COMPOSITION_CAP:
         if all(t * b_outer + b_inner > 0 for b_outer, b_inner in bends):

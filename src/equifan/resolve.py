@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .complexes import Complex, is_simplicial, is_subdivision, require_valid
+from .complexes import Complex, is_simplicial, is_smooth, is_subdivision, require_valid
 from .fanio import BatchStep, StageRecord, complex_hash
 from .groups import (
     _strictness,
@@ -43,6 +43,7 @@ from .lattice import (
 from .orderfun import (
     OrderFunction,
     _axiom_report,
+    _carrying,
     _pieces_by_base_cone,
     _solve,
     _wall_forms,
@@ -212,10 +213,10 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
 
     The composite must live on final over input_cx.  Each fact is decided
     once: the subdivision of the input (which the composite's axiom check
-    needs too), simpliciality (smoothness reads it), the action
-    (strictness reads its orbits) and the axioms, from one wall table.
-    The composite's pieces by input cone are the ones the geometric
-    is_subdivision found, never a construction record.
+    needs too), the action (strictness reads its orbits) and the axioms,
+    from one wall table; a smooth complex (`is_smooth`) is simplicial.
+    The composite's pieces by input cone are the geometric ones of
+    is_subdivision, never the map it was built with.
 
     With the pieces final's maximal cones, each once, the linearity
     domains are final exactly when the axioms hold and every bend is
@@ -226,9 +227,8 @@ def certificate_flags(input_cx, elements, final, composite) -> dict:
     """
     flags = {}
     action = verify_action(final, elements)
-    simplicial = is_simplicial(final)
-    flags["smooth"] = simplicial and all(cone_index(final.generators(c)) == 1 for c in final.maximal_cones if c)
-    flags["simplicial"] = simplicial
+    flags["smooth"] = is_smooth(final)
+    flags["simplicial"] = flags["smooth"] or is_simplicial(final)
     sub_rep = is_subdivision(final, input_cx)
     flags["subdivision_of_input"] = bool(sub_rep)
     flags["equivariant"] = flags["subdivision_of_input"] and action.ok
@@ -327,9 +327,9 @@ def _consistent_base_values(cx: Complex):
     return tuple(int(v * scale) for v in y)
 
 
-def direct_barycentric_order_function(cx: Complex, bcx: Complex, sources):
-    """Order function for B(cx) built directly from dimension-graded dips;
-    `sources` gives the source cone of each ray of bcx (`_barycentric_sources`).
+def direct_barycentric_order_function(cx: Complex, bcx: Complex, pieces, sources):
+    """Order function for B(cx) built directly from dimension-graded dips,
+    given bcx = B(cx), its pieces over cx and its rays' sources (`_barycentric`).
 
     Used when the input has non-simplicial cones, where the cascade of
     centered order functions is not representable.  Values take the form
@@ -359,7 +359,7 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex, sources):
     # and positive when forms[r], as a bound, holds
     forms = [(1 - 2 ** cx.dim(h), int(denom * v)) for v, h in zip(base_val, sources)]
     winner, a, k = _solve(
-        cx, bcx, forms, forms, None,
+        cx, bcx, pieces, forms, forms, None,
         "scale insufficient: a wall of the barycentric subdivision does not bend",
         lambda a, k: f"direct barycentric solve chose (L={denom * k}, a={a})",
     )
@@ -377,6 +377,11 @@ def _trace_row(label: str, cx: Complex):
         return (label, *_index_measure(cx))
     except ValueError:  # not simplicial
         return (label, None, None)
+
+
+def _unit(cx: Complex) -> OrderFunction:
+    """The constant 1 on cx, as its own subdivision."""
+    return _carrying(OrderFunction(cx, cx, [1] * len(cx.rays)), [(s, [s]) for s in cx.maximal_cones])
 
 
 class Replay:
@@ -418,7 +423,7 @@ class Replay:
                     raise ValueError("step composition is not integral")
             recorded.append(replace(step, multiplier=mult))
         if stage_ord is None:
-            stage_ord = OrderFunction(base, base, [1] * len(base.rays))
+            stage_ord = _unit(base)
         sub = stage_ord.subdivision
         if not self.stages:
             composite, multiplier = stage_ord, 1
@@ -446,9 +451,7 @@ class Replay:
 
     def final_composite(self) -> OrderFunction:
         """The composite, or the constant 1 on the input when no stage ran."""
-        if self.stages:
-            return self.composite
-        return OrderFunction(self.cur, self.cur, [1] * len(self.cur.rays))
+        return self.composite if self.stages else _unit(self.cur)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +515,8 @@ def resolve_equivariant(
             replay.stage("barycentric", steps, ords)
             sources = _barycentric_sources(cx, replay.cur, cascade)
         else:
-            bcx, sources = _barycentric(cx)
-            ord_b, scale, dip = direct_barycentric_order_function(cx, bcx, sources)
+            bcx, pieces, sources = _barycentric(cx)
+            ord_b, scale, dip = direct_barycentric_order_function(cx, bcx, pieces, sources)
             replay.stage("barycentric-direct", [BatchStep((), scale, dip, 1)], [ord_b])
         frames = initial_frames_barycentric(cx, replay.cur, sources)
 
@@ -531,7 +534,7 @@ def resolve_equivariant(
         check_simultaneous(cur, list(carrier_of.values()))
         ord_k, scale, dip = search_centered_order_function(cur, centers_with_hosts)
         nxt = ord_k.subdivision
-        pieces = _pieces_by_base_cone(cur, nxt)
+        pieces = _pieces_by_base_cone(ord_k)
         frames = _inherit_frames(frames, pieces)
         if not trivial and not frames_equivariant(frames, group_action(nxt, generators)):
             raise RuntimeError("frame equivariance: the group does not carry frames onto frames")

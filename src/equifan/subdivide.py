@@ -5,11 +5,12 @@ simultaneous stars: consecutive stars whose stars, the maximal cones
 containing their carriers, are disjoint are built at once, as the
 simultaneous star of KKMS (*Toroidal Embeddings I*, LNM 339).
 
-Both of the classical barycentric constructions are implemented: the
-top-down cascade of centered subdivisions (by decreasing dimension of
-the original cones) and the bottom-up inductive construction over the
-face lattice.  They must produce the same complex; tests exploit that
-as a cross-check.
+The loop returns, with the subdivision, its pieces over the complex it
+started from (`_compose` composes the runs' maps); the map travels with
+the order function built on it, and no complex records it.
+
+The barycentric subdivision is the top-down cascade of centered
+subdivisions, by decreasing dimension of the original cones.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ def star_subdivide(cx: Complex, center) -> Complex:
     Past locating, the star is face lattice algebra, valid on a valid
     complex: a cone contains the center exactly when it contains tau.
     """
-    return _stars(cx, [(center, None)])
+    return _stars(cx, [(center, None)])[0]
 
 
-def _stars(cx: Complex, centers_with_carriers) -> Complex:
-    """cx starred at each (center, carrier) in turn, with one construction
-    per run of simultaneous stars (`_simultaneous_stars`).
+def _stars(cx: Complex, centers_with_carriers):
+    """(cx starred at each (center, carrier) in turn, its pieces over cx),
+    with one construction per run of simultaneous stars
+    (`_simultaneous_stars`), whose maps are composed (`_compose`).
 
     A carrier (ray ids) is the center's carrier in a complex that the
     current one subdivides, as the barycentric cascade and a batch of
@@ -71,6 +73,7 @@ def _stars(cx: Complex, centers_with_carriers) -> Complex:
     is still a cone, with the same star, after the other's star.
     """
     base, run, taken = cx, {}, set()  # run: center -> (tau, its star)
+    pieces = [(sigma, [sigma]) for sigma in cx.maximal_cones]
     for center, carrier in centers_with_carriers:
         c = integer_vector(center)
         center = primitive(c)
@@ -83,7 +86,8 @@ def _stars(cx: Complex, centers_with_carriers) -> Complex:
             if not taken.isdisjoint(star):
                 star = None
         if star is None:
-            base, run, taken = _simultaneous_stars(base, run), {}, set()
+            base, made = _simultaneous_stars(base, run)
+            pieces, run, taken = _compose(pieces, made), {}, set()
             if tau not in base.cones:
                 tau = base.minimal_cone_containing(center)  # raises outside the support
             if center in base.rays:
@@ -94,16 +98,29 @@ def _stars(cx: Complex, centers_with_carriers) -> Complex:
             star = [sigma for sigma in base.maximal_cones if tau <= sigma]
         run[center] = tau, star
         taken.update(star)
-    return _simultaneous_stars(base, run)
+    sub, made = _simultaneous_stars(base, run)
+    return sub, _compose(pieces, made)
 
 
-def _simultaneous_stars(cx: Complex, run) -> Complex:
-    """cx starred at every center of a run ({center: (tau, its star)},
-    the stars pairwise disjoint, see `_stars`), as one construction; cx
-    itself for an empty run.  The centers get new ray ids in order.
+def _compose(outer, inner):
+    """The pieces map of a subdivision of a subdivision (the format of
+    `_host_pieces`): each sigma of outer gets the pieces inner gives its
+    pieces q, sorted as the fine complex sorts its maximal cones."""
+    made = {q: ps for q, ps in inner if ps != [q]}
+    return [
+        (sigma, sorted(chain.from_iterable(made.get(q, (q,)) for q in qs), key=_cone_order)
+         if any(q in made for q in qs) else qs)
+        for sigma, qs in outer
+    ]
 
-    The construction records what the run did (`Complex._subdivides`):
-    each touched maximal cone sigma, one containing its center's tau,
+
+def _simultaneous_stars(cx: Complex, run):
+    """(cx starred at every center of a run ({center: (tau, its star)},
+    the stars pairwise disjoint, see `_stars`), as one construction, its
+    pieces over cx); cx itself for an empty run.  The centers get new ray
+    ids in order.
+
+    Each touched maximal cone sigma, one containing its center's tau,
     becomes the pieces f + center for the facets f of sigma not containing
     tau, and these with the untouched maximal cones are the new maximal
     cones.  Dimensions of the cones kept carry over.  A new cone f +
@@ -112,7 +129,7 @@ def _simultaneous_stars(cx: Complex, run) -> Complex:
     its size as dimension, so no face of one is ranked.
     """
     if not run:
-        return cx
+        return cx, [(sigma, [sigma]) for sigma in cx.maximal_cones]
     removed, added, pieces, join_dims = set(), set(), {}, {}
     for new_id, (tau, star) in enumerate(run.values(), start=len(cx.rays)):
         for sigma in star:
@@ -131,8 +148,7 @@ def _simultaneous_stars(cx: Complex, run) -> Complex:
     ))
     out._dim_cache = {f: d for f, d in cx._dim_cache.items() if f not in removed}
     out._dim_cache.update(join_dims)
-    out._subdivides = (cx, pieces)
-    return out
+    return out, [(sigma, pieces.get(sigma, [sigma])) for sigma in cx.maximal_cones]
 
 
 def barycentric_subdivision(cx: Complex) -> Complex:
@@ -143,7 +159,7 @@ def barycentric_subdivision(cx: Complex) -> Complex:
     (ascending sorted ray ids of the host cone) for determinism, though
     it does not affect the result.
     """
-    return _stars(cx, chain.from_iterable(_barycentric_cascade(cx)))
+    return _stars(cx, chain.from_iterable(_barycentric_cascade(cx)))[0]
 
 
 def _barycentric_cascade(cx: Complex):
@@ -179,53 +195,11 @@ def _barycentric_sources(cx: Complex, bcx: Complex, cascade) -> list:
 
 
 def _barycentric(cx: Complex):
-    """(B(cx), the source of each of its rays), from one cascade."""
+    """(B(cx), its pieces over cx, the source of each of its rays), from
+    one cascade."""
     cascade = _barycentric_cascade(cx)
-    bcx = _stars(cx, chain.from_iterable(cascade))
-    return bcx, _barycentric_sources(cx, bcx, cascade)
-
-
-def barycentric_subdivision_inductive(cx: Complex) -> Complex:
-    """Barycentric subdivision built bottom-up over the face lattice.
-
-    The subdivision of a cone is the subdivision of its boundary plus
-    the joins of the boundary pieces with the cone's own barycenter.
-    Serves as an independent oracle for the cascade construction.
-    """
-    memo: dict[frozenset, frozenset] = {}
-
-    def bary_cones(cone) -> frozenset:
-        cone = frozenset(cone)
-        if cone in memo:
-            return memo[cone]
-        if cx.dim(cone) == 0:
-            out = frozenset({frozenset()})
-        else:
-            boundary = frozenset()
-            for f in cx.faces(cone):
-                if f != cone:
-                    boundary |= bary_cones(f)
-            b = barycenter(cx.generators(cone))
-            out = boundary | frozenset(s | {b} for s in boundary)
-        memo[cone] = out
-        return out
-
-    all_cones: set[frozenset] = set()
-    for c in sorted(cx.cones, key=lambda c: (cx.dim(c), sorted(c))):
-        all_cones |= bary_cones(c)
-
-    # cone members are generator vectors here; keep original ray ids and
-    # append new barycenters in order of first appearance (dim ascending)
-    rays = list(cx.rays)
-    index = {r: i for i, r in enumerate(rays)}
-    for c in sorted(cx.cones, key=lambda c: (cx.dim(c), sorted(c))):
-        if cx.dim(c) >= 1:
-            b = barycenter(cx.generators(c))
-            if b not in index:
-                index[b] = len(rays)
-                rays.append(b)
-    id_cones = {frozenset(index[v] for v in s) for s in all_cones}
-    return Complex(cx.ambient_rank, tuple(rays), id_cones)
+    bcx, pieces = _stars(cx, chain.from_iterable(cascade))
+    return bcx, pieces, _barycentric_sources(cx, bcx, cascade)
 
 
 def barycentric_edge_bijection(cx: Complex, bcx: Complex) -> dict:
@@ -236,7 +210,7 @@ def barycentric_edge_bijection(cx: Complex, bcx: Complex) -> dict:
     by generator; this is a bijection onto the positive-dimensional cones
     of cx, with inverse given by taking barycenters.
     """
-    b, sources = _barycentric(cx)
+    b, _, sources = _barycentric(cx)
     if not same_complex(bcx, b):
         raise ValueError("not the barycentric subdivision of the base complex")
     source = dict(zip(b.rays, sources))

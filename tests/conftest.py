@@ -612,6 +612,49 @@ def reference_stars(cx, centers_with_carriers):
     return cx
 
 
+def reference_barycentric_subdivision(cx):
+    """barycentric_subdivision built bottom-up over the face lattice, the
+    other classical construction: the subdivision of a cone is the
+    subdivision of its boundary plus the joins of the boundary pieces with
+    the cone's own barycenter.  It numbers the new rays in another order."""
+    from equifan.subdivide import barycenter
+
+    memo = {}
+
+    def bary_cones(cone) -> frozenset:
+        cone = frozenset(cone)
+        if cone in memo:
+            return memo[cone]
+        if cx.dim(cone) == 0:
+            out = frozenset({frozenset()})
+        else:
+            boundary = frozenset()
+            for f in cx.faces(cone):
+                if f != cone:
+                    boundary |= bary_cones(f)
+            b = barycenter(cx.generators(cone))
+            out = boundary | frozenset(s | {b} for s in boundary)
+        memo[cone] = out
+        return out
+
+    all_cones = set()
+    for c in sorted(cx.cones, key=lambda c: (cx.dim(c), sorted(c))):
+        all_cones |= bary_cones(c)
+
+    # cone members are generator vectors here; keep original ray ids and
+    # append new barycenters in order of first appearance (dim ascending)
+    rays = list(cx.rays)
+    index = {r: i for i, r in enumerate(rays)}
+    for c in sorted(cx.cones, key=lambda c: (cx.dim(c), sorted(c))):
+        if cx.dim(c) >= 1:
+            b = barycenter(cx.generators(c))
+            if b not in index:
+                index[b] = len(rays)
+                rays.append(b)
+    id_cones = {frozenset(index[v] for v in s) for s in all_cones}
+    return Complex(cx.ambient_rank, tuple(rays), id_cones)
+
+
 def reference_check_simultaneous(cx, carriers):
     """groups.check_simultaneous testing every pair of carriers against
     every maximal cone."""

@@ -38,7 +38,6 @@ from equifan.resolve import resolve_equivariant, total_index
 from equifan.subdivide import (
     barycentric_edge_bijection,
     barycentric_subdivision,
-    barycentric_subdivision_inductive,
     star_subdivide,
 )
 
@@ -50,6 +49,7 @@ from conftest import (
     corpus,
     orthant,
     random_action_pairs,
+    reference_barycentric_subdivision,
     singular_cone_2d,
     square_cone,
 )
@@ -85,7 +85,7 @@ def test_criterion_2_cross_construction_equality():
     ok = True
     for name, cx in cases:
         cascade = barycentric_subdivision(cx)
-        inductive = barycentric_subdivision_inductive(cx)
+        inductive = reference_barycentric_subdivision(cx)
         if not same_complex(cascade, inductive):
             ok = False
             print(f"  cross-construction mismatch on {name}")

@@ -132,10 +132,10 @@ def direct_matches_reference(cx, max_candidates=None) -> bool:
     """Same (L, a) and values as the reference loop on the same base
     values, or no strict candidate for either; False when only the
     reference found nothing in its window or budget."""
-    bcx, sources = _barycentric(cx)
+    bcx, pieces, sources = _barycentric(cx)
     y = _consistent_base_values(cx)
     try:
-        fn, scale, dip = direct_barycentric_order_function(cx, bcx, sources)
+        fn, scale, dip = direct_barycentric_order_function(cx, bcx, pieces, sources)
     except ValueError as e:
         # a flat or broken bend is one for every (L, a); the reference
         # finds no strict candidate near the start either

@@ -64,8 +64,8 @@ def bases():
     f, _, _ = search_centered_order_function(cx, _barycentric_cascade(cx)[0])
     out.append(("barycenter-3d-127", cx, f.subdivision, f.ray_values))
     cx = square_cone()
-    bcx, sources = _barycentric(cx)
-    f, _, _ = direct_barycentric_order_function(cx, bcx, sources)
+    f, _, _ = direct_barycentric_order_function(cx, *_barycentric(cx))
+    bcx = f.subdivision
     out.append(("direct-square", cx, bcx, f.ray_values))
     return out
 

@@ -78,7 +78,7 @@ class TestFrames:
         assert frames == {frozenset({0, 1}): (0, 1)}
 
     def test_barycentric_frames_ordered_by_dimension(self, orthant2):
-        b, sources = _barycentric(orthant2)
+        b, _, sources = _barycentric(orthant2)
         frames = initial_frames_barycentric(orthant2, b, sources)
         for mc, frame in frames.items():
             # first slot: an original ray (dim-1 source), last: the barycenter
@@ -86,7 +86,7 @@ class TestFrames:
         assert frames_coherent(frames)
 
     def test_barycentric_frames_coherent_orthant3(self, orthant3):
-        b, sources = _barycentric(orthant3)
+        b, _, sources = _barycentric(orthant3)
         frames = initial_frames_barycentric(orthant3, b, sources)
         assert frames_coherent(frames)
         for mc, frame in frames.items():
@@ -227,8 +227,8 @@ def test_rounds_read_carriers_and_smoothness_once(cx, gens, mode, monkeypatch):
     """The round loop reads each center's carrier off its host's frame and
     the complex's smoothness off the measure trace: no center is located
     in the complex, and the final complex is asked its simpliciality
-    twice, by its trace row and by the flags, which then walk its cones
-    for smoothness (`is_smooth` would ask a third time)."""
+    twice, by its trace row and by `is_smooth` in the flags, whose yes
+    decides simpliciality too."""
     import equifan.complexes
     import equifan.resolve
 

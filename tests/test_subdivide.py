@@ -1,4 +1,5 @@
-"""Star subdivision and both barycentric constructions."""
+"""Star subdivision and the barycentric subdivision, against the
+bottom-up construction of the tests (`reference_barycentric_subdivision`)."""
 
 import math
 
@@ -15,11 +16,10 @@ from equifan.subdivide import (
     barycenter,
     barycentric_edge_bijection,
     barycentric_subdivision,
-    barycentric_subdivision_inductive,
     star_subdivide,
 )
 
-from conftest import corpus, orthant, p2_fan, square_cone
+from conftest import corpus, orthant, p2_fan, reference_barycentric_subdivision, square_cone
 
 
 class TestStarSubdivide:
@@ -139,7 +139,7 @@ class TestBarycentric:
     def test_constructions_agree_on_corpus(self):
         for name, cx in corpus():
             cascade = barycentric_subdivision(cx)
-            inductive = barycentric_subdivision_inductive(cx)
+            inductive = reference_barycentric_subdivision(cx)
             assert same_complex(cascade, inductive), name
 
     def test_is_subdivision_on_corpus(self):
@@ -176,11 +176,11 @@ class TestEdgeBijection:
                 assert barycenter(cx.generators(host)) == b.rays[rid], name
 
     def test_rays_looked_up_by_generator(self):
-        # the inductive construction numbers the new rays in another order
+        # the bottom-up construction numbers the new rays in another order
         for name, cx in corpus():
             b = barycentric_subdivision(cx)
             by_gen = {b.rays[rid]: host for rid, host in barycentric_edge_bijection(cx, b).items()}
-            other = barycentric_subdivision_inductive(cx)
+            other = reference_barycentric_subdivision(cx)
             bij = barycentric_edge_bijection(cx, other)
             assert {other.rays[rid]: host for rid, host in bij.items()} == by_gen, name
 

@@ -178,7 +178,11 @@ def test_a_step_with_two_centers_in_one_maximal_cone():
     record, _ = Replay(cx).stage("centered", [BatchStep(centers, scale, dip, 1)], [ord_k])
     fields = {f: getattr(record, f) for f in ("steps", "values", "new_rays", "output_hash")}
     assert verify_certificate(with_stage(data, 1, **fields), fan) == ["stage 2: input hash mismatch"]
-    # a repeated center is a ray when its second star comes
+    # a repeated center would be a ray when its second star comes, so the
+    # step would certify what the step listing it once does; it is refused
     data, fan = certificate(singular_cone_2d(3))
     (step,) = data.stages[0].steps
-    assert verify_certificate(with_step(data, 1, 1, centers=step.centers * 2), fan) == []
+    ((center, _),) = step.centers
+    assert verify_certificate(with_step(data, 1, 1, centers=step.centers * 2), fan) == [
+        f"stage 1: center {center} is listed twice"
+    ]
