@@ -205,9 +205,7 @@ def cmd_report(args) -> int:
         print(f"group: order {len(elements)}, acts: {'yes' if action.ok else 'no'}")
         if action.ok:
             strict = _strictness(action).ok
-            # strictness implies the fixed-cone identity: an element that
-            # fixes a cone and moves one of its edges puts two of its edges
-            # in one orbit, so the per-element check runs only when it fails
+            # strictness implies the fixed-cone identity (`_fixed_cone_identity`)
             fixed = strict or _fixed_cone_identity(group_action(cx, elements)).ok
             print(f"fixed-cone identity: {'pass' if fixed else 'FAIL'}")
             print(f"strict action: {'pass' if strict else 'FAIL'}")

@@ -21,6 +21,10 @@ import hashlib
 from dataclasses import dataclass
 
 from .complexes import Complex, require_valid
+from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
+from .lattice import primitive
+from .orderfun import AxiomReport, _checked_pieces, _host_coordinates, centered_order_function, verify_order_axioms
+from .subdivide import _barycentric
 
 
 class ParseError(Exception):
@@ -439,22 +443,8 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     Returns the list of named violations (empty means the certificate is
     sound for this input).  An input that is not a valid complex is one.
     """
-    from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
-    from .lattice import primitive
-    from .orderfun import (
-        AxiomReport,
-        _checked_pieces,
-        _host_coordinates,
-        centered_order_function,
-        verify_order_axioms,
-    )
-    from .resolve import (
-        FLAG_NAMES,
-        Replay,
-        certificate_flags,
-        direct_barycentric_order_function,
-    )
-    from .subdivide import _barycentric
+    # resolve imports this module, so its names are imported at the call
+    from .resolve import FLAG_NAMES, Replay, certificate_flags, direct_barycentric_order_function
 
     violations: list[str] = []
     if fan_hash(fan) != cert.input_sha256:

@@ -190,7 +190,11 @@ def check_G_strict(cx: Complex, elements) -> ValidationReport:
 
 def _fixed_cone_identity(action: GroupAction) -> ValidationReport:
     """check_fixed_cone_identity on an action already verified for the
-    whole group: a generating set would miss the elements it lacks."""
+    whole group: a generating set would miss the elements it lacks.
+
+    Strictness implies it: an element that fixes a cone and moves one of
+    its edges puts two of its edges in one orbit.  So a caller holding a
+    strict action need not ask it."""
     cx = action.complex
     report = ValidationReport()
     for k, perm in enumerate(action.ray_permutations):
@@ -222,24 +226,6 @@ def _strictness(action: GroupAction) -> ValidationReport:
     return report
 
 
-def check_simultaneous(cx: Complex, carriers):
-    """Raise ValueError when two centers lie in one maximal cone.
-
-    Centers are given by their carriers; on a valid complex centers a and b
-    share a maximal cone sigma exactly when tau_a | tau_b <= sigma, that is
-    when sigma lies in both stars (the maximal cones containing a carrier).
-    So one pass claims each carrier's star, and a maximal cone claimed
-    twice raises.
-    """
-    claimed = set()
-    for tau in carriers:
-        for sigma in cx.maximal_cones:
-            if tau <= sigma:
-                if sigma in claimed:
-                    raise ValueError("orbit not simultaneous-safe")
-                claimed.add(sigma)
-
-
 @dataclass
 class QuotientStructure:
     """Orbit/representative form of the quotient of a complex by a group.
@@ -262,13 +248,15 @@ def quotient_structure(cx: Complex, elements) -> QuotientStructure:
 
     The fixed-cone-identity check and the element carrying each cone onto
     its representative range over every element, so `elements` must be the
-    whole group (`generate_group`'s output), not a generating set."""
+    whole group (`generate_group`'s output), not a generating set.  The
+    per-element scan runs only when strictness fails (`_fixed_cone_identity`
+    says why), to name the failure."""
     action = group_action(cx, elements)
-    fci = _fixed_cone_identity(action)
-    if not fci.ok:
-        raise ValueError("fixed-cone-identity check failed: " + "; ".join(fci.violations))
     gs = _strictness(action)
     if not gs.ok:
+        fci = _fixed_cone_identity(action)
+        if not fci.ok:
+            raise ValueError("fixed-cone-identity check failed: " + "; ".join(fci.violations))
         raise ValueError("strictness check failed: " + "; ".join(gs.violations))
     ray_orbits = action.ray_orbits()
     cone_orbits = action.cone_orbits()

@@ -22,14 +22,7 @@ from fractions import Fraction
 
 from .complexes import Complex, is_simplicial, is_smooth, is_subdivision, require_valid
 from .fanio import BatchStep, StageRecord, complex_hash
-from .groups import (
-    _strictness,
-    check_simultaneous,
-    cone_image,
-    group_action,
-    trivial_group,
-    verify_action,
-)
+from .groups import _strictness, cone_image, group_action, trivial_group, verify_action
 from .lattice import (
     _eliminate,
     _first_point,
@@ -108,21 +101,27 @@ def frames_equivariant(frames: dict, action) -> bool:
 
 
 def _inherit_frames(frames: dict, pieces) -> dict:
-    """Frames on a simultaneous centered subdivision, from its pieces by
-    host (`_pieces_by_base_cone`).
+    """Frames on a centered subdivision, from its pieces by host
+    (`_pieces_by_base_cone`); the round's simultaneity guard.
 
-    An untouched host keeps its frame.  No two centers share a cone, so a
-    piece of the star of a center is its host with one ray replaced by the
-    center, and takes the host's frame with the center in that ray's slot.
-    A piece that swaps more than one ray of its host raises RuntimeError,
-    so every frame written lists exactly its piece's rays.
+    An untouched host keeps its frame.  When no two centers share a
+    maximal cone, a piece of the star of a center is its simplicial host
+    with one ray replaced by the center, and takes the host's frame with
+    the center in that ray's slot.  When two centers share a host, the
+    second star is taken on the first (`subdivide._stars`), so some piece
+    of that host holds both centers: a piece that is not its host with one
+    ray replaced raises RuntimeError naming the host and the piece, so
+    every frame written lists exactly its piece's rays.
     """
     new_frames = {}
     for sigma, ps in pieces:
         for p in ps:
             new = p - sigma
             if len(new) > 1 or len(sigma - p) != len(new):
-                raise RuntimeError(f"no framed parent for subdivision piece {sorted(p)}")
+                raise RuntimeError(
+                    f"centers not simultaneous-safe: piece {sorted(p)} of host {sorted(sigma)} "
+                    "is not the host with one ray replaced by a center"
+                )
             new_frames[p] = tuple(i if i in p else min(new) for i in frames[sigma])
     return new_frames
 
@@ -479,7 +478,10 @@ def resolve_equivariant(
     flags) is asked of `generators`, a generating set of it, which
     defaults to `elements`; each must belong to `elements` (ValueError
     otherwise), and that they generate it is the caller's word, which
-    `fanio.verify_certificate` checks against the fan.
+    `fanio.verify_certificate` checks against the fan.  So is closure
+    under products; a list without the identity, or with an element
+    listed twice, is no group and raises ValueError after every other
+    check of the input.
     """
     if elements is None:
         elements = trivial_group(cx.ambient_rank)
@@ -494,13 +496,18 @@ def resolve_equivariant(
     # the identity alone carries every frame onto itself
     identity = trivial_group(cx.ambient_rank)[0]
     trivial = all(m == identity for m in elements)
+    if mode == "plain" and not trivial:
+        raise ValueError("plain mode requires the trivial group")
+    if mode == "plain" and not is_simplicial(cx):
+        raise ValueError("not simplicial")
+    if identity not in elements:
+        raise ValueError("the elements are not a group: the identity is missing")
+    if len(set(elements)) != len(elements):
+        k = next(k for k, m in enumerate(elements) if m in elements[:k])
+        raise ValueError(f"the elements are not a group: element {k} is listed twice")
 
     replay = Replay(cx)
     if mode == "plain":
-        if not trivial:
-            raise ValueError("plain mode requires the trivial group")
-        if not is_simplicial(cx):
-            raise ValueError("not simplicial")
         frames = initial_frames_plain(cx)
     else:
         if is_simplicial(cx):
@@ -531,7 +538,6 @@ def resolve_equivariant(
         for p, mc in selected:
             carrier_of.setdefault(primitive(p), frozenset(i for i, a in zip(frames[mc], best) if a))
         centers_with_hosts = [(c, tuple(sorted(t))) for c, t in sorted(carrier_of.items())]
-        check_simultaneous(cur, list(carrier_of.values()))
         ord_k, scale, dip = search_centered_order_function(cur, centers_with_hosts)
         nxt = ord_k.subdivision
         pieces = _pieces_by_base_cone(ord_k)
@@ -539,9 +545,10 @@ def resolve_equivariant(
         if not trivial and not frames_equivariant(frames, group_action(nxt, generators)):
             raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
 
-        # the measure must drop on every subdivided cone's descendants
+        # the measure must drop on every touched host's pieces; a host is
+        # touched exactly when it holds a carrier, as no center is a ray
         for mc, ps in pieces:
-            if any(tau <= mc for tau in carrier_of.values()):
+            if ps != [mc]:
                 idx = cone_index(cur.generators(mc))
                 if max((cone_index(nxt.generators(d)) for d in ps), default=idx) >= idx:
                     raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")

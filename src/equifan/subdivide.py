@@ -62,7 +62,10 @@ def _stars(cx: Complex, centers_with_carriers):
     the result: a carrier that is no cone there (a star split it) is
     located again; a center that is a ray there leaves the complex
     unchanged when the ray is its carrier, else ValueError names it; any
-    other center opens the next run.
+    other center opens the next run.  This is the one place that finds a
+    carrier's star, so it is the one judge of simultaneity: a batch whose
+    stars are pairwise disjoint is one run, and the returned pieces name
+    the touched maximal cones (those whose pieces are not themselves).
 
     A run equals the stars taken one at a time, on any input, a recorded
     carrier being taken unchecked either way: a cone containing tau_a is a

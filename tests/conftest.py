@@ -206,12 +206,12 @@ def point_orbit(point, elements):
 
 def simultaneous_star(cx, centers):
     """Star subdivision at several centers, no two of which share a cone
-    (ValueError "orbit not simultaneous-safe" otherwise), in sorted order."""
-    from equifan.groups import check_simultaneous
+    (ValueError "orbit not simultaneous-safe" from
+    `reference_check_simultaneous` otherwise), in sorted order."""
     from equifan.subdivide import star_subdivide
 
     centers = sorted({tuple(int(v) for v in c) for c in centers})
-    check_simultaneous(cx, [cx.minimal_cone_containing(c) for c in centers])
+    reference_check_simultaneous(cx, [cx.minimal_cone_containing(c) for c in centers])
     for c in centers:
         cx = star_subdivide(cx, c)
     return cx
@@ -656,8 +656,8 @@ def reference_barycentric_subdivision(cx):
 
 
 def reference_check_simultaneous(cx, carriers):
-    """groups.check_simultaneous testing every pair of carriers against
-    every maximal cone."""
+    """ValueError when two carriers lie in one maximal cone, testing every
+    pair of carriers against every maximal cone."""
     for i, a in enumerate(carriers):
         for b in carriers[i + 1:]:
             if any(a | b <= c for c in cx.maximal_cones):

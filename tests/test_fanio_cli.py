@@ -419,7 +419,7 @@ class TestGroupQuestionsFromGenerators:
 
     @pytest.mark.parametrize("gens", [[CYC3, SWAP3_01], []], ids=["s3", "trivial"])
     def test_verify_asks_the_generators(self, gens):
-        import equifan.groups
+        import equifan.fanio
         import equifan.resolve
 
         cx = barycentric_subdivision(orthant(3))
@@ -433,7 +433,7 @@ class TestGroupQuestionsFromGenerators:
             asked.append(tuple(matrices))
             return verify_action(cx, matrices)
 
-        with mock.patch.object(equifan.groups, "verify_action", spy), \
+        with mock.patch.object(equifan.fanio, "verify_action", spy), \
                 mock.patch.object(equifan.resolve, "verify_action", spy):
             assert verify_certificate(cert, fan) == []
         assert asked == [tuple(gens) or trivial_group(3)] * 2

@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from equifan.complexes import Complex, is_subdivision, same_complex
+from equifan.complexes import Complex, is_simplicial, is_subdivision, same_complex
 from equifan.groups import (
     GroupAction,
     check_G_strict,
     check_fixed_cone_identity,
-    check_simultaneous,
     generate_group,
     group_action,
     quotient_structure,
@@ -20,7 +19,8 @@ from equifan.groups import (
 )
 from equifan.lattice import mat_vec
 from equifan.orderfun import OrderFunction, evaluate, verify_order_axioms
-from equifan.subdivide import barycentric_subdivision, star_subdivide
+from equifan.resolve import _inherit_frames, initial_frames_plain
+from equifan.subdivide import _stars, barycenter, barycentric_subdivision, star_subdivide
 
 from conftest import (
     CYC3,
@@ -325,32 +325,44 @@ class TestSimultaneousStar:
         with pytest.raises(ValueError, match="orbit not simultaneous-safe"):
             simultaneous_star(orthant2, [(2, 1), (1, 2)])
 
-    def test_one_pass_matches_the_pairwise_reference(self):
-        # carrier lists drawn with repeats from the cones of the corpus and of
-        # their barycentric subdivisions, the zero cone among them
-        complexes = [cx for _, cx in corpus()]
+    def test_one_center_per_touched_host_matches_the_pairwise_reference(self):
+        # batches of distinct carriers of two or more rays (a round's center
+        # is a parallelepiped point, never a ray) from the simplicial corpus
+        # complexes and their barycentric subdivisions, each starred at its
+        # barycenter by the one star loop, as a resolve round stars its batch
+        complexes = [cx for _, cx in corpus() if is_simplicial(cx)]
         complexes += [barycentric_subdivision(cx) for cx in complexes if len(cx.cones) < 20]
-        rng = random.Random(20)
+        complexes = [cx for cx in complexes if any(len(c) >= 2 for c in cx.cones)]
+        rng = random.Random(23)
         outcomes = []
         for _ in range(1200):
             cx = rng.choice(complexes)
-            cones = sorted(cx.cones, key=sorted)
-            carriers = [rng.choice(cones) for _ in range(rng.randint(0, 6))]
-            if carriers and rng.random() < 0.2:
-                carriers.insert(rng.randrange(len(carriers) + 1), rng.choice(carriers))
-            if rng.random() < 0.1:
-                carriers.append(frozenset())
-            verdicts = []
-            for check in (check_simultaneous, reference_check_simultaneous):
-                try:
-                    check(cx, carriers)
-                    verdicts.append(None)
-                except ValueError as e:
-                    verdicts.append(str(e))
-            assert verdicts[0] == verdicts[1], (cx, carriers)
-            outcomes.append(verdicts[0])
-        assert outcomes.count(None) >= 200
-        assert outcomes.count("orbit not simultaneous-safe") >= 200
+            cones = sorted((c for c in cx.cones if len(c) >= 2), key=sorted)
+            carriers = rng.sample(cones, rng.randint(1, min(5, len(cones))))
+            _, pieces = _stars(cx, [(barycenter(cx.generators(c)), sorted(c)) for c in carriers])
+            touched = [(sigma, ps) for sigma, ps in pieces if ps != [sigma]]
+            # the touched hosts are the carriers' stars, shared or not
+            assert {sigma for sigma, _ in touched} == {
+                sigma for sigma in cx.maximal_cones if any(c <= sigma for c in carriers)
+            }
+            one_center_each = all(len(frozenset().union(*ps) - sigma) == 1 for sigma, ps in touched)
+            try:
+                reference_check_simultaneous(cx, carriers)
+                safe = True
+            except ValueError:
+                safe = False
+            assert one_center_each == safe, (cx, carriers)
+            # and the round's guard says the same
+            try:
+                _inherit_frames(initial_frames_plain(cx), pieces)
+                guarded = True
+            except RuntimeError as e:
+                assert str(e).startswith("centers not simultaneous-safe: piece ")
+                guarded = False
+            assert guarded == safe, (cx, carriers)
+            outcomes.append(safe)
+        assert outcomes.count(True) >= 200
+        assert outcomes.count(False) >= 200
 
     def test_orbit_helper(self):
         g = generate_group([SWAP2])

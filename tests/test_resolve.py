@@ -213,6 +213,77 @@ class TestResolvePlain:
             resolve_equivariant(singular_cone_2d(3), mode="plain")
 
 
+class TestRoundGuards:
+    """Each guard of a resolve round, reached by breaking one input of it."""
+
+    def test_two_centers_in_one_cone_raise_the_simultaneity_guard(self, monkeypatch):
+        import equifan.resolve
+
+        # both points of (1,0),(1,3) in one batch: the second star is taken
+        # on the first, so the host's piece [2, 3] holds both centers
+        cx = singular_cone_2d(3)
+        (mc,) = cx.maximal_cones
+        best, _ = select_centers(cx, initial_frames_plain(cx))
+        monkeypatch.setattr(
+            equifan.resolve, "select_centers", lambda cur, frames, gens: (best, (((1, 1), mc), ((1, 2), mc)))
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"^centers not simultaneous-safe: piece \[2, 3\] of host \[0, 1\] "
+            r"is not the host with one ray replaced by a center$",
+        ):
+            resolve_equivariant(cx, mode="plain")
+
+    def test_a_frame_the_group_does_not_carry_raises(self, monkeypatch):
+        import equifan.resolve
+
+        inherit = equifan.resolve._inherit_frames
+
+        def one_frame_reversed(frames, pieces):
+            frames = inherit(frames, pieces)
+            first = min(frames, key=sorted)
+            frames[first] = frames[first][::-1]
+            return frames
+
+        # the swap carries each cone of one half onto a cone of the other
+        cx = Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]])
+        monkeypatch.setattr(equifan.resolve, "_inherit_frames", one_frame_reversed)
+        with pytest.raises(
+            RuntimeError, match=r"^frame equivariance: the group does not carry frames onto frames$"
+        ):
+            resolve_equivariant(cx, generate_group([SWAP2]))
+
+    def test_a_measure_that_does_not_drop_raises(self, monkeypatch):
+        import equifan.resolve
+
+        monkeypatch.setattr(equifan.resolve, "cone_index", lambda gens: 2)
+        with pytest.raises(
+            RuntimeError, match=r"^termination measure failed to decrease on cone \[0, 1\]$"
+        ):
+            resolve_equivariant(singular_cone_2d(3), mode="plain")
+
+
+class TestElementsMustListAGroup:
+    """Closure is the caller's word; a missing identity or a repeated
+    element is refused before a certificate with a wrong order is made."""
+
+    I2 = ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize(
+        "elements, fault",
+        [
+            ([], "the identity is missing"),
+            ([I2, I2], "element 1 is listed twice"),
+            ([SWAP2], "the identity is missing"),
+            ([I2, SWAP2, SWAP2], "element 2 is listed twice"),
+        ],
+        ids=["empty", "identity-twice", "swap-alone", "swap-twice"],
+    )
+    def test_refused_by_name(self, orthant2, elements, fault):
+        with pytest.raises(ValueError, match=f"^the elements are not a group: {fault}$"):
+            resolve_equivariant(orthant2, elements)
+
+
 @pytest.mark.parametrize(
     "cx, gens, mode",
     [
@@ -304,11 +375,15 @@ class TestResolveFromGenerators:
         assert write_certificate(from_gens, fan) == write_certificate(resolve_equivariant(cx, elements), fan)
 
     def test_matrices_without_the_identity(self, orthant2):
-        # [SWAP2] alone generates the group of order 2; its orbits close
-        alone = resolve_equivariant(orthant2, [SWAP2], mode="canonical")
-        group = resolve_equivariant(orthant2, generate_group([SWAP2]), mode="canonical")
+        # [SWAP2] alone generates the group of order 2: as the generating set
+        # its orbits close, but as the group recorded it lacks the identity
+        group = generate_group([SWAP2])
+        alone = resolve_equivariant(orthant2, group, mode="canonical", generators=[SWAP2])
+        whole = resolve_equivariant(orthant2, group, mode="canonical")
         assert alone.ok
-        assert (alone.stages, alone.final, alone.flags) == (group.stages, group.final, group.flags)
+        assert (alone.stages, alone.final, alone.flags) == (whole.stages, whole.final, whole.flags)
+        with pytest.raises(ValueError, match="^the elements are not a group: the identity is missing$"):
+            resolve_equivariant(orthant2, [SWAP2], mode="canonical")
 
     def test_generator_outside_the_group_rejected(self, orthant2):
         with pytest.raises(ValueError, match="^a generator is not an element of the group$"):
