@@ -7,13 +7,21 @@ Vectors are tuples of ints, matrices are tuples of row tuples.
 Independent generators are eliminated once: `_dual_basis`, memoised by
 the generator tuple, gives D > 0 and rows u_j with u_j . g_i = D * [i == j]
 in the span of the generators.  The solves in that basis, the facet
-normals and dimension of a simplicial cone (`complexes`) and the
-unimodular test of a square one (D == 1) are read off it.
+normals and dimension of a simplicial cone (`complexes`), the unimodular
+test of a square one (D == 1) and the unimodularity check of a square
+cone's Smith form (D == det(G)^2) are read off it.  A solve is integer
+throughout (`_integer_solve`); only `solve_in_basis` makes Fractions.
+
+The rows given to the Smith form, the cone index, the congruences, the
+parallelepiped points and the solve pass `_rows`, which rejects ragged
+input with a ValueError naming the row, so the products behind them pair
+entries without checking lengths again.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -42,10 +50,20 @@ def integer_vector(v) -> Vec:
 def primitive(v) -> Vec:
     """Primitive lattice point on the ray through v (divide out the gcd)."""
     v = integer_vector(v)
-    if all(c == 0 for c in v):
+    g = math.gcd(*v)
+    if g == 0:
         raise ValueError("zero ray")
-    g = math.gcd(*[abs(c) for c in v])
     return tuple(c // g for c in v)
+
+
+def _rows(m) -> tuple:
+    """m as a tuple of row tuples; ValueError naming the first row whose
+    length is not row 0's."""
+    rows = tuple(map(tuple, m))
+    if len(set(map(len, rows))) > 1:
+        i = next(i for i, r in enumerate(rows) if len(r) != len(rows[0]))
+        raise ValueError(f"row {i} has {len(rows[i])} entries, row 0 has {len(rows[0])}")
+    return rows
 
 
 def identity_matrix(n: int) -> Mat:
@@ -61,10 +79,9 @@ def mat_vec(m, v) -> Vec:
 
 
 def mat_mul(a, b) -> Mat:
+    """a * b, for matrices whose shapes its callers have checked."""
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(len(ra))) for cb in bt) for ra in a
-    )
+    return tuple(tuple(sum(map(operator.mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def det(m) -> int:
@@ -119,7 +136,7 @@ def rank(vectors) -> int:
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -142,31 +159,44 @@ def _dual_basis(gens: tuple):
     return (rows[0][0] if rows else 1), tuple(tuple(row[k:]) for row in rows)
 
 
-def solve_in_basis(gens, x):
-    """Solve x = sum c_j * gens_j exactly.
+def _integer_solve(gens: tuple, p):
+    """(numerators n_j, D) with p = sum (n_j / D) * gens_j for an integer
+    point p, or None when p is not in the span of gens.  Raises
+    ValueError when gens are dependent ("not simplicial") or p's length
+    is not theirs.
 
-    Returns the tuple of Fraction coefficients, or None when x (integer
-    or rational) is not in the span of gens.  Raises ValueError when gens
-    are dependent ("not simplicial") or x's length is not theirs.
-
-    The coefficients are read off the memoised dual basis (`_dual_basis`):
-    c_j = (u_j . x) / D.  When gens span less than the ambient space, x is
-    in their span exactly when sum c_j * gens_j = x.
+    The numerators are read off the memoised dual basis (`_dual_basis`):
+    n_j = u_j . p.  When gens span less than the ambient space, p is in
+    their span exactly when sum n_j * gens_j = D * p.
     """
-    gens = tuple(tuple(g) for g in gens)
-    if gens and len(x) != len(gens[0]):
-        raise ValueError(f"point has {len(x)} entries, generators have {len(gens[0])}")
+    if gens and len(p) != len(gens[0]):
+        raise ValueError(f"point has {len(p)} entries, generators have {len(gens[0])}")
     basis = _dual_basis(gens)
     if basis is None:
         raise ValueError("not simplicial")
     D, us = basis
-    den = math.lcm(*[c.denominator for c in x])
-    p = [int(c * den) for c in x]  # den * x, an integer point
     dots = [_dot(u, p) for u in us]
     if len(gens) < len(p) and any(
         sum(d * g[i] for d, g in zip(dots, gens)) != D * c for i, c in enumerate(p)
     ):
         return None
+    return dots, D
+
+
+def solve_in_basis(gens, x):
+    """Solve x = sum c_j * gens_j exactly.
+
+    Returns the tuple of Fraction coefficients, or None when x (integer
+    or rational) is not in the span of gens.  Raises ValueError when gens
+    are dependent ("not simplicial"), ragged, or x's length is not theirs.
+    The integer point den * x, den the lcm of x's denominators, is solved
+    by `_integer_solve`: c_j = n_j / (D * den).
+    """
+    den = math.lcm(*[c.denominator for c in x])
+    solved = _integer_solve(_rows(gens), [int(c * den) for c in x])
+    if solved is None:
+        return None
+    dots, D = solved
     return tuple(Fraction(c, D * den) for c in dots)
 
 
@@ -220,10 +250,45 @@ def smith_normal_form(m):
     """Smith normal form of an integer matrix.
 
     Returns (D, U, V) with U*M*V = D, D diagonal with d_i | d_{i+1} and
-    U, V unimodular.  The contract is checked by exact multiplication on
-    every call.  Not memoised: its one caller, `_simplicial_snf`, is.
+    U, V unimodular.  The contract is checked on every call: U*M*V = D by
+    exact multiplication, D diagonal, its diagonal a divisor chain, and
+    U and V unimodular.  Ragged rows raise ValueError.  Not memoised: its
+    one caller, `_simplicial_snf`, is.
+
+    Unimodularity of a nonsingular square M takes no determinant.  With
+    D diagonal, det(U) * det(M) * det(V) = prod d_i, and the dual basis
+    of M's rows (`_dual_basis`, memoised, so already taken by
+    `_simplicial_snf`) holds det(M * M^T) = det(M)^2.  So
+    (prod d_i)^2 == det(M)^2 != 0 is det(U)^2 * det(V)^2 = 1, and U and V,
+    being integer matrices, have determinants +-1.  A singular square M
+    (prod d_i = 0 says nothing about U and V) and a non-square M take
+    both determinants.
     """
-    M = tuple(integer_vector(row) for row in m)
+    M = _rows(integer_vector(row) for row in m)
+    D, U, V = _snf_reduce(M)
+    if mat_mul(mat_mul(U, M), V) != D:
+        raise RuntimeError("SNF contract violated: U*M*V != D")
+    if any(x for i, row in enumerate(D) for j, x in enumerate(row) if i != j):
+        raise RuntimeError("SNF contract violated: D is not diagonal")
+    nrows, ncols = len(M), len(M[0]) if M else 0
+    diag = [D[i][i] for i in range(min(nrows, ncols))]
+    volume = math.prod(diag) if nrows == ncols else 0
+    if volume:  # M is square and nonsingular
+        unimodular = volume * volume == _dual_basis(M)[0]
+    else:
+        unimodular = is_unimodular(U) and is_unimodular(V)
+    if not unimodular:
+        raise RuntimeError("SNF contract violated: U or V is not unimodular")
+    for x, y in zip(diag, diag[1:]):
+        if not (y % x == 0 if x != 0 else y == 0):
+            raise RuntimeError("SNF contract violated: diagonal is not a divisor chain")
+    return D, U, V
+
+
+def _snf_reduce(M: Mat):
+    """(D, U, V) with U*M*V = D diagonal, d_i | d_{i+1} and U, V
+    unimodular, by row and column operations on a rectangular M;
+    `smith_normal_form` checks the result."""
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
     a = [list(r) for r in M]
@@ -280,18 +345,7 @@ def smith_normal_form(m):
             u[t] = [-x for x in u[t]]
         t += 1
 
-    D = tuple(tuple(r) for r in a)
-    U = tuple(tuple(r) for r in u)
-    V = tuple(tuple(r) for r in v)
-    if mat_mul(mat_mul(U, M), V) != D:
-        raise RuntimeError("SNF contract violated: U*M*V != D")
-    if not (is_unimodular(U) and is_unimodular(V)):
-        raise RuntimeError("SNF contract violated: U or V is not unimodular")
-    diag = [D[i][i] for i in range(min(nrows, ncols))]
-    for x, y in zip(diag, diag[1:]):
-        if not (y % x == 0 if x != 0 else y == 0):
-            raise RuntimeError("SNF contract violated: diagonal is not a divisor chain")
-    return D, U, V
+    return tuple(tuple(r) for r in a), tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
 
 
 def cone_index(gens) -> int:
@@ -302,7 +356,7 @@ def cone_index(gens) -> int:
     their span; 1 exactly when the generators extend to a basis of the
     ambient lattice intersected with the span.
     """
-    divs, _ = _simplicial_snf(tuple(tuple(g) for g in gens))
+    divs, _ = _simplicial_snf(_rows(gens))
     return math.prod(divs)
 
 
@@ -337,7 +391,7 @@ def integrality_congruences(gens):
     reductions of sum_j (t_j / d_j) * (U*G)_j, whose values are
     sum_j t_j * (U*v)_j / d_j.
     """
-    divs, U = _simplicial_snf(tuple(tuple(g) for g in gens))
+    divs, U = _simplicial_snf(_rows(gens))
     return tuple((U[j], d) for j, d in enumerate(divs) if d > 1)
 
 
@@ -353,7 +407,7 @@ def parallelepiped_points(gens):
     the public listing and the oracle of `_first_point`, which finds the
     first entry without listing the others.
     """
-    gens = tuple(tuple(g) for g in gens)
+    gens = _rows(gens)
     k = len(gens)
     n = len(gens[0]) if gens else 0
     divs, U = _simplicial_snf(gens)

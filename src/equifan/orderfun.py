@@ -57,6 +57,7 @@ from .complexes import (
 )
 from .lattice import (
     CACHE_SIZE,
+    _integer_solve,
     integer_vector,
     integrality_congruences,
     primitive,
@@ -175,13 +176,19 @@ def _bend_form(sub: Complex, wall) -> dict:
 @lru_cache(maxsize=CACHE_SIZE)
 def _wall_relation(gens: tuple, other: tuple):
     """The coordinates of the other piece's ray in one piece's generators,
-    as (integer numerators, their positive common denominator), or None
-    when the ray is outside their span."""
-    coeffs = solve_in_basis(gens, other)
-    if coeffs is None:
+    as (integer numerators, their least positive common denominator), or
+    None when the ray is outside their span.
+
+    The integer solve gives the coordinates n_j / D; with
+    g = gcd(D, n_1, ..., n_k) they are (n_j / g) / (D / g), and D / g is
+    the lcm of their reduced denominators D / gcd(D, n_j).
+    """
+    solved = _integer_solve(gens, other)
+    if solved is None:
         return None
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return tuple(int(c * den) for c in coeffs), den
+    nums, D = solved
+    g = math.gcd(D, *nums)
+    return tuple(n // g for n in nums), D // g
 
 
 def _wall_forms(sub: Complex, pieces):
@@ -260,12 +267,12 @@ def _axiom_report(ord_fn: OrderFunction, walls) -> AxiomReport:
         gens = sub.generators(c)
         for u, d in integrality_congruences(gens) if c else ():
             t = [x % d for x in u]  # the parallelepiped point with coordinates t / d
-            val = Fraction(sum(a * ord_fn.ray_values[i] for a, i in zip(t, sorted(c))), d)
-            if val.denominator != 1:
+            s = sum(a * ord_fn.ray_values[i] for a, i in zip(t, sorted(c)))
+            if s % d:
                 point = tuple(sum(a * g[j] for a, g in zip(t, gens)) // d for j in range(sub.ambient_rank))
                 report.integral = False
                 report.violations.append(
-                    f"integrality fails at lattice point {point}: value {val}"
+                    f"integrality fails at lattice point {point}: value {Fraction(s, d)}"
                 )
 
     for sigma, wall, form in walls:

@@ -300,6 +300,16 @@ def reference_solve_in_basis(gens, x):
     return tuple(rows[j][k] / rows[j][j] for j in range(k))
 
 
+def reference_wall_relation(gens, other):
+    """The former `orderfun._wall_relation`: a Fraction solve (here on
+    reference_eliminate), then the lcm of the reduced denominators."""
+    coeffs = reference_solve_in_basis(gens, other)
+    if coeffs is None:
+        return None
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return tuple(int(c * den) for c in coeffs), den
+
+
 def reference_det(m):
     """The former det: Bareiss elimination of a square integer matrix."""
     a = [list(r) for r in m]

@@ -14,7 +14,7 @@ from equifan import complexes, lattice
 from equifan.complexes import Complex, DualDescription, _peeled_faces, _raw_faces, cone_dual
 from equifan.fanio import fan_from_complex, parse_certificate, verify_certificate, write_certificate
 from equifan.groups import generate_group
-from equifan.lattice import rank, smith_normal_form
+from equifan.lattice import rank
 from equifan.resolve import resolve_equivariant
 
 from conftest import SWAP2, singular_cone_2d, square_cone
@@ -78,9 +78,20 @@ def test_simplicial_faces_are_the_power_set_of_peeling(cone):
 
 
 def test_snf_contract_failure_is_not_cached(monkeypatch):
-    monkeypatch.setattr(lattice, "is_unimodular", lambda m: False)
-    with pytest.raises(RuntimeError, match="SNF contract violated"):
-        smith_normal_form(((1, 0), (1, 2)))
+    """A reduction that doubles the first row of D and of U keeps
+    U*M*V = D but makes (prod d_i)^2 four times det(M)^2: the Smith form
+    is refused and the cone's divisors are not memoised."""
+    reduce = lattice._snf_reduce
+
+    def doubled(M):
+        D, U, V = reduce(M)
+        return (tuple(2 * x for x in D[0]), *D[1:]), (tuple(2 * x for x in U[0]), *U[1:]), V
+
+    monkeypatch.setattr(lattice, "_snf_reduce", doubled)
+    lattice._simplicial_snf.cache_clear()
+    with pytest.raises(RuntimeError, match="SNF contract violated: U or V is not unimodular"):
+        lattice.cone_index(((1, 0), (1, 2)))
+    assert lattice._simplicial_snf.cache_info().currsize == 0
 
 
 def _clear():

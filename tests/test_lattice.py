@@ -1,13 +1,19 @@
 """Exact integer arithmetic: primitivization, SNF, indices, parallelepipeds."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from equifan import lattice
+from equifan.complexes import Complex
+from equifan.fanio import fan_from_complex, write_certificate
+from equifan.groups import trivial_group
 from equifan.lattice import (
     _eliminate,
     _first_point,
@@ -23,6 +29,7 @@ from equifan.lattice import (
     smith_normal_form,
     solve_in_basis,
 )
+from equifan.resolve import resolve_equivariant
 
 from conftest import (
     box_parallelepiped_points,
@@ -92,6 +99,47 @@ def test_snf_contract_random():
         for i, row in enumerate(D):
             for j, x in enumerate(row):
                 assert x == 0 or i == j
+
+
+@pytest.mark.parametrize(
+    "M, dets",
+    [
+        (((1, 0), (1, 2)), 0),  # nonsingular square: one identity on the dual basis
+        (((1, 2), (2, 4)), 2),  # singular square
+        (((0, 0), (0, 3)), 2),
+        (((1, 0, 2), (0, 3, 1)), 2),  # not square
+        (((2,), (4,), (6,)), 2),
+    ],
+)
+def test_snf_unimodular_check_falls_back_to_both_determinants(M, dets):
+    """Only a nonsingular square matrix has its U and V checked by
+    (prod d_i)^2 == det(M)^2; every other matrix takes det(U) and det(V)."""
+    with mock.patch.object(lattice, "det", wraps=lattice.det) as spy:
+        D, U, V = smith_normal_form(M)
+    assert spy.call_count == dets
+    assert mat_mul(mat_mul(U, M), V) == D
+    assert is_unimodular(U) and is_unimodular(V)
+
+
+RAGGED = [((1, 2), (3,)), ((2, 0), (0, 2, 5))]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        smith_normal_form,
+        cone_index,
+        integrality_congruences,
+        parallelepiped_points,
+        lambda gens: solve_in_basis(gens, (1, 1)),
+    ],
+    ids=["smith_normal_form", "cone_index", "integrality_congruences", "parallelepiped_points", "solve_in_basis"],
+)
+def test_ragged_rows_are_refused(entry):
+    with pytest.raises(ValueError, match="row 1 has 1 entries, row 0 has 2"):
+        entry(RAGGED[0])
+    with pytest.raises(ValueError, match="row 1 has 3 entries, row 0 has 2"):
+        entry(RAGGED[1])
 
 
 def test_cone_index_examples():
@@ -358,3 +406,23 @@ def test_kernel_matches_references(case):
     square = [r[:k] for r in rows[:k]]
     expected_det = sympy.Matrix(square).det() if k else 1
     assert det(square) == reference_det(square) == expected_det
+
+
+@pytest.mark.parametrize(
+    "rays, mode, sha256",
+    [
+        (((1, 0), (1, 40)), "plain",
+         "472d5628b083e65dd79dd10b9c47d70f61a09b042187e42bb20f286089d0f56e"),
+        (((1, 0, 0), (0, 1, 0), (1, 2, 13)), "canonical",
+         "372adf68bd3a1e1ca6545b3a7f739d69811ed867bd577472a1f5ed11a925582b"),
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 2, 5)), "canonical",
+         "3937e3852b82904a377260d086e9e84fa6e055db6b1111ba547808bc0385a18e"),
+    ],
+)
+def test_smith_heavy_certificates_are_pinned(rays, mode, sha256):
+    """Cones that take many checked Smith forms resolve to pinned
+    certificate bytes, written as `equifan resolve` writes them."""
+    n = len(rays)
+    cx = Complex.from_maximal_cones(n, rays, [list(range(n))])
+    text = write_certificate(resolve_equivariant(cx, trivial_group(n), mode=mode), fan_from_complex(cx, ()))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256

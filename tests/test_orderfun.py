@@ -24,7 +24,7 @@ from equifan.orderfun import (
 )
 from equifan.subdivide import barycentric_subdivision, star_subdivide
 
-from conftest import orthant, singular_cone_2d
+from conftest import orthant, reference_wall_relation, singular_cone_2d
 
 
 @pytest.fixture
@@ -392,3 +392,35 @@ def test_integrality_verdict_matches_enumeration(case):
         point = tuple(int(c) for c in point.rstrip(",").split(","))
         assert values_at[point] == Fraction(value)
         assert Fraction(value).denominator != 1
+
+
+def test_wall_relation_matches_the_fraction_reference():
+    """The integer solve reduced by one gcd against a Fraction solve and
+    the lcm of its denominators, on 2,400 generator sets of ranks 1-5
+    (about one in five dependent) with integer points in their span and
+    outside it: equal relations, equal Nones and equal errors."""
+    rng = random.Random(24)
+    outcomes = {"relation": 0, "outside": 0, "not simplicial": 0}
+    for _ in range(2400):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        gens = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(k)]
+        if rng.random() < 0.2:  # a dependent set: the last generator a combination of the others
+            coeffs = [rng.randint(-2, 2) for _ in gens[:-1]]
+            gens[-1] = tuple(sum(a * g[j] for a, g in zip(coeffs, gens)) for j in range(n))
+        if rng.random() < 0.5:  # a point in the span, often with fractional coordinates
+            point = tuple(sum(rng.randint(-5, 5) * g[j] for g in gens) for j in range(n))
+            point = primitive(point) if any(point) else point
+        else:
+            point = tuple(rng.randint(-7, 7) for _ in range(n))
+        gens = tuple(gens)
+        try:
+            expected = reference_wall_relation(gens, point)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                _wall_relation.__wrapped__(gens, point)
+            outcomes[str(e)] += 1
+            continue
+        assert _wall_relation.__wrapped__(gens, point) == expected
+        outcomes["relation" if expected is not None else "outside"] += 1
+    assert min(outcomes.values()) > 200, outcomes
