@@ -4,6 +4,8 @@ A complex is a finite, face-closed collection of pointed rational cones
 in one ambient lattice, any two of which intersect in a common face.
 Cones are stored as frozensets of ray ids; the complex owns the ray
 table, so subdivisions and group actions are pure index manipulations.
+`Complex.faces` is the one derivation of a cone's face lattice: a complex
+built from its maximal cones is the union of theirs.
 """
 
 from __future__ import annotations
@@ -132,8 +134,14 @@ class Complex:
     def __init__(self, ambient_rank: int, rays, cones):
         self.ambient_rank = _integer_rank(ambient_rank)
         self.rays: tuple[Vec, ...] = tuple(integer_vector(r) for r in rays)
-        self.cones: frozenset[ConeIds] = frozenset(frozenset(c) for c in cones)
-        _check_ids(self.ambient_rank, self.rays, self.cones)
+        if any(len(r) != self.ambient_rank for r in self.rays):
+            raise ValueError("ray length does not match ambient rank")
+        cones = [frozenset(c) for c in cones]
+        # the first unknown id in the given order of the cones is named
+        unknown = next((i for c in cones for i in c if not 0 <= i < len(self.rays)), None)
+        if unknown is not None:
+            raise ValueError(f"cone references unknown ray id {unknown}")
+        self.cones: frozenset[ConeIds] = frozenset(cones)
         self._dim_cache: dict[ConeIds, int] = {}
         self._maximal: tuple[ConeIds, ...] | None = None
 
@@ -141,23 +149,13 @@ class Complex:
 
     @classmethod
     def from_maximal_cones(cls, ambient_rank, rays, maximal):
-        """Build a complex from ray generators and maximal cones (face-closed)."""
-        ambient_rank = _integer_rank(ambient_rank)
-        rays = tuple(integer_vector(r) for r in rays)
-        maximal = [frozenset(c) for c in maximal]
-        _check_ids(ambient_rank, rays, maximal)
-        for r in rays:
-            if all(c == 0 for c in r):
-                raise ValueError("zero ray")
-        cones: set[ConeIds] = {frozenset()}
-        for c in maximal:
-            if c in cones:
-                continue
-            gens = [rays[i] for i in sorted(c)]
-            order = sorted(c)
-            for f in _raw_faces(tuple(gens), ambient_rank):
-                cones.add(frozenset(order[i] for i in f))
-        return cls(ambient_rank, rays, cones)
+        """Build a complex from ray generators and maximal cones: the given
+        cones, checked by `__init__` as a complex of their own, and every
+        face of each (`faces`)."""
+        given = cls(ambient_rank, rays, maximal)
+        if any(not any(r) for r in given.rays):
+            raise ValueError("zero ray")
+        return cls(given.ambient_rank, given.rays, frozenset({frozenset()}).union(*map(given.faces, given.cones)))
 
     # -- basic queries -------------------------------------------------
 
@@ -261,35 +259,9 @@ class Complex:
         )
 
 
-def _check_ids(ambient_rank, rays, cones):
-    """ValueError unless every ray has the ambient rank's length and every
-    cone names rays of the table."""
-    if any(len(r) != ambient_rank for r in rays):
-        raise ValueError("ray length does not match ambient rank")
-    for c in cones:
-        for i in c:
-            if not (0 <= i < len(rays)):
-                raise ValueError(f"cone references unknown ray id {i}")
-
-
 def _cone_order(cone):
     """The order of `Complex.maximal_cones`: by size, then by sorted ray ids."""
     return (len(cone), sorted(cone))
-
-
-def _raw_faces(gens, ambient_rank):
-    """Face lattice of a cone as frozensets of generator indices.
-
-    Every set of independent generators spans a face of their cone, so a
-    simplicial cone's lattice, independent generators having a dual basis,
-    is the power set; other cones are peeled.
-    """
-    k = len(gens)
-    if _dual_basis(tuple(gens)) is not None:
-        return frozenset(
-            frozenset(s) for j in range(k + 1) for s in combinations(range(k), j)
-        )
-    return _peeled_faces(gens, ambient_rank)
 
 
 def _peeled_faces(gens, ambient_rank):
@@ -302,18 +274,12 @@ def _peeled_faces(gens, ambient_rank):
         if idxs in memo:
             return
         memo[idxs] = None
-        sub = [gens[i] for i in sorted(idxs)]
-        order = sorted(idxs)
-        if not idxs:
-            return
-        dd = cone_dual(tuple(sub), ambient_rank)
-        if not dd.inequalities:
-            # no facets: the cone is its own span; only the zero face below
-            walk(frozenset())
-            return
-        for u in dd.inequalities:
-            facet = frozenset(order[i] for i, g in enumerate(sub) if _dot(u, g) == 0)
-            walk(facet)
+        if idxs:
+            order = sorted(idxs)
+            ineqs = cone_dual(tuple(gens[i] for i in order), ambient_rank).inequalities
+            # a cone with no facets is its own span: only the zero face below
+            for facet in [frozenset(i for i in order if _dot(u, gens[i]) == 0) for u in ineqs] or [frozenset()]:
+                walk(facet)
 
     walk(frozenset(range(len(gens))))
     return frozenset(memo)

@@ -5,7 +5,9 @@ the same object twice produces byte-identical text, and every complex
 is hashed through its canonical serialization.  Certificates embed
 enough redundancy (centers, hosts, scales, per-stage values, hashes,
 flags, measure trace) that replay verification re-derives everything
-and any single-field tampering is caught with a named violation.
+and any single-field tampering is caught with a named violation.  Each
+`keyword N` section of N rows is written by one writer (`_section`) and
+read by its own reader.
 
 Verification rebuilds each step's order function from its recorded
 (centers, scale, dip) and hands the stage to `resolve.Replay`, the same
@@ -166,15 +168,17 @@ def parse_fan(text: str) -> FanFile:
     return FanFile(rank, rays, cones, tuple(generators))
 
 
+def _section(keyword, rows) -> list[str]:
+    """A `keyword N` line and N rows of space-separated entries: the text
+    `_rays`, `_cones`, `_ray_values` and the flag and trace readers read."""
+    rows = list(rows)
+    return [f"{keyword} {len(rows)}", *(" ".join(map(str, row)) for row in rows)]
+
+
 def write_fan(fan: FanFile) -> str:
     out = [f"rank {fan.ambient_rank}"]
-    out.append(f"rays {len(fan.rays)}")
-    for r in fan.rays:
-        out.append(" ".join(str(c) for c in r))
-    cones = sorted(tuple(sorted(c)) for c in fan.cones)
-    out.append(f"cones {len(cones)}")
-    for c in cones:
-        out.append(" ".join(str(i) for i in c))
+    out += _section("rays", fan.rays)
+    out += _section("cones", sorted(tuple(sorted(c)) for c in fan.cones))
     if fan.group_generators:
         out.append(f"generators {len(fan.group_generators)}")
         for m in fan.group_generators:
@@ -210,14 +214,8 @@ def write_certificate(cert, input_fan: FanFile) -> str:
     out.append(f"mode {cert.mode}")
     out.append(f"group-order {len(cert.group)}")
     out.append(f"rank {cert.input_complex.ambient_rank}")
-    out.append(f"flags {len(FLAG_NAMES)}")
-    for name in FLAG_NAMES:
-        out.append(f"{name} {'true' if cert.flags[name] else 'false'}")
-    out.append(f"trace {len(cert.trace)}")
-    for label, mx, tot in cert.trace:
-        mx_s = "na" if mx is None else str(mx)
-        tot_s = "na" if tot is None else str(tot)
-        out.append(f"{label} {mx_s} {tot_s}")
+    out += _section("flags", ((name, "true" if cert.flags[name] else "false") for name in FLAG_NAMES))
+    out += _section("trace", ((label, *("na" if v is None else v for v in vals)) for label, *vals in cert.trace))
     out.append(f"stages {len(cert.stages)}")
     for k, stage in enumerate(cert.stages, start=1):
         out.append(f"stage {k} {stage.kind}")
@@ -237,19 +235,10 @@ def write_certificate(cert, input_fan: FanFile) -> str:
         for rid, gen in stage.new_rays:
             out.append(f"{rid} : " + " ".join(str(c) for c in gen))
         out.append(f"multiplier {stage.multiplier}")
-        out.append(f"values {len(stage.values)}")
-        for i, v in enumerate(stage.values):
-            out.append(f"{i} {v}")
-    out.append(f"final-rays {len(cert.final.rays)}")
-    for r in cert.final.rays:
-        out.append(" ".join(str(c) for c in r))
-    final_cones = sorted(fan_from_complex(cert.final).cones)
-    out.append(f"final-cones {len(final_cones)}")
-    for c in final_cones:
-        out.append(" ".join(str(i) for i in c))
-    out.append(f"composite {len(cert.composite.ray_values)}")
-    for i, v in enumerate(cert.composite.ray_values):
-        out.append(f"{i} {v}")
+        out += _section("values", enumerate(stage.values))
+    out += _section("final-rays", cert.final.rays)
+    out += _section("final-cones", sorted(fan_from_complex(cert.final).cones))
+    out += _section("composite", enumerate(cert.composite.ray_values))
     out.append("end")
     return "\n".join(out) + "\n"
 

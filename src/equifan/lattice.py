@@ -188,11 +188,16 @@ def solve_in_basis(gens, x):
 
     Returns the tuple of Fraction coefficients, or None when x (integer
     or rational) is not in the span of gens.  Raises ValueError when gens
-    are dependent ("not simplicial"), ragged, or x's length is not theirs.
+    are dependent ("not simplicial"), ragged, or x's length is not theirs,
+    and naming the first entry of x that is neither an int nor a Fraction.
     The integer point den * x, den the lcm of x's denominators, is solved
     by `_integer_solve`: c_j = n_j / (D * den).
     """
-    den = math.lcm(*[c.denominator for c in x])
+    try:
+        den = math.lcm(*[c.denominator for c in x])
+    except AttributeError:
+        bad = next(c for c in x if not hasattr(c, "denominator"))
+        raise ValueError(f"entry {bad!r} is not an int or a Fraction") from None
     solved = _integer_solve(_rows(gens), [int(c * den) for c in x])
     if solved is None:
         return None

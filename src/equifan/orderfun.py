@@ -389,8 +389,14 @@ def _solve(base: Complex, sub: Complex, pieces, forms, bounds, x_cap, failure: s
     by base cone are given.
 
     `_lex_first` reads the pair off `_affine_conditions` and the extra
-    bounds, x running up to x_cap (None: the lcm of the rows' moduli);
-    only the winner is placed and verified, against the same wall table.
+    bounds, x running up to x_cap; only the winner is placed and verified,
+    against the same wall table.  x_cap None stands for the lcm of the
+    rows' moduli, which caps nothing when no bound has b < 0, as in the
+    direct barycentric solve (its bends are (a, 0), its bounds have
+    b > 0): at x = lcm every row holds with y = 0, so the rows admit y in
+    the residue class of 0, which has members above any x * lo.  The scan
+    over 1..lcm is then exhaustive, and None comes only from
+    `_lex_first`'s early exit (a bound with b = 0 and a <= 0).
     ValueError(failure) when no pair is admitted; RuntimeError naming
     chose(x, y) when it fails.
     """

@@ -1,8 +1,12 @@
 """Shared builders and independent oracles for the test suite."""
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -119,6 +123,17 @@ def corpus():
     ]
     assert len(cases) == 20
     return cases
+
+
+def perfbench_workloads():
+    """The benchmark's corpus module, loaded from `perfbench/workloads.py`
+    (the benchmark directory is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):  # for its dataclass
+        spec.loader.exec_module(workloads)
+    return workloads
 
 
 def candidate_actions(cx):
@@ -353,6 +368,42 @@ def reference_raw_faces(gens, ambient_rank):
     if reference_dim(gens, ambient_rank) == k:
         return frozenset(frozenset(s) for j in range(k + 1) for s in combinations(range(k), j))
     return _peeled_faces(gens, ambient_rank)
+
+
+def reference_from_maximal_cones(ambient_rank, rays, maximal):
+    """`Complex.from_maximal_cones` as it was before it built through
+    `Complex.faces`: its own checks of the rank, the rays and the ids, then
+    the face lattice of each given cone that is not already a face of an
+    earlier one, the power set when its generators have a dual basis and
+    else peeled."""
+    from equifan.complexes import _integer_rank, _peeled_faces
+    from equifan.lattice import _dual_basis, integer_vector
+
+    ambient_rank = _integer_rank(ambient_rank)
+    rays = tuple(integer_vector(r) for r in rays)
+    maximal = [frozenset(c) for c in maximal]
+    if any(len(r) != ambient_rank for r in rays):
+        raise ValueError("ray length does not match ambient rank")
+    for c in maximal:
+        for i in c:
+            if not (0 <= i < len(rays)):
+                raise ValueError(f"cone references unknown ray id {i}")
+    for r in rays:
+        if all(c == 0 for c in r):
+            raise ValueError("zero ray")
+    cones = {frozenset()}
+    for c in maximal:
+        if c in cones:
+            continue
+        order = sorted(c)
+        gens = tuple(rays[i] for i in order)
+        k = len(gens)
+        if _dual_basis(gens) is not None:
+            raw = frozenset(frozenset(s) for j in range(k + 1) for s in combinations(range(k), j))
+        else:
+            raw = _peeled_faces(gens, ambient_rank)
+        cones.update(frozenset(order[i] for i in f) for f in raw)
+    return Complex(ambient_rank, rays, cones)
 
 
 def reference_simplicial_snf(gens):

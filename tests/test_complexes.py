@@ -40,6 +40,7 @@ from conftest import (
     p2_fan,
     reference_cone_dual,
     reference_extreme,
+    reference_from_maximal_cones,
     reference_intersect_cones,
     square_cone,
     subset_faces_oracle,
@@ -313,6 +314,88 @@ def _random_cone(rng, n):
 
 def _pointed(dual, n):
     return rank(list(dual.equations) + list(dual.inequalities)) == n
+
+
+FAULTS = ("repeated id", "equal rays", "zero ray", "unknown id", "short ray", "fractional entry", "rank")
+
+
+def _construction_input(rng, fans):
+    """(fault, rank, rays, cones) for `from_maximal_cones`.  The cones are
+    the maximal cones of a corpus fan, or of a star of one at a point of a
+    maximal cone, or one to three cones over random generators (so not
+    simplicial, not pointed or lower dimensional), in random order; now
+    and then a face of a given cone or a given cone again joins them.  Half
+    the draws then carry one of the FAULTS (an unknown id in up to two
+    cones, so the first one must be named)."""
+    if rng.random() < 0.5:
+        cx = rng.choice(fans)
+        if rng.random() < 0.5:
+            sigma = sorted(rng.choice(cx.maximal_cones))
+            weights = [rng.randint(0, 2) for _ in sigma]
+            if any(weights):
+                gens = cx.generators(sigma)
+                cx = star_subdivide(cx, primitive([sum(w * g[k] for w, g in zip(weights, gens)) for k in range(cx.ambient_rank)]))
+        n, rays = cx.ambient_rank, list(cx.rays)
+        cones = [sorted(c) for c in cx.maximal_cones]
+        extras = [sorted(c) for c in sorted(cx.cones, key=sorted)]
+    else:
+        n = rng.randint(1, 4)
+        rays = list(_random_cone(rng, n))
+        cones = [rng.sample(range(len(rays)), rng.randint(1, len(rays))) for _ in range(rng.randint(1, 3))]
+        extras = [rng.sample(c, rng.randint(0, len(c))) for c in cones]
+    cones += [list(c) for c in rng.sample(extras, min(len(extras), rng.randint(0, 2)))]
+    rng.shuffle(cones)
+    fault = rng.choice(FAULTS) if rng.random() < 0.5 else None
+    i = rng.randrange(len(rays))
+    if fault == "repeated id":
+        cone = rng.choice(cones)
+        cone.append(rng.choice(cone or [i]))
+    elif fault == "equal rays":
+        rays.append(rays[i])
+        cones.append([i, len(rays) - 1])
+    elif fault == "zero ray":
+        rays[i] = (0,) * n
+    elif fault == "unknown id":  # in one or two cones, anywhere in the list
+        for _ in range(rng.randint(1, 2)):
+            bad = rng.sample(range(len(rays)), rng.randint(0, 1)) + [rng.choice((-1, len(rays), len(rays) + 2))]
+            cones.insert(rng.randint(0, len(cones)), bad)
+    elif fault == "short ray":
+        rays[i] = rays[i][:-1] if rng.random() < 0.5 else rays[i] + (1,)
+    elif fault == "fractional entry":
+        rays[i] = (Fraction(1, 2),) + rays[i][1:]
+    elif fault == "rank":
+        n += 0.5
+    return fault, n, rays, cones
+
+
+def _construction(build, n, rays, cones):
+    """(rank, rays, cones) of the complex built, or the error raised."""
+    try:
+        cx = build(n, rays, cones)
+    except Exception as e:
+        return type(e), str(e)
+    return cx.ambient_rank, cx.rays, cx.cones
+
+
+def test_from_maximal_cones_matches_the_reference():
+    """`from_maximal_cones`, which builds through `Complex.faces`, against
+    the walk it replaced (`conftest.reference_from_maximal_cones`) on 1,200
+    derandomized draws: the same complex or the same error on every one."""
+    fans = [cx for _, cx in corpus()]
+    seen = Counter()
+    for seed in range(1200):
+        fault, n, rays, cones = _construction_input(random.Random(seed), fans)
+        got = _construction(Complex.from_maximal_cones, n, rays, cones)
+        assert got == _construction(reference_from_maximal_cones, n, rays, cones), (seed, fault)
+        seen[fault] += 1
+        if isinstance(got[0], int):
+            cx = Complex(*got)
+            seen["not simplicial"] += not is_simplicial(cx)
+            seen["not pointed"] += any(not _pointed(cx.dual(c), cx.ambient_rank) for c in cx.maximal_cones if c)
+        else:
+            seen[got[1].split(" ")[0]] += 1
+    assert min(seen[k] for k in FAULTS + ("not simplicial", "not pointed")) > 50, seen
+    assert min(seen[k] for k in ("zero", "cone", "ray", "entry", "ambient")) > 50, seen
 
 
 def test_dual_questions_match_references():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equifan import complexes, lattice
-from equifan.complexes import Complex, _raw_faces, cone_dual
+from equifan.complexes import Complex, cone_dual
 from equifan.lattice import _dual_basis, _simplicial_snf, cone_index, solve_in_basis
 
 from conftest import (
@@ -82,8 +82,9 @@ def test_dual_basis_answers_match_the_references(seed):
             assert _outcome(solve_in_basis, gens, x) == _outcome(reference_solve_in_basis, gens, x)
         assert cone_dual(gens, n) == reference_cone_dual(gens, n)
         cone = frozenset(range(len(gens)))
-        assert Complex(n, gens, [cone]).dim(cone) == reference_dim(gens, n)
-        assert _raw_faces(gens, n) == reference_raw_faces(gens, n)
+        cx = Complex(n, gens, [cone])
+        assert cx.dim(cone) == reference_dim(gens, n)
+        assert cx.faces(cone) == reference_raw_faces(gens, n)
         assert _outcome(_simplicial_snf, gens) == _outcome(reference_simplicial_snf, gens)
 
 
@@ -114,6 +115,14 @@ def test_solve_rejects_a_point_of_the_wrong_length():
         solve_in_basis(((1, 0), (0, 1)), (1, 1, 1))
     assert solve_in_basis(((1, 0, 0), (0, 1, 0)), (1, 1, 0)) == (1, 1)
     assert solve_in_basis(((1, 0, 0), (0, 1, 0)), (1, 1, 1)) is None
+
+
+def test_solve_names_an_entry_that_is_not_rational():
+    """A float entry is named, as `integer_vector` names one; ints and
+    Fractions are solved as before."""
+    with pytest.raises(ValueError, match=r"^entry 0\.5 is not an int or a Fraction$"):
+        solve_in_basis(((1, 0), (0, 2)), (0.5, 1))
+    assert solve_in_basis(((1, 0), (0, 2)), (Fraction(1, 2), 1)) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def _fresh():

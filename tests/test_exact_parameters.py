@@ -9,6 +9,7 @@ order.
 """
 
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -235,12 +236,13 @@ def lex_first_problems(draw):
 
 
 def brute_lex_first(rows, bounds, xs):
-    """The first (x, y) by scanning y upwards for each x in order.  The
-    least admitted y exceeds -6 * 10 and, rows repeating with period M,
-    lies below 60 + M when there is one."""
+    """The first (x, y) by scanning y upwards for each x in order.  Every
+    bound has |a| <= 6 and the lower bounds b >= 1, so the least admitted
+    y exceeds -6 * x and, rows repeating with period M, is at most
+    6 * x + M when there is one."""
     period = math.lcm(*[d for _, _, d in rows])
     for x in xs:
-        for y in range(-60, 60 + period):
+        for y in range(-6 * x, 6 * x + period + 1):
             if all((x * p + y * q) % d == 0 for p, q, d in rows) and all(
                 x * a + y * b > 0 for a, b in bounds
             ):
@@ -252,3 +254,23 @@ def brute_lex_first(rows, bounds, xs):
 @given(lex_first_problems())
 def test_lex_first_matches_a_scan(problem):
     assert _lex_first(*problem) == brute_lex_first(*problem)
+
+
+def test_the_lcm_caps_nothing_without_an_upper_bound():
+    """With no bound b < 0, x = lcm of the moduli is admitted (see
+    `orderfun._solve`), so scanning x over 1..lcm finds what a scan over
+    1..3 * lcm finds, None included: 2,000 derandomized problems, each up
+    to three rows with moduli 2..6 and up to four bounds with b >= 0, the
+    first b > 0."""
+    rng = random.Random(0)
+    for _ in range(2000):
+        rows = []
+        for _ in range(rng.randint(0, 3)):
+            d = rng.randint(2, 6)
+            rows.append((rng.randrange(d), rng.choice((0, rng.randrange(d))), d))
+        bounds = [(rng.randint(-6, 6), rng.randint(1, 4))]
+        bounds += [(rng.randint(-6, 6), rng.randint(0, 4)) for _ in range(rng.randint(0, 3))]
+        lcm = math.lcm(*[d for _, _, d in rows])
+        assert _lex_first(rows, bounds, range(1, lcm + 1)) == brute_lex_first(
+            rows, bounds, range(1, 3 * lcm + 1)
+        ), (rows, bounds)

@@ -1,6 +1,7 @@
 """File formats, hashing, replay verification, and the command line."""
 
 import functools
+import hashlib
 import itertools
 import os
 import subprocess
@@ -46,6 +47,7 @@ from conftest import (
     complete_2d_fan,
     corpus,
     orthant,
+    perfbench_workloads,
     quadrant_and_ray,
     singular_cone_2d,
 )
@@ -879,3 +881,23 @@ class TestCli:
                 "verify-fan": ("verify", good_cert, bad)}[command]
         assert run_cli(*map(str, args)) == 2
         assert capsys.readouterr().err == f"parse error: {bad} is not UTF-8 text (byte 7)\n"
+
+
+WORKLOADS = perfbench_workloads()
+
+
+@pytest.mark.parametrize(
+    "workload, case",
+    [(w, case) for w in WORKLOADS.WORKLOADS for case in WORKLOADS.make_cases(w, 0)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_benchmark_certificates_match_their_pinned_hashes(workload, case):
+    """Each seed-0 case of the benchmark corpus, resolved in-process as
+    `equifan resolve` resolves it, writes the certificate whose sha256
+    the benchmark pins, and that certificate verifies."""
+    fan = parse_fan(WORKLOADS.fan_text(case))
+    elements = generate_group(fan.group_generators, rank=fan.ambient_rank)
+    cert = resolve_equivariant(fan.to_complex(), elements, mode=case.mode, generators=fan.group_generators or None)
+    text = write_certificate(cert, fan)
+    assert hashlib.sha256(text.encode()).hexdigest() == WORKLOADS.PINNED_SHA256[workload][case.name]
+    assert verify_certificate(parse_certificate(text), fan) == []

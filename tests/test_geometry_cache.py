@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from equifan import complexes, lattice
-from equifan.complexes import Complex, DualDescription, _peeled_faces, _raw_faces, cone_dual
+from equifan.complexes import Complex, DualDescription, _peeled_faces, cone_dual
 from equifan.fanio import fan_from_complex, parse_certificate, verify_certificate, write_certificate
 from equifan.groups import generate_group
 from equifan.lattice import rank
@@ -72,7 +72,8 @@ def test_memoised_dual_basis_equals_fresh(cone):
 @given(simplicial_cones())
 def test_simplicial_faces_are_the_power_set_of_peeling(cone):
     gens, n = cone
-    faces = _raw_faces(gens, n)
+    cone = frozenset(range(len(gens)))
+    faces = Complex(n, gens, [cone]).faces(cone)
     assert faces == _peeled_faces(gens, n)
     assert len(faces) == 2 ** len(gens)
 

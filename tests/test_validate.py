@@ -7,12 +7,9 @@ intersection only when none is found.  `conftest.reference_validate_complex`
 checks every cone and intersects every pair exactly.
 """
 
-import importlib.util
 import random
-import sys
 from collections import Counter
 from itertools import combinations, product
-from pathlib import Path
 from unittest import mock
 
 import equifan.complexes as complexes
@@ -21,9 +18,7 @@ from equifan.fanio import parse_fan
 from equifan.lattice import primitive
 from equifan.subdivide import star_subdivide
 
-from conftest import reference_validate_complex
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from conftest import perfbench_workloads, reference_validate_complex
 
 
 def _vector(rng, n, size=2):
@@ -146,10 +141,7 @@ def test_separating_forms_decide_the_symmetric_workload():
     """The six input fans of the benchmark's `symmetric` workload validate
     with no exact intersection: one form separates each of their 72 pairs
     of maximal cones."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(sys.modules, {spec.name: workloads}):  # for its dataclass
-        spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     cases = workloads.make_cases("symmetric", 0)
     pairs = 0
     with mock.patch.object(complexes, "_intersect_cones", side_effect=AssertionError("exact test")):
