@@ -9,12 +9,11 @@ and any single-field tampering is caught with a named violation.  Each
 `keyword N` section of N rows is written by one writer (`_section`) and
 read by its own reader.
 
-Verification rebuilds each step's order function from its recorded
-(centers, scale, dip) and hands the stage to `resolve.Replay`, the same
-fold that produced the certificate.  Each subdivision is built once, by
-the step that makes it, and the replay yields the stage records, the
-composite and the measure trace that are compared with the file.  Only
-a recorded host failing `orderfun._host_coordinates` is located.
+Verification builds each stage with resolve's own solvers and folds it
+with `resolve.Replay`, as resolve did; only each round's centers and
+each stage multiplier are read from the file, and each derived stage
+record is compared with the file field by field.  Only a recorded host
+failing `orderfun._host_coordinates` is located.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 from .complexes import Complex, require_valid
 from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
 from .lattice import primitive
-from .orderfun import AxiomReport, _checked_pieces, _host_coordinates, centered_order_function, verify_order_axioms
-from .subdivide import _barycentric
+from .orderfun import _host_coordinates, search_centered_order_function
 
 
 class ParseError(Exception):
@@ -250,7 +248,7 @@ class BatchStep:
     centers: tuple  # ((vector, host cone ray ids), ...) in application order
     scale: int
     dip: int
-    multiplier: int  # composition multiplier folding this step into the stage
+    multiplier: int  # composition multiplier folding this step into the stage (set by `Replay.stage`)
 
 
 @dataclass(frozen=True)
@@ -426,14 +424,38 @@ def parse_certificate(text: str) -> CertificateData:
 # replay verification
 
 
-def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | None = None) -> list[str]:
-    """Replay every recorded step and re-derive every field; trust nothing.
+def _record_mismatch(record: StageRecord, stage: StageRecord):
+    """The first field in which a derived stage record differs from the
+    recorded one: kind, steps (each one's centers, scale/dip, multiplier),
+    multiplier, output hash, new rays, values; None when they agree."""
+    fields = [("kind", stage.kind, record.kind), ("step count", len(stage.steps), len(record.steps))]
+    for j, (want, got) in enumerate(zip(stage.steps, record.steps), start=1):
+        fields += [
+            (f"step {j} centers", want.centers, got.centers),
+            (f"step {j} scale/dip", (want.scale, want.dip), (got.scale, got.dip)),
+            (f"step {j} multiplier", want.multiplier, got.multiplier),
+        ]
+    fields.append(("multiplier", stage.multiplier, record.multiplier))
+    for name, want, got in fields:
+        if want != got:
+            return f"{name} mismatch (recorded {want}, derived {got})"
+    named = (("output_hash", "output hash"), ("new_rays", "new ray table"), ("values", "order function values"))
+    for field, name in named:
+        if getattr(record, field) != getattr(stage, field):
+            return f"{name} mismatch"
+    return None
 
-    Returns the list of named violations (empty means the certificate is
-    sound for this input).  An input that is not a valid complex is one.
+
+def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | None = None) -> list[str]:
+    """Build every stage as resolve does and re-derive every field.
+
+    Canonical stage 1 comes from the input (`resolve._barycentric_stage`),
+    each round's (scale, dip) from `search_centered_order_function` on its
+    checked centers.  Returns the list of named violations (empty means
+    the certificate is sound for this input); an invalid input is one.
     """
     # resolve imports this module, so its names are imported at the call
-    from .resolve import FLAG_NAMES, Replay, certificate_flags, direct_barycentric_order_function
+    from .resolve import FLAG_NAMES, Replay, _barycentric_stage, certificate_flags
 
     violations: list[str] = []
     if fan_hash(fan) != cert.input_sha256:
@@ -474,27 +496,17 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
 
     replay = Replay(cx0)
     for k, stage in enumerate(cert.stages, start=1):
+        cur = replay.cur
         if replay.cur_hash != stage.input_hash:
             return [f"stage {k}: input hash mismatch"]
-        # leading multipliers are unused in the folds and fixed at 1
-        if k == 1 and stage.multiplier != 1:
-            return ["stage 1: leading stage multiplier must be 1"]
-        if stage.steps and stage.steps[0].multiplier != 1:
-            return [f"stage {k}: leading step multiplier must be 1"]
-        # rebuild the step order functions from the recorded parameters
-        step_ords = []
-        if stage.kind == "barycentric-direct":
-            if len(stage.steps) != 1 or stage.steps[0].centers:
-                return [f"stage {k}: a direct barycentric stage has one step and no centers"]
-            ord_stage, scale, dip = direct_barycentric_order_function(replay.cur, *_barycentric(replay.cur))
-            step_ords.append(ord_stage)
-            if (scale, dip) != (stage.steps[0].scale, stage.steps[0].dip):
-                violations.append(f"stage {k}: direct construction scale/dip mismatch")
-        else:
-            batch_base = replay.cur
-            for step in stage.steps:
-                listed = set()
-                for center, host in step.centers:
+        try:
+            if k == 1 and cert.mode == "canonical":
+                kind, steps, step_ords, _ = _barycentric_stage(cur)
+            elif stage.kind != "centered" or len(stage.steps) != 1 or not stage.steps[0].centers:
+                return [f"stage {k}: a round is a centered stage of one step with centers"]
+            else:
+                centers, listed = stage.steps[0].centers, set()
+                for center, host in centers:
                     if center in listed:
                         return [f"stage {k}: center {center} is listed twice"]
                     listed.add(center)
@@ -502,10 +514,9 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
                         if primitive(center) != tuple(center):
                             return [f"stage {k}: center {center} is not primitive"]
                         # a sorted host holding the center inside is its carrier
-                        if (list(host) == sorted(set(host))
-                                and _host_coordinates(batch_base, center, host) is not None):
+                        if list(host) == sorted(set(host)) and _host_coordinates(cur, center, host) is not None:
                             continue
-                        actual_host = tuple(sorted(batch_base.minimal_cone_containing(center)))
+                        actual_host = tuple(sorted(cur.minimal_cone_containing(center)))
                     except ValueError as e:
                         return [f"stage {k}: center {center} invalid: {e}"]
                     if actual_host != tuple(host):
@@ -513,42 +524,17 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
                             f"stage {k}: center {center} host mismatch "
                             f"(recorded {list(host)}, actual {list(actual_host)})"
                         ]
-                try:
-                    ord_step = centered_order_function(batch_base, step.centers, step.scale, step.dip)
-                except ValueError as e:
-                    return [f"stage {k}: step replay failed: {e}"]
-                if ord_step is None:
-                    return [f"stage {k}: recorded scale/dip give no valid order function"]
-                step_ords.append(ord_step)
-                batch_base = ord_step.subdivision
+                ord_k, scale, dip = search_centered_order_function(cur, centers)
+                kind, steps, step_ords = "centered", [BatchStep(centers, scale, dip, None)], [ord_k]
+        except ValueError as e:
+            return [f"stage {k}: step replay failed: {e}"]
         try:
-            record, ord_stage = replay.stage(stage.kind, stage.steps, step_ords, stage.multiplier)
+            record, _ = replay.stage(kind, steps, step_ords, stage.multiplier)
         except ValueError as e:
             return [f"stage {k}: {e}"]
-        for field, name in (
-            ("output_hash", "output hash"),
-            ("new_rays", "new ray table"),
-            ("values", "order function values"),
-        ):
-            if getattr(record, field) != getattr(stage, field):
-                return violations + [f"stage {k}: {name} mismatch"]
-        if stage.kind == "barycentric-direct":
-            # the direct solve verified its function strict and positive on
-            # the wall table of its pieces, which leaves the pieces to check
-            _checked_pieces(ord_stage)
-            rep = AxiomReport()
-        else:
-            rep = verify_order_axioms(ord_stage)
-        if not rep.integral:
-            violations.append(f"stage {k}: order function violates integrality")
-        if not rep.convex:
-            violations.append(f"stage {k}: order function violates convexity")
-        elif not rep.strict:
-            violations.append(f"stage {k}: order function has a flat bend")
-        if not rep.positive:
-            violations.append(f"stage {k}: order function violates positivity")
-        if violations:
-            return violations
+        mismatch = _record_mismatch(record, stage)
+        if mismatch:
+            return [f"stage {k}: {mismatch}"]
 
     # final complex must match the replayed one exactly
     cur, composite_ord = replay.cur, replay.final_composite()

@@ -216,21 +216,16 @@ def _apply(form: dict, values):
     return sum(a * values[i] for i, a in form.items())
 
 
-def _checked_pieces(ord_fn: OrderFunction):
-    """The function's pieces by base cone, once `_subdivision_report`
-    shows that its subdivision subdivides its base; ValueError otherwise.
-    With the map it was built with, only the touched hosts are tested."""
+def _checked_walls(ord_fn: OrderFunction):
+    """The wall table of the function's subdivision over its base, once
+    `_subdivision_report` shows that the subdivision subdivides the base
+    on its pieces by base cone; ValueError otherwise.  With the map it was
+    built with, only the touched hosts are tested."""
     pieces = _pieces_by_base_cone(ord_fn)
     report = _subdivision_report(ord_fn.subdivision, ord_fn.base, pieces)
     if not report:
         raise ValueError(f"subdivision invariant violated: {report}")
-    return pieces
-
-
-def _checked_walls(ord_fn: OrderFunction):
-    """The wall table of the function's subdivision over its base, whose
-    pieces are checked first (`_checked_pieces`)."""
-    return _wall_forms(ord_fn.subdivision, _checked_pieces(ord_fn))
+    return _wall_forms(ord_fn.subdivision, pieces)
 
 
 def verify_order_axioms(ord_fn: OrderFunction) -> AxiomReport:

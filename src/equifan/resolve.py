@@ -383,13 +383,31 @@ def _unit(cx: Complex) -> OrderFunction:
     return _carrying(OrderFunction(cx, cx, [1] * len(cx.rays)), [(s, [s]) for s in cx.maximal_cones])
 
 
+def _barycentric_stage(cx: Complex):
+    """Canonical mode's first stage, as resolve and verify both build it:
+    (kind, steps, step functions, sources of B(cx)'s rays), by the cascade
+    on a simplicial cx and by the direct function otherwise."""
+    if not is_simplicial(cx):
+        bcx, pieces, sources = _barycentric(cx)
+        ord_b, scale, dip = direct_barycentric_order_function(cx, bcx, pieces, sources)
+        return "barycentric-direct", [BatchStep((), scale, dip, None)], [ord_b], sources
+    steps, ords, cur = [], [], cx
+    cascade = _barycentric_cascade(cx)
+    for batch in cascade:
+        ord_k, scale, dip = search_centered_order_function(cur, batch)
+        steps.append(BatchStep(tuple(batch), scale, dip, None))
+        ords.append(ord_k)
+        cur = ord_k.subdivision
+    return "barycentric", steps, ords, _barycentric_sources(cx, cur, cascade)
+
+
 class Replay:
     """A certificate's chain of stages, folded one stage at a time.
 
-    `resolve_equivariant` feeds it the order functions its searches built,
-    `fanio.verify_certificate` the ones it rebuilt from the recorded
-    parameters; both get the stage records, the composite and the measure
-    trace from this one fold.
+    `resolve_equivariant` and `fanio.verify_certificate` feed it the order
+    functions that the same solvers built; resolve writes the stage
+    records, composite and measure trace of this one fold, and verify
+    compares them with the file.
     """
 
     def __init__(self, cx: Complex):
@@ -405,21 +423,15 @@ class Replay:
         subdivision, the first on `cur`) into the stage function, fold
         that into the composite, and record the stage.
 
-        A multiplier of None is chosen by `orderfun.fold`; a given one is
-        used, except the unused leading ones, recorded as 1.  A given step
-        or stage multiplier that folds to non-integers raises ValueError.
+        `orderfun.fold` chooses every step multiplier, and the stage
+        multiplier when it is None; a given one is used (the first stage
+        records 1) and raises ValueError when it folds to non-integers.
         Returns (record, stage function).
         """
         base = self.cur
-        stage_ord = None
-        recorded = []
+        stage_ord, recorded = None, []
         for step, ord_k in zip(steps, step_ords):
-            if stage_ord is None:
-                stage_ord, mult = ord_k, 1
-            else:
-                stage_ord, mult = fold(stage_ord, ord_k, step.multiplier)
-                if stage_ord is None:
-                    raise ValueError("step composition is not integral")
+            stage_ord, mult = (ord_k, 1) if stage_ord is None else fold(stage_ord, ord_k)
             recorded.append(replace(step, multiplier=mult))
         if stage_ord is None:
             stage_ord = _unit(base)
@@ -510,21 +522,8 @@ def resolve_equivariant(
     if mode == "plain":
         frames = initial_frames_plain(cx)
     else:
-        if is_simplicial(cx):
-            steps, ords = [], []
-            cur = cx
-            cascade = _barycentric_cascade(cx)
-            for batch in cascade:
-                ord_k, scale, dip = search_centered_order_function(cur, batch)
-                steps.append(BatchStep(tuple(batch), scale, dip, None))
-                ords.append(ord_k)
-                cur = ord_k.subdivision
-            replay.stage("barycentric", steps, ords)
-            sources = _barycentric_sources(cx, replay.cur, cascade)
-        else:
-            bcx, pieces, sources = _barycentric(cx)
-            ord_b, scale, dip = direct_barycentric_order_function(cx, bcx, pieces, sources)
-            replay.stage("barycentric-direct", [BatchStep((), scale, dip, 1)], [ord_b])
+        kind, steps, ords, sources = _barycentric_stage(cx)
+        replay.stage(kind, steps, ords)
         frames = initial_frames_barycentric(cx, replay.cur, sources)
 
     # the last trace row holds cur's largest index (None: not simplicial)
@@ -553,7 +552,7 @@ def resolve_equivariant(
                 if max((cone_index(nxt.generators(d)) for d in ps), default=idx) >= idx:
                     raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")
 
-        replay.stage("centered", [BatchStep(tuple(centers_with_hosts), scale, dip, 1)], [ord_k])
+        replay.stage("centered", [BatchStep(tuple(centers_with_hosts), scale, dip, None)], [ord_k])
 
     composite = replay.final_composite()
     flags = certificate_flags(cx, generators, replay.cur, composite)

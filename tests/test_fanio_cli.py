@@ -267,22 +267,17 @@ def replayed_plain_certificate(scale, dip):
     "scale, dip, expected",
     [
         (2, 1, []),
-        (1, 0, ["stage 1: order function has a flat bend"]),
-        (1, -1, ["stage 1: order function violates convexity"]),
-        (
-            0,
-            -1,
-            [
-                "stage 1: order function violates convexity",
-                "stage 1: order function violates positivity",
-            ],
-        ),
+        (1, 0, ["stage 1: step 1 scale/dip mismatch (recorded (1, 0), derived (2, 1))"]),
+        (1, -1, ["stage 1: step 1 scale/dip mismatch (recorded (1, -1), derived (2, 1))"]),
+        (0, -1, ["stage 1: step 1 scale/dip mismatch (recorded (0, -1), derived (2, 1))"]),
     ],
     ids=["sound", "flat", "concave", "concave-and-zero"],
 )
 def test_stage_axiom_violations_are_named(scale, dip, expected):
     """Recorded parameters that replay consistently but give no strictly
-    convex, positive order function are named by the stage's axiom check."""
+    convex, positive order function (a flat bend, a concave one, a zero
+    value) are not resolve's: verify solves the round and names the
+    (scale, dip) it derives."""
     cert, fan = replayed_plain_certificate(scale, dip)
     assert verify_certificate(cert, fan) == expected
 

@@ -54,6 +54,5 @@ def test_every_target_resolves_and_unwinds():
         "orderfun.search_centered_order_function",
         "subdivide.star_subdivide",
         "fanio.verify_certificate",
-        "orderfun.centered_order_function",
         "complexes.Complex.faces",
     } <= traced

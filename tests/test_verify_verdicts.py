@@ -4,10 +4,11 @@ single-field mutation reaches.
 Each test starts from a certificate that `resolve_equivariant` wrote,
 changes the fields one verdict needs, and pins the violation list.  The
 composite fold's own integrality check ("composite re-derivation is not
-integral") cannot be reached through a certificate: every stage function
-is checked integral before the next stage folds it, so the composite is
-integral at every lattice point and each recorded multiplier folds to
-integers.  `Replay` is fed a non-integral first stage directly instead.
+integral") cannot be reached through a certificate: verify builds every
+stage function with resolve's solvers, which verify it integral, so the
+composite is integral at every lattice point and each recorded
+multiplier folds to integers.  `Replay` is fed a non-integral first
+stage directly instead.
 """
 
 from dataclasses import replace
@@ -25,9 +26,20 @@ from equifan.fanio import (
     verify_certificate,
     write_certificate,
 )
-from equifan.groups import generate_group
-from equifan.orderfun import centered_order_function, search_centered_order_function
-from equifan.resolve import FLAG_NAMES, Replay, resolve_equivariant
+from equifan.groups import generate_group, trivial_group
+from equifan.lattice import primitive
+from equifan.orderfun import _pieces_by_base_cone, centered_order_function, search_centered_order_function
+from equifan.resolve import (
+    FLAG_NAMES,
+    ROUND_CAP,
+    Replay,
+    ResolutionCertificate,
+    _inherit_frames,
+    certificate_flags,
+    initial_frames_plain,
+    resolve_equivariant,
+    select_centers,
+)
 
 from conftest import SWAP2, orthant, singular_cone_2d, square_cone
 
@@ -74,15 +86,22 @@ def test_group_does_not_act_on_the_input():
 
 
 def test_direct_stage_needs_one_step_without_centers():
+    # the stage is built from the input and compared field by field
     data, fan = certificate(square_cone(), "canonical")
     assert data.stages[0].kind == "barycentric-direct"
-    expected = ["stage 1: a direct barycentric stage has one step and no centers"]
-    assert verify_certificate(with_stage(data, 1, steps=()), fan) == expected
+    assert verify_certificate(with_stage(data, 1, steps=()), fan) == [
+        "stage 1: step count mismatch (recorded 0, derived 1)"
+    ]
     step = data.stages[0].steps[0]
     two = with_stage(data, 1, steps=(step, replace(step, multiplier=2)))
-    assert verify_certificate(two, fan) == expected
-    centered = with_step(data, 1, 1, centers=(((0, 0, 1), (0, 1, 2, 3)),))
-    assert verify_certificate(centered, fan) == expected
+    assert verify_certificate(two, fan) == ["stage 1: step count mismatch (recorded 2, derived 1)"]
+    centers = (((0, 0, 1), (0, 1, 2, 3)),)
+    assert verify_certificate(with_step(data, 1, 1, centers=centers), fan) == [
+        f"stage 1: step 1 centers mismatch (recorded {centers}, derived ())"
+    ]
+    assert verify_certificate(with_stage(data, 1, kind="barycentric"), fan) == [
+        "stage 1: kind mismatch (recorded barycentric, derived barycentric-direct)"
+    ]
 
 
 def test_center_outside_the_support_is_invalid():
@@ -107,25 +126,30 @@ def test_step_replay_failed_on_a_ray_in_no_cone():
 def test_step_composition_that_is_not_integral():
     # the barycentric cascade of the cone (1,0,0),(3,4,0),(0,0,1) has two
     # steps; at scale 3 the first step's function is 3/2 at the second
-    # step's center (1,1,0), so the recorded step multiplier 1 leaves
-    # non-integral values
+    # step's center (1,1,0), so the recorded step multiplier 1 would leave
+    # non-integral values; the cascade is re-solved, which names the scale,
+    # and every step multiplier is derived by the fold
     cx = Complex.from_maximal_cones(3, [(1, 0, 0), (3, 4, 0), (0, 0, 1)], [[0, 1, 2]])
     data, fan = certificate(cx, "canonical")
     assert [s.multiplier for s in data.stages[0].steps] == [1, 1]
     assert data.stages[0].steps[1].centers[0] == ((1, 1, 0), (0, 1))
     bad = with_step(data, 1, 1, scale=3)
-    assert verify_certificate(bad, fan) == ["stage 1: step composition is not integral"]
+    assert verify_certificate(bad, fan) == ["stage 1: step 1 scale/dip mismatch (recorded (3, 4), derived (2, 4))"]
+    for j in (1, 2):
+        bad = with_step(data, 1, j, multiplier=2)
+        assert verify_certificate(bad, fan) == [f"stage 1: step {j} multiplier mismatch (recorded 2, derived 1)"]
 
 
 def test_stage_function_that_is_not_integral():
     # (1,0),(1,3) starred at (1,2) with (scale, dip) = (3, 1) values the
     # rays 3, 3, 2, so the lattice point (1,1) of the piece (1,0),(1,2)
-    # gets 5/2; every other field replays consistently
+    # gets 5/2; every other field is consistent with those values, and
+    # the solver's (scale, dip) is named
     data, fan = certificate(singular_cone_2d(3))
     assert data.stages[0].steps[0].centers == (((1, 2), (0, 1)),)
     assert (data.stages[0].steps[0].scale, data.stages[0].values) == (3, (3, 3, 1))
     bad = with_stage(with_step(data, 1, 1, dip=1), 1, values=(3, 3, 2))
-    assert verify_certificate(bad, fan) == ["stage 1: order function violates integrality"]
+    assert verify_certificate(bad, fan) == ["stage 1: step 1 scale/dip mismatch (recorded (3, 1), derived (3, 2))"]
 
 
 def test_composite_that_is_not_integral():
@@ -171,7 +195,9 @@ def test_a_step_with_two_centers_in_one_maximal_cone():
     (step,) = data.stages[0].steps
     assert step.centers == (((1, 4), (0, 1)),)
     centers = step.centers + (((1, 2), (0, 1)),)
-    assert verify_certificate(with_step(data, 1, 1, centers=centers), fan) == ["stage 1: output hash mismatch"]
+    assert verify_certificate(with_step(data, 1, 1, centers=centers), fan) == [
+        "stage 1: step 1 scale/dip mismatch (recorded (5, 4), derived (3, 2))"
+    ]
     # recorded as a resolve would, the stage passes, and the next stage
     # does not start on its output
     ord_k, scale, dip = search_centered_order_function(cx, centers)
@@ -186,3 +212,96 @@ def test_a_step_with_two_centers_in_one_maximal_cone():
     assert verify_certificate(with_step(data, 1, 1, centers=step.centers * 2), fan) == [
         f"stage 1: center {center} is listed twice"
     ]
+
+
+# ---------------------------------------------------------------------------
+# forged certificates: consistent in every field, and not resolve's
+
+
+def run_rounds(replay, frames):
+    """Resolve's rounds from the given frames until the replay is smooth."""
+    while replay.trace[-1][1] != 1 and replay.rounds < ROUND_CAP:
+        best, selected = select_centers(replay.cur, frames)
+        carriers = {}
+        for p, mc in selected:
+            carriers.setdefault(primitive(p), tuple(sorted(i for i, a in zip(frames[mc], best) if a)))
+        centers = tuple(sorted(carriers.items()))
+        ord_k, scale, dip = search_centered_order_function(replay.cur, centers)
+        frames = _inherit_frames(frames, _pieces_by_base_cone(ord_k))
+        replay.stage("centered", [BatchStep(centers, scale, dip, None)], [ord_k])
+
+
+def replayed_certificate(cx, mode, replay):
+    """(parsed certificate, fan) of the replay's stages, with the flags
+    re-derived, written as `resolve_equivariant` writes one."""
+    group = trivial_group(cx.ambient_rank)
+    composite = replay.final_composite()
+    cert = ResolutionCertificate(
+        mode=mode,
+        input_complex=cx,
+        group=group,
+        stages=tuple(replay.stages),
+        composite=composite,
+        final=replay.cur,
+        flags=certificate_flags(cx, group, replay.cur, composite),
+        trace=tuple(replay.trace),
+    )
+    assert cert.ok
+    fan = fan_from_complex(cx)
+    return parse_certificate(write_certificate(cert, fan)), fan
+
+
+def test_a_round_at_a_larger_scale_is_named(monkeypatch):
+    # every round's solve takes the first admitted scale at least twice
+    # the least one: a strict, integral chain that resolve does not write
+    import equifan.orderfun
+
+    lex_first = equifan.orderfun._lex_first
+
+    def doubled(rows, bounds, xs):
+        found = lex_first(rows, bounds, xs)
+        return found and lex_first(rows, bounds, range(2 * found[0], xs.stop))
+
+    cx = singular_cone_2d(7)
+    expected, fan = certificate(cx)
+    monkeypatch.setattr(equifan.orderfun, "_lex_first", doubled)
+    data, _ = certificate(cx)
+    monkeypatch.undo()
+    assert [s.steps[0].centers for s in data.stages] == [s.steps[0].centers for s in expected.stages]
+    ((want,), (got,)) = (expected.stages[0].steps, data.stages[0].steps)
+    assert verify_certificate(data, fan) == [
+        f"stage 1: step 1 scale/dip mismatch (recorded ({got.scale}, {got.dip}), "
+        f"derived ({want.scale}, {want.dip}))"
+    ]
+
+
+def test_a_barycentric_stage_of_the_top_barycenter_alone_is_named():
+    # the first stage stars only the barycenter of the 3-cone, where the
+    # cascade also stars its facets' barycenters; the rounds then run
+    # from plain frames until the complex is smooth
+    cx = Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (1, 2, 5)], [[0, 1, 2]])
+    centers = (((2, 3, 5), (0, 1, 2)),)
+    replay = Replay(cx)
+    ord_b, scale, dip = search_centered_order_function(cx, centers)
+    replay.stage("barycentric", [BatchStep(centers, scale, dip, None)], [ord_b])
+    run_rounds(replay, initial_frames_plain(replay.cur))
+    data, fan = replayed_certificate(cx, "canonical", replay)
+    assert verify_certificate(data, fan) == ["stage 1: step count mismatch (recorded 1, derived 2)"]
+
+
+@pytest.mark.parametrize("steps", [0, 1], ids=["no-step", "no-center"])
+def test_a_round_that_stars_nothing_is_named(steps):
+    # a smooth resolution of (1,0),(1,3) with one more round appended that
+    # subdivides nothing and folds the constant 1 into the composite
+    cx = singular_cone_2d(3)
+    replay = Replay(cx)
+    run_rounds(replay, initial_frames_plain(cx))
+    if steps:
+        ord_k, scale, dip = search_centered_order_function(replay.cur, ())
+        replay.stage("centered", [BatchStep((), scale, dip, None)], [ord_k], 1)
+    else:
+        replay.stage("centered", [], [], 1)
+    data, fan = replayed_certificate(cx, "plain", replay)
+    k = len(data.stages)
+    assert k == 3
+    assert verify_certificate(data, fan) == [f"stage {k}: a round is a centered stage of one step with centers"]
