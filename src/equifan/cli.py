@@ -10,6 +10,7 @@ variable EQUIFAN_GROUP_CAP.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -212,7 +213,10 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later `main` in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="equifan",
         description="Exact subdivisions, order functions, group actions and "

@@ -143,7 +143,38 @@ class Complex:
             raise ValueError(f"cone references unknown ray id {unknown}")
         self.cones: frozenset[ConeIds] = frozenset(cones)
         self._dim_cache: dict[ConeIds, int] = {}
+        self._gens: dict[ConeIds, tuple[Vec, ...]] = {}
         self._maximal: tuple[ConeIds, ...] | None = None
+
+    @classmethod
+    def _derived(cls, parent, new_rays, removed, added, maximal, dims):
+        """The complex made from `parent` by appending `new_rays` and
+        replacing the cones `removed` by `added`, with `maximal` as its
+        maximal cones in `_cone_order` and `dims` the dimensions of added
+        cones; for complexes the package derives, never for outside input.
+
+        Only the new rays are checked, as `__init__` checks rays: integer
+        entries, the ambient length.  The parent's rank, rays and cone ids
+        were checked when it was built, old ray ids never change, and an
+        added cone holds old ids and ids of the new rays; so a kept cone
+        keeps its dimension and its generator tuple, which are carried
+        over from the parent's memos, and only the removed cones' are
+        dropped.
+        """
+        new_rays = tuple(integer_vector(r) for r in new_rays)
+        if any(len(r) != parent.ambient_rank for r in new_rays):
+            raise ValueError("ray length does not match ambient rank")
+        out = cls.__new__(cls)
+        out.ambient_rank = parent.ambient_rank
+        out.rays = parent.rays + new_rays
+        out.cones = (parent.cones - removed) | added
+        out._maximal = maximal
+        out._dim_cache, out._gens = dict(parent._dim_cache), dict(parent._gens)
+        for cone in removed:
+            out._dim_cache.pop(cone, None)
+            out._gens.pop(cone, None)
+        out._dim_cache.update(dims)
+        return out
 
     # -- construction -------------------------------------------------
 
@@ -160,7 +191,13 @@ class Complex:
     # -- basic queries -------------------------------------------------
 
     def generators(self, cone) -> tuple[Vec, ...]:
-        return tuple(self.rays[i] for i in sorted(cone))
+        """The rays of a cone in ascending id order, memoised per complex
+        (and carried to a derived one, `_derived`)."""
+        cone = frozenset(cone)
+        gens = self._gens.get(cone)
+        if gens is None:
+            gens = self._gens[cone] = tuple(self.rays[i] for i in sorted(cone))
+        return gens
 
     def dim(self, cone) -> int:
         """The dimension of a cone's span: the generator count when the

@@ -166,11 +166,16 @@ def parse_fan(text: str) -> FanFile:
     return FanFile(rank, rays, cones, tuple(generators))
 
 
+def _row(row) -> str:
+    """One row of a section: its entries, space-separated."""
+    return " ".join(map(str, row))
+
+
 def _section(keyword, rows) -> list[str]:
-    """A `keyword N` line and N rows of space-separated entries: the text
-    `_rays`, `_cones`, `_ray_values` and the flag and trace readers read."""
+    """A `keyword N` line and N rows (`_row`): the text `_rays`, `_cones`,
+    `_ray_values` and the flag and trace readers read."""
     rows = list(rows)
-    return [f"{keyword} {len(rows)}", *(" ".join(map(str, row)) for row in rows)]
+    return [f"{keyword} {len(rows)}", *map(_row, rows)]
 
 
 def write_fan(fan: FanFile) -> str:
@@ -195,7 +200,40 @@ def fan_hash(fan: FanFile) -> str:
 
 
 def complex_hash(cx: Complex) -> str:
+    """The sha256 of the complex's fan text, recomputed in full: the
+    reference that the stage hash `resolve.Replay` carries (`_FanLines`)
+    is tested against."""
     return hashlib.sha256(write_fan(fan_from_complex(cx)).encode()).hexdigest()
+
+
+class _FanLines:
+    """The text `write_fan` writes for a complex without generators, kept
+    as lines that a subdivision changes in place: ray lines are appended,
+    and each nonzero maximal cone has one line, keyed by its sorted ray
+    ids.  `sha256` is `complex_hash` of the complex the lines describe."""
+
+    def __init__(self, cx: Complex):
+        self.rank = cx.ambient_rank
+        self.ray_lines: list[str] = []
+        self.cone_lines: dict[tuple, str] = {}
+        self.update(cx.rays, (), cx.maximal_cones)
+
+    def update(self, new_rays, removed, added):
+        """Append the new rays' lines, and replace the removed maximal
+        cones' lines by the added ones'."""
+        self.ray_lines += map(_row, new_rays)
+        for c in removed:
+            del self.cone_lines[tuple(sorted(c))]
+        for c in added:
+            if c:  # no line for the zero cone, as in `fan_from_complex`
+                key = tuple(sorted(c))
+                self.cone_lines[key] = _row(key)
+
+    def sha256(self) -> str:
+        cones = [self.cone_lines[k] for k in sorted(self.cone_lines)]
+        rays = self.ray_lines
+        text = "\n".join([f"rank {self.rank}", f"rays {len(rays)}", *rays, f"cones {len(cones)}", *cones])
+        return hashlib.sha256((text + "\n").encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +315,21 @@ class CertificateData:
 
 
 def _ray_values(lines, keyword, what):
-    """A `keyword N` line and N lines 'ray_id value', one per ray id 0..N-1."""
+    """A `keyword N` line and N lines 'ray_id value', with the ray ids
+    0..N-1 in order, as `_section` writes them: one text per value table."""
     n, parts = lines.expect_keyword(keyword)
     count = _count(parts, n, f"{keyword} count")
     if count > len(lines.items) - lines.pos:
         raise ParseError(f"{keyword} count {count} exceeds the lines left", n)
-    values = [None] * count
-    for _ in range(count):
+    values = []
+    for rid in range(count):
         n, line = lines.next(what)
         pair = _ints(line.split(), n, what)
-        if len(pair) != 2 or not (0 <= pair[0] < count):
+        if len(pair) != 2:
             raise ParseError(f"{keyword} line must be 'ray_id value'", n)
-        values[pair[0]] = pair[1]
-    if None in values:
-        raise ParseError(f"missing {what}", n)
+        if pair[0] != rid:
+            raise ParseError(f"{keyword} line for ray {rid} expected, found ray id {pair[0]}", n)
+        values.append(pair[1])
     return tuple(values)
 
 
@@ -554,6 +593,12 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     for name in cert.flags:
         if name not in FLAG_NAMES:
             violations.append(f"unknown flag: {name}")
+    # resolve writes the flags in FLAG_NAMES order, the one text of them
+    listed = [name for name in cert.flags if name in FLAG_NAMES]
+    expected = [name for name in FLAG_NAMES if name in cert.flags]
+    misplaced = next(((a, b) for a, b in zip(listed, expected) if a != b), None)
+    if misplaced:
+        violations.append(f"flag out of order: {misplaced[0]} is listed where {misplaced[1]} belongs")
     for name, value in flags.items():
         if not value:
             violations.append(f"final verification failed: {name}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complexes import Complex, is_simplicial, is_smooth, is_subdivision, require_valid
-from .fanio import BatchStep, StageRecord, complex_hash
+from .fanio import BatchStep, StageRecord, _FanLines
 from .groups import _strictness, cone_image, group_action, trivial_group, verify_action
 from .lattice import (
     _eliminate,
@@ -49,8 +49,10 @@ ROUND_CAP = 10_000
 
 
 def _index_measure(cx: Complex):
-    """(largest, total) cone_index over the maximal cones, from one pass;
-    ValueError on a non-simplicial complex."""
+    """(largest, total) cone_index over the maximal cones, from one pass
+    over the whole complex; ValueError on a non-simplicial complex.  The
+    full recomputation that `Replay`'s carried trace rows are tested
+    against."""
     if not is_simplicial(cx):
         raise ValueError("not simplicial")
     indices = [cone_index(cx.generators(c)) for c in cx.maximal_cones if c]
@@ -58,13 +60,27 @@ def _index_measure(cx: Complex):
 
 
 def total_index(cx: Complex) -> int:
-    """Sum of cone_index over the maximal cones."""
+    """Sum of cone_index over the maximal cones, recomputed in full
+    (`_index_measure`)."""
     return _index_measure(cx)[1]
 
 
 def max_index(cx: Complex) -> int:
-    """Largest cone_index among the maximal cones."""
+    """Largest cone_index among the maximal cones, recomputed in full
+    (`_index_measure`)."""
     return _index_measure(cx)[0]
+
+
+def _indices(cx: Complex, cones):
+    """{cone: cone_index} over the given nonzero cones of cx, or None when
+    one of them is not simplicial."""
+    table = {}
+    for c in cones:
+        if c:
+            if len(c) != cx.dim(c):
+                return None
+            table[c] = cone_index(cx.generators(c))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +385,6 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex, pieces, sources
 # the stage replay, shared by resolve and verify
 
 
-def _trace_row(label: str, cx: Complex):
-    """One row of the measure trace: (label, max index, total index), or
-    (label, None, None) for a non-simplicial complex."""
-    try:
-        return (label, *_index_measure(cx))
-    except ValueError:  # not simplicial
-        return (label, None, None)
-
-
 def _unit(cx: Complex) -> OrderFunction:
     """The constant 1 on cx, as its own subdivision."""
     return _carrying(OrderFunction(cx, cx, [1] * len(cx.rays)), [(s, [s]) for s in cx.maximal_cones])
@@ -408,15 +415,51 @@ class Replay:
     functions that the same solvers built; resolve writes the stage
     records, composite and measure trace of this one fold, and verify
     compares them with the file.
+
+    A round costs what it touches.  The replay carries the cone indices of
+    the current maximal cones (`indices`, None while the complex is not
+    simplicial), which give each trace row its largest and total index,
+    and the formatted lines of the current fan text (ray lines and
+    {sorted cone ids: cone line}), which give each stage hash.  A stage
+    updates both from its function's pieces map: a star changes only its
+    carrier's star, and old ray ids never change, so the maximal cones
+    whose pieces are not themselves (the touched hosts) are the only ones
+    that leave, their pieces the only ones that come, and the only new
+    rays are appended.  `tests/test_carried_state.py` compares the rows
+    with `_index_measure` and the hashes with `fanio.complex_hash`, the
+    full recomputations, at every stage.
     """
 
     def __init__(self, cx: Complex):
         self.cur = cx  # the subdivision reached so far
-        self.cur_hash = complex_hash(cx)
+        self.indices = _indices(cx, cx.maximal_cones)
+        self._lines = _FanLines(cx)
+        self.cur_hash = self._lines.sha256()
         self.composite = None
         self.stages = []
-        self.trace = [_trace_row("input", cx)]
+        self.trace = [("input", *self._measure())]
         self.rounds = 0
+
+    def _measure(self):
+        """(largest, total) index of the current complex, or (None, None)."""
+        if self.indices is None:
+            return None, None
+        return max(self.indices.values(), default=1), sum(self.indices.values())
+
+    def _advance(self, sub: Complex, pieces):
+        """Carry the indices and lines from cur to sub, given sub's pieces
+        over cur (see the class docstring)."""
+        touched = [sigma for sigma, ps in pieces if ps != [sigma]]
+        added = [p for sigma, ps in pieces if ps != [sigma] for p in ps]
+        self._lines.update(sub.rays[len(self.cur.rays):], touched, added)
+        new = None if self.indices is None else _indices(sub, added)
+        if new is None:  # cur or a piece is not simplicial
+            self.indices = _indices(sub, sub.maximal_cones)
+        else:
+            for sigma in touched:
+                del self.indices[sigma]
+            self.indices.update(new)
+        self.cur = sub
 
     def stage(self, kind: str, steps, step_ords, multiplier=None):
         """Fold the step functions of a stage (each on the previous one's
@@ -442,6 +485,7 @@ class Replay:
             composite, multiplier = fold(self.composite, stage_ord, multiplier)
             if composite is None:
                 raise ValueError("composite re-derivation is not integral")
+        self._advance(sub, _pieces_by_base_cone(stage_ord))
         record = StageRecord(
             kind=kind,
             steps=tuple(recorded),
@@ -449,15 +493,15 @@ class Replay:
             values=stage_ord.ray_values,
             new_rays=tuple((i, sub.rays[i]) for i in range(len(base.rays), len(sub.rays))),
             input_hash=self.cur_hash,
-            output_hash=complex_hash(sub),
+            output_hash=self._lines.sha256(),
         )
         self.stages.append(record)
-        self.composite, self.cur, self.cur_hash = composite, sub, record.output_hash
+        self.composite, self.cur_hash = composite, record.output_hash
         if kind == "centered":
             self.rounds += 1
-            self.trace.append(_trace_row(f"round{self.rounds}", sub))
+            self.trace.append((f"round{self.rounds}", *self._measure()))
         else:
-            self.trace.append(_trace_row("stage1", sub))
+            self.trace.append(("stage1", *self._measure()))
         return record, stage_ord
 
     def final_composite(self) -> OrderFunction:

@@ -126,10 +126,17 @@ def _simultaneous_stars(cx: Complex, run):
     Each touched maximal cone sigma, one containing its center's tau,
     becomes the pieces f + center for the facets f of sigma not containing
     tau, and these with the untouched maximal cones are the new maximal
-    cones.  Dimensions of the cones kept carry over.  A new cone f +
-    center has dimension dim f + 1: the center lies in sigma but not in
-    its face f, so not in the span of f.  A face of a simplicial sigma has
-    its size as dimension, so no face of one is ranked.
+    cones.  A new cone f + center has dimension dim f + 1: the center lies
+    in sigma but not in its face f, so not in the span of f.  A face of a
+    simplicial sigma has its size as dimension, so no face of one is
+    ranked.
+
+    The result is derived from cx (`Complex._derived`), which checks only
+    the new rays.  That is sound because a star changes only its
+    carrier's star: every cone outside the touched maximal cones' faces is
+    kept with its ray ids, and old ray ids never change (the centers are
+    appended), so a kept cone keeps its dimension and generators; the
+    added cones hold kept ids and new ones.
     """
     if not run:
         return cx, [(sigma, [sigma]) for sigma in cx.maximal_cones]
@@ -144,13 +151,11 @@ def _simultaneous_stars(cx: Complex, run):
             for f, join in joins.items():
                 join_dims[join] = (len(f) if d == len(sigma) else cx.dim(f)) + 1
             pieces[sigma] = [join for join in joins.values() if join_dims[join] == d]
-    out = Complex(cx.ambient_rank, cx.rays + tuple(run), (cx.cones - removed) | added)
-    out._maximal = tuple(sorted(
+    maximal = tuple(sorted(
         [m for m in cx.maximal_cones if m not in pieces] + [q for ps in pieces.values() for q in ps],
         key=_cone_order,
     ))
-    out._dim_cache = {f: d for f, d in cx._dim_cache.items() if f not in removed}
-    out._dim_cache.update(join_dims)
+    out = Complex._derived(cx, tuple(run), removed, added, maximal, join_dims)
     return out, [(sigma, pieces.get(sigma, [sigma])) for sigma in cx.maximal_cones]
 
 

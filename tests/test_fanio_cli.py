@@ -556,6 +556,31 @@ class TestCli:
         assert ".py" not in proc.stderr and "Warning" not in proc.stderr
         assert parse_fan(dst.read_text()).rays == ((1, 0), (0, 1), (1, 5))
 
+    def test_one_parser_serves_every_call_as_a_fresh_run_would(self, tmp_path, capsys):
+        # the parser is built once per process; in-process calls after it
+        # with other commands, an argparse refusal among them, exit and
+        # print as fresh interpreters do
+        from equifan.cli import build_parser
+
+        src, out = tmp_path / "in.fan", tmp_path / "out.fan"
+        src.write_text(write_fan(fan_from_complex(singular_cone_2d(3))))
+        commands = [
+            ("report", str(src)),
+            ("star", str(src), "--center=1,1", "-o", str(out)),
+            ("star", str(src)),
+            ("validate", str(src)),
+            ("orbits", str(src)),
+        ]
+        for args in commands:
+            try:
+                code = run_cli(*args)
+            except SystemExit as e:
+                code = e.code
+            got = capsys.readouterr()
+            fresh = run_module_cli(*args)
+            assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), args
+        assert build_parser() is build_parser()
+
     def test_canonical_quadrilateral_fails_by_name(self, tmp_path):
         # a known limitation of the direct barycentric construction: its
         # dips depend only on the source dimension, so no wall bends here

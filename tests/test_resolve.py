@@ -298,8 +298,8 @@ def test_rounds_read_carriers_and_smoothness_once(cx, gens, mode, monkeypatch):
     """The round loop reads each center's carrier off its host's frame and
     the complex's smoothness off the measure trace: no center is located
     in the complex, and the final complex is asked its simpliciality
-    twice, by its trace row and by `is_smooth` in the flags, whose yes
-    decides simpliciality too."""
+    once, by `is_smooth` in the flags, whose yes decides simpliciality
+    too; its trace row reads the indices the replay carries."""
     import equifan.complexes
     import equifan.resolve
 
@@ -318,7 +318,7 @@ def test_rounds_read_carriers_and_smoothness_once(cx, gens, mode, monkeypatch):
     for module in (equifan.complexes, equifan.resolve):
         monkeypatch.setattr(module, "is_simplicial", counted_is_simplicial)
     cert = resolve_equivariant(cx, elements, mode=mode)
-    assert simplicial_calls.count(cert.final) == 2
+    assert simplicial_calls.count(cert.final) == 1
     assert cert.stages == expected.stages and cert.ok
 
 

@@ -176,16 +176,21 @@ def test_a_recorded_carrier_that_is_still_a_cone_is_not_located(orthant2):
 def test_no_stage_complex_outlives_the_resolve():
     # the maps hold cones, not complexes: once the resolve returns, every
     # complex it built but the final one is freed, and no complex refers
-    # to another
+    # to another; both constructors, `__init__` and `_derived`, are watched
     built = []
-    init = Complex.__init__
+    init, derived = Complex.__init__, Complex._derived.__func__
 
     def spy(self, *args):
         init(self, *args)
         built.append(weakref.ref(self))
 
+    def derived_spy(cls, *args):
+        out = derived(cls, *args)
+        built.append(weakref.ref(out))
+        return out
+
     cx = Complex.from_maximal_cones(3, [(1, 0, 0), (0, 1, 0), (1, 2, 5)], [[0, 1, 2]])
-    with mock.patch.object(Complex, "__init__", spy):
+    with mock.patch.object(Complex, "__init__", spy), mock.patch.object(Complex, "_derived", classmethod(derived_spy)):
         cert = resolve_equivariant(cx)
     gc.collect()
     assert len(cert.stages) >= 10 and len(cert.stages[0].steps) == 2
@@ -309,6 +314,7 @@ def assert_stars_match_reference(base, batch, out, pieces, earlier):
     fresh = Complex(out.ambient_rank, out.rays, out.cones)
     assert out.maximal_cones == fresh.maximal_cones
     assert out._dim_cache == {cone: fresh.dim(cone) for cone in out._dim_cache}
+    assert out._gens == {cone: fresh.generators(cone) for cone in out._gens}
     assert pieces == geometric_pieces(base, out)
     for prev, made in reversed(earlier):
         pieces = _compose(made, pieces)
@@ -332,10 +338,14 @@ def test_the_barycentric_cascade_matches_the_stars_one_at_a_time(name, cx):
 
 
 def count_constructions(cx, batch):
-    with mock.patch.object(Complex, "__init__", autospec=True, side_effect=Complex.__init__) as init:
+    """How many complexes `_stars` builds for the batch: each by the
+    derived constructor, none by `__init__`."""
+    with mock.patch.object(Complex, "__init__", autospec=True, side_effect=Complex.__init__) as init, \
+            mock.patch.object(Complex, "_derived", side_effect=Complex._derived) as derived:
         out, _ = _stars(cx, batch)
     assert out == reference_stars(cx, batch)
-    return init.call_count
+    assert init.call_count == 0
+    return derived.call_count
 
 
 def test_a_simultaneous_batch_constructs_one_complex(orthant3):

@@ -18,6 +18,7 @@ import pytest
 from equifan.complexes import Complex
 from equifan.fanio import (
     BatchStep,
+    ParseError,
     StageRecord,
     complex_hash,
     fan_from_complex,
@@ -305,3 +306,34 @@ def test_a_round_that_stars_nothing_is_named(steps):
     k = len(data.stages)
     assert k == 3
     assert verify_certificate(data, fan) == [f"stage {k}: a round is a centered stage of one step with centers"]
+
+
+def swapped(text, first):
+    """The text with its first line equal to `first` and the line after it
+    swapped."""
+    lines = text.splitlines()
+    i = lines.index(first)
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("section", ["values", "composite"])
+def test_value_lines_out_of_order_are_a_parse_error(section):
+    # resolve writes one text of a value table, its ray ids in order; the
+    # same values in another order name the line
+    cx = singular_cone_2d(3)
+    fan = fan_from_complex(cx)
+    text = write_certificate(resolve_equivariant(cx, mode="plain"), fan)
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"{section} "))
+    with pytest.raises(ParseError, match=rf"^line {start + 2}: {section} line for ray 0 expected, found ray id 1$"):
+        parse_certificate(swapped(text, lines[start + 1]))
+
+
+def test_flag_lines_out_of_order_are_named():
+    cx = singular_cone_2d(3)
+    fan = fan_from_complex(cx)
+    text = write_certificate(resolve_equivariant(cx, mode="plain"), fan)
+    data = parse_certificate(swapped(text, "equivariant true"))
+    assert list(data.flags) != list(FLAG_NAMES)
+    assert verify_certificate(data, fan) == ["flag out of order: g_strict is listed where equivariant belongs"]
