@@ -144,6 +144,7 @@ class Complex:
         self.cones: frozenset[ConeIds] = frozenset(cones)
         self._dim_cache: dict[ConeIds, int] = {}
         self._gens: dict[ConeIds, tuple[Vec, ...]] = {}
+        self._simplicial: bool | None = None
         self._maximal: tuple[ConeIds, ...] | None = None
 
     @classmethod
@@ -168,7 +169,7 @@ class Complex:
         out.ambient_rank = parent.ambient_rank
         out.rays = parent.rays + new_rays
         out.cones = (parent.cones - removed) | added
-        out._maximal = maximal
+        out._maximal, out._simplicial = maximal, None
         out._dim_cache, out._gens = dict(parent._dim_cache), dict(parent._gens)
         for cone in removed:
             out._dim_cache.pop(cone, None)
@@ -623,8 +624,11 @@ def _subdivision_report(fine: Complex, coarse: Complex, pieces) -> SubdivisionRe
 
 
 def is_simplicial(cx: Complex) -> bool:
-    """Every cone's generator count equals its dimension."""
-    return all(len(c) == cx.dim(c) for c in cx.maximal_cones)
+    """Every cone's generator count equals its dimension; memoised on the
+    complex, which is immutable."""
+    if cx._simplicial is None:
+        cx._simplicial = all(len(c) == cx.dim(c) for c in cx.maximal_cones)
+    return cx._simplicial
 
 
 def is_smooth(cx: Complex) -> bool:

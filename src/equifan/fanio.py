@@ -117,8 +117,12 @@ def _rays(lines, keyword, rank):
     return tuple(rays)
 
 
-def _cones(lines, keyword, nrays):
-    """A `keyword N` line and N lines of distinct ray ids below nrays each."""
+def _cones(lines, keyword, nrays, ordered=False):
+    """A `keyword N` line and N lines of distinct ray ids below nrays each.
+
+    With `ordered`, each line's ids and the lines themselves must ascend,
+    as `write_certificate` writes them, so one complex has one text;
+    otherwise (an input fan) each line is taken in any order."""
     n, parts = lines.expect_keyword(keyword)
     cones = []
     for _ in range(_count(parts, n, f"{keyword} count")):
@@ -129,7 +133,12 @@ def _cones(lines, keyword, nrays):
                 raise ParseError(f"ray index {i} out of range", n)
         if len(set(idxs)) != len(idxs):
             raise ParseError("repeated ray index in cone", n)
-        cones.append(tuple(sorted(idxs)))
+        cone = tuple(sorted(idxs))
+        if ordered and list(cone) != idxs:
+            raise ParseError(f"{keyword} ray ids must ascend, found {idxs}", n)
+        if ordered and cones and cone <= cones[-1]:
+            raise ParseError(f"{keyword} lines must ascend: {idxs} follows {list(cones[-1])}", n)
+        cones.append(cone)
     return tuple(cones)
 
 
@@ -437,7 +446,7 @@ def parse_certificate(text: str) -> CertificateData:
         stages.append(StageRecord(kind, tuple(steps), mult, values, tuple(new_rays), ih, oh))
 
     final_rays = _rays(lines, "final-rays", rank)
-    final_cones = _cones(lines, "final-cones", len(final_rays))
+    final_cones = _cones(lines, "final-cones", len(final_rays), ordered=True)
     composite = _ray_values(lines, "composite", "composite value")
     n, parts = lines.expect_keyword("end")
     if parts:
@@ -577,8 +586,8 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
 
     # final complex must match the replayed one exactly
     cur, composite_ord = replay.cur, replay.final_composite()
-    final_cones = sorted(fan_from_complex(cur).cones)
-    if tuple(cur.rays) != cert.final_rays or final_cones != sorted(cert.final_cones):
+    final_cones = tuple(sorted(fan_from_complex(cur).cones))
+    if tuple(cur.rays) != cert.final_rays or final_cones != cert.final_cones:
         return ["final complex mismatch"]
     if composite_ord.ray_values != cert.composite:
         return ["composite order function mismatch"]

@@ -31,9 +31,10 @@ Mat = tuple[tuple[int, ...], ...]
 
 # Entries kept per process by each memo of the package, all keyed by
 # generator tuples: here the dual basis, the simplicial SNF and the first
-# parallelepiped point, and the cone duals (`complexes`) and wall relations
-# (`orderfun`), so a cone or wall that a subdivision leaves untouched keeps
-# its facts
+# parallelepiped point (by the id-sorted tuple and a frame order, so a cone
+# is factored once in any order), and the cone duals (`complexes`) and
+# wall relations (`orderfun`), so a cone or wall that a subdivision leaves
+# untouched keeps its facts
 CACHE_SIZE = 4096
 
 
@@ -450,9 +451,10 @@ def _xgcd(a, b):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _first_point(gens: tuple):
-    """parallelepiped_points(gens)[0], or None when the index is 1,
-    without listing the points; memoised by the generator tuple.
+def _first_point(gens: tuple, order: tuple | None = None):
+    """parallelepiped_points(gens taken in `order`)[0], or None when the
+    index is 1, without listing the points; `order` lists positions into
+    gens (gens' own order when None).  Memoised by gens and order.
 
     The coordinates a with sum a_i * gens_i integral form a lattice with
     basis rows (1 / d_j) * U_j (U*G*V = D).  Scaled by L = lcm(d) it is an
@@ -463,8 +465,20 @@ def _first_point(gens: tuple):
     i < p exists exactly when a pivot from column p on is below L.  So the
     first point is zero before the last column p whose pivot is below L,
     and, every later pivot being L, it is that pivot row / L mod 1.
+
+    The Smith form is the one memoised for gens (`_simplicial_snf`), so a
+    cone is factored once whatever order its points are asked in.  With P
+    the permutation putting the generators in `order`, (U*P^-1)*(P*G)*V = D
+    is a Smith form of the reordered generators: U's columns and the
+    generators are permuted into `order`, and so is each point's
+    coordinate tuple.  The lex-first nonzero point belongs to the lattice
+    of coordinate vectors, not to the U that spans it, so the answer is
+    parallelepiped_points(P*G)[0] whichever valid U was used.
     """
     divs, U = _simplicial_snf(gens)
+    if order is not None:
+        U = tuple(tuple(u[i] for i in order) for u in U)
+        gens = tuple(gens[i] for i in order)
     L = divs[-1] if divs else 1
     k = len(gens)
     rows = [[L // d * x % L for x in u] for u, d in zip(U, divs) if d > 1]

@@ -152,10 +152,13 @@ def select_centers(cx: Complex, frames: dict, elements=None):
     Returns (coordinate tuple, ((point, host maximal cone), ...)); every
     witness realizing the minimal canonical coordinate tuple is returned.
     A cone's least point in its frame's coordinates comes from the
-    Hermite normal form of its lattice (`lattice._first_point`), memoised
-    by the frame's generators, so no point is listed and a cone left
-    untouched by a round costs one lookup; the ties are across cones.  A
-    smooth complex has no point, which raises ValueError.
+    Hermite normal form of its lattice (`lattice._first_point`), asked of
+    the cone's id-sorted generators (`Complex.generators`, the key of its
+    one memoised Smith form) with the frame as positions into them, and
+    memoised by both, so no point is listed, no cone is factored again in
+    frame order and a cone left untouched by a round costs one lookup; the
+    ties are across cones.  A smooth complex has no point, which raises
+    ValueError.
     With `elements` (matrices acting on cx: a group or a generating set,
     since a group preserves a set exactly when its generators do) the
     selected points must be stable under them.
@@ -165,7 +168,8 @@ def select_centers(cx: Complex, frames: dict, elements=None):
     best = None
     chosen = []
     for mc in cx.maximal_cones:
-        first = _first_point(tuple(cx.rays[i] for i in frames[mc]))
+        ids = sorted(mc)
+        first = _first_point(cx.generators(mc), tuple(map(ids.index, frames[mc])))
         if first is None:
             continue
         point, coords = first

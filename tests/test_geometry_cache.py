@@ -6,18 +6,21 @@ must equal a fresh computation, and a resolve must write the same bytes
 whether the caches start warm or cold.
 """
 
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from equifan import complexes, lattice
 from equifan.complexes import Complex, DualDescription, _peeled_faces, cone_dual
-from equifan.fanio import fan_from_complex, parse_certificate, verify_certificate, write_certificate
+from equifan.fanio import fan_from_complex, parse_certificate, parse_fan, verify_certificate, write_certificate
 from equifan.groups import generate_group
 from equifan.lattice import rank
 from equifan.resolve import resolve_equivariant
 
-from conftest import SWAP2, singular_cone_2d, square_cone
+from conftest import SWAP2, perfbench_workloads, singular_cone_2d, square_cone
 
 CACHE_SETTINGS = settings(
     max_examples=60,
@@ -133,3 +136,41 @@ def test_same_certificate_bytes_warm_and_cold(cx, gens, mode):
     assert lattice._dual_basis.cache_info().misses == bases.misses
     _clear()
     assert run() == cold
+
+
+WORKLOADS = perfbench_workloads()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case for w in WORKLOADS.WORKLOADS for case in WORKLOADS.make_cases(w, 0)],
+    ids=lambda case: case.name,
+)
+def test_resolve_factors_each_cone_once(case, monkeypatch):
+    """From cold memos, a resolve of each seed-0 benchmark case runs the
+    Smith form and the dual basis at most once per set of generators:
+    center selection reads a cone's first point in frame order off the
+    Smith form of its id-sorted generators instead of factoring the
+    frame-ordered tuple again."""
+    runs = {"smith_normal_form": Counter(), "_dual_basis": Counter()}
+    snf, basis = lattice.smith_normal_form, lattice._dual_basis.__wrapped__
+
+    def counted_snf(m):
+        runs["smith_normal_form"][frozenset(map(tuple, m))] += 1
+        return snf(m)
+
+    def counted_basis(gens):
+        runs["_dual_basis"][frozenset(gens)] += 1
+        return basis(gens)
+
+    spy_basis = lru_cache(maxsize=lattice.CACHE_SIZE)(counted_basis)
+    monkeypatch.setattr(lattice, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(lattice, "_dual_basis", spy_basis)
+    monkeypatch.setattr(complexes, "_dual_basis", spy_basis)
+    _clear()
+    fan = parse_fan(WORKLOADS.fan_text(case))
+    elements = generate_group(fan.group_generators, rank=fan.ambient_rank)
+    resolve_equivariant(fan.to_complex(), elements, mode=case.mode, generators=fan.group_generators or None)
+    repeated = {name: max(counts.values()) for name, counts in runs.items() if counts and max(counts.values()) > 1}
+    assert repeated == {}
+    assert sum(runs["_dual_basis"].values()) > 0

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -233,6 +234,49 @@ def test_first_point_matches_listing():
         singular += idx > 1
     # the draws reach lower-dimensional cones, and both answers often
     assert min(lower, singular, cones - singular) > 400, (lower, singular)
+
+
+def _box_size(gens):
+    """Lattice points in the bounding box `box_parallelepiped_points` scans."""
+    corners = [[sum(e * g[j] for e, g in zip(eps, gens)) for j in range(len(gens[0]))]
+               for eps in product((0, 1), repeat=len(gens))]
+    return math.prod(max(c) - min(c) + 1 for c in zip(*corners))
+
+
+def test_first_point_in_frame_order_matches_listing():
+    """_first_point(gens, order), which reads the Smith form of gens in
+    their own order, against the first entry of parallelepiped_points of
+    the generators permuted into that order, on 2,000 derandomized
+    simplicial cones in ranks 2-4 with a random frame order each; and
+    against the bounding-box scan where the box is small."""
+    rng = random.Random(20261020)
+    cones = lower = singular = boxed = moved = 0
+    while cones < 2000:
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n)
+        gens = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(k))
+        try:
+            idx = cone_index(gens)
+        except ValueError:
+            continue
+        if idx > 60:
+            continue
+        order = tuple(rng.sample(range(k), k))
+        framed = tuple(gens[i] for i in order)
+        points = parallelepiped_points(framed)
+        first = points[0] if points else None
+        assert _first_point(gens, order) == first, (gens, order)
+        if _box_size(framed) <= 400:
+            box = box_parallelepiped_points(framed)
+            assert (box[0] if box else None) == first, (gens, order)
+            boxed += 1
+        cones += 1
+        lower += k < n
+        singular += idx > 1
+        moved += idx > 1 and order != tuple(sorted(order))
+    # the draws reach lower-dimensional cones, both answers, reordered
+    # singular cones and the box oracle often
+    assert min(lower, singular, cones - singular, moved, boxed) > 400, (lower, singular, moved, boxed)
 
 
 def test_parallelepiped_count_random():

@@ -11,10 +11,12 @@ multiplier folds to integers.  `Replay` is fed a non-integral first
 stage directly instead.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
 
+from equifan.cli import main
 from equifan.complexes import Complex
 from equifan.fanio import (
     BatchStep,
@@ -24,8 +26,10 @@ from equifan.fanio import (
     fan_from_complex,
     fan_hash,
     parse_certificate,
+    parse_fan,
     verify_certificate,
     write_certificate,
+    write_fan,
 )
 from equifan.groups import generate_group, trivial_group
 from equifan.lattice import primitive
@@ -337,3 +341,42 @@ def test_flag_lines_out_of_order_are_named():
     data = parse_certificate(swapped(text, "equivariant true"))
     assert list(data.flags) != list(FLAG_NAMES)
     assert verify_certificate(data, fan) == ["flag out of order: g_strict is listed where equivariant belongs"]
+
+
+def _reordered_final_cones(swap_lines):
+    """A plain certificate of (1,0),(1,3) with its first two final-cones
+    lines swapped, or its first line's ray ids reversed, and the parse
+    error that names that line."""
+    cx = singular_cone_2d(3)
+    fan = fan_from_complex(cx)
+    lines = write_certificate(resolve_equivariant(cx, mode="plain"), fan).splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("final-cones "))
+    first, second = (list(map(int, line.split())) for line in lines[start + 1:start + 3])
+    if swap_lines:
+        lines[start + 1:start + 3] = lines[start + 2], lines[start + 1]
+        error = f"line {start + 3}: final-cones lines must ascend: {first} follows {second}"
+    else:
+        lines[start + 1] = " ".join(map(str, first[::-1]))
+        error = f"line {start + 2}: final-cones ray ids must ascend, found {first[::-1]}"
+    return fan, "\n".join(lines) + "\n", error
+
+
+@pytest.mark.parametrize("swap_lines", [True, False], ids=["line-swap", "id-swap"])
+def test_final_cones_out_of_order_are_a_parse_error(swap_lines, tmp_path, capsys):
+    # resolve writes one text of the final complex: ids ascending in each
+    # line, the lines ascending; the same cones in another order name the
+    # line, and `equifan verify` exits 2 on it
+    fan, text, error = _reordered_final_cones(swap_lines)
+    with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
+        parse_certificate(text)
+    cert_path, fan_path = tmp_path / "in.cert", tmp_path / "in.fan"
+    cert_path.write_text(text)
+    fan_path.write_text(write_fan(fan))
+    assert main(["verify", str(cert_path), str(fan_path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {error}\n"
+
+
+def test_input_fan_cones_stay_in_any_order():
+    # an input fan's cone lines are taken in any order, ids and lines
+    fan = parse_fan("rank 2\nrays 3\n1 0\n0 1\n-1 -1\ncones 2\n2 1\n1 0\n")
+    assert fan.cones == ((1, 2), (0, 1))
