@@ -9,11 +9,11 @@ and any single-field tampering is caught with a named violation.  Each
 `keyword N` section of N rows is written by one writer (`_section`) and
 read by its own reader.
 
-Verification builds each stage with resolve's own solvers and folds it
-with `resolve.Replay`, as resolve did; only each round's centers and
-each stage multiplier are read from the file, and each derived stage
-record is compared with the file field by field.  Only a recorded host
-failing `orderfun._host_coordinates` is located.
+Verification runs each stage through `resolve.Replay`, as resolve did:
+canonical stage 1 from the input, and every other stage as a round that
+selects its own centers.  Only each stage multiplier is read from the
+file, and each derived stage record is compared with the file field by
+field.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 from .complexes import Complex, require_valid
 from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
-from .lattice import primitive
-from .orderfun import _host_coordinates, search_centered_order_function
 
 
 class ParseError(Exception):
@@ -497,13 +495,15 @@ def _record_mismatch(record: StageRecord, stage: StageRecord):
 def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | None = None) -> list[str]:
     """Build every stage as resolve does and re-derive every field.
 
-    Canonical stage 1 comes from the input (`resolve._barycentric_stage`),
-    each round's (scale, dip) from `search_centered_order_function` on its
-    checked centers.  Returns the list of named violations (empty means
-    the certificate is sound for this input); an invalid input is one.
+    Canonical stage 1 comes from the input (`Replay.barycentric`), every
+    other stage from `Replay.round`, which selects the round's centers,
+    solves it and folds it with the recorded stage multiplier; a round's
+    error is the violation `stage k: ...`.  Returns the list of named
+    violations (empty means the certificate is sound for this input); an
+    invalid input is one.
     """
     # resolve imports this module, so its names are imported at the call
-    from .resolve import FLAG_NAMES, Replay, _barycentric_stage, certificate_flags
+    from .resolve import FLAG_NAMES, Replay, certificate_flags
 
     violations: list[str] = []
     if fan_hash(fan) != cert.input_sha256:
@@ -542,43 +542,16 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     if violations:
         return violations
 
-    replay = Replay(cx0)
+    replay = Replay(cx0, generators)
     for k, stage in enumerate(cert.stages, start=1):
-        cur = replay.cur
         if replay.cur_hash != stage.input_hash:
             return [f"stage {k}: input hash mismatch"]
         try:
             if k == 1 and cert.mode == "canonical":
-                kind, steps, step_ords, _ = _barycentric_stage(cur)
-            elif stage.kind != "centered" or len(stage.steps) != 1 or not stage.steps[0].centers:
-                return [f"stage {k}: a round is a centered stage of one step with centers"]
+                record = replay.barycentric()
             else:
-                centers, listed = stage.steps[0].centers, set()
-                for center, host in centers:
-                    if center in listed:
-                        return [f"stage {k}: center {center} is listed twice"]
-                    listed.add(center)
-                    try:
-                        if primitive(center) != tuple(center):
-                            return [f"stage {k}: center {center} is not primitive"]
-                        # a sorted host holding the center inside is its carrier
-                        if list(host) == sorted(set(host)) and _host_coordinates(cur, center, host) is not None:
-                            continue
-                        actual_host = tuple(sorted(cur.minimal_cone_containing(center)))
-                    except ValueError as e:
-                        return [f"stage {k}: center {center} invalid: {e}"]
-                    if actual_host != tuple(host):
-                        return [
-                            f"stage {k}: center {center} host mismatch "
-                            f"(recorded {list(host)}, actual {list(actual_host)})"
-                        ]
-                ord_k, scale, dip = search_centered_order_function(cur, centers)
-                kind, steps, step_ords = "centered", [BatchStep(centers, scale, dip, None)], [ord_k]
-        except ValueError as e:
-            return [f"stage {k}: step replay failed: {e}"]
-        try:
-            record, _ = replay.stage(kind, steps, step_ords, stage.multiplier)
-        except ValueError as e:
+                record = replay.round(stage.multiplier)
+        except (ValueError, RuntimeError) as e:
             return [f"stage {k}: {e}"]
         mismatch = _record_mismatch(record, stage)
         if mismatch:

@@ -157,8 +157,9 @@ def select_centers(cx: Complex, frames: dict, elements=None):
     one memoised Smith form) with the frame as positions into them, and
     memoised by both, so no point is listed, no cone is factored again in
     frame order and a cone left untouched by a round costs one lookup; the
-    ties are across cones.  A smooth complex has no point, which raises
-    ValueError.
+    ties are across cones.  Only the cones in `frames` are asked, in any
+    order (`Replay.round` leaves the smooth ones out); no point, as on a
+    smooth complex, raises ValueError.
     With `elements` (matrices acting on cx: a group or a generating set,
     since a group preserves a set exactly when its generators do) the
     selected points must be stable under them.
@@ -167,9 +168,9 @@ def select_centers(cx: Complex, frames: dict, elements=None):
         raise ValueError("not simplicial")
     best = None
     chosen = []
-    for mc in cx.maximal_cones:
+    for mc, frame in frames.items():
         ids = sorted(mc)
-        first = _first_point(cx.generators(mc), tuple(map(ids.index, frames[mc])))
+        first = _first_point(cx.generators(mc), tuple(map(ids.index, frame)))
         if first is None:
             continue
         point, coords = first
@@ -179,7 +180,7 @@ def select_centers(cx: Complex, frames: dict, elements=None):
         elif coords == best:
             chosen.append((point, mc))
     if best is None:  # every cone has index 1
-        raise ValueError("nothing to select")
+        raise ValueError("the complex is already smooth: nothing to select")
     chosen = tuple(sorted(set(chosen), key=lambda pc: (pc[0], sorted(pc[1]))))
     if elements is not None:
         pts = {p for p, _ in chosen}
@@ -413,17 +414,20 @@ def _barycentric_stage(cx: Complex):
 
 
 class Replay:
-    """A certificate's chain of stages, folded one stage at a time.
+    """A resolution's chain of stages, built and folded one stage at a time.
 
-    `resolve_equivariant` and `fanio.verify_certificate` feed it the order
-    functions that the same solvers built; resolve writes the stage
-    records, composite and measure trace of this one fold, and verify
-    compares them with the file.
+    `resolve_equivariant` and `fanio.verify_certificate` both run its
+    stages (`barycentric`, canonical mode's first, then each `round`), so
+    a certificate names one resolution: resolve writes the records,
+    composite and measure trace of this one fold, and verify compares them
+    with the file.  The frames start plain; a round asks its group
+    questions of `generators` (the identity by default).
 
     A round costs what it touches.  The replay carries the cone indices of
     the current maximal cones (`indices`, None while the complex is not
     simplicial), which give each trace row its largest and total index,
-    and the formatted lines of the current fan text (ray lines and
+    the cones that center selection asks and the termination measure, and
+    the formatted lines of the current fan text (ray lines and
     {sorted cone ids: cone line}), which give each stage hash.  A stage
     updates both from its function's pieces map: a star changes only its
     carrier's star, and old ray ids never change, so the maximal cones
@@ -434,8 +438,13 @@ class Replay:
     full recomputations, at every stage.
     """
 
-    def __init__(self, cx: Complex):
+    def __init__(self, cx: Complex, generators=None):
         self.cur = cx  # the subdivision reached so far
+        identity = trivial_group(cx.ambient_rank)
+        self.generators = identity if generators is None else generators
+        # the identity alone carries every frame onto itself
+        self.trivial = all(m == identity[0] for m in self.generators)
+        self.frames = initial_frames_plain(cx)
         self.indices = _indices(cx, cx.maximal_cones)
         self._lines = _FanLines(cx)
         self.cur_hash = self._lines.sha256()
@@ -508,6 +517,46 @@ class Replay:
             self.trace.append(("stage1", *self._measure()))
         return record, stage_ord
 
+    def barycentric(self):
+        """Canonical mode's first stage (`_barycentric_stage`), and the
+        frames on its subdivision; returns the record."""
+        base = self.cur
+        kind, steps, ords, sources = _barycentric_stage(base)
+        record, _ = self.stage(kind, steps, ords)
+        self.frames = initial_frames_barycentric(base, self.cur, sources)
+        return record
+
+    def round(self, multiplier=None):
+        """Select the centers on the frames of the cones of index above 1,
+        read each carrier off its host's frame (the frame rays of its
+        nonzero coordinates), solve, pass the frames to the pieces and fold
+        (`multiplier` as in `stage`); returns the record.  RuntimeError
+        names ROUND_CAP, a frame the group does not carry or a measure that
+        does not drop; a smooth complex raises ValueError."""
+        if self.rounds >= ROUND_CAP:
+            raise RuntimeError(f"resolution did not terminate within round_cap={ROUND_CAP}")
+        cur, indices = self.cur, self.indices or {}  # None: select_centers names it
+        singular = {mc: self.frames[mc] for mc, idx in indices.items() if idx > 1}
+        best, selected = select_centers(cur, singular, self.generators)
+        carrier_of = {}
+        for p, mc in selected:
+            carrier_of.setdefault(primitive(p), tuple(sorted(i for i, a in zip(self.frames[mc], best) if a)))
+        centers = tuple(sorted(carrier_of.items()))
+        ord_k, scale, dip = search_centered_order_function(cur, centers)
+        pieces = _pieces_by_base_cone(ord_k)
+        frames = _inherit_frames(self.frames, pieces)
+        if not self.trivial and not frames_equivariant(frames, group_action(ord_k.subdivision, self.generators)):
+            raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
+        # the measure must drop on every touched host's pieces; a host is
+        # touched exactly when it holds a carrier, as no center is a ray
+        touched = [(mc, ps, indices[mc]) for mc, ps in pieces if ps != [mc]]
+        record, _ = self.stage("centered", [BatchStep(centers, scale, dip, None)], [ord_k], multiplier)
+        for mc, ps, idx in touched:
+            if max((self.indices[d] for d in ps), default=idx) >= idx:
+                raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")
+        self.frames = frames
+        return record
+
     def final_composite(self) -> OrderFunction:
         """The composite, or the constant 1 on the input when no stage ran."""
         return self.composite if self.stages else _unit(self.cur)
@@ -553,10 +602,8 @@ def resolve_equivariant(
         raise ValueError(f"unknown mode {mode!r}")
     require_valid(cx)
     group_action(cx, generators)  # raises when the action is invalid
-    # the identity alone carries every frame onto itself
     identity = trivial_group(cx.ambient_rank)[0]
-    trivial = all(m == identity for m in elements)
-    if mode == "plain" and not trivial:
+    if mode == "plain" and any(m != identity for m in elements):
         raise ValueError("plain mode requires the trivial group")
     if mode == "plain" and not is_simplicial(cx):
         raise ValueError("not simplicial")
@@ -566,41 +613,12 @@ def resolve_equivariant(
         k = next(k for k, m in enumerate(elements) if m in elements[:k])
         raise ValueError(f"the elements are not a group: element {k} is listed twice")
 
-    replay = Replay(cx)
-    if mode == "plain":
-        frames = initial_frames_plain(cx)
-    else:
-        kind, steps, ords, sources = _barycentric_stage(cx)
-        replay.stage(kind, steps, ords)
-        frames = initial_frames_barycentric(cx, replay.cur, sources)
-
+    replay = Replay(cx, generators)
+    if mode == "canonical":
+        replay.barycentric()
     # the last trace row holds cur's largest index (None: not simplicial)
     while replay.trace[-1][1] != 1:
-        if replay.rounds >= ROUND_CAP:
-            raise RuntimeError(f"resolution did not terminate within round_cap={ROUND_CAP}")
-        cur = replay.cur
-        best, selected = select_centers(cur, frames, generators)
-        # a point's carrier: the frame rays of its nonzero coordinates
-        carrier_of = {}
-        for p, mc in selected:
-            carrier_of.setdefault(primitive(p), frozenset(i for i, a in zip(frames[mc], best) if a))
-        centers_with_hosts = [(c, tuple(sorted(t))) for c, t in sorted(carrier_of.items())]
-        ord_k, scale, dip = search_centered_order_function(cur, centers_with_hosts)
-        nxt = ord_k.subdivision
-        pieces = _pieces_by_base_cone(ord_k)
-        frames = _inherit_frames(frames, pieces)
-        if not trivial and not frames_equivariant(frames, group_action(nxt, generators)):
-            raise RuntimeError("frame equivariance: the group does not carry frames onto frames")
-
-        # the measure must drop on every touched host's pieces; a host is
-        # touched exactly when it holds a carrier, as no center is a ray
-        for mc, ps in pieces:
-            if ps != [mc]:
-                idx = cone_index(cur.generators(mc))
-                if max((cone_index(nxt.generators(d)) for d in ps), default=idx) >= idx:
-                    raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")
-
-        replay.stage("centered", [BatchStep(tuple(centers_with_hosts), scale, dip, None)], [ord_k])
+        replay.round()
 
     composite = replay.final_composite()
     flags = certificate_flags(cx, generators, replay.cur, composite)

@@ -32,8 +32,8 @@ def carried_states(cx, elements, mode):
     states, derived = [], []
     init, stage, derive = Replay.__init__, Replay.stage, Complex._derived.__func__
 
-    def init_spy(self, cx):
-        init(self, cx)
+    def init_spy(self, cx, generators=None):
+        init(self, cx, generators)
         states.append((self.trace[-1], self.cur_hash, self.cur))
 
     def stage_spy(self, *args):

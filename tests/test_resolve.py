@@ -9,6 +9,7 @@ from equifan.groups import generate_group, trivial_group
 from equifan.lattice import cone_index, det, primitive, solve_in_basis
 from equifan.orderfun import evaluate, linearity_domains, verify_order_axioms
 from equifan.resolve import (
+    _inherit_frames,
     initial_frames_barycentric,
     initial_frames_plain,
     max_index,
@@ -213,6 +214,18 @@ class TestResolvePlain:
             resolve_equivariant(singular_cone_2d(3), mode="plain")
 
 
+# the swap carries each cone of one half onto a cone of the other
+TWO_CONES = Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]])
+
+
+def one_frame_reversed(frames, pieces):
+    """`_inherit_frames` with the frame of the least new cone reversed."""
+    frames = _inherit_frames(frames, pieces)
+    first = min(frames, key=sorted)
+    frames[first] = frames[first][::-1]
+    return frames
+
+
 class TestRoundGuards:
     """Each guard of a resolve round, reached by breaking one input of it."""
 
@@ -237,21 +250,11 @@ class TestRoundGuards:
     def test_a_frame_the_group_does_not_carry_raises(self, monkeypatch):
         import equifan.resolve
 
-        inherit = equifan.resolve._inherit_frames
-
-        def one_frame_reversed(frames, pieces):
-            frames = inherit(frames, pieces)
-            first = min(frames, key=sorted)
-            frames[first] = frames[first][::-1]
-            return frames
-
-        # the swap carries each cone of one half onto a cone of the other
-        cx = Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]])
         monkeypatch.setattr(equifan.resolve, "_inherit_frames", one_frame_reversed)
         with pytest.raises(
             RuntimeError, match=r"^frame equivariance: the group does not carry frames onto frames$"
         ):
-            resolve_equivariant(cx, generate_group([SWAP2]))
+            resolve_equivariant(TWO_CONES, generate_group([SWAP2]))
 
     def test_a_measure_that_does_not_drop_raises(self, monkeypatch):
         import equifan.resolve
@@ -290,7 +293,7 @@ class TestElementsMustListAGroup:
         (singular_cone_2d(7), None, "plain"),
         (orthant(3), [CYC3], "canonical"),
         (square_cone(), [SWAP3_01], "canonical"),
-        (Complex.from_maximal_cones(2, [(1, 0), (1, -4), (0, 1), (-4, 1)], [[0, 1], [2, 3]]), [SWAP2], "canonical"),
+        (TWO_CONES, [SWAP2], "canonical"),
     ],
     ids=["plain-2d", "orthant3-cycle", "square-swap", "two-cones-swap"],
 )

@@ -32,14 +32,13 @@ from equifan.fanio import (
     write_fan,
 )
 from equifan.groups import generate_group, trivial_group
-from equifan.lattice import primitive
-from equifan.orderfun import _pieces_by_base_cone, centered_order_function, search_centered_order_function
+import equifan.resolve
+from equifan.lattice import parallelepiped_points
+from equifan.orderfun import centered_order_function, search_centered_order_function
 from equifan.resolve import (
     FLAG_NAMES,
-    ROUND_CAP,
     Replay,
     ResolutionCertificate,
-    _inherit_frames,
     certificate_flags,
     initial_frames_plain,
     resolve_equivariant,
@@ -47,6 +46,7 @@ from equifan.resolve import (
 )
 
 from conftest import SWAP2, orthant, singular_cone_2d, square_cone
+from test_resolve import TWO_CONES, one_frame_reversed
 
 
 def certificate(cx, mode="plain", gens=None):
@@ -110,21 +110,25 @@ def test_direct_stage_needs_one_step_without_centers():
 
 
 def test_center_outside_the_support_is_invalid():
+    # verify selects each round's centers itself, so a recorded center
+    # outside the support differs from the derived one
     data, fan = certificate(singular_cone_2d(2))
     bad = with_step(data, 1, 1, centers=(((-1, 0), (0, 1)),))
-    assert verify_certificate(bad, fan) == ["stage 1: center (-1, 0) invalid: center not in support"]
+    assert verify_certificate(bad, fan) == [
+        "stage 1: step 1 centers mismatch (recorded (((-1, 0), (0, 1)),), derived (((1, 1), (0, 1)),))"
+    ]
 
 
 def test_step_replay_failed_on_a_ray_in_no_cone():
     # the smooth cone (1,0),(0,1) with the unused ray (1,1): a stage that
-    # stars at that ray names it
+    # stars at that ray is a round on a smooth complex, which has no center
     cx = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 1]])
     data, fan = certificate(cx)
     assert data.stages == ()
     h = complex_hash(cx)
     stage = StageRecord("centered", (BatchStep((((1, 1), (0, 1)),), 1, 1, 1),), 1, (1, 1, 1), (), h, h)
     assert verify_certificate(replace(data, stages=(stage,)), fan) == [
-        "stage 1: step replay failed: center (1, 1) is ray 2, which is in no cone"
+        "stage 1: the complex is already smooth: nothing to select"
     ]
 
 
@@ -193,29 +197,28 @@ def test_final_verification_failed():
 
 
 def test_a_step_with_two_centers_in_one_maximal_cone():
-    # the second center lies in the maximal cone the first one stars, so
-    # the stars of the step are built one after the other
+    # the second center lies in the maximal cone the first one stars;
+    # the round selects one center there, so the step is refused
     cx = singular_cone_2d(5)
     data, fan = certificate(cx)
     (step,) = data.stages[0].steps
     assert step.centers == (((1, 4), (0, 1)),)
     centers = step.centers + (((1, 2), (0, 1)),)
-    assert verify_certificate(with_step(data, 1, 1, centers=centers), fan) == [
-        "stage 1: step 1 scale/dip mismatch (recorded (5, 4), derived (3, 2))"
-    ]
-    # recorded as a resolve would, the stage passes, and the next stage
-    # does not start on its output
+    mismatch = f"stage 1: step 1 centers mismatch (recorded {centers}, derived {step.centers})"
+    assert verify_certificate(with_step(data, 1, 1, centers=centers), fan) == [mismatch]
+    # recorded as a resolve would build those stars, with every field of
+    # the stage consistent with them, it is refused the same way
     ord_k, scale, dip = search_centered_order_function(cx, centers)
     record, _ = Replay(cx).stage("centered", [BatchStep(centers, scale, dip, 1)], [ord_k])
     fields = {f: getattr(record, f) for f in ("steps", "values", "new_rays", "output_hash")}
-    assert verify_certificate(with_stage(data, 1, **fields), fan) == ["stage 2: input hash mismatch"]
+    assert verify_certificate(with_stage(data, 1, **fields), fan) == [mismatch]
     # a repeated center would be a ray when its second star comes, so the
     # step would certify what the step listing it once does; it is refused
     data, fan = certificate(singular_cone_2d(3))
     (step,) = data.stages[0].steps
-    ((center, _),) = step.centers
-    assert verify_certificate(with_step(data, 1, 1, centers=step.centers * 2), fan) == [
-        f"stage 1: center {center} is listed twice"
+    twice = step.centers * 2
+    assert verify_certificate(with_step(data, 1, 1, centers=twice), fan) == [
+        f"stage 1: step 1 centers mismatch (recorded {twice}, derived {step.centers})"
     ]
 
 
@@ -223,17 +226,10 @@ def test_a_step_with_two_centers_in_one_maximal_cone():
 # forged certificates: consistent in every field, and not resolve's
 
 
-def run_rounds(replay, frames):
-    """Resolve's rounds from the given frames until the replay is smooth."""
-    while replay.trace[-1][1] != 1 and replay.rounds < ROUND_CAP:
-        best, selected = select_centers(replay.cur, frames)
-        carriers = {}
-        for p, mc in selected:
-            carriers.setdefault(primitive(p), tuple(sorted(i for i, a in zip(frames[mc], best) if a)))
-        centers = tuple(sorted(carriers.items()))
-        ord_k, scale, dip = search_centered_order_function(replay.cur, centers)
-        frames = _inherit_frames(frames, _pieces_by_base_cone(ord_k))
-        replay.stage("centered", [BatchStep(centers, scale, dip, None)], [ord_k])
+def run_rounds(replay):
+    """Resolve's rounds (`Replay.round`) until the replay is smooth."""
+    while replay.trace[-1][1] != 1:
+        replay.round()
 
 
 def replayed_certificate(cx, mode, replay):
@@ -289,7 +285,8 @@ def test_a_barycentric_stage_of_the_top_barycenter_alone_is_named():
     replay = Replay(cx)
     ord_b, scale, dip = search_centered_order_function(cx, centers)
     replay.stage("barycentric", [BatchStep(centers, scale, dip, None)], [ord_b])
-    run_rounds(replay, initial_frames_plain(replay.cur))
+    replay.frames = initial_frames_plain(replay.cur)
+    run_rounds(replay)
     data, fan = replayed_certificate(cx, "canonical", replay)
     assert verify_certificate(data, fan) == ["stage 1: step count mismatch (recorded 1, derived 2)"]
 
@@ -300,7 +297,7 @@ def test_a_round_that_stars_nothing_is_named(steps):
     # subdivides nothing and folds the constant 1 into the composite
     cx = singular_cone_2d(3)
     replay = Replay(cx)
-    run_rounds(replay, initial_frames_plain(cx))
+    run_rounds(replay)
     if steps:
         ord_k, scale, dip = search_centered_order_function(replay.cur, ())
         replay.stage("centered", [BatchStep((), scale, dip, None)], [ord_k], 1)
@@ -309,7 +306,57 @@ def test_a_round_that_stars_nothing_is_named(steps):
     data, fan = replayed_certificate(cx, "plain", replay)
     k = len(data.stages)
     assert k == 3
-    assert verify_certificate(data, fan) == [f"stage {k}: a round is a centered stage of one step with centers"]
+    # verify runs a round for it, and a smooth complex has no center
+    assert verify_certificate(data, fan) == [f"stage {k}: the complex is already smooth: nothing to select"]
+
+
+def test_a_round_that_stars_another_valid_point_is_named(monkeypatch):
+    # every round stars the last parallelepiped point of the selected cone
+    # in its frame, not the lex-first one: a smooth, verified resolution
+    # that resolve does not write, which verify's own selection refuses
+    def last_point(cx, frames, elements):
+        _, ((_, mc), *_) = select_centers(cx, frames, elements)
+        point, coords = parallelepiped_points([cx.rays[i] for i in frames[mc]])[-1]
+        return coords, ((point, mc),)
+
+    cx = singular_cone_2d(7)
+    monkeypatch.setattr(equifan.resolve, "select_centers", last_point)
+    data, fan = certificate(cx)
+    monkeypatch.undo()
+    assert verify_certificate(data, fan) == [
+        "stage 1: step 1 centers mismatch (recorded (((1, 1), (0, 1)),), derived (((1, 6), (0, 1)),))"
+    ]
+
+
+@pytest.mark.parametrize(
+    "cx, gens, mode, patch, violation",
+    [
+        (
+            TWO_CONES, [SWAP2], "canonical", ("_inherit_frames", one_frame_reversed),
+            "stage 2: frame equivariance: the group does not carry frames onto frames",
+        ),
+        (
+            singular_cone_2d(3), None, "plain", ("ROUND_CAP", 1),
+            "stage 2: resolution did not terminate within round_cap=1",
+        ),
+    ],
+    ids=["frame-equivariance", "round-cap"],
+)
+def test_a_round_that_fails_inside_verify_is_named(cx, gens, mode, patch, violation, monkeypatch, tmp_path, capsys):
+    # a sound certificate, verified with one guard of the round broken:
+    # the round's error is one named violation, and `equifan verify`
+    # exits 1 on it with no traceback
+    fan = fan_from_complex(cx, gens or ())
+    text = write_certificate(resolve_equivariant(cx, gens and generate_group(gens), mode=mode), fan)
+    cert_path, fan_path = tmp_path / "in.cert", tmp_path / "in.fan"
+    cert_path.write_text(text)
+    fan_path.write_text(write_fan(fan))
+    monkeypatch.setattr(equifan.resolve, *patch)
+    assert verify_certificate(parse_certificate(text), fan) == [violation]
+    assert main(["verify", str(cert_path), str(fan_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"violation: {violation}\n"
+    assert "Traceback" not in out + err
 
 
 def swapped(text, first):
