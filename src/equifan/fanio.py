@@ -9,11 +9,11 @@ and any single-field tampering is caught with a named violation.  Each
 `keyword N` section of N rows is written by one writer (`_section`) and
 read by its own reader.
 
-Verification runs each stage through `resolve.Replay`, as resolve did:
-canonical stage 1 from the input, and every other stage as a round that
-selects its own centers.  Only each stage multiplier is read from the
-file, and each derived stage record is compared with the file field by
-field.
+Verification runs resolve's own stages (`resolve.Replay.resolution`):
+canonical stage 1 from the input, then rounds that select their own
+centers and choose their own multipliers until the complex is smooth.
+Each derived stage record is compared with the file field by field, and
+the stage counts with each other.
 """
 
 from __future__ import annotations
@@ -472,8 +472,11 @@ def parse_certificate(text: str) -> CertificateData:
 
 def _record_mismatch(record: StageRecord, stage: StageRecord):
     """The first field in which a derived stage record differs from the
-    recorded one: kind, steps (each one's centers, scale/dip, multiplier),
-    multiplier, output hash, new rays, values; None when they agree."""
+    recorded one: input hash, kind, steps (each one's centers, scale/dip,
+    multiplier), multiplier, output hash, new rays, values; None when they
+    agree."""
+    if record.input_hash != stage.input_hash:
+        return "input hash mismatch"
     fields = [("kind", stage.kind, record.kind), ("step count", len(stage.steps), len(record.steps))]
     for j, (want, got) in enumerate(zip(stage.steps, record.steps), start=1):
         fields += [
@@ -495,12 +498,12 @@ def _record_mismatch(record: StageRecord, stage: StageRecord):
 def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | None = None) -> list[str]:
     """Build every stage as resolve does and re-derive every field.
 
-    Canonical stage 1 comes from the input (`Replay.barycentric`), every
-    other stage from `Replay.round`, which selects the round's centers,
-    solves it and folds it with the recorded stage multiplier; a round's
-    error is the violation `stage k: ...`.  Returns the list of named
-    violations (empty means the certificate is sound for this input); an
-    invalid input is one.
+    The stages come from resolve's own generator (`Replay.resolution`),
+    which selects each round's centers, solves it and chooses its
+    multipliers; a stage's error is the violation `stage k: ...`, and a
+    file with more or fewer stages than the resolution is a stage count
+    mismatch.  Returns the list of named violations (empty means the
+    certificate is sound for this input); an invalid input is one.
     """
     # resolve imports this module, so its names are imported at the call
     from .resolve import FLAG_NAMES, Replay, certificate_flags
@@ -531,31 +534,20 @@ def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | Non
     if violations:
         return violations
 
-    if cert.mode == "canonical":
-        if not cert.stages or not cert.stages[0].kind.startswith("barycentric"):
-            violations.append("mode mismatch: canonical certificate must start with a barycentric stage")
-    else:
-        if any(s.kind != "centered" for s in cert.stages):
-            violations.append("mode mismatch: plain certificate must contain only centered stages")
-        if cert.group_order != 1:
-            violations.append("mode mismatch: plain certificate requires the trivial group")
-    if violations:
-        return violations
+    if cert.mode == "plain" and cert.group_order != 1:
+        return ["mode mismatch: plain certificate requires the trivial group"]
 
     replay = Replay(cx0, generators)
-    for k, stage in enumerate(cert.stages, start=1):
-        if replay.cur_hash != stage.input_hash:
-            return [f"stage {k}: input hash mismatch"]
-        try:
-            if k == 1 and cert.mode == "canonical":
-                record = replay.barycentric()
-            else:
-                record = replay.round(stage.multiplier)
-        except (ValueError, RuntimeError) as e:
-            return [f"stage {k}: {e}"]
-        mismatch = _record_mismatch(record, stage)
-        if mismatch:
-            return [f"stage {k}: {mismatch}"]
+    k = 0  # the stages derived so far
+    try:
+        for k, record in enumerate(replay.resolution(cert.mode), start=1):
+            mismatch = k <= len(cert.stages) and _record_mismatch(record, cert.stages[k - 1])
+            if mismatch:
+                return [f"stage {k}: {mismatch}"]
+    except (ValueError, RuntimeError) as e:
+        return [f"stage {k + 1}: {e}"]
+    if k != len(cert.stages):
+        return [f"stage count mismatch (recorded {len(cert.stages)}, derived {k})"]
 
     # final complex must match the replayed one exactly
     cur, composite_ord = replay.cur, replay.final_composite()

@@ -528,7 +528,7 @@ def compose_with_multiplier(outer: OrderFunction, inner: OrderFunction):
     return fold(outer, inner)
 
 
-def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
+def fold(outer: OrderFunction, inner: OrderFunction):
     """The order function m * outer + inner on inner's subdivision, and m.
 
     Inner lives on outer's subdivision, and the fold's pieces over outer's
@@ -537,12 +537,12 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
     inner's it is solved once in the maximal cone of outer's subdivision
     whose pieces hold the ray.  The fold's values are integers exactly
     when m is a multiple of d, the common denominator of outer at inner's
-    rays; for any other given m the function is None.  Without m, outer
-    and inner must be verified integral, positive and strictly convex;
-    then the fold is integral and positive for every such m, and its bend
-    across each wall is m * B_outer + B_inner, the wall's bend form at
-    outer's and at inner's values.  m is the first of d, 2d, 4d, ... that
-    makes every bend positive, so nothing is verified again.
+    rays.  Outer and inner must be verified integral, positive and
+    strictly convex; then the fold is integral and positive for every
+    such m, and its bend across each wall is m * B_outer + B_inner, the
+    wall's bend form at outer's and at inner's values.  m is the first of
+    d, 2d, 4d, ... that makes every bend positive, so nothing is verified
+    again.
     """
     mid, sub = outer.subdivision, inner.subdivision
     stored = dict(zip(mid.rays, outer.ray_values))
@@ -565,18 +565,12 @@ def fold(outer: OrderFunction, inner: OrderFunction, m: int | None = None):
             evals.append(evaluate(outer, g))
     d = math.lcm(*[e.denominator for e in evals])
     forms = [(int(d * e), v) for e, v in zip(evals, inner.ray_values)]
-
-    def at(t):  # the fold with m = t * d
-        return _carrying(OrderFunction(outer.base, sub, _place(forms, t, 1)), pieces)
-
-    if m is not None:
-        return (at(m // d) if m % d == 0 else None), m
     # each wall's (d * B_outer, B_inner), both times its positive denominator
     bends = [_pair(form, forms) for _, _, form in _wall_forms(sub, pieces)]
     t = 1
     while t * d <= COMPOSITION_CAP:
         if all(t * b_outer + b_inner > 0 for b_outer, b_inner in bends):
-            return at(t), t * d
+            return _carrying(OrderFunction(outer.base, sub, _place(forms, t, 1)), pieces), t * d
         t *= 2
     raise ValueError(
         f"composition cap exceeded: no strict multiplier m <= composition_cap={COMPOSITION_CAP}"

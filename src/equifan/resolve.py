@@ -417,11 +417,13 @@ class Replay:
     """A resolution's chain of stages, built and folded one stage at a time.
 
     `resolve_equivariant` and `fanio.verify_certificate` both run its
-    stages (`barycentric`, canonical mode's first, then each `round`), so
-    a certificate names one resolution: resolve writes the records,
-    composite and measure trace of this one fold, and verify compares them
-    with the file.  The frames start plain; a round asks its group
-    questions of `generators` (the identity by default).
+    stages through one generator (`resolution`: canonical mode's
+    barycentric stage, then each `round` until smooth), which chooses every
+    center, parameter and multiplier, so a certificate names one
+    resolution: resolve writes the records, composite and measure trace
+    of this one fold, and verify compares them with the file.  The frames
+    start plain; a round asks its group questions of `generators` (the
+    identity by default).
 
     A round costs what it touches.  The replay carries the cone indices of
     the current maximal cones (`indices`, None while the complex is not
@@ -474,15 +476,14 @@ class Replay:
             self.indices.update(new)
         self.cur = sub
 
-    def stage(self, kind: str, steps, step_ords, multiplier=None):
+    def stage(self, kind: str, steps, step_ords):
         """Fold the step functions of a stage (each on the previous one's
         subdivision, the first on `cur`) into the stage function, fold
         that into the composite, and record the stage.
 
-        `orderfun.fold` chooses every step multiplier, and the stage
-        multiplier when it is None; a given one is used (the first stage
-        records 1) and raises ValueError when it folds to non-integers.
-        Returns (record, stage function).
+        `orderfun.fold` chooses every step multiplier and every stage
+        multiplier but the first stage's, which records 1.  Returns
+        (record, stage function).
         """
         base = self.cur
         stage_ord, recorded = None, []
@@ -495,9 +496,7 @@ class Replay:
         if not self.stages:
             composite, multiplier = stage_ord, 1
         else:
-            composite, multiplier = fold(self.composite, stage_ord, multiplier)
-            if composite is None:
-                raise ValueError("composite re-derivation is not integral")
+            composite, multiplier = fold(self.composite, stage_ord)
         self._advance(sub, _pieces_by_base_cone(stage_ord))
         record = StageRecord(
             kind=kind,
@@ -517,22 +516,13 @@ class Replay:
             self.trace.append(("stage1", *self._measure()))
         return record, stage_ord
 
-    def barycentric(self):
-        """Canonical mode's first stage (`_barycentric_stage`), and the
-        frames on its subdivision; returns the record."""
-        base = self.cur
-        kind, steps, ords, sources = _barycentric_stage(base)
-        record, _ = self.stage(kind, steps, ords)
-        self.frames = initial_frames_barycentric(base, self.cur, sources)
-        return record
-
-    def round(self, multiplier=None):
+    def round(self):
         """Select the centers on the frames of the cones of index above 1,
         read each carrier off its host's frame (the frame rays of its
-        nonzero coordinates), solve, pass the frames to the pieces and fold
-        (`multiplier` as in `stage`); returns the record.  RuntimeError
-        names ROUND_CAP, a frame the group does not carry or a measure that
-        does not drop; a smooth complex raises ValueError."""
+        nonzero coordinates), solve, pass the frames to the pieces and
+        fold; returns the record.  RuntimeError names ROUND_CAP, a frame
+        the group does not carry or a measure that does not drop; a smooth
+        complex raises ValueError."""
         if self.rounds >= ROUND_CAP:
             raise RuntimeError(f"resolution did not terminate within round_cap={ROUND_CAP}")
         cur, indices = self.cur, self.indices or {}  # None: select_centers names it
@@ -550,12 +540,28 @@ class Replay:
         # the measure must drop on every touched host's pieces; a host is
         # touched exactly when it holds a carrier, as no center is a ray
         touched = [(mc, ps, indices[mc]) for mc, ps in pieces if ps != [mc]]
-        record, _ = self.stage("centered", [BatchStep(centers, scale, dip, None)], [ord_k], multiplier)
+        record, _ = self.stage("centered", [BatchStep(centers, scale, dip, None)], [ord_k])
         for mc, ps, idx in touched:
             if max((self.indices[d] for d in ps), default=idx) >= idx:
                 raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")
         self.frames = frames
         return record
+
+    def resolution(self, mode: str):
+        """Resolve's stages, each record as it is made: canonical mode's
+        barycentric stage first (`_barycentric_stage`, then the frames on
+        its subdivision), then rounds until the last trace row's largest
+        index is 1 (None while the complex is not simplicial, when the
+        round names it).  `resolve_equivariant` runs it to the end;
+        `fanio.verify_certificate` steps through it beside the file."""
+        if mode == "canonical":
+            base = self.cur
+            kind, steps, ords, sources = _barycentric_stage(base)
+            record, _ = self.stage(kind, steps, ords)
+            self.frames = initial_frames_barycentric(base, self.cur, sources)
+            yield record
+        while self.trace[-1][1] != 1:
+            yield self.round()
 
     def final_composite(self) -> OrderFunction:
         """The composite, or the constant 1 on the input when no stage ran."""
@@ -614,11 +620,8 @@ def resolve_equivariant(
         raise ValueError(f"the elements are not a group: element {k} is listed twice")
 
     replay = Replay(cx, generators)
-    if mode == "canonical":
-        replay.barycentric()
-    # the last trace row holds cur's largest index (None: not simplicial)
-    while replay.trace[-1][1] != 1:
-        replay.round()
+    for _ in replay.resolution(mode):
+        pass
 
     composite = replay.final_composite()
     flags = certificate_flags(cx, generators, replay.cur, composite)

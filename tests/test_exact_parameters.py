@@ -1,11 +1,11 @@
 """The exact parameter solves against the brute-force loops they replace.
 
-`fold`'s multiplier, the direct barycentric (L, a) and its base values
-are each compared with the old candidate-by-candidate loop, kept in
-conftest.py as a reference, and the base values also with sympy's
-exact linear programming.  The solver both parameter searches share,
-`orderfun._lex_first`, is compared with a scan over (x, y) in the same
-order.
+`fold`'s multiplier (as resolve and verify each choose it), the direct
+barycentric (L, a) and its base values are each compared with the old
+candidate-by-candidate loop, kept in conftest.py as a reference, and the
+base values also with sympy's exact linear programming.  The solver
+both parameter searches share, `orderfun._lex_first`, is compared with a
+scan over (x, y) in the same order.
 """
 
 import math
@@ -45,18 +45,22 @@ DERANDOMIZED = settings(
 
 
 def chosen_folds(cx, elements=None, mode="canonical"):
-    """(outer, inner, fold result) of every fold whose multiplier a
-    resolution of cx chooses."""
+    """(outer, inner, fold result) of every fold that a resolution of cx
+    and the verification of its certificate run; both choose every
+    multiplier."""
     calls = []
 
-    def spy(outer, inner, m=None):
-        out = fold(outer, inner, m)
-        if m is None:
-            calls.append((outer, inner, out))
+    def spy(outer, inner):
+        out = fold(outer, inner)
+        calls.append((outer, inner, out))
         return out
 
     with mock.patch.object(resolve, "fold", spy):
-        resolve.resolve_equivariant(cx, elements, mode=mode)
+        cert = resolve.resolve_equivariant(cx, elements, mode=mode)
+        resolved = len(calls)
+        fan = fan_from_complex(cx, cert.group)
+        assert verify_certificate(parse_certificate(write_certificate(cert, fan)), fan) == []
+    assert len(calls) == 2 * resolved
     return calls
 
 

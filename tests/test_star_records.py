@@ -48,9 +48,9 @@ def corpus_stages():
     out = []
     stage = Replay.stage
 
-    def spy(self, kind, steps, step_ords, multiplier=None):
+    def spy(self, kind, steps, step_ords):
         step_ords = list(step_ords)
-        record, stage_ord = stage(self, kind, steps, step_ords, multiplier)
+        record, stage_ord = stage(self, kind, steps, step_ords)
         out.append((name, cx, kind, step_ords, stage_ord, self.composite))
         return record, stage_ord
 

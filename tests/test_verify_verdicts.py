@@ -2,17 +2,19 @@
 single-field mutation reaches.
 
 Each test starts from a certificate that `resolve_equivariant` wrote,
-changes the fields one verdict needs, and pins the violation list.  The
-composite fold's own integrality check ("composite re-derivation is not
-integral") cannot be reached through a certificate: verify builds every
-stage function with resolve's solvers, which verify it integral, so the
-composite is integral at every lattice point and each recorded
-multiplier folds to integers.  `Replay` is fed a non-integral first
-stage directly instead.
+changes the fields one verdict needs, and pins the violation list.
+Verify derives every stage, multiplier included, with resolve's own
+stage loop (`Replay.resolution`), so a certificate whose stages differ
+from resolve's in any field, or in number, is named; the forgeries below
+are consistent in every other field.  The flag check that follows the
+stages ("final verification failed") is reached by breaking the flag
+derivation itself, since no certificate whose stages all agree with
+resolve's ends on a complex that fails a flag.
 """
 
 import re
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -34,7 +36,7 @@ from equifan.fanio import (
 from equifan.groups import generate_group, trivial_group
 import equifan.resolve
 from equifan.lattice import parallelepiped_points
-from equifan.orderfun import centered_order_function, search_centered_order_function
+from equifan.orderfun import OrderFunction, _carrying, search_centered_order_function
 from equifan.resolve import (
     FLAG_NAMES,
     Replay,
@@ -121,14 +123,14 @@ def test_center_outside_the_support_is_invalid():
 
 def test_step_replay_failed_on_a_ray_in_no_cone():
     # the smooth cone (1,0),(0,1) with the unused ray (1,1): a stage that
-    # stars at that ray is a round on a smooth complex, which has no center
+    # stars at that ray comes after resolve has stopped, on a smooth complex
     cx = Complex.from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 1]])
     data, fan = certificate(cx)
     assert data.stages == ()
     h = complex_hash(cx)
     stage = StageRecord("centered", (BatchStep((((1, 1), (0, 1)),), 1, 1, 1),), 1, (1, 1, 1), (), h, h)
     assert verify_certificate(replace(data, stages=(stage,)), fan) == [
-        "stage 1: the complex is already smooth: nothing to select"
+        "stage count mismatch (recorded 1, derived 0)"
     ]
 
 
@@ -161,39 +163,21 @@ def test_stage_function_that_is_not_integral():
     assert verify_certificate(bad, fan) == ["stage 1: step 1 scale/dip mismatch (recorded (3, 1), derived (3, 2))"]
 
 
-def test_composite_that_is_not_integral():
-    # the stage function above, 5/2 at the lattice point (1,1), taken as
-    # the first stage; the next stage stars (1,1), where the recorded
-    # multiplier 1 leaves the composite 5/2
-    cx = singular_cone_2d(3)
-    first_centers, second_centers = (((1, 2), (0, 1)),), (((1, 1), (0, 2)),)
-    first = centered_order_function(cx, first_centers, 3, 1)
-    assert first.ray_values == (3, 3, 2)
-    second = centered_order_function(first.subdivision, second_centers, 2, 1)
-    replay = Replay(cx)
-    replay.stage("centered", [BatchStep(first_centers, 3, 1, 1)], [first])
-    with pytest.raises(ValueError, match="^composite re-derivation is not integral$"):
-        replay.stage("centered", [BatchStep(second_centers, 2, 1, 1)], [second], 1)
-    assert len(replay.stages) == 1 and replay.composite is first and replay.cur == first.subdivision
+def test_final_verification_failed(monkeypatch):
+    # every stage agrees with resolve's, so the flags are derived on a
+    # smooth complex; a flag derivation that finds it not smooth, with the
+    # file saying so too, reaches the check that every derived flag holds
+    data, fan = certificate(singular_cone_2d(2))
+    assert verify_certificate(data, fan) == []
+    certificate_flags = equifan.resolve.certificate_flags
 
+    def not_smooth(*args):
+        return {**certificate_flags(*args), "smooth": False}
 
-def test_final_verification_failed():
-    # no stages on the non-smooth cone (1,0),(1,2): everything replays and
-    # every recorded field matches, and the smooth flag is false
-    cx = singular_cone_2d(2)
-    data, fan = certificate(cx)
-    flags = dict.fromkeys(FLAG_NAMES, True)
-    flags["smooth"] = False
-    bad = replace(
-        data,
-        stages=(),
-        final_rays=cx.rays,
-        final_cones=((0, 1),),
-        composite=(1, 1),
-        flags=flags,
-        trace=(("input", 2, 2),),
-    )
+    monkeypatch.setattr(equifan.resolve, "certificate_flags", not_smooth)
+    bad = replace(data, flags={**data.flags, "smooth": False})
     assert verify_certificate(bad, fan) == ["final verification failed: smooth"]
+    assert verify_certificate(data, fan) == ["flag mismatch: smooth", "final verification failed: smooth"]
 
 
 def test_a_step_with_two_centers_in_one_maximal_cone():
@@ -226,15 +210,17 @@ def test_a_step_with_two_centers_in_one_maximal_cone():
 # forged certificates: consistent in every field, and not resolve's
 
 
-def run_rounds(replay):
-    """Resolve's rounds (`Replay.round`) until the replay is smooth."""
-    while replay.trace[-1][1] != 1:
-        replay.round()
+def run_rounds(replay, mode="plain", stop=None):
+    """Resolve's stages (`Replay.resolution`; plain mode's are its rounds
+    until the replay is smooth), or the first `stop` of them; returns
+    their number."""
+    return len(list(islice(replay.resolution(mode), stop)))
 
 
-def replayed_certificate(cx, mode, replay):
+def replayed_certificate(cx, mode, replay, ok=True):
     """(parsed certificate, fan) of the replay's stages, with the flags
-    re-derived, written as `resolve_equivariant` writes one."""
+    re-derived (all true exactly when `ok`), written as
+    `resolve_equivariant` writes one."""
     group = trivial_group(cx.ambient_rank)
     composite = replay.final_composite()
     cert = ResolutionCertificate(
@@ -247,7 +233,7 @@ def replayed_certificate(cx, mode, replay):
         flags=certificate_flags(cx, group, replay.cur, composite),
         trace=tuple(replay.trace),
     )
-    assert cert.ok
+    assert cert.ok == ok
     fan = fan_from_complex(cx)
     return parse_certificate(write_certificate(cert, fan)), fan
 
@@ -297,17 +283,76 @@ def test_a_round_that_stars_nothing_is_named(steps):
     # subdivides nothing and folds the constant 1 into the composite
     cx = singular_cone_2d(3)
     replay = Replay(cx)
-    run_rounds(replay)
+    assert run_rounds(replay) == 2
     if steps:
         ord_k, scale, dip = search_centered_order_function(replay.cur, ())
-        replay.stage("centered", [BatchStep((), scale, dip, None)], [ord_k], 1)
+        replay.stage("centered", [BatchStep((), scale, dip, None)], [ord_k])
     else:
-        replay.stage("centered", [], [], 1)
+        replay.stage("centered", [], [])
     data, fan = replayed_certificate(cx, "plain", replay)
-    k = len(data.stages)
-    assert k == 3
-    # verify runs a round for it, and a smooth complex has no center
-    assert verify_certificate(data, fan) == [f"stage {k}: the complex is already smooth: nothing to select"]
+    # resolve stops on the smooth complex, so verify derives one stage less
+    assert verify_certificate(data, fan) == ["stage count mismatch (recorded 3, derived 2)"]
+
+
+def test_a_certificate_with_a_round_appended_is_named():
+    # a smooth resolution of (1,0),(1,3) with one more round appended that
+    # stars the sum of the rays of a smooth cone: a strict, integral chain
+    # one stage longer than resolve's
+    cx = singular_cone_2d(3)
+    replay = Replay(cx)
+    rounds = run_rounds(replay)
+    a, b = min(sorted(mc) for mc in replay.cur.maximal_cones)
+    centers = ((tuple(x + y for x, y in zip(replay.cur.rays[a], replay.cur.rays[b])), (a, b)),)
+    ord_k, scale, dip = search_centered_order_function(replay.cur, centers)
+    replay.stage("centered", [BatchStep(centers, scale, dip, None)], [ord_k])
+    data, fan = replayed_certificate(cx, "plain", replay)
+    assert len(replay.cur.rays) == len(cx.rays) + rounds + 1
+    assert verify_certificate(data, fan) == [f"stage count mismatch (recorded {rounds + 1}, derived {rounds})"]
+
+
+@pytest.mark.parametrize(
+    "n, mode", [(2, "plain"), (7, "plain"), (7, "canonical")], ids=["one-round", "plain", "canonical"]
+)
+def test_a_certificate_with_its_last_round_dropped_is_named(n, mode):
+    # resolve's stages less the last, every field re-derived, so the
+    # final complex is not smooth and its flag says so; verify runs the
+    # stages until smooth and names the count.  (1,0),(1,2) has one round,
+    # so its certificate has no stage at all
+    cx = singular_cone_2d(n)
+    stages = run_rounds(Replay(cx), mode)
+    replay = Replay(cx)
+    run_rounds(replay, mode, stages - 1)
+    data, fan = replayed_certificate(cx, mode, replay, ok=False)
+    assert not data.flags["smooth"] and len(data.stages) == stages - 1
+    assert verify_certificate(data, fan) == [f"stage count mismatch (recorded {stages - 1}, derived {stages})"]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_a_doubled_stage_multiplier_is_named(k, monkeypatch):
+    # stage k is folded into the composite at twice its multiplier,
+    # 2m * outer + inner = 2F - inner for the fold F, and every later
+    # stage on that composite: a strict, integral chain of resolve's
+    # stages, composite consistent, that resolve does not write
+    fold = equifan.resolve.fold
+    folds = []
+
+    def doubled(outer, inner):
+        composite, m = fold(outer, inner)
+        folds.append(m)
+        if len(folds) != k - 1:  # stage 1 has no fold, each round one
+            return composite, m
+        values = [2 * f - v for f, v in zip(composite.ray_values, inner.ray_values)]
+        return _carrying(OrderFunction(composite.base, composite.subdivision, values), composite._pieces), 2 * m
+
+    cx = singular_cone_2d(7)
+    expected, fan = certificate(cx)
+    assert [s.multiplier for s in expected.stages] == [1] * 6
+    monkeypatch.setattr(equifan.resolve, "fold", doubled)
+    data, _ = certificate(cx)
+    monkeypatch.undo()
+    assert data.stages[k - 1].multiplier == 2
+    assert data.composite != expected.composite
+    assert verify_certificate(data, fan) == [f"stage {k}: multiplier mismatch (recorded 2, derived 1)"]
 
 
 def test_a_round_that_stars_another_valid_point_is_named(monkeypatch):
