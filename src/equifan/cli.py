@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 semantic failure, 2 parse failure (bytes that are
-not UTF-8 included) or a file that cannot be read or written.  There is no
-randomness anywhere, so identical inputs always produce byte-identical
-outputs.  The group size cap can be overridden through the environment
-variable EQUIFAN_GROUP_CAP.
+not UTF-8 included) or a file that cannot be read or written.  For
+`verify`, exit 2 means the file is not a certificate; any other difference
+from the certificate verify derives is exit 1, with the first differing
+line named.  There is no randomness anywhere, so identical inputs always
+produce byte-identical outputs.  The group size cap can be overridden
+through the environment variable EQUIFAN_GROUP_CAP.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ def _group_cap() -> int:
 
 
 def _read(path) -> str:
-    """A file's text; bytes that are not UTF-8 are a parse failure."""
-    with open(path, encoding="utf-8") as fh:
+    """A file's text as written, its line ends untranslated; bytes that
+    are not UTF-8 are a parse failure."""
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as e:

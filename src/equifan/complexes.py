@@ -224,13 +224,23 @@ class Complex:
 
     @property
     def maximal_cones(self) -> tuple[ConeIds, ...]:
+        """The cones that are no proper subset of another, in `_cone_order`.
+        A proper superset of a nonzero cone holds each of its rays, so it
+        is sought among the cones holding whichever of those rays the
+        fewest cones hold (a ray -> cones index); the zero cone is maximal
+        only when it is alone."""
         if self._maximal is None:
-            self._maximal = tuple(
-                sorted(
-                    (c for c in self.cones if not any(c < d for d in self.cones)),
-                    key=_cone_order,
-                )
-            )
+            at_ray: dict[int, list[ConeIds]] = {}
+            for d in self.cones:
+                for i in d:
+                    at_ray.setdefault(i, []).append(d)
+
+            def maximal(c):
+                if not c:
+                    return len(self.cones) == 1
+                return not any(c < d for d in min((at_ray[i] for i in c), key=len))
+
+            self._maximal = tuple(sorted(filter(maximal, self.cones), key=_cone_order))
         return self._maximal
 
     def faces(self, cone) -> frozenset[ConeIds]:

@@ -2,27 +2,27 @@
 
 Both formats are line-based, integer-exact and deterministic: writing
 the same object twice produces byte-identical text, and every complex
-is hashed through its canonical serialization.  Certificates embed
-enough redundancy (centers, hosts, scales, per-stage values, hashes,
-flags, measure trace) that replay verification re-derives everything
-and any single-field tampering is caught with a named violation.  Each
-`keyword N` section of N rows is written by one writer (`_section`) and
-read by its own reader.
+is hashed through its canonical serialization.  Fan files are parsed
+into a `FanFile`, with comments, blank lines and cone ids in any order
+allowed.
 
-Verification runs resolve's own stages (`resolve.Replay.resolution`):
-canonical stage 1 from the input, then rounds that select their own
-centers and choose their own multipliers until the complex is smooth.
-Each derived stage record is compared with the file field by field, and
-the stage counts with each other.
+A certificate is the canonical serialization of a resolution: every
+field (centers, hosts, scales, multipliers, per-stage values, hashes,
+flags, measure trace, final complex, composite) is derived from the
+input fan and the mode, so a resolution has exactly one certificate
+text.  Verification resolves the input again and compares the text it
+writes with the file's, naming the first line that differs; the parser
+only tells a certificate from any other file.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .complexes import Complex, require_valid
-from .groups import GROUP_CAP_DEFAULT, generate_group, trivial_group, verify_action
+from .complexes import Complex
+from .groups import GROUP_CAP_DEFAULT, generate_group
 
 
 class ParseError(Exception):
@@ -96,12 +96,6 @@ def _count(parts, n, what):
     return count
 
 
-def _one_hash(parts, n, what):
-    if len(parts) != 1:
-        raise ParseError(f"{what}: expected one hash", n)
-    return parts[0]
-
-
 def _rays(lines, keyword, rank):
     """A `keyword N` line and N lines of `rank` integers each."""
     n, parts = lines.expect_keyword(keyword)
@@ -115,12 +109,9 @@ def _rays(lines, keyword, rank):
     return tuple(rays)
 
 
-def _cones(lines, keyword, nrays, ordered=False):
-    """A `keyword N` line and N lines of distinct ray ids below nrays each.
-
-    With `ordered`, each line's ids and the lines themselves must ascend,
-    as `write_certificate` writes them, so one complex has one text;
-    otherwise (an input fan) each line is taken in any order."""
+def _cones(lines, keyword, nrays):
+    """A `keyword N` line and N lines of distinct ray ids below nrays
+    each, the ids of a line in any order."""
     n, parts = lines.expect_keyword(keyword)
     cones = []
     for _ in range(_count(parts, n, f"{keyword} count")):
@@ -131,12 +122,7 @@ def _cones(lines, keyword, nrays, ordered=False):
                 raise ParseError(f"ray index {i} out of range", n)
         if len(set(idxs)) != len(idxs):
             raise ParseError("repeated ray index in cone", n)
-        cone = tuple(sorted(idxs))
-        if ordered and list(cone) != idxs:
-            raise ParseError(f"{keyword} ray ids must ascend, found {idxs}", n)
-        if ordered and cones and cone <= cones[-1]:
-            raise ParseError(f"{keyword} lines must ascend: {idxs} follows {list(cones[-1])}", n)
-        cones.append(cone)
+        cones.append(tuple(sorted(idxs)))
     return tuple(cones)
 
 
@@ -179,8 +165,8 @@ def _row(row) -> str:
 
 
 def _section(keyword, rows) -> list[str]:
-    """A `keyword N` line and N rows (`_row`): the text `_rays`, `_cones`,
-    `_ray_values` and the flag and trace readers read."""
+    """A `keyword N` line and N rows (`_row`), as `_rays` and `_cones`
+    read them."""
     rows = list(rows)
     return [f"{keyword} {len(rows)}", *map(_row, rows)]
 
@@ -249,14 +235,23 @@ class _FanLines:
 CERT_MAGIC = "equifan-certificate 1"
 
 
+def _header(input_fan: FanFile, mode: str, group_order: int, rank: int) -> list[str]:
+    """A certificate's first five lines, which need no resolution: the
+    magic line, the input fan's hash, the mode, the group order and the
+    rank."""
+    return [
+        CERT_MAGIC,
+        f"input-sha256 {fan_hash(input_fan)}",
+        f"mode {mode}",
+        f"group-order {group_order}",
+        f"rank {rank}",
+    ]
+
+
 def write_certificate(cert, input_fan: FanFile) -> str:
     from .resolve import FLAG_NAMES
 
-    out = [CERT_MAGIC]
-    out.append(f"input-sha256 {fan_hash(input_fan)}")
-    out.append(f"mode {cert.mode}")
-    out.append(f"group-order {len(cert.group)}")
-    out.append(f"rank {cert.input_complex.ambient_rank}")
+    out = _header(input_fan, cert.mode, len(cert.group), cert.input_complex.ambient_rank)
     out += _section("flags", ((name, "true" if cert.flags[name] else "false") for name in FLAG_NAMES))
     out += _section("trace", ((label, *("na" if v is None else v for v in vals)) for label, *vals in cert.trace))
     out.append(f"stages {len(cert.stages)}")
@@ -307,275 +302,82 @@ class StageRecord:
     output_hash: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertificateData:
-    input_sha256: str
+    """A file that passed the certificate gate: its mode and its whole text."""
+
     mode: str
-    group_order: int
-    rank: int
-    flags: dict
-    trace: tuple
-    stages: tuple
-    final_rays: tuple
-    final_cones: tuple
-    composite: tuple
-
-
-def _ray_values(lines, keyword, what):
-    """A `keyword N` line and N lines 'ray_id value', with the ray ids
-    0..N-1 in order, as `_section` writes them: one text per value table."""
-    n, parts = lines.expect_keyword(keyword)
-    count = _count(parts, n, f"{keyword} count")
-    if count > len(lines.items) - lines.pos:
-        raise ParseError(f"{keyword} count {count} exceeds the lines left", n)
-    values = []
-    for rid in range(count):
-        n, line = lines.next(what)
-        pair = _ints(line.split(), n, what)
-        if len(pair) != 2:
-            raise ParseError(f"{keyword} line must be 'ray_id value'", n)
-        if pair[0] != rid:
-            raise ParseError(f"{keyword} line for ray {rid} expected, found ray id {pair[0]}", n)
-        values.append(pair[1])
-    return tuple(values)
+    text: str
 
 
 def parse_certificate(text: str) -> CertificateData:
-    lines = _Lines(text)
-    n, first = lines.next("certificate header")
+    """The gate between a certificate and any other file: the first line
+    must be `CERT_MAGIC` and the third `mode canonical` or `mode plain`.
+    Every other line is checked by comparison with the text that
+    `verify_certificate` derives, so nothing more is read here."""
+    first, _, mode = (text.splitlines()[:3] + [""] * 3)[:3]
     if first != CERT_MAGIC:
-        raise ParseError(f"not a certificate file (header {first!r})", n)
-
-    n, parts = lines.expect_keyword("input-sha256")
-    if len(parts) != 1 or len(parts[0]) != 64:
-        raise ParseError("input-sha256 must be one 64-character hex digest", n)
-    input_sha = parts[0]
-
-    n, parts = lines.expect_keyword("mode")
-    if parts != ["canonical"] and parts != ["plain"]:
-        raise ParseError(f"unknown mode {parts!r}", n)
-    mode = parts[0]
-
-    n, parts = lines.expect_keyword("group-order")
-    group_order = _one_int(parts, n, "group-order")
-
-    n, parts = lines.expect_keyword("rank")
-    rank = _one_int(parts, n, "rank")
-
-    n, parts = lines.expect_keyword("flags")
-    nflags = _count(parts, n, "flag count")
-    flags = {}
-    for _ in range(nflags):
-        n, line = lines.next("flag line")
-        name, _, val = line.partition(" ")
-        if val not in ("true", "false"):
-            raise ParseError(f"flag value must be true/false, found {val!r}", n)
-        if name in flags:
-            raise ParseError(f"repeated flag {name!r}", n)
-        flags[name] = val == "true"
-
-    n, parts = lines.expect_keyword("trace")
-    nrows = _count(parts, n, "trace count")
-    trace = []
-    for _ in range(nrows):
-        n, line = lines.next("trace row")
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError("trace row must be: label max total", n)
-        label = parts[0]
-        mx = None if parts[1] == "na" else _one_int([parts[1]], n, "trace max")
-        tot = None if parts[2] == "na" else _one_int([parts[2]], n, "trace total")
-        trace.append((label, mx, tot))
-
-    n, parts = lines.expect_keyword("stages")
-    nstages = _count(parts, n, "stage count")
-    stages = []
-    for k in range(1, nstages + 1):
-        n, parts = lines.expect_keyword("stage")
-        if len(parts) != 2 or parts[0] != str(k):
-            raise ParseError(f"expected stage {k}", n)
-        kind = parts[1]
-        if kind not in ("barycentric", "barycentric-direct", "centered"):
-            raise ParseError(f"unknown stage kind {kind!r}", n)
-        n, parts = lines.expect_keyword("input-hash")
-        ih = _one_hash(parts, n, "input-hash")
-        n, parts = lines.expect_keyword("output-hash")
-        oh = _one_hash(parts, n, "output-hash")
-        n, parts = lines.expect_keyword("steps")
-        nsteps = _count(parts, n, "step count")
-        steps = []
-        for _ in range(nsteps):
-            n, parts = lines.expect_keyword("step")
-            if len(parts) != 8 or parts[::2] != ["centers", "scale", "dip", "mult"]:
-                raise ParseError("step line must be: step centers N scale S dip D mult M", n)
-            ncenters = _count(parts[1:2], n, "step center count")
-            scale, dip, mult = _ints(parts[3::2], n, "step")
-            centers = []
-            for _ in range(ncenters):
-                n, line = lines.next("center line")
-                if not line.startswith("center "):
-                    raise ParseError("expected a center line", n)
-                body = line[len("center "):]
-                cpart, sep, hpart = body.partition(" host ")
-                if not sep:
-                    raise ParseError("center line must contain ' host '", n)
-                center = tuple(_ints(cpart.split(), n, "center"))
-                host = tuple(_ints(hpart.split(), n, "host"))
-                if len(center) != rank:
-                    raise ParseError(f"center has {len(center)} entries, expected {rank}", n)
-                centers.append((center, host))
-            steps.append(BatchStep(tuple(centers), scale, dip, mult))
-        n, parts = lines.expect_keyword("new-rays")
-        nnew = _count(parts, n, "new ray count")
-        new_rays = []
-        for _ in range(nnew):
-            n, line = lines.next("new ray line")
-            idpart, sep, genpart = line.partition(" : ")
-            if not sep:
-                raise ParseError("new ray line must be 'id : coords'", n)
-            rid = _one_int([idpart], n, "ray id")
-            gen = tuple(_ints(genpart.split(), n, "ray"))
-            if len(gen) != rank:
-                raise ParseError(f"ray has {len(gen)} entries, expected {rank}", n)
-            new_rays.append((rid, gen))
-        n, parts = lines.expect_keyword("multiplier")
-        mult = _one_int(parts, n, "multiplier")
-        values = _ray_values(lines, "values", "ray value")
-        stages.append(StageRecord(kind, tuple(steps), mult, values, tuple(new_rays), ih, oh))
-
-    final_rays = _rays(lines, "final-rays", rank)
-    final_cones = _cones(lines, "final-cones", len(final_rays), ordered=True)
-    composite = _ray_values(lines, "composite", "composite value")
-    n, parts = lines.expect_keyword("end")
-    if parts:
-        raise ParseError(f"unexpected content after 'end': {' '.join(parts)!r}", n)
-    if not lines.done():
-        n, line = lines.next()
-        raise ParseError(f"unexpected trailing content {line!r}", n)
-    return CertificateData(
-        input_sha256=input_sha,
-        mode=mode,
-        group_order=group_order,
-        rank=rank,
-        flags=flags,
-        trace=tuple(trace),
-        stages=tuple(stages),
-        final_rays=final_rays,
-        final_cones=final_cones,
-        composite=composite,
-    )
+        raise ParseError(f"not a certificate file (header {first!r})", 1)
+    if mode not in ("mode canonical", "mode plain"):
+        raise ParseError(f"expected 'mode canonical' or 'mode plain', found {mode!r}", 3)
+    return CertificateData(mode.split()[1], text)
 
 
 # ---------------------------------------------------------------------------
-# replay verification
+# verification
 
 
-def _record_mismatch(record: StageRecord, stage: StageRecord):
-    """The first field in which a derived stage record differs from the
-    recorded one: input hash, kind, steps (each one's centers, scale/dip,
-    multiplier), multiplier, output hash, new rays, values; None when they
-    agree."""
-    if record.input_hash != stage.input_hash:
-        return "input hash mismatch"
-    fields = [("kind", stage.kind, record.kind), ("step count", len(stage.steps), len(record.steps))]
-    for j, (want, got) in enumerate(zip(stage.steps, record.steps), start=1):
-        fields += [
-            (f"step {j} centers", want.centers, got.centers),
-            (f"step {j} scale/dip", (want.scale, want.dip), (got.scale, got.dip)),
-            (f"step {j} multiplier", want.multiplier, got.multiplier),
-        ]
-    fields.append(("multiplier", stage.multiplier, record.multiplier))
-    for name, want, got in fields:
-        if want != got:
-            return f"{name} mismatch (recorded {want}, derived {got})"
-    named = (("output_hash", "output hash"), ("new_rays", "new ray table"), ("values", "order function values"))
-    for field, name in named:
-        if getattr(record, field) != getattr(stage, field):
-            return f"{name} mismatch"
-    return None
+def _first_difference(recorded: str, derived: str) -> list[str]:
+    """[] when the texts are equal, else one violation naming the first
+    line where they differ: `stage k, line L: recorded '...', derived
+    '...'`, with k read off the derived text's last `stage k` line above
+    line L (no stage in the header or after `final-rays`).  Lines keep
+    their line ends, so a changed line end is a difference too; a line
+    past the end of either text reads as end of file."""
+    if recorded == derived:
+        return []
+    got, want = recorded.splitlines(keepends=True), derived.splitlines(keepends=True)
+    n = next(i for i, (a, b) in enumerate(zip_longest(got, want)) if a != b)
+    stage = ""
+    for line in want[:n + 1]:
+        key = line.split(" ", 1)[0]
+        if key in ("stage", "final-rays"):
+            stage = f"stage {line.split()[1]}, " if key == "stage" else ""
+
+    def show(lines):
+        return repr(lines[n]) if n < len(lines) else "end of file"
+
+    return [f"{stage}line {n + 1}: recorded {show(got)}, derived {show(want)}"]
 
 
 def verify_certificate(cert: CertificateData, fan: FanFile, group_cap: int | None = None) -> list[str]:
-    """Build every stage as resolve does and re-derive every field.
+    """Resolve the fan as `equifan resolve` does and compare the
+    certificate it writes with the file's text.
 
-    The stages come from resolve's own generator (`Replay.resolution`),
-    which selects each round's centers, solves it and chooses its
-    multipliers; a stage's error is the violation `stage k: ...`, and a
-    file with more or fewer stages than the resolution is a stage count
-    mismatch.  Returns the list of named violations (empty means the
-    certificate is sound for this input); an invalid input is one.
+    Every field of a certificate is derived from the input fan and the
+    mode, so a resolution has one certificate text, and the file verifies
+    exactly when it is that text (`_first_difference` names the first
+    line that is not).  The header (`_header`) needs no resolution and is
+    compared first, so a certificate of another fan, rank or group order
+    is rejected without resolving.  An error of the group generation or of
+    the resolution (an invalid input, a group that does not act, a round
+    that fails) is the one violation.
     """
     # resolve imports this module, so its names are imported at the call
-    from .resolve import FLAG_NAMES, Replay, certificate_flags
+    from .resolve import resolve_equivariant
 
-    violations: list[str] = []
-    if fan_hash(fan) != cert.input_sha256:
-        return ["certificate/input mismatch: input hash differs"]
-    if fan.ambient_rank != cert.rank:
-        return ["certificate/input mismatch: rank differs"]
     try:
-        cx0 = require_valid(fan.to_complex())
-    except ValueError as e:
-        return [str(e)]
-    try:
-        cap = group_cap if group_cap is not None else GROUP_CAP_DEFAULT
+        cap = GROUP_CAP_DEFAULT if group_cap is None else group_cap
         elements = generate_group(fan.group_generators, cap=cap, rank=fan.ambient_rank)
     except ValueError as e:
         return [f"group generation failed: {e}"]
-    # the order checked and the group checked come from the fan's
-    # generators; every group question is asked of them
-    generators = fan.group_generators or trivial_group(fan.ambient_rank)
-    if len(elements) != cert.group_order:
-        violations.append(
-            f"group order mismatch: file gives {len(elements)}, certificate says {cert.group_order}"
-        )
-    if not verify_action(cx0, generators).ok:
-        violations.append("group does not act on the input complex")
-    if violations:
-        return violations
-
-    if cert.mode == "plain" and cert.group_order != 1:
-        return ["mode mismatch: plain certificate requires the trivial group"]
-
-    replay = Replay(cx0, generators)
-    k = 0  # the stages derived so far
+    header = "\n".join(_header(fan, cert.mode, len(elements), fan.ambient_rank)) + "\n"
+    if not cert.text.startswith(header):
+        return _first_difference(cert.text, header)
     try:
-        for k, record in enumerate(replay.resolution(cert.mode), start=1):
-            mismatch = k <= len(cert.stages) and _record_mismatch(record, cert.stages[k - 1])
-            if mismatch:
-                return [f"stage {k}: {mismatch}"]
+        resolution = resolve_equivariant(
+            fan.to_complex(), elements, mode=cert.mode, generators=fan.group_generators or None
+        )
     except (ValueError, RuntimeError) as e:
-        return [f"stage {k + 1}: {e}"]
-    if k != len(cert.stages):
-        return [f"stage count mismatch (recorded {len(cert.stages)}, derived {k})"]
-
-    # final complex must match the replayed one exactly
-    cur, composite_ord = replay.cur, replay.final_composite()
-    final_cones = tuple(sorted(fan_from_complex(cur).cones))
-    if tuple(cur.rays) != cert.final_rays or final_cones != cert.final_cones:
-        return ["final complex mismatch"]
-    if composite_ord.ray_values != cert.composite:
-        return ["composite order function mismatch"]
-
-    # re-derive the flags; the measure trace came with the replay
-    flags = certificate_flags(cx0, generators, cur, composite_ord)
-    for name in FLAG_NAMES:
-        if name not in cert.flags:
-            violations.append(f"flag missing: {name}")
-        elif cert.flags[name] != flags[name]:
-            violations.append(f"flag mismatch: {name}")
-    for name in cert.flags:
-        if name not in FLAG_NAMES:
-            violations.append(f"unknown flag: {name}")
-    # resolve writes the flags in FLAG_NAMES order, the one text of them
-    listed = [name for name in cert.flags if name in FLAG_NAMES]
-    expected = [name for name in FLAG_NAMES if name in cert.flags]
-    misplaced = next(((a, b) for a, b in zip(listed, expected) if a != b), None)
-    if misplaced:
-        violations.append(f"flag out of order: {misplaced[0]} is listed where {misplaced[1]} belongs")
-    for name, value in flags.items():
-        if not value:
-            violations.append(f"final verification failed: {name}")
-    if tuple(replay.trace) != cert.trace:
-        violations.append("measure trace mismatch")
-    return violations
+        return [str(e)]
+    return _first_difference(cert.text, write_certificate(resolution, fan))

@@ -416,14 +416,14 @@ def _barycentric_stage(cx: Complex):
 class Replay:
     """A resolution's chain of stages, built and folded one stage at a time.
 
-    `resolve_equivariant` and `fanio.verify_certificate` both run its
-    stages through one generator (`resolution`: canonical mode's
-    barycentric stage, then each `round` until smooth), which chooses every
-    center, parameter and multiplier, so a certificate names one
-    resolution: resolve writes the records, composite and measure trace
-    of this one fold, and verify compares them with the file.  The frames
-    start plain; a round asks its group questions of `generators` (the
-    identity by default).
+    `resolve_equivariant` runs its stages through one generator
+    (`resolution`: canonical mode's barycentric stage, then each `round`
+    until smooth), which chooses every center, parameter and multiplier,
+    so a certificate names one resolution: resolve writes the records,
+    composite and measure trace of this one fold, and
+    `fanio.verify_certificate` resolves again and compares the text it
+    writes with the file's.  The frames start plain; a round asks its
+    group questions of `generators` (the identity by default).
 
     A round costs what it touches.  The replay carries the cone indices of
     the current maximal cones (`indices`, None while the complex is not
@@ -552,8 +552,7 @@ class Replay:
         barycentric stage first (`_barycentric_stage`, then the frames on
         its subdivision), then rounds until the last trace row's largest
         index is 1 (None while the complex is not simplicial, when the
-        round names it).  `resolve_equivariant` runs it to the end;
-        `fanio.verify_certificate` steps through it beside the file."""
+        round names it).  `resolve_equivariant` runs it to the end."""
         if mode == "canonical":
             base = self.cur
             kind, steps, ords, sources = _barycentric_stage(base)
@@ -592,8 +591,9 @@ def resolve_equivariant(
     question (the action, center stability, frame equivariance and the
     flags) is asked of `generators`, a generating set of it, which
     defaults to `elements`; each must belong to `elements` (ValueError
-    otherwise), and that they generate it is the caller's word, which
-    `fanio.verify_certificate` checks against the fan.  So is closure
+    otherwise), and that they generate it is the caller's word;
+    `fanio.verify_certificate` generates the group from the fan's
+    generators.  So is closure
     under products; a list without the identity, or with an element
     listed twice, is no group and raises ValueError after every other
     check of the input.

@@ -406,6 +406,14 @@ def reference_from_maximal_cones(ambient_rank, rays, maximal):
     return Complex(ambient_rank, rays, cones)
 
 
+def reference_maximal_cones(cx):
+    """`Complex.maximal_cones` as it was before it used a ray -> cones
+    index: every cone tested against every other, in `_cone_order`."""
+    from equifan.complexes import _cone_order
+
+    return tuple(sorted((c for c in cx.cones if not any(c < d for d in cx.cones)), key=_cone_order))
+
+
 def reference_simplicial_snf(gens):
     """_simplicial_snf with the unimodular test det(G) = +-1, else the
     checked SNF, whose divisors must all be nonzero."""

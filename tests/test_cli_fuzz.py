@@ -3,10 +3,10 @@
 Derandomized token and line mutations of the corpus fans and of their
 certificates run through all seven commands of `equifan`: each run must
 exit 0 (success), 1 (semantic failure) or 2 (parse failure), print no
-traceback and finish within a few seconds.  Verification runs resolve's
-rounds again, their center selection and (scale, dip) search, up to the
-first stage that differs from the file or to the end of the resolution,
-so it costs at most a resolve; the time bound covers it.  Most runs call
+traceback and finish within a few seconds.  Verification compares the
+certificate's header first and, when it agrees, resolves the input again
+and compares the whole text, so it costs at most a resolve and a write;
+the time bound covers it.  Most runs call
 `cli.main` in-process; a few run `python -O -m equifan.cli`, where
 asserts are stripped.
 """

@@ -42,6 +42,7 @@ from conftest import (
     reference_extreme,
     reference_from_maximal_cones,
     reference_intersect_cones,
+    reference_maximal_cones,
     square_cone,
     subset_faces_oracle,
 )
@@ -506,3 +507,21 @@ def test_simplicial_facts_match_references():
         seen[kind] += 1
     # k < n at index 1 and beyond, and k = n at |det| = 1 and beyond, both signs
     assert min(seen.values()) >= 100 and len(seen) == 6, seen
+
+
+def test_maximal_cones_match_the_reference_scan():
+    """`Complex.maximal_cones`, found through a ray -> cones index, against
+    the all-pairs scan it replaced (`conftest.reference_maximal_cones`) on
+    the corpus, its barycentric subdivisions and 600 derandomized cone
+    families (any sets of ray ids, the zero cone now and then, not closed
+    under faces)."""
+    complexes = [cx for _, cx in corpus()]
+    for cx in complexes + [barycentric_subdivision(cx) for cx in complexes]:
+        fresh = Complex(cx.ambient_rank, cx.rays, cx.cones)  # nothing carried
+        assert fresh.maximal_cones == reference_maximal_cones(fresh)
+    for seed in range(600):
+        rng = random.Random(seed)
+        nrays = rng.randint(0, 6)
+        cones = [rng.sample(range(nrays), rng.randint(0, nrays)) for _ in range(rng.randint(0, 8))]
+        cx = Complex(1, [(1,)] * nrays, cones)
+        assert cx.maximal_cones == reference_maximal_cones(cx), seed

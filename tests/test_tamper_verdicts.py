@@ -3,7 +3,9 @@
 Five base certificates and every `_mutations` case of each are checked
 against tests/data/tamper_verdicts.json: a refactor of the verifier must
 return the same violation list (or the same parse error) on every case.
-After a deliberate change of the verdicts, rewrite the file with
+Whatever the file says, every mutated case must be rejected and every
+unmutated one verified.  After a deliberate change of the verdicts,
+rewrite the file with
 
     PYTHONPATH=src python tests/test_tamper_verdicts.py
 """
@@ -65,6 +67,9 @@ def tamper_verdicts():
 def test_tamper_verdicts_match_pinned():
     pinned = json.loads(PINNED.read_text())
     cases = tamper_verdicts()
+    # apart from the pinned file, so that no rewrite of it pins an acceptance
+    for case in cases:
+        assert bool(case["verdict"]) == (case["label"] != "unmutated"), case
     for i, (want, got) in enumerate(zip(pinned, cases)):
         assert got == want, f"case {i} (base {want['base']}, {want['label']}) differs: {got['verdict']!r}"
     assert len(cases) == len(pinned) == 375
