@@ -27,7 +27,6 @@ from .groups import GROUP_CAP_DEFAULT, generate_group
 
 class ParseError(Exception):
     def __init__(self, message, line=None):
-        self.line = line
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
 
@@ -171,10 +170,16 @@ def _section(keyword, rows) -> list[str]:
     return [f"{keyword} {len(rows)}", *map(_row, rows)]
 
 
+def _fan_layout(rank: int, ray_lines, cone_lines) -> list[str]:
+    """A fan text's rank line, rays and cones, from its formatted ray and
+    cone lines (`_row`), the cones ascending: the layout `parse_fan` reads,
+    which `write_fan` and `_FanLines` both write."""
+    return [f"rank {rank}", f"rays {len(ray_lines)}", *ray_lines, f"cones {len(cone_lines)}", *cone_lines]
+
+
 def write_fan(fan: FanFile) -> str:
-    out = [f"rank {fan.ambient_rank}"]
-    out += _section("rays", fan.rays)
-    out += _section("cones", sorted(tuple(sorted(c)) for c in fan.cones))
+    cones = sorted(tuple(sorted(c)) for c in fan.cones)
+    out = _fan_layout(fan.ambient_rank, [*map(_row, fan.rays)], [*map(_row, cones)])
     if fan.group_generators:
         out.append(f"generators {len(fan.group_generators)}")
         for m in fan.group_generators:
@@ -224,9 +229,8 @@ class _FanLines:
 
     def sha256(self) -> str:
         cones = [self.cone_lines[k] for k in sorted(self.cone_lines)]
-        rays = self.ray_lines
-        text = "\n".join([f"rank {self.rank}", f"rays {len(rays)}", *rays, f"cones {len(cones)}", *cones])
-        return hashlib.sha256((text + "\n").encode()).hexdigest()
+        text = "\n".join(_fan_layout(self.rank, self.ray_lines, cones)) + "\n"
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +283,6 @@ def write_certificate(cert, input_fan: FanFile) -> str:
     out += _section("composite", enumerate(cert.composite.ray_values))
     out.append("end")
     return "\n".join(out) + "\n"
-
-
-@dataclass(frozen=True)
-class BatchStep:
-    """One simultaneous centered subdivision with its order-function data."""
-
-    centers: tuple  # ((vector, host cone ray ids), ...) in application order
-    scale: int
-    dip: int
-    multiplier: int  # composition multiplier folding this step into the stage (set by `Replay.stage`)
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    kind: str  # "barycentric" | "barycentric-direct" | "centered"
-    steps: tuple
-    multiplier: int  # composition multiplier folding this stage into the total
-    values: tuple[int, ...]  # stage order-function values on subdivision rays
-    new_rays: tuple  # ((ray id, generator), ...)
-    input_hash: str
-    output_hash: str
 
 
 @dataclass(frozen=True)

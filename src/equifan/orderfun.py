@@ -119,13 +119,12 @@ def evaluate(ord_fn: OrderFunction, x):
 class AxiomReport:
     """Outcome of checking the order-function axioms.
 
-    Homogeneity and continuity hold by representation and are recorded
-    as such; integrality and convexity are computed.  `strict` and
-    `positive` are extra quality flags, not axioms.
+    Homogeneity and continuity hold by representation (values on rays,
+    interpolated linearly on each cone), so they are not recorded;
+    integrality and convexity are computed.  `strict` and `positive` are
+    extra quality flags, not axioms.
     """
 
-    homogeneous: bool = True
-    continuous: bool = True
     integral: bool = True
     convex: bool = True
     strict: bool = True
@@ -134,7 +133,7 @@ class AxiomReport:
 
     @property
     def ok(self) -> bool:
-        return self.homogeneous and self.continuous and self.integral and self.convex
+        return self.integral and self.convex
 
     def __bool__(self):
         return self.ok

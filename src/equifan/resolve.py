@@ -17,11 +17,11 @@ before a certificate is issued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Complex, is_simplicial, is_smooth, is_subdivision, require_valid
-from .fanio import BatchStep, StageRecord, _FanLines
+from .fanio import _FanLines
 from .groups import _strictness, cone_image, group_action, trivial_group, verify_action
 from .lattice import (
     _eliminate,
@@ -192,6 +192,27 @@ def select_centers(cx: Complex, frames: dict, elements=None):
 
 # ---------------------------------------------------------------------------
 # certificate data
+
+
+@dataclass(frozen=True)
+class BatchStep:
+    """One simultaneous centered subdivision with its order-function data."""
+
+    centers: tuple  # ((vector, host cone ray ids), ...) in application order
+    scale: int
+    dip: int
+    multiplier: int  # composition multiplier folding this step into the stage
+
+
+@dataclass(frozen=True)
+class StageRecord:
+    kind: str  # "barycentric" | "barycentric-direct" | "centered"
+    steps: tuple
+    multiplier: int  # composition multiplier folding this stage into the total
+    values: tuple[int, ...]  # stage order-function values on subdivision rays
+    new_rays: tuple  # ((ray id, generator), ...)
+    input_hash: str
+    output_hash: str
 
 
 @dataclass
@@ -387,7 +408,7 @@ def direct_barycentric_order_function(cx: Complex, bcx: Complex, pieces, sources
 
 
 # ---------------------------------------------------------------------------
-# the stage replay, shared by resolve and verify
+# the stage replay, which `resolve_equivariant` drives one stage at a time
 
 
 def _unit(cx: Complex) -> OrderFunction:
@@ -395,35 +416,16 @@ def _unit(cx: Complex) -> OrderFunction:
     return _carrying(OrderFunction(cx, cx, [1] * len(cx.rays)), [(s, [s]) for s in cx.maximal_cones])
 
 
-def _barycentric_stage(cx: Complex):
-    """Canonical mode's first stage, as resolve and verify both build it:
-    (kind, steps, step functions, sources of B(cx)'s rays), by the cascade
-    on a simplicial cx and by the direct function otherwise."""
-    if not is_simplicial(cx):
-        bcx, pieces, sources = _barycentric(cx)
-        ord_b, scale, dip = direct_barycentric_order_function(cx, bcx, pieces, sources)
-        return "barycentric-direct", [BatchStep((), scale, dip, None)], [ord_b], sources
-    steps, ords, cur = [], [], cx
-    cascade = _barycentric_cascade(cx)
-    for batch in cascade:
-        ord_k, scale, dip = search_centered_order_function(cur, batch)
-        steps.append(BatchStep(tuple(batch), scale, dip, None))
-        ords.append(ord_k)
-        cur = ord_k.subdivision
-    return "barycentric", steps, ords, _barycentric_sources(cx, cur, cascade)
-
-
 class Replay:
     """A resolution's chain of stages, built and folded one stage at a time.
 
-    `resolve_equivariant` runs its stages through one generator
-    (`resolution`: canonical mode's barycentric stage, then each `round`
-    until smooth), which chooses every center, parameter and multiplier,
-    so a certificate names one resolution: resolve writes the records,
-    composite and measure trace of this one fold, and
-    `fanio.verify_certificate` resolves again and compares the text it
-    writes with the file's.  The frames start plain; a round asks its
-    group questions of `generators` (the identity by default).
+    `resolve_equivariant` calls `barycentric` (canonical mode's first
+    stage) and then `round` until smooth; the replay chooses every center,
+    parameter and multiplier, so a certificate names one resolution:
+    resolve writes the records, composite and measure trace of this one
+    fold, and `fanio.verify_certificate` resolves again and compares the
+    text it writes with the file's.  The frames start plain; a round asks
+    its group questions of `generators` (the identity by default).
 
     A round costs what it touches.  The replay carries the cone indices of
     the current maximal cones (`indices`, None while the complex is not
@@ -476,10 +478,11 @@ class Replay:
             self.indices.update(new)
         self.cur = sub
 
-    def stage(self, kind: str, steps, step_ords):
-        """Fold the step functions of a stage (each on the previous one's
-        subdivision, the first on `cur`) into the stage function, fold
-        that into the composite, and record the stage.
+    def stage(self, kind: str, steps):
+        """Fold the steps of a stage, each (centers, scale, dip, function)
+        with its function on the previous one's subdivision (the first on
+        `cur`), into the stage function, fold that into the composite, and
+        record the stage.
 
         `orderfun.fold` chooses every step multiplier and every stage
         multiplier but the first stage's, which records 1.  Returns
@@ -487,9 +490,9 @@ class Replay:
         """
         base = self.cur
         stage_ord, recorded = None, []
-        for step, ord_k in zip(steps, step_ords):
+        for centers, scale, dip, ord_k in steps:
             stage_ord, mult = (ord_k, 1) if stage_ord is None else fold(stage_ord, ord_k)
-            recorded.append(replace(step, multiplier=mult))
+            recorded.append(BatchStep(tuple(centers), scale, dip, mult))
         if stage_ord is None:
             stage_ord = _unit(base)
         sub = stage_ord.subdivision
@@ -516,6 +519,28 @@ class Replay:
             self.trace.append(("stage1", *self._measure()))
         return record, stage_ord
 
+    def barycentric(self):
+        """Canonical mode's first stage: B(cur) by the cascade's centered
+        steps on a simplicial complex and by the one direct step otherwise,
+        then the frames on B(cur), ordered by source-cone dimension;
+        returns the record."""
+        base = self.cur
+        if is_simplicial(base):
+            kind, steps, cur = "barycentric", [], base
+            cascade = _barycentric_cascade(base)
+            for batch in cascade:
+                ord_k, scale, dip = search_centered_order_function(cur, batch)
+                steps.append((batch, scale, dip, ord_k))
+                cur = ord_k.subdivision
+            sources = _barycentric_sources(base, cur, cascade)
+        else:
+            bcx, pieces, sources = _barycentric(base)
+            ord_b, scale, dip = direct_barycentric_order_function(base, bcx, pieces, sources)
+            kind, steps = "barycentric-direct", [((), scale, dip, ord_b)]
+        record, _ = self.stage(kind, steps)
+        self.frames = initial_frames_barycentric(base, self.cur, sources)
+        return record
+
     def round(self):
         """Select the centers on the frames of the cones of index above 1,
         read each carrier off its host's frame (the frame rays of its
@@ -540,31 +565,12 @@ class Replay:
         # the measure must drop on every touched host's pieces; a host is
         # touched exactly when it holds a carrier, as no center is a ray
         touched = [(mc, ps, indices[mc]) for mc, ps in pieces if ps != [mc]]
-        record, _ = self.stage("centered", [BatchStep(centers, scale, dip, None)], [ord_k])
+        record, _ = self.stage("centered", [(centers, scale, dip, ord_k)])
         for mc, ps, idx in touched:
             if max((self.indices[d] for d in ps), default=idx) >= idx:
                 raise RuntimeError(f"termination measure failed to decrease on cone {sorted(mc)}")
         self.frames = frames
         return record
-
-    def resolution(self, mode: str):
-        """Resolve's stages, each record as it is made: canonical mode's
-        barycentric stage first (`_barycentric_stage`, then the frames on
-        its subdivision), then rounds until the last trace row's largest
-        index is 1 (None while the complex is not simplicial, when the
-        round names it).  `resolve_equivariant` runs it to the end."""
-        if mode == "canonical":
-            base = self.cur
-            kind, steps, ords, sources = _barycentric_stage(base)
-            record, _ = self.stage(kind, steps, ords)
-            self.frames = initial_frames_barycentric(base, self.cur, sources)
-            yield record
-        while self.trace[-1][1] != 1:
-            yield self.round()
-
-    def final_composite(self) -> OrderFunction:
-        """The composite, or the constant 1 on the input when no stage ran."""
-        return self.composite if self.stages else _unit(self.cur)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +597,11 @@ def resolve_equivariant(
     question (the action, center stability, frame equivariance and the
     flags) is asked of `generators`, a generating set of it, which
     defaults to `elements`; each must belong to `elements` (ValueError
-    otherwise), and that they generate it is the caller's word;
-    `fanio.verify_certificate` generates the group from the fan's
-    generators.  So is closure
-    under products; a list without the identity, or with an element
-    listed twice, is no group and raises ValueError after every other
-    check of the input.
+    otherwise), and that they generate it is the caller's word
+    (`fanio.verify_certificate` generates the group from the fan's
+    generators).  So is closure under products; a list without the
+    identity, or with an element listed twice, is no group and raises
+    ValueError after every other check of the input.
     """
     if elements is None:
         elements = trivial_group(cx.ambient_rank)
@@ -620,10 +625,13 @@ def resolve_equivariant(
         raise ValueError(f"the elements are not a group: element {k} is listed twice")
 
     replay = Replay(cx, generators)
-    for _ in replay.resolution(mode):
-        pass
+    if mode == "canonical":
+        replay.barycentric()
+    # the largest index is None while the complex is not simplicial, and the round names it
+    while replay.trace[-1][1] != 1:
+        replay.round()
 
-    composite = replay.final_composite()
+    composite = _unit(cx) if replay.composite is None else replay.composite
     flags = certificate_flags(cx, generators, replay.cur, composite)
     if not all(flags.values()):
         bad = [k for k, v in flags.items() if not v]

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
@@ -980,6 +981,179 @@ class ReferenceAction:
             ray_orbits, cone_orbits, tuple(o[0] for o in ray_orbits),
             tuple(o[0] for o in cone_orbits), face_relations, maximal,
         )
+
+
+# ---------------------------------------------------------------------------
+# the reference resolution: resolve's driver rebuilt from the references
+
+
+def _reference_first_point(gens):
+    """(point, coordinates) of the least coordinates, in the given order of
+    the generators, among the nonzero lattice points of their half-open
+    parallelepiped, or None.  The points come from the bounding box
+    (`box_parallelepiped_points`); with as many generators as the rank,
+    each box point is solved by Cramer's rule, one cofactor table per cone."""
+    n = len(gens[0])
+    if len(gens) < n:
+        points = box_parallelepiped_points(gens)
+        return points[0] if points else None
+    d = reference_det(gens)
+    sign = 1 if d > 0 else -1
+    # cofactor[i] . p is det(gens with row i replaced by p), times the sign of d
+    cofactor = [
+        [sign * (-1) ** (i + j) * reference_det([g[:j] + g[j + 1:] for k, g in enumerate(gens) if k != i])
+         for j in range(n)]
+        for i in range(n)
+    ]
+    box = product(*[range(sum(min(g, 0) for g in col), sum(max(g, 0) for g in col) + 1) for col in zip(*gens)])
+    best = None
+    for point in box:
+        nums = [sum(c * x for c, x in zip(row, point)) for row in cofactor]  # the coordinates times |d|
+        if all(0 <= a < abs(d) for a in nums) and any(nums) and (best is None or nums < best[1]):
+            best = point, nums
+    return best and (best[0], tuple(Fraction(a, abs(d)) for a in best[1]))
+
+
+def _reference_frames(cur, nxt, frames):
+    """The frames on nxt, a centered subdivision of cur, rebuilt from the
+    geometry by the slot rule: a maximal cone of cur keeps its frame, and
+    any other is its host's frame with the center in the slot of the one
+    ray it replaced, its host being the one maximal cone of cur that holds
+    its old rays and its center.  RuntimeError on any other piece."""
+    new_frames = {}
+    for p in nxt.maximal_cones:
+        if p in frames:
+            new_frames[p] = frames[p]
+            continue
+        (c, *more) = sorted(i for i in p if i >= len(cur.rays))
+        old = p - {c}
+        hosts = [s for s in cur.maximal_cones if old <= s and cur.contains_point(s, nxt.rays[c])]
+        if more or len(hosts) != 1 or len(hosts[0] - old) != 1:
+            raise RuntimeError(f"piece {sorted(p)} is not a host with one ray replaced by a center")
+        new_frames[p] = tuple(c if i not in p else i for i in frames[hosts[0]])
+    return new_frames
+
+
+def reference_resolution(cx, mode="canonical", generators=(), max_candidates=None):
+    """The certificate text of cx's resolution with the group generated by
+    `generators`, as `equifan resolve` writes it, derived by the
+    references instead of resolve's driver.
+
+    Stage 1 (canonical mode) stars the barycenters of the cones of
+    dimension 2 and up, one step per dimension from the top, each step's
+    (scale, dip) scanned by `reference_search_centered` and its complex
+    built by `reference_stars`; a non-simplicial input takes its one step
+    from `direct_barycentric_order_function` (its scan is checked by
+    `reference_direct_barycentric`).  A ray's frame slot is the dimension
+    of the cone of cx whose relative interior holds it
+    (`reference_minimal_cone_containing`).  Each round lists every
+    maximal cone's parallelepiped points in its frame's order by box
+    enumeration, keeps every least coordinate tuple across cones, reads
+    each center's carrier off the geometry, scans and stars as stage 1
+    does and rebuilds the frames by the slot rule (`_reference_frames`).
+    `reference_fold` chooses every multiplier, and the run stops when
+    `_index_measure` finds largest index 1.  RuntimeError where a round
+    cannot go on; with `max_candidates`, ReferenceBudgetExceeded from a
+    scan that would verify more."""
+    from types import SimpleNamespace
+
+    from equifan.fanio import complex_hash, fan_from_complex, write_certificate
+    from equifan.groups import generate_group
+    from equifan.lattice import mat_vec, primitive
+    from equifan.orderfun import OrderFunction
+    from equifan.resolve import _index_measure, certificate_flags, direct_barycentric_order_function
+    from equifan.subdivide import _barycentric
+
+    rank = cx.ambient_rank
+    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    generators = tuple(generators)
+    elements = generate_group(generators, rank=rank) if generators else (identity,)
+
+    def measure(c):
+        try:
+            return _index_measure(c)
+        except ValueError:
+            return None, None
+
+    stages, trace = [], [("input", *measure(cx))]
+    cur, composite = cx, None
+    first_point = lru_cache(maxsize=None)(_reference_first_point)  # a cone later rounds leave is solved once
+
+    def fold_stage(kind, label, steps):
+        # steps: (centers, scale, dip, step function), each on the last one's subdivision
+        nonlocal cur, composite
+        stage_fn, recorded = None, []
+        for centers, scale, dip, fn in steps:
+            stage_fn, mult = (fn, 1) if stage_fn is None else reference_fold(stage_fn, fn)
+            recorded.append(SimpleNamespace(centers=tuple(centers), scale=scale, dip=dip, multiplier=mult))
+        if stage_fn is None:
+            stage_fn = OrderFunction(cur, cur, [1] * len(cur.rays))
+        sub = stage_fn.subdivision
+        composite, multiplier = (stage_fn, 1) if composite is None else reference_fold(composite, stage_fn)
+        stages.append(SimpleNamespace(
+            kind=kind, steps=tuple(recorded), multiplier=multiplier, values=tuple(stage_fn.ray_values),
+            new_rays=tuple(enumerate(sub.rays))[len(cur.rays):],
+            input_hash=complex_hash(cur), output_hash=complex_hash(sub),
+        ))
+        trace.append((label, *measure(sub)))
+        cur = sub
+
+    def centered_step(base, centers):
+        fn, scale, dip = reference_search_centered(base, centers, max_candidates=max_candidates)
+        return centers, scale, dip, OrderFunction(base, reference_stars(base, centers), fn.ray_values)
+
+    frames = {mc: tuple(sorted(mc)) for mc in cx.maximal_cones}
+    if mode == "canonical":
+        levels = {}
+        for c in cx.cones:
+            if cx.dim(c) >= 2:
+                levels.setdefault(cx.dim(c), []).append(tuple(sorted(c)))
+        cascade = [
+            [(primitive(tuple(map(sum, zip(*cx.generators(c))))), c) for c in sorted(levels[d])]
+            for d in sorted(levels, reverse=True)
+        ]
+        if all(len(c) == cx.dim(c) for c in cx.maximal_cones):
+            steps, base = [], cx
+            for batch in cascade:
+                steps.append(centered_step(base, batch))
+                base = steps[-1][3].subdivision
+            fold_stage("barycentric", "stage1", steps)
+        else:
+            bcx = reference_stars(cx, [star for batch in cascade for star in batch])
+            fn, scale, dip = direct_barycentric_order_function(cx, *_barycentric(cx))
+            fold_stage("barycentric-direct", "stage1", [((), scale, dip, OrderFunction(cx, bcx, fn.ray_values))])
+        level = [cx.dim(reference_minimal_cone_containing(cx, r)) for r in cur.rays]
+        frames = {mc: tuple(sorted(mc, key=lambda i: level[i])) for mc in cur.maximal_cones}
+
+    rounds = 0
+    while measure(cur)[0] != 1:
+        rounds += 1
+        if rounds > 2000:
+            raise RuntimeError("no smooth complex after 2000 rounds")
+        firsts = [first_point(tuple(cur.rays[i] for i in frames[mc])) for mc in cur.maximal_cones if mc]
+        best = min(coords for point, coords in filter(None, firsts))
+        chosen = {point for point, coords in filter(None, firsts) if coords == best}
+        for m in elements:
+            if {mat_vec(m, p) for p in chosen} != chosen:
+                raise RuntimeError("the least points are not stable under the group")
+        centers = tuple(sorted(
+            (primitive(p), tuple(sorted(reference_minimal_cone_containing(cur, p)))) for p in chosen
+        ))
+        step = centered_step(cur, centers)
+        nxt_frames = _reference_frames(cur, step[3].subdivision, frames)
+        fold_stage("centered", f"round{rounds}", [step])
+        frames = nxt_frames
+
+    if composite is None:
+        composite = OrderFunction(cx, cx, [1] * len(cx.rays))
+    flags = certificate_flags(cx, elements, cur, composite)
+    if not all(flags.values()):
+        raise RuntimeError(f"the reference resolution fails its flags: {flags}")
+    cert = SimpleNamespace(
+        mode=mode, input_complex=cx, group=elements, stages=stages,
+        composite=composite, final=cur, flags=flags, trace=trace,
+    )
+    return write_certificate(cert, fan_from_complex(cx, generators))
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ import equifan
 from equifan.cli import main
 from equifan.complexes import Complex
 from equifan.fanio import (
-    BatchStep,
     FanFile,
     ParseError,
     complex_hash,
@@ -234,13 +233,13 @@ def replayed_plain_certificate(scale, dip):
     centers = (((1, 1), (0, 1)),)
     replay = Replay(cx)
     step_ord = centered_order_function(cx, centers, scale, dip)
-    replay.stage("centered", [BatchStep(centers, scale, dip, 1)], [step_ord])
+    replay.stage("centered", [(centers, scale, dip, step_ord)])
     cert = ResolutionCertificate(
         mode="plain",
         input_complex=cx,
         group=trivial_group(2),
         stages=tuple(replay.stages),
-        composite=replay.final_composite(),
+        composite=replay.composite,
         final=replay.cur,
         flags=dict.fromkeys(FLAG_NAMES, True),
         trace=tuple(replay.trace),

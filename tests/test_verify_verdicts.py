@@ -12,7 +12,6 @@ round's guard, the final flags) is the one violation.
 """
 
 from dataclasses import replace
-from itertools import islice
 from unittest import mock
 
 import pytest
@@ -20,8 +19,6 @@ import pytest
 from equifan.cli import main
 from equifan.complexes import Complex
 from equifan.fanio import (
-    BatchStep,
-    StageRecord,
     complex_hash,
     fan_from_complex,
     parse_certificate,
@@ -35,8 +32,11 @@ import equifan.resolve
 from equifan.lattice import parallelepiped_points
 from equifan.orderfun import OrderFunction, _carrying, search_centered_order_function
 from equifan.resolve import (
+    BatchStep,
     Replay,
     ResolutionCertificate,
+    StageRecord,
+    _unit,
     certificate_flags,
     initial_frames_plain,
     resolve_equivariant,
@@ -212,7 +212,7 @@ def test_a_step_with_two_centers_in_one_maximal_cone():
     # the stage consistent with them, it is refused at the stage's output
     # hash, two lines above its step
     ord_k, scale, dip = search_centered_order_function(cx, centers)
-    record, _ = Replay(cx).stage("centered", [BatchStep(centers, scale, dip, 1)], [ord_k])
+    record, _ = Replay(cx).stage("centered", [(centers, scale, dip, ord_k)])
     fields = {f: getattr(record, f) for f in ("steps", "values", "new_rays", "output_hash")}
     assert verdict(with_stage(cert, 1, **fields), fan) == differs(
         line - 2, f"output-hash {record.output_hash}\n", f"output-hash {cert.stages[0].output_hash}\n", 1
@@ -231,17 +231,24 @@ def test_a_step_with_two_centers_in_one_maximal_cone():
 
 
 def run_rounds(replay, mode="plain", stop=None):
-    """Resolve's stages (`Replay.resolution`; plain mode's are its rounds
-    until the replay is smooth), or the first `stop` of them; returns
-    their number."""
-    return len(list(islice(replay.resolution(mode), stop)))
+    """Resolve's stages as `resolve_equivariant` steps them (canonical
+    mode's `barycentric`, then each `round` until the replay is smooth),
+    or the first `stop` of them; returns their number."""
+    count = 0
+    if mode == "canonical" and stop != 0:
+        replay.barycentric()
+        count = 1
+    while replay.trace[-1][1] != 1 and (stop is None or count < stop):
+        replay.round()
+        count += 1
+    return count
 
 
 def replayed_certificate(cx, mode, replay, ok=True):
     """(certificate, fan) of the replay's stages, with the flags re-derived
     (all true exactly when `ok`), as `resolve_equivariant` builds one."""
     group = trivial_group(cx.ambient_rank)
-    composite = replay.final_composite()
+    composite = _unit(cx) if replay.composite is None else replay.composite
     cert = ResolutionCertificate(
         mode=mode,
         input_complex=cx,
@@ -290,7 +297,7 @@ def test_a_barycentric_stage_of_the_top_barycenter_alone_is_named():
     centers = (((2, 3, 5), (0, 1, 2)),)
     replay = Replay(cx)
     ord_b, scale, dip = search_centered_order_function(cx, centers)
-    replay.stage("barycentric", [BatchStep(centers, scale, dip, None)], [ord_b])
+    replay.stage("barycentric", [(centers, scale, dip, ord_b)])
     replay.frames = initial_frames_plain(replay.cur)
     run_rounds(replay)
     cert, fan = replayed_certificate(cx, "canonical", replay)
@@ -307,9 +314,9 @@ def test_a_round_that_stars_nothing_is_named(steps):
     assert run_rounds(replay) == 2
     if steps:
         ord_k, scale, dip = search_centered_order_function(replay.cur, ())
-        replay.stage("centered", [BatchStep((), scale, dip, None)], [ord_k])
+        replay.stage("centered", [((), scale, dip, ord_k)])
     else:
-        replay.stage("centered", [], [])
+        replay.stage("centered", [])
     cert, fan = replayed_certificate(cx, "plain", replay)
     # resolve stops on the smooth complex, so its trace has no third round
     assert verdict(cert, fan) == differs(17, "trace 4\n", "trace 3\n")
@@ -325,7 +332,7 @@ def test_a_certificate_with_a_round_appended_is_named():
     a, b = min(sorted(mc) for mc in replay.cur.maximal_cones)
     centers = ((tuple(x + y for x, y in zip(replay.cur.rays[a], replay.cur.rays[b])), (a, b)),)
     ord_k, scale, dip = search_centered_order_function(replay.cur, centers)
-    replay.stage("centered", [BatchStep(centers, scale, dip, None)], [ord_k])
+    replay.stage("centered", [(centers, scale, dip, ord_k)])
     cert, fan = replayed_certificate(cx, "plain", replay)
     assert len(replay.cur.rays) == len(cx.rays) + rounds + 1
     assert verdict(cert, fan) == differs(17, f"trace {rounds + 2}\n", f"trace {rounds + 1}\n")
